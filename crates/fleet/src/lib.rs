@@ -16,7 +16,12 @@
 //!   frames batch onto [`CpuPool`](pcount_kernels::CpuPool) workers via
 //!   `pcount-runtime`, each frame supervised by the
 //!   [`ResilientDeployment`](pcount_resilience::ResilientDeployment)
-//!   retry loop.
+//!   retry loop. Attempts at the full watchdog budget cannot time out,
+//!   so they run on the host golden model, which predicts
+//!   bit-identically; only attempts under a smaller budget, such as
+//!   those an injected stall cuts short, run on the instruction-set
+//!   simulator, which owns the watchdog and the wasted-cycle
+//!   accounting.
 //! * **SLO governance**: every node's health is judged from windowed
 //!   [`SloSnapshot`](pcount_telemetry::SloSnapshot)s against the error
 //!   budget; sick nodes are quarantined (their frames still execute but
@@ -49,6 +54,11 @@
 //!
 //! [`IrDataset::session_stream_window`]: pcount_dataset::IrDataset::session_stream_window
 
+// Lets the integration suites' fixtures, which name this crate, also
+// build inside its unit tests.
+#[cfg(test)]
+extern crate self as pcount_fleet;
+
 mod failover;
 mod msg;
 mod node;
@@ -65,4 +75,4 @@ pub use report::{
     CrashReport, FleetReport, NodeReport, OccupancyChange, OccupancyTrajectory, ServeTotals,
     ShardReport,
 };
-pub use service::{ConfigError, FleetConfig, FleetService, StormConfig};
+pub use service::{ConfigError, FleetConfig, FleetError, FleetService, StormConfig};

@@ -18,9 +18,20 @@
 //!    is a pure function of the fleet seed and the config, never of
 //!    execution.
 //! 2. **Execute (parallel).** Admitted frames' retry loops
-//!    ([`ResilientDeployment::attempt_frame`]) run across the
-//!    [`CpuPool`], each on a CPU restored from the pristine base, so
-//!    every result is a pure per-frame function.
+//!    ([`ResilientDeployment::attempt_prediction`]) run across the
+//!    [`CpuPool`]. The fold reads only each frame's prediction, failed
+//!    attempts and wasted cycles, so that is all the loop yields. An
+//!    attempt at the full watchdog budget
+//!    ([`INSTRUCTION_BUDGET`](pcount_kernels::INSTRUCTION_BUDGET))
+//!    cannot time out, so it runs on the host golden model
+//!    ([`Deployment::golden_prediction`]), whose prediction is
+//!    bit-identical to the simulator's: every stall-free frame, and the
+//!    last attempt of a stalled one. Only attempts under a smaller
+//!    budget run on the simulator, each on a CPU restored from the
+//!    pristine base: the attempts an injected stall cuts short, and
+//!    every attempt when [`ResilienceConfig::budget`] is set lower.
+//!    Every result is a pure per-frame function, identical to running
+//!    every attempt on the simulator.
 //! 3. **Fold (serial).** Outcomes are replayed in arrival order through
 //!    the same failover timeline (checkpoint snapshots filled, crashed
 //!    shards' fusion state rolled back to the last checkpoint with
@@ -49,7 +60,7 @@ use crate::report::{
 use pcount_dataset::{IrDataset, GRID_SIZE};
 use pcount_kernels::{CpuPool, Deployment, SimError};
 use pcount_postproc::MajorityVoter;
-use pcount_resilience::{AttemptOutcome, ResilienceConfig, ResilientDeployment};
+use pcount_resilience::{AttemptOutcome, ResilienceConfig, ResilientDeployment, StallFault};
 use pcount_telemetry::slo;
 use pcount_telemetry::{ErrorBudget, HistogramCounts, SloSnapshot};
 
@@ -224,6 +235,34 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// Why [`FleetService::new`] could not provision a fleet.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FleetError {
+    /// The configuration is inconsistent.
+    Config(ConfigError),
+    /// The deployment could not run the probe frame that measures the
+    /// nominal per-frame service cost.
+    Probe(SimError),
+}
+
+impl fmt::Display for FleetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetError::Config(e) => write!(f, "invalid fleet config: {e}"),
+            FleetError::Probe(e) => write!(f, "probe inference failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FleetError::Config(e) => Some(e),
+            FleetError::Probe(e) => Some(e),
+        }
+    }
+}
 
 /// Configuration of a [`FleetService`] co-simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -424,14 +463,6 @@ impl FleetConfig {
             }
         }
         Ok(())
-    }
-
-    /// Panics when the knobs are inconsistent — the assertion-style path
-    /// over [`validated`](Self::validated).
-    pub fn validate(&self) {
-        if let Err(e) = self.validated() {
-            panic!("invalid fleet config: {e}");
-        }
     }
 }
 
@@ -694,16 +725,20 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// Propagates the simulator error if the deployment cannot run a
-    /// probe frame (the probe measures the nominal per-frame cost the
-    /// admission plan schedules with).
+    /// Returns [`FleetError::Config`] if `cfg` is inconsistent (see
+    /// [`FleetConfig::validated`]), and [`FleetError::Probe`] with the
+    /// simulator error if the deployment cannot run a probe frame (the
+    /// probe measures the nominal per-frame cost the admission plan
+    /// schedules with).
     pub fn new(
         deployment: Deployment,
         cfg: FleetConfig,
         data: &IrDataset,
-    ) -> Result<Self, SimError> {
-        cfg.validate();
-        let probe = deployment.report(&vec![0.0; GRID_SIZE * GRID_SIZE])?;
+    ) -> Result<Self, FleetError> {
+        cfg.validated().map_err(FleetError::Config)?;
+        let probe = deployment
+            .report(&vec![0.0; GRID_SIZE * GRID_SIZE])
+            .map_err(FleetError::Probe)?;
         let per_frame_ns = probe
             .cycles
             .saturating_mul(1_000_000_000)
@@ -1096,48 +1131,33 @@ impl FleetService {
     }
 
     /// Phase 2 (parallel): run every scheduled frame's attempt loop across
-    /// the pool. Execution order never affects results — each attempt
-    /// loop restores its CPU from the pristine base and is a pure
-    /// function of `(frame, stall)`.
+    /// the pool, yielding its prediction (see the module docs for which
+    /// attempts simulate). Execution order never affects results — each
+    /// attempt loop is a pure function of `(frame, stall)`.
     fn execute(
         &self,
         planned: &[PlannedDelivery],
         exec_list: &[usize],
         pool: &mut CpuPool,
-    ) -> Vec<AttemptOutcome> {
-        let m = exec_list.len();
-        if m == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<Option<AttemptOutcome>> = (0..m).map(|_| None).collect();
-        let (base, cpus) = pool.split_mut();
-        let workers = cpus.len().max(1);
-        let chunk = m.div_ceil(workers);
-        let slots = pcount_runtime::SendPtr::new(out.as_mut_ptr());
-        pcount_runtime::current().par_chunks_mut(cpus, 1, 0, |w, cpu_slot| {
-            let cpu = &mut cpu_slot[0];
-            let hi = ((w + 1) * chunk).min(m);
-            for k in (w * chunk)..hi {
-                let p = &planned[exec_list[k]];
-                let tick = &self.nodes[p.msg.node].stream.ticks[p.msg.seq];
-                let frame = tick.frame.as_deref().expect("executed ticks carry data");
-                let outcome = self.supervised.attempt_frame(cpu, base, frame, tick.stall);
-                // SAFETY: worker ranges are disjoint by construction, so
-                // every slot has exactly one writer, and `out` is not
-                // read until the pool group completes.
-                unsafe { *slots.ptr().add(k) = Some(outcome) };
-            }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("every exec slot ran"))
-            .collect()
+    ) -> Vec<AttemptOutcome<usize>> {
+        pool.map_in_place(exec_list.len(), |cpu, base, k| {
+            let (frame, stall) = self.payload(&planned[exec_list[k]]);
+            self.supervised.attempt_prediction(cpu, base, frame, stall)
+        })
+    }
+
+    /// The frame and injected stall an executed delivery carries.
+    fn payload(&self, p: &PlannedDelivery) -> (&[f32], Option<StallFault>) {
+        let tick = &self.nodes[p.msg.node].stream.ticks[p.msg.seq];
+        let frame = tick.frame.as_deref().expect("executed ticks carry data");
+        (frame, tick.stall)
     }
 
     /// Phase 3 (serial): replay outcomes in arrival order through the
     /// same failover timeline (checkpoint fills, crash rollbacks), node
     /// health windows, quarantine hysteresis and room fusion, and fold
     /// everything into the report.
-    fn fold(&self, plan: PlanOutput, execs: Vec<AttemptOutcome>) -> FleetReport {
+    fn fold(&self, plan: PlanOutput, execs: Vec<AttemptOutcome<usize>>) -> FleetReport {
         let PlanOutput {
             planned,
             sims,
@@ -1232,18 +1252,18 @@ impl FleetService {
                     };
                     let completion = completion_ns.saturating_add(extra_ns as i64);
                     let latency = completion.saturating_sub(p.msg.arrival_ns).max(0) as u64;
-                    match &exec.run {
-                        Some(run) => {
+                    match exec.success {
+                        Some(prediction) => {
                             if exec.failed_attempts == 0 {
                                 ns.ok += 1;
-                                (DeliveryStatus::Ok, Some(run.prediction), Some(latency))
+                                (DeliveryStatus::Ok, Some(prediction), Some(latency))
                             } else {
                                 ns.recovered += 1;
                                 (
                                     DeliveryStatus::Recovered {
                                         failed_attempts: exec.failed_attempts,
                                     },
-                                    Some(run.prediction),
+                                    Some(prediction),
                                     Some(latency),
                                 )
                             }
@@ -1627,5 +1647,112 @@ impl FleetService {
             deliveries,
             occupancy,
         }
+    }
+}
+
+// The fleet suites' fixtures, shared with the in-crate tests below.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failover::AdaptiveConfig;
+    use pcount_kernels::Target;
+    use pcount_quant::{Precision, PrecisionAssignment};
+    use pcount_resilience::RetryPolicy;
+
+    /// The gate of the golden route: on every fleet configuration family
+    /// the suites run, each executed frame's `(prediction, failed
+    /// attempts, wasted cycles)` equals the all-simulator attempt loop's,
+    /// at pool widths 1 and 4. On the simulator a stall-free frame never
+    /// fails an attempt, which is what lets its full-budget attempt skip
+    /// the simulator.
+    #[test]
+    fn golden_route_matches_the_simulator_on_every_executed_frame() {
+        let data = common::tiny_dataset();
+        let storm = FleetConfig {
+            storm: Some(StormConfig {
+                intensity: 0.9,
+                node_stride: 1,
+                window: (0.25, 0.75),
+            }),
+            // One retry: a stall that persists two attempts exhausts it,
+            // so the fallback path runs too.
+            resilience: ResilienceConfig {
+                retry: RetryPolicy {
+                    max_retries: 1,
+                    ..RetryPolicy::default()
+                },
+                ..ResilienceConfig::default()
+            },
+            ..common::small_cfg()
+        };
+        let adaptive = FleetConfig {
+            crash: None,
+            adaptive: Some(AdaptiveConfig {
+                window: 16,
+                min_high_watermark: 2,
+                watermark_step: 2,
+                ..AdaptiveConfig::default()
+            }),
+            ..common::crashy_cfg(CrashPolicy::Reroute)
+        };
+        let configs = [
+            ("small", common::small_cfg()),
+            ("crash/reroute", common::crashy_cfg(CrashPolicy::Reroute)),
+            ("crash/hold", common::crashy_cfg(CrashPolicy::Hold)),
+            ("storm", storm),
+            ("adaptive", adaptive),
+        ];
+        let int8 = PrecisionAssignment::uniform(Precision::Int8);
+        let mixed = PrecisionAssignment::new([
+            Precision::Int8,
+            Precision::Int4,
+            Precision::Int4,
+            Precision::Int4,
+        ]);
+        let (mut retried, mut fallbacks) = (0, 0);
+        for assignment in [int8, mixed] {
+            let model = common::tiny_model(30, assignment);
+            for target in [Target::Maupiti, Target::Ibex] {
+                let deployment = Deployment::new(&model, target).expect("deploy");
+                for (name, cfg) in &configs {
+                    let svc =
+                        FleetService::new(deployment.clone(), cfg.clone(), &data).expect("fleet");
+                    let plan = svc.plan();
+                    let mut pool = svc.make_pool(0).expect("pool");
+                    let simulated = pool.map_in_place(plan.exec_list.len(), |cpu, base, k| {
+                        let (frame, stall) = svc.payload(&plan.planned[plan.exec_list[k]]);
+                        let o = svc.supervised.attempt_frame(cpu, base, frame, stall);
+                        if stall.is_none() {
+                            assert_eq!((o.failed_attempts, o.wasted_cycles), (0, 0));
+                        }
+                        let prediction = o.success.map(|run| run.prediction);
+                        (prediction, o.failed_attempts, o.wasted_cycles)
+                    });
+                    retried += simulated.iter().filter(|s| s.1 > 0).count();
+                    fallbacks += simulated.iter().filter(|s| s.0.is_none()).count();
+                    for width in [1, 4] {
+                        let mut pool = svc.make_pool(width).expect("pool");
+                        let routed: Vec<_> = svc
+                            .execute(&plan.planned, &plan.exec_list, &mut pool)
+                            .into_iter()
+                            .map(|o| (o.success, o.failed_attempts, o.wasted_cycles))
+                            .collect();
+                        assert_eq!(
+                            routed, simulated,
+                            "{name}, {assignment}, {target}, width {width}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            retried > 0 && fallbacks > 0,
+            "the configs must retry and fall back"
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! Shared fixtures of the fleet suites: a small trained INT8 deployment
+//! Shared fixtures of the fleet suites and of the crate's in-crate tests:
+//! a small trained model at any precision, its INT8 MAUPITI deployment,
 //! and a compact fleet configuration that still exercises every front-end
 //! path (admission, backpressure, quarantine) in seconds.
 
@@ -11,8 +12,14 @@ use pcount_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A small trained + quantised CNN deployed for the MAUPITI target.
+/// A small trained INT8 CNN deployed for the MAUPITI target.
 pub fn tiny_deployment(seed: u64) -> Deployment {
+    let model = tiny_model(seed, PrecisionAssignment::uniform(Precision::Int8));
+    Deployment::new(&model, Target::Maupiti).expect("deploy")
+}
+
+/// A small trained CNN, quantised at `assignment`.
+pub fn tiny_model(seed: u64, assignment: PrecisionAssignment) -> QuantizedCnn {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 48;
     let mut x = Tensor::zeros(&[n, 1, 8, 8]);
@@ -39,10 +46,9 @@ pub fn tiny_deployment(seed: u64) -> Deployment {
     };
     let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
     let folded = fold_sequential(cfg, &net).expect("fold");
-    let mut qat = QatCnn::from_folded(&folded, PrecisionAssignment::uniform(Precision::Int8));
+    let mut qat = QatCnn::from_folded(&folded, assignment);
     qat.calibrate(&x);
-    let model = QuantizedCnn::from_qat(&qat);
-    Deployment::new(&model, Target::Maupiti).expect("deploy")
+    QuantizedCnn::from_qat(&qat)
 }
 
 /// The synthetic LINAIGE-like dataset the nodes replay.

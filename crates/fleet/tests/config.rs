@@ -1,8 +1,12 @@
 //! Typed validation of `FleetConfig`: every inconsistent knob set maps
-//! to its own `ConfigError` variant via `validated()`, and the panicking
-//! `validate()` path reports the same message.
+//! to its own `ConfigError` variant via `validated()`, and
+//! `FleetService::new` returns the error instead of panicking.
 
-use pcount_fleet::{AdaptiveConfig, ConfigError, CrashConfig, FleetConfig};
+mod common;
+
+use pcount_fleet::{
+    AdaptiveConfig, ConfigError, CrashConfig, FleetConfig, FleetError, FleetService,
+};
 
 fn base() -> FleetConfig {
     FleetConfig::smoke()
@@ -258,7 +262,18 @@ fn errors_render_the_offending_knobs() {
 }
 
 #[test]
-#[should_panic(expected = "invalid fleet config")]
-fn the_panicking_path_reports_the_typed_error() {
-    FleetConfig { nodes: 0, ..base() }.validate();
+fn provisioning_an_invalid_config_returns_the_typed_error() {
+    let cfg = FleetConfig {
+        shards: 0,
+        ..common::small_cfg()
+    };
+    let Err(err) = FleetService::new(common::tiny_deployment(30), cfg, &common::tiny_dataset())
+    else {
+        panic!("an invalid config must not provision a fleet");
+    };
+    assert!(matches!(
+        err,
+        FleetError::Config(ConfigError::BadShards { shards: 0, .. })
+    ));
+    assert!(err.to_string().starts_with("invalid fleet config: shards"));
 }

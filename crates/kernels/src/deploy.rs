@@ -5,7 +5,7 @@ use crate::kernels::{emit_conv3x3, emit_fc, emit_maxpool2x2, KernelVariant, Outp
 use crate::layout::MemoryPlan;
 use crate::pool::CpuPool;
 use pcount_isa::{reg, Cpu, ExecMode, HotBlock, MemStats, MemoryModel, PipelineStats, SimError};
-use pcount_quant::QuantizedCnn;
+use pcount_quant::{argmax, QuantizedCnn};
 use pcount_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
@@ -129,7 +129,10 @@ pub struct DeploymentReport {
 /// [`SimError::Timeout`]. Far above any healthy inference (the deployed
 /// CNNs retire well under a million instructions per frame); the
 /// resilience layer passes reduced budgets through
-/// [`Deployment::run_frame_with_budget`] to model injected stalls.
+/// [`Deployment::run_frame_with_budget`] to model injected stalls. As a
+/// healthy inference cannot exhaust this budget, the resilience layer's
+/// prediction-only attempt loop runs attempts at (or above) it on
+/// [`Deployment::golden_prediction`] instead of the simulator.
 pub const INSTRUCTION_BUDGET: u64 = 50_000_000;
 
 /// A quantised model compiled for a target and loaded into a simulated
@@ -341,12 +344,7 @@ impl Deployment {
             let bytes = cpu.mem.read_dmem(self.plan.logits_addr + 4 * i as u32, 4);
             logits.push(i32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
         }
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let prediction = argmax(&logits);
         Ok(InferenceRun {
             logits,
             prediction,
@@ -356,6 +354,19 @@ impl Deployment {
             pipeline: cpu.pipeline_stats(),
             mem: cpu.mem_stats(),
         })
+    }
+
+    /// The class this deployment predicts for `frame`, computed on the
+    /// host by the integer golden model
+    /// ([`QuantizedCnn::predict_frame`]: quantise,
+    /// [`QuantizedCnn::forward_int`], [`argmax`]) instead of on the
+    /// simulator. The deployed kernels reproduce `forward_int`'s logits
+    /// bit-exactly and both take the same argmax, so this equals
+    /// `run_frame(frame)?.prediction` for every frame the simulator
+    /// completes. It reports no cycles or instructions and has no
+    /// watchdog.
+    pub fn golden_prediction(&self, frame: &[f32]) -> usize {
+        self.model.predict_frame(frame)
     }
 
     /// Builds a pool of `threads` warmed CPUs (`0` = auto) for
@@ -737,6 +748,7 @@ mod tests {
                 "deployed logits differ from the integer golden model \
                  (frame {i}, {assignment}, {target})"
             );
+            assert_eq!(deployment.golden_prediction(frame), run.prediction);
         }
     }
 

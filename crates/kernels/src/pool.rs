@@ -12,7 +12,9 @@
 //! runs as one runtime job, so no threads are spawned per batch and the
 //! collected results are deterministic and order-preserving —
 //! bit-identical to the serial [`run_frame`][crate::Deployment::run_frame]
-//! loop regardless of the worker count.
+//! loop regardless of the worker count. The supervised stream and the
+//! fleet run frames in place on the slots instead, through
+//! [`CpuPool::map_in_place`].
 
 use pcount_isa::Cpu;
 
@@ -67,12 +69,40 @@ impl CpuPool {
     }
 
     /// Splits the pool into the pristine base and the mutable CPU slots,
-    /// for streaming paths that run frames *in place* on a slot
-    /// (restoring architectural state from the base between frames)
-    /// instead of cloning a fresh CPU per frame.
+    /// for callers that drive one slot directly.
     pub fn split_mut(&mut self) -> (&Cpu, &mut [Cpu]) {
         let Self { base, cpus } = self;
         (base, cpus)
+    }
+
+    /// Runs `f(cpu, base, i)` for every `i` in `0..n` across the runtime
+    /// pool and returns the results in index order. The indices split
+    /// into one contiguous range per slot, and each range runs *in place*
+    /// on its slot's CPU instead of on a fresh clone per frame: `f` gets
+    /// the pristine `base` to restore the slot from between frames. Each
+    /// job owns its CPU and its slice of the output, so results are
+    /// identical for every pool width as long as `f(_, base, i)` depends
+    /// only on `i`.
+    pub fn map_in_place<T, F>(&mut self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&mut Cpu, &Cpu, usize) -> T + Sync,
+    {
+        let Self { base, cpus } = self;
+        let base = &*base;
+        let chunk = n.div_ceil(cpus.len().max(1)).max(1);
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut jobs: Vec<(&mut Cpu, &mut [Option<T>])> =
+            cpus.iter_mut().zip(out.chunks_mut(chunk)).collect();
+        pcount_runtime::current().par_chunks_mut(&mut jobs, 1, 0, |w, job| {
+            let (cpu, slots) = &mut job[0];
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = Some(f(cpu, base, w * chunk + j));
+            }
+        });
+        out.into_iter()
+            .map(|slot| slot.expect("every index ran"))
+            .collect()
     }
 
     /// Quarantines pool slot `w`: restores its architectural and memory

@@ -212,7 +212,7 @@ impl QuantizedCnn {
     pub fn predict_frame(&self, frame: &[f32]) -> usize {
         let q = self.quantize_input(frame);
         let logits = self.forward_int(&q);
-        argmax_i32(&logits)
+        argmax(&logits)
     }
 
     /// Predicts classes for a `[N, 1, 8, 8]` batch of raw frames.
@@ -363,10 +363,14 @@ fn linear_int_raw(input: &[i8], layer: &QuantizedLayer) -> Vec<i32> {
     raw
 }
 
-fn argmax_i32(v: &[i32]) -> usize {
+/// The predicted class of a logit vector: the index of the largest logit,
+/// the lowest index winning a tie (`0` for no logits). Both the deployed
+/// simulator run and the host golden model predict through this one
+/// function, so the two can never disagree on a tie.
+pub fn argmax(logits: &[i32]) -> usize {
     let mut best = 0usize;
-    for (i, &x) in v.iter().enumerate() {
-        if x > v[best] {
+    for (i, &x) in logits.iter().enumerate() {
+        if x > logits[best] {
             best = i;
         }
     }
@@ -393,6 +397,14 @@ mod tests {
                 "acc {acc}: expected ~{expected}, got {got}"
             );
         }
+    }
+
+    #[test]
+    fn argmax_takes_the_lowest_index_on_a_tie() {
+        assert_eq!(argmax(&[3, 7, 7, 1]), 1);
+        assert_eq!(argmax(&[-5, -5, -5]), 0);
+        assert_eq!(argmax(&[i32::MIN, 0, 9, 2, 9]), 2);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]

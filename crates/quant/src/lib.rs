@@ -34,7 +34,7 @@ mod qparams;
 
 pub use fake::FakeQuantAct;
 pub use fold::{fold_conv_bn, fold_sequential, FoldError, FoldedCnn};
-pub use int::{QuantizedCnn, QuantizedLayer, RequantParams};
+pub use int::{argmax, QuantizedCnn, QuantizedLayer, RequantParams};
 pub use mixed::{explore_precisions, MixedPrecisionResult, PrecisionAssignment};
 pub use qat::{qat_finetune, QatCnn, QatConfig};
 pub use qparams::{fake_quant_slice, fake_quant_tensor, quantize_value, weight_scale, Precision};

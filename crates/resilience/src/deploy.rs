@@ -224,15 +224,17 @@ enum Planned {
     Run(Option<StallFault>),
 }
 
-/// Raw execution result of one frame's attempt loop
-/// ([`ResilientDeployment::attempt_frame`]), before the serial fold turns
-/// it into a [`FrameOutcome`]. Public so higher layers (the fleet serving
-/// simulation) can reuse the supervised attempt loop per admitted frame
-/// and do their own folding.
-#[derive(Debug, Clone)]
-pub struct AttemptOutcome {
-    /// The successful inference, if any attempt succeeded.
-    pub run: Option<InferenceRun>,
+/// Raw execution result of one frame's attempt loop, before the serial
+/// fold turns it into a [`FrameOutcome`]. `T` is what the successful
+/// attempt yields: the whole [`InferenceRun`] from
+/// [`ResilientDeployment::attempt_frame`], the predicted class alone from
+/// [`ResilientDeployment::attempt_prediction`]. Public so higher layers
+/// (the fleet serving simulation) can reuse the supervised attempt loop
+/// per admitted frame and do their own folding.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttemptOutcome<T = InferenceRun> {
+    /// What the successful attempt yielded, if any attempt succeeded.
+    pub success: Option<T>,
     /// Attempts that faulted (each forced a pooled-CPU restore).
     pub failed_attempts: u32,
     /// Simulated cycles burned by the faulted attempts.
@@ -316,55 +318,35 @@ impl ResilientDeployment {
     }
 
     /// Parallel phase: runs every scheduled tick's attempt loop across
-    /// the pool. Tick `i` always executes on pool slot `i / chunk`, with
-    /// the slot's CPU restored from the pristine base before every
-    /// attempt, so each result is a pure function of the tick alone.
+    /// the pool, in place on the pooled CPUs. Every attempt restores its
+    /// CPU from the pristine base, so each result is a pure function of
+    /// the tick alone.
     fn execute(
         &self,
         stream: &FaultyStream,
         planned: &[Planned],
         pool: &mut CpuPool,
     ) -> Vec<Option<AttemptOutcome>> {
-        let n = stream.ticks.len();
-        let mut out: Vec<Option<AttemptOutcome>> = (0..n).map(|_| None).collect();
-        if n == 0 {
-            return out;
-        }
-        let (base, cpus) = pool.split_mut();
-        let workers = cpus.len().max(1);
-        let chunk = n.div_ceil(workers);
-        let slots = pcount_runtime::SendPtr::new(out.as_mut_ptr());
-        pcount_runtime::current().par_chunks_mut(cpus, 1, 0, |w, cpu_slot| {
-            let cpu = &mut cpu_slot[0];
-            let hi = ((w + 1) * chunk).min(n);
-            for (i, plan) in planned.iter().enumerate().take(hi).skip(w * chunk) {
-                let exec = match *plan {
-                    Planned::Gap | Planned::Shed => None,
-                    Planned::Run(stall) => {
-                        let frame = stream.ticks[i]
-                            .frame
-                            .as_deref()
-                            .expect("Run ticks carry data");
-                        Some(self.attempt_frame(cpu, base, frame, stall))
-                    }
-                };
-                // SAFETY: worker ranges are disjoint by construction, so
-                // every slot has exactly one writer, and `out` is not
-                // read until the pool group completes.
-                unsafe { *slots.ptr().add(i) = exec };
+        pool.map_in_place(stream.ticks.len(), |cpu, base, i| match planned[i] {
+            Planned::Gap | Planned::Shed => None,
+            Planned::Run(stall) => {
+                let frame = stream.ticks[i]
+                    .frame
+                    .as_deref()
+                    .expect("Run ticks carry data");
+                Some(self.attempt_frame(cpu, base, frame, stall))
             }
-        });
-        out
+        })
     }
 
-    /// One frame's attempt loop on one pooled CPU. The CPU is restored
-    /// from `base` before *every* attempt — a faulted attempt leaves a
-    /// torn memory image and mid-program PC behind, and even a successful
-    /// one leaves the CPU halted — so no architectural state ever leaks
-    /// between attempts or frames. The result is a pure function of
-    /// `(frame, stall)` and the retry policy: callers (including the
-    /// fleet serving layer) may run many of these in parallel on disjoint
-    /// pool slots and still fold deterministically.
+    /// One frame's attempt loop on one pooled CPU, every attempt on the
+    /// simulator. The CPU is restored from `base` before *every* attempt
+    /// — a faulted attempt leaves a torn memory image and mid-program PC
+    /// behind, and even a successful one leaves the CPU halted — so no
+    /// architectural state ever leaks between attempts or frames. The
+    /// result is a pure function of `(frame, stall)` and the retry
+    /// policy: callers may run many of these in parallel on disjoint pool
+    /// slots and still fold deterministically.
     pub fn attempt_frame(
         &self,
         cpu: &mut Cpu,
@@ -372,35 +354,89 @@ impl ResilientDeployment {
         frame: &[f32],
         stall: Option<StallFault>,
     ) -> AttemptOutcome {
-        let attempts_allowed = self.cfg.retry.attempts_allowed();
+        self.attempt_loop(stall, |budget| self.simulate(cpu, base, frame, budget))
+    }
+
+    /// [`Self::attempt_frame`] for callers that need only the predicted
+    /// class, such as the fleet serving layer. An attempt whose watchdog
+    /// budget is at least [`INSTRUCTION_BUDGET`] cannot time out (a
+    /// healthy inference retires far fewer instructions), so it runs on
+    /// the host golden model ([`Deployment::golden_prediction`]), whose
+    /// prediction is bit-identical. Only attempts under a smaller budget
+    /// run on the simulator, which owns the watchdog and the
+    /// wasted-cycle accounting: every stalled attempt, and every attempt
+    /// when [`ResilienceConfig::budget`] is set lower. The outcome equals
+    /// `attempt_frame`'s with the run reduced to its prediction.
+    pub fn attempt_prediction(
+        &self,
+        cpu: &mut Cpu,
+        base: &Cpu,
+        frame: &[f32],
+        stall: Option<StallFault>,
+    ) -> AttemptOutcome<usize> {
+        self.attempt_loop(stall, |budget| {
+            if budget >= INSTRUCTION_BUDGET {
+                Ok(self.inner.golden_prediction(frame))
+            } else {
+                self.simulate(cpu, base, frame, budget)
+                    .map(|run| run.prediction)
+            }
+        })
+    }
+
+    /// The attempt loop both routes share. Attempts run under the
+    /// stall's reduced budget while the stall persists and under the
+    /// configured budget after, until one succeeds or the retry policy
+    /// is exhausted. `attempt(budget)` runs one attempt and returns what
+    /// it yielded, or the cycles it burned before faulting.
+    fn attempt_loop<T>(
+        &self,
+        stall: Option<StallFault>,
+        mut attempt: impl FnMut(u64) -> Result<T, u64>,
+    ) -> AttemptOutcome<T> {
         let mut failed_attempts = 0u32;
         let mut wasted_cycles = 0u64;
-        for attempt in 0..attempts_allowed {
-            cpu.restore_from(base);
+        for k in 0..self.cfg.retry.attempts_allowed() {
             let budget = match stall {
-                Some(s) if attempt < s.persistence => s.budget.min(self.cfg.budget),
+                Some(s) if k < s.persistence => s.budget.min(self.cfg.budget),
                 _ => self.cfg.budget,
             };
-            let before = cpu.cycles;
-            match self.inner.run_frame_with_budget(cpu, frame, budget) {
-                Ok(run) => {
+            match attempt(budget) {
+                Ok(success) => {
                     return AttemptOutcome {
-                        run: Some(run),
+                        success: Some(success),
                         failed_attempts,
                         wasted_cycles,
                     };
                 }
-                Err(_) => {
+                Err(cycles) => {
                     failed_attempts += 1;
-                    wasted_cycles += cpu.cycles.wrapping_sub(before);
+                    wasted_cycles += cycles;
                 }
             }
         }
         AttemptOutcome {
-            run: None,
+            success: None,
             failed_attempts,
             wasted_cycles,
         }
+    }
+
+    /// One simulated attempt: restores `cpu` from `base`, then runs
+    /// `frame` under a watchdog of `budget` instructions. A fault
+    /// returns the cycles the attempt burned.
+    fn simulate(
+        &self,
+        cpu: &mut Cpu,
+        base: &Cpu,
+        frame: &[f32],
+        budget: u64,
+    ) -> Result<InferenceRun, u64> {
+        cpu.restore_from(base);
+        let before = cpu.cycles;
+        self.inner
+            .run_frame_with_budget(cpu, frame, budget)
+            .map_err(|_| cpu.cycles.wrapping_sub(before))
     }
 
     /// Serial post-pass: folds raw executions into outcomes through the
@@ -463,7 +499,7 @@ impl ResilientDeployment {
                             + backoff_ms * 1_000_000;
                         pcount_telemetry::histogram(slo::RECOVERY_LATENCY).record(recovery_ns);
                     }
-                    match exec.run {
+                    match exec.success {
                         Some(run) => {
                             let emitted = voter.push(run.prediction);
                             last_good = Some(emitted);
@@ -524,7 +560,7 @@ impl ResilientDeployment {
     /// exponential from the base, capped, with deterministic per-attempt
     /// jitter — recorded in simulated time, never slept. Public so the
     /// fleet layer can charge the same deterministic backoff to frames it
-    /// retried through [`Self::attempt_frame`].
+    /// retried through [`Self::attempt_prediction`].
     pub fn total_backoff_ms(&self, tick: usize, retries: u32) -> u64 {
         let policy = &self.cfg.retry;
         let mut total = 0u64;

@@ -7,12 +7,12 @@
 //! stream; and a faulted frame can never leak corrupted CPU state into a
 //! later frame's logits.
 
-use pcount_kernels::{Deployment, Target};
+use pcount_kernels::{Deployment, Target, INSTRUCTION_BUDGET};
 use pcount_nn::{CnnConfig, TrainConfig};
 use pcount_quant::{fold_sequential, Precision, PrecisionAssignment, QatCnn, QuantizedCnn};
 use pcount_resilience::{
-    evaluate_robustness, FaultClass, FaultConfig, FaultPlan, ResilienceConfig, ResilientDeployment,
-    StallFault, TickStatus,
+    evaluate_robustness, AttemptOutcome, FaultClass, FaultConfig, FaultPlan, ResilienceConfig,
+    ResilientDeployment, StallFault, TickStatus,
 };
 use pcount_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -200,6 +200,58 @@ fn transient_stalls_recover_through_retries() {
     // The recovered inference is still the bit-exact clean result.
     let clean = d.run_frame(frame(&x, 2)).expect("clean run");
     assert_eq!(report.outcomes[2].run.as_ref(), Some(&clean));
+}
+
+#[test]
+fn prediction_attempts_match_the_simulator_and_simulate_only_short_budgets() {
+    let (model, x, _) = deployed_model(38, 2);
+    let d = Deployment::new(&model, Target::Maupiti).expect("deploy");
+    let frame = frame(&x, 0);
+    let full_run = d.run_frame(frame).expect("clean run");
+    let base = d.make_pool(1).expect("pool").base().clone();
+    let stall = |persistence| {
+        Some(StallFault {
+            budget: 10_000,
+            persistence,
+        })
+    };
+    // At the default budget a full-budget attempt runs on the golden
+    // model; one instruction below it, every attempt simulates.
+    for (budget, simulated) in [(INSTRUCTION_BUDGET, false), (INSTRUCTION_BUDGET - 1, true)] {
+        let supervised = ResilientDeployment::new(
+            d.clone(),
+            ResilienceConfig {
+                budget,
+                ..ResilienceConfig::default()
+            },
+        );
+        // Persistence 1 and 2 recover; 3 or more outlasts the three
+        // allowed attempts and falls back.
+        for stall in [None, stall(1), stall(2), stall(3), stall(u32::MAX)] {
+            let reference = supervised.attempt_frame(&mut base.clone(), &base, frame, stall);
+            let mut cpu = base.clone();
+            let routed = supervised.attempt_prediction(&mut cpu, &base, frame, stall);
+            assert_eq!(
+                routed,
+                AttemptOutcome {
+                    success: reference.success.map(|run| run.prediction),
+                    failed_attempts: reference.failed_attempts,
+                    wasted_cycles: reference.wasted_cycles,
+                },
+                "budget {budget}, {stall:?}"
+            );
+            let persistence = stall.map_or(0, |s| s.persistence);
+            assert_eq!(routed.failed_attempts, persistence.min(3));
+            assert_eq!(routed.success.is_none(), persistence >= 3);
+            assert_eq!(routed.wasted_cycles > 0, persistence > 0);
+            // A simulated success leaves the CPU having retired the whole
+            // inference; the golden model leaves it where the last
+            // stalled attempt, or the pristine base, left it.
+            if routed.success.is_some() {
+                assert_eq!(cpu.instret == full_run.instructions, simulated);
+            }
+        }
+    }
 }
 
 #[test]
