@@ -30,7 +30,6 @@
 use crate::instr::{decode, Decoded, Op};
 use crate::memory::Memory;
 use std::collections::HashSet;
-use std::sync::{OnceLock, Weak};
 
 /// Upper bound on decoded instructions per trace, so pathological images
 /// (e.g. instruction memory full of straight-line code) still produce
@@ -90,16 +89,6 @@ pub(crate) struct Block {
     /// Conditional branches hold their exit's index in
     /// [`Decoded::exit_ordinal`].
     pub exits: Vec<ExitPoint>,
-    /// Superblock chaining: the successor trace of each exit, cached the
-    /// first time the exit is taken. Side-exit targets are static, so the
-    /// link never changes once set; later executions of the exit re-enter
-    /// the engine's dispatch memo directly, skipping the dispatch-table
-    /// probe. Links are weak so that mutually-branching traces do not form
-    /// `Arc` cycles — the cache's published snapshot keeps every block
-    /// alive, and a failed upgrade simply falls back to the table probe.
-    /// The last entry serves the end exit when [`Block::end_chainable`]
-    /// says its target is static.
-    pub chain: Vec<OnceLock<Weak<Block>>>,
     /// Per-trace access summary for the memory-hierarchy model:
     /// `mem_prefix[i]` counts the data accesses (loads + stores) among
     /// the trace's first `i` instructions, so any retired prefix's access
@@ -111,13 +100,6 @@ pub(crate) struct Block {
     /// charge the memory model once per trace execution
     /// (`MemModelState::charge_prefix`) instead of once per instruction.
     pub redirects: Vec<u32>,
-    /// Whether the end exit leaves for a *static* successor address and may
-    /// therefore use the last [`Block::chain`] link: true for
-    /// [`BlockEnd::Fallthrough`] (the `MAX_BLOCK_LEN` split) and for traces
-    /// ending in an unfollowed static JAL. False when the last instruction
-    /// decides the target at run time (JALR), halts the core, or the end
-    /// defers a fault.
-    pub end_chainable: bool,
     /// Macro-op fusion: a recognised loop idiom at the head of the trace
     /// (SDOTP MAC reduction, memset, memcpy, strided copy, convolution
     /// kernel-x nest) that the engine may execute as one bulk host loop
@@ -212,7 +194,6 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         retired: instrs.len(),
         counts: prefix_counts(&instrs),
     });
-    let chain = (0..exits.len()).map(|_| OnceLock::new()).collect();
     let mut mem_prefix = Vec::with_capacity(instrs.len() + 1);
     mem_prefix.push(0u32);
     let mut redirects = Vec::new();
@@ -225,11 +206,6 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
             redirects.push(i as u32);
         }
     }
-    let end_chainable = match end {
-        BlockEnd::Fallthrough => true,
-        BlockEnd::Terminator => matches!(instrs.last().map(|d| &d.op), Some(Op::Jal { .. })),
-        BlockEnd::BadFetch { .. } | BlockEnd::Illegal { .. } => false,
-    };
     let (fused, fused_inner) = crate::fusion::recognize(&instrs);
     Block {
         entry_pc,
@@ -237,10 +213,8 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         end,
         cont_pc: pc,
         exits,
-        chain,
         mem_prefix,
         redirects,
-        end_chainable,
         fused,
         fused_inner,
     }

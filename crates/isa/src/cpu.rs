@@ -144,22 +144,12 @@ pub struct Cpu {
     mode: ExecMode,
     pub(crate) cache: BlockCache,
     pub(crate) pipeline: Pipeline,
-    /// Per-slot, per-exit execution counters (see `crate::block`), folded
-    /// into the trace when a block-cached run returns.
-    pub(crate) block_exit_counts: Vec<Vec<u64>>,
-    /// Whether a slot is on `touched_slots` (so folding is O(touched)).
-    pub(crate) touched_flags: Vec<bool>,
-    /// Slots with live execution counters.
+    /// Per-slot trace-cache profile of the block-cached engine, indexed
+    /// like the block cache (see [`Cpu::hottest_blocks`]).
+    pub(crate) profile: Vec<BlockProfile>,
+    /// Slots whose `BlockProfile::touched` is set (so folding is
+    /// O(touched)).
     pub(crate) touched_slots: Vec<usize>,
-    /// Persistent per-block trace-cache profile: completed executions per
-    /// slot, accumulated across block-cached runs.
-    pub(crate) block_exec_counts: Vec<u64>,
-    /// Instructions retired through each slot's exits (see
-    /// [`Cpu::hottest_blocks`]).
-    pub(crate) block_instr_counts: Vec<u64>,
-    /// Whether side exits chain to their successor trace (see
-    /// [`Cpu::set_superblock_chaining`]).
-    pub(crate) chain_enabled: bool,
     /// The memory-hierarchy model fetches and data accesses are charged
     /// through (see [`Cpu::set_memory_model`]).
     mem_model: MemoryModel,
@@ -167,26 +157,50 @@ pub struct Cpu {
     pub(crate) mem_state: MemModelState,
     /// Per-cause memory stall counters (see [`Cpu::mem_stats`]).
     pub(crate) mem_stats: MemStats,
-    /// Memory-model stall cycles attributed to each block slot,
-    /// accumulated across block-cached runs (see [`Cpu::hottest_blocks`]).
-    pub(crate) block_mem_stall_counts: Vec<u64>,
     /// Whether the block-cached engine executes recognised loop idioms as
     /// fused host loops (see [`Cpu::set_macro_fusion`]).
     pub(crate) fusion_enabled: bool,
-    /// Fused-loop entries per block slot (one per trace entry that ran the
-    /// fused executor), accumulated across block-cached runs.
-    pub(crate) block_fused_entries: Vec<u64>,
-    /// Loop iterations executed through the fused path per block slot.
-    pub(crate) block_fused_iters: Vec<u64>,
+}
+
+/// The block-cached engine's counters for one block-cache slot. The
+/// per-run fields (`exit_counts`, `touched`, `fused_bulk`) are drained by
+/// `engine::fold_exec_counts` when a run returns; the rest accumulate
+/// across runs until [`Cpu::load_program`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockProfile {
+    /// Per-exit execution counters of the current run (see `crate::block`).
+    pub exit_counts: Vec<u64>,
+    /// Whether the slot is on `Cpu::touched_slots`.
+    pub touched: bool,
+    /// Completed executions of the trace.
+    pub executions: u64,
+    /// Instructions retired through the trace's exits.
+    pub instructions: u64,
+    /// Memory-model stall cycles charged while executing the trace.
+    pub mem_stall_cycles: u64,
+    /// Trace entries that ran the fused executor.
+    pub fused_entries: u64,
+    /// Loop iterations executed through the fused path.
+    pub fused_iters: u64,
     /// Pipeline cycles (base + flush + stalls, memory-model stalls
-    /// excluded) charged by the fused path per block slot.
-    pub(crate) block_fused_cycles: Vec<u64>,
-    /// The fused pattern recognised at each block slot, if any.
-    pub(crate) block_fused_kind: Vec<Option<FusedKind>>,
+    /// excluded) charged by the fused path.
+    pub fused_cycles: u64,
+    /// The fused pattern recognised at this slot, once it ran fused.
+    pub fused_kind: Option<FusedKind>,
     /// Bulk-executed fused iterations not yet folded into the
-    /// per-mnemonic trace (drained by `engine::fold_exec_counts` at the
-    /// end of every run, so the hot loop never touches the trace map).
-    pub(crate) block_fused_bulk: Vec<FusedBulk>,
+    /// per-mnemonic trace, so the hot loop never touches the trace map.
+    pub fused_bulk: FusedBulk,
+}
+
+impl BlockProfile {
+    /// Records one trace entry that ran the fused executor of `kind` for
+    /// `iters` loop iterations costing `cycles` pipeline cycles.
+    pub fn fused_entry(&mut self, kind: FusedKind, iters: u64, cycles: u64) {
+        self.fused_entries += 1;
+        self.fused_iters += iters;
+        self.fused_cycles += cycles;
+        self.fused_kind = Some(kind);
+    }
 }
 
 /// Per-slot bulk iteration counters a fused loop accumulates during a
@@ -293,22 +307,12 @@ impl Cpu {
             mode: ExecMode::Simple,
             cache: BlockCache::new(imem_size),
             pipeline: Pipeline::default(),
-            block_exit_counts: Vec::new(),
-            touched_flags: Vec::new(),
+            profile: Vec::new(),
             touched_slots: Vec::new(),
-            block_exec_counts: Vec::new(),
-            block_instr_counts: Vec::new(),
-            chain_enabled: true,
             mem_model: MemoryModel::Flat,
             mem_state: MemModelState::default(),
             mem_stats: MemStats::default(),
-            block_mem_stall_counts: Vec::new(),
             fusion_enabled: true,
-            block_fused_entries: Vec::new(),
-            block_fused_iters: Vec::new(),
-            block_fused_cycles: Vec::new(),
-            block_fused_kind: Vec::new(),
-            block_fused_bulk: Vec::new(),
         }
     }
 
@@ -398,20 +402,6 @@ impl Cpu {
         self.cache.len()
     }
 
-    /// Whether block-cached side exits chain to their successor trace
-    /// (enabled by default).
-    pub fn superblock_chaining(&self) -> bool {
-        self.chain_enabled
-    }
-
-    /// Enables or disables superblock chaining. Architectural results are
-    /// identical either way — chaining only removes dispatch-table probes
-    /// on branchy code; the throughput bench flips this to measure the
-    /// chaining delta.
-    pub fn set_superblock_chaining(&mut self, enabled: bool) {
-        self.chain_enabled = enabled;
-    }
-
     /// Whether the block-cached engine executes recognised loop idioms
     /// (SDOTP MAC reductions, memset, memcpy, strided copies) as fused
     /// host loops (enabled by default).
@@ -429,29 +419,26 @@ impl Cpu {
         self.fusion_enabled = enabled;
     }
 
-    /// Builder-style variant of [`Cpu::set_macro_fusion`].
-    pub fn with_macro_fusion(mut self, enabled: bool) -> Self {
-        self.set_macro_fusion(enabled);
-        self
-    }
-
     /// The `n` hottest superblock traces executed by this CPU under
     /// [`ExecMode::BlockCached`], ordered by retired instructions
     /// (descending, then by entry address). Counts accumulate across runs
     /// and reset on [`Cpu::load_program`]; runs cut short mid-trace by a
     /// budget or fault only count their completed trace executions.
     pub fn hottest_blocks(&self, n: usize) -> Vec<HotBlock> {
-        let mut hot: Vec<HotBlock> = (0..self.block_exec_counts.len())
-            .filter(|&slot| self.block_exec_counts[slot] > 0)
-            .map(|slot| HotBlock {
+        let mut hot: Vec<HotBlock> = self
+            .profile
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.executions > 0)
+            .map(|(slot, p)| HotBlock {
                 entry_pc: IMEM_BASE + 4 * slot as u32,
-                executions: self.block_exec_counts[slot],
-                instructions: self.block_instr_counts[slot],
-                mem_stall_cycles: self.block_mem_stall_counts[slot],
-                fused_kind: self.block_fused_kind[slot].map(FusedKind::name),
-                fused_entries: self.block_fused_entries[slot],
-                fused_iterations: self.block_fused_iters[slot],
-                fused_cycles: self.block_fused_cycles[slot],
+                executions: p.executions,
+                instructions: p.instructions,
+                mem_stall_cycles: p.mem_stall_cycles,
+                fused_kind: p.fused_kind.map(FusedKind::name),
+                fused_entries: p.fused_entries,
+                fused_iterations: p.fused_iters,
+                fused_cycles: p.fused_cycles,
             })
             .collect();
         hot.sort_by(|a, b| {
@@ -470,19 +457,17 @@ impl Cpu {
     /// `Simple` engine, or no recognisable loops).
     pub fn fusion_profile(&self) -> Vec<(&'static str, u64, u64)> {
         let mut agg: Vec<(&'static str, u64, u64)> = Vec::new();
-        for slot in 0..self.block_fused_kind.len() {
-            let Some(kind) = self.block_fused_kind[slot] else {
+        for p in &self.profile {
+            let Some(kind) = p.fused_kind else {
                 continue;
             };
             let name = kind.name();
-            let entries = self.block_fused_entries[slot];
-            let iters = self.block_fused_iters[slot];
             match agg.iter_mut().find(|(n, _, _)| *n == name) {
                 Some(row) => {
-                    row.1 += entries;
-                    row.2 += iters;
+                    row.1 += p.fused_entries;
+                    row.2 += p.fused_iters;
                 }
-                None => agg.push((name, entries, iters)),
+                None => agg.push((name, p.fused_entries, p.fused_iters)),
             }
         }
         agg.sort_by_key(|&(name, _, _)| name);
@@ -520,19 +505,10 @@ impl Cpu {
         // The old image's decoded blocks are stale; clones that still run
         // the old image keep their (shared) cache untouched.
         self.cache.invalidate(self.mem.imem_size());
-        // Counter tables are re-allocated lazily on the next block-cached
-        // run (see `engine::run_inner`).
-        self.block_exit_counts = Vec::new();
-        self.touched_flags = Vec::new();
+        // The profile is re-allocated lazily on the next block-cached run
+        // (see `engine::run_inner`).
+        self.profile = Vec::new();
         self.touched_slots.clear();
-        self.block_exec_counts = Vec::new();
-        self.block_instr_counts = Vec::new();
-        self.block_mem_stall_counts = Vec::new();
-        self.block_fused_entries = Vec::new();
-        self.block_fused_iters = Vec::new();
-        self.block_fused_cycles = Vec::new();
-        self.block_fused_kind = Vec::new();
-        self.block_fused_bulk = Vec::new();
         self.pipeline.reset();
         self.mem_state.reset();
         self.mem_stats = MemStats::default();
@@ -568,7 +544,6 @@ impl Cpu {
         self.instret = base.instret;
         self.trace = base.trace.clone();
         self.mode = base.mode;
-        self.chain_enabled = base.chain_enabled;
         self.fusion_enabled = base.fusion_enabled;
         self.mem_model = base.mem_model;
         self.mem_state = base.mem_state;

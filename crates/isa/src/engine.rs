@@ -9,14 +9,16 @@
 //! map per instruction. Cycle accounting follows the pipelined IBEX timing
 //! model ([`crate::pipeline`]), inlined in the dispatch loop.
 //!
-//! Three levels keep the dispatch overhead off the hot path:
+//! Two levels keep the dispatch overhead off the hot path:
 //!
 //! 1. superblocks extend through conditional branches (side exits) and
 //!    unconditional jumps, so kernel loop bodies split across labels
 //!    execute as one trace;
 //! 2. an exit that targets its own trace entry (every tight loop)
-//!    re-enters the execution loop locally, with no dispatch at all;
-//! 3. a one-entry dispatch memo catches the remaining repeated entries.
+//!    re-enters the execution loop locally, with no dispatch at all.
+//!
+//! Every other trace transition is one dispatch: a single bounds-checked
+//! probe of the CPU's local cache snapshot.
 //!
 //! Instruction-mix accounting is O(1) per trace execution: every exit
 //! carries its pre-aggregated per-mnemonic prefix counts and the CPU
@@ -34,13 +36,6 @@
 //! pre-decoded code. Loading a new program image swaps in a fresh cache,
 //! so clones diverging by program never see each other's blocks.
 //!
-//! Side exits additionally *chain*: the first taken execution of a side
-//! exit resolves its (static) target trace and caches the link on the
-//! block ([`Block::chain`]), so branchy code that ping-pongs between
-//! traces re-enters the dispatch memo directly instead of probing the
-//! cache table. [`Cpu::set_superblock_chaining`] disables this (used by
-//! the throughput bench to measure the chaining delta).
-//!
 //! Architectural results (registers, memory, instruction counts, trace,
 //! faults) are identical to [`ExecMode::Simple`] — the differential tests
 //! below and the deployment tests in `pcount-kernels` hold both engines to
@@ -49,12 +44,12 @@
 //! semantics, change BOTH [`Cpu::exec_instr`] and [`run_inner`] here.
 
 use crate::block::{build_block, Block, BlockEnd};
-use crate::cpu::{sdotp4, sdotp8, Cpu, RunSummary, SimError};
+use crate::cpu::{sdotp4, sdotp8, BlockProfile, Cpu, RunSummary, SimError};
 use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
 use crate::pipeline::LOAD_USE_STALL;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// Which execution engine a [`Cpu`] uses in [`Cpu::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -116,24 +111,6 @@ impl BlockCache {
             .count()
     }
 
-    /// Probes this CPU's local snapshot for the block entered at `pc`
-    /// without building or touching the publish lock: a bounds-checked
-    /// direct index, the cheapest possible dispatch. `None` means the
-    /// local snapshot does not know the block (unmapped pc, or published
-    /// only by a sibling since the last refresh).
-    #[inline]
-    fn get_local(&self, pc: u32) -> Option<(usize, Arc<Block>)> {
-        let off = pc.checked_sub(IMEM_BASE)? as usize;
-        if !off.is_multiple_of(4) {
-            return None;
-        }
-        let index = off / 4;
-        self.local
-            .get(index)?
-            .as_ref()
-            .map(|block| (index, Arc::clone(block)))
-    }
-
     /// Returns the slot index and block entered at `pc`, building and
     /// publishing the block on miss. `None` means `pc` cannot index
     /// instruction memory at all.
@@ -175,18 +152,12 @@ impl BlockCache {
         Some((index, block))
     }
 
-    /// The block cached in `slot`, if any, refreshing the local snapshot
-    /// when the slot was published by a sibling (e.g. a block only ever
-    /// reached through a chained side exit set by another thread).
-    fn cached(&mut self, slot: usize) -> Option<Arc<Block>> {
-        if let Some(block) = self.local.get(slot)?.as_ref() {
-            return Some(Arc::clone(block));
-        }
-        let published = self.published.lock().expect("block cache lock");
-        if !Arc::ptr_eq(&published, &self.local) {
-            self.local = Arc::clone(&published);
-        }
-        self.local.get(slot)?.as_ref().map(Arc::clone)
+    /// The block in `slot` of this CPU's local snapshot, if any. A slot
+    /// dispatched through [`BlockCache::get_or_build`] is always there:
+    /// snapshots only grow, and a miss refreshes `local` to one that
+    /// holds the block.
+    fn cached(&self, slot: usize) -> Option<Arc<Block>> {
+        self.local.get(slot)?.clone()
     }
 }
 
@@ -194,7 +165,7 @@ impl BlockCache {
 pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, SimError> {
     let start_instret = cpu.instret;
     let start_cycles = cpu.cycles;
-    let result = run_inner(cpu, start_instret, max_instructions);
+    let result = run_inner(cpu, max_instructions);
     fold_exec_counts(cpu);
     result?;
     Ok(RunSummary {
@@ -203,7 +174,7 @@ pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, Si
     })
 }
 
-fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Result<(), SimError> {
+fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
     // All per-instruction accounting lives in locals for the whole run and
     // is committed to the CPU exactly once on exit (including error exits),
     // so the dispatch loop does no redundant memory traffic.
@@ -212,12 +183,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
     let mut load_dest = cpu.pipeline.load_dest;
     let mut stalls = 0u64;
     let mut flushes = 0u64;
-    // One-entry dispatch memo: loop back-edges re-enter the same trace and
-    // chained side exits pre-fill it, so the common case is a single PC
-    // compare instead of a cache probe.
-    let mut memo: Option<(u32, usize, Arc<Block>)> = None;
     let mut fault: Option<SimError> = None;
-    let chaining = cpu.chain_enabled;
     let fusion = cpu.fusion_enabled;
     // Memory-hierarchy model: `None` for the flat (free) model, so the
     // dispatch loop pays one branch per trace execution. Under the
@@ -237,21 +203,12 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
     // and per self-loop re-entry. Declared here so `charge_mem!` can see
     // it across macro hygiene.
     let mut mem_base;
-    // Accounting state is allocated on first block-cached use, so CPUs that
+    // The profile is allocated on first block-cached use, so CPUs that
     // only ever run the reference interpreter (and the pristine CPU a
     // deployment clones per inference) carry nothing to copy.
     let slots = cpu.mem.imem_size() / 4;
-    if cpu.block_exit_counts.len() != slots {
-        cpu.block_exit_counts = vec![Vec::new(); slots];
-        cpu.touched_flags = vec![false; slots];
-        cpu.block_exec_counts = vec![0; slots];
-        cpu.block_instr_counts = vec![0; slots];
-        cpu.block_mem_stall_counts = vec![0; slots];
-        cpu.block_fused_entries = vec![0; slots];
-        cpu.block_fused_iters = vec![0; slots];
-        cpu.block_fused_cycles = vec![0; slots];
-        cpu.block_fused_kind = vec![None; slots];
-        cpu.block_fused_bulk = vec![crate::cpu::FusedBulk::default(); slots];
+    if cpu.profile.len() != slots {
+        cpu.profile = vec![BlockProfile::default(); slots];
     }
 
     // Charges the memory model for the retired segment [mem_base, $n) of
@@ -273,7 +230,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                     &mut mem_stats,
                 );
                 cycles += stall;
-                cpu.block_mem_stall_counts[$slot] += stall;
+                cpu.profile[$slot].mem_stall_cycles += stall;
             }
         };
     }
@@ -288,60 +245,23 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
         }};
     }
 
-    // Superblock chaining: resolve the (static) exit target, cache the
-    // link on the exit's `Block::chain` slot, and pre-fill the dispatch
-    // memo so the next iteration skips the cache probe. The hot path
-    // probes the local snapshot first — a bounds-checked direct index,
-    // the same cost as the unchained dispatch probe; `Weak::upgrade`
-    // (a CAS loop on the refcounts) used to run on *every* chained
-    // transition and measurably cost single-thread throughput
-    // (`chaining_delta` 0.970 in BENCH_isa.json before this reorder).
-    // The cached link now only pays its upgrade when the local snapshot
-    // is stale, i.e. the target was published by a sibling CPU on
-    // another thread — the case chaining exists for. A dead link (cache
-    // generation gone) falls back to the ordinary build path. Shared by
-    // side exits and chainable end exits (fall-through and static-JAL
-    // ends).
-    macro_rules! chain_to {
-        ($block:expr, $ordinal:expr, $target:expr) => {{
-            if let Some((next_slot, next)) = cpu.cache.get_local($target) {
-                memo = Some(($target, next_slot, next));
-            } else {
-                let link = &$block.chain[$ordinal];
-                if let Some(next) = link.get().and_then(Weak::upgrade) {
-                    let next_slot = (next.entry_pc - IMEM_BASE) as usize / 4;
-                    memo = Some(($target, next_slot, next));
-                } else if let Some((next_slot, next)) = cpu.cache.get_or_build(&cpu.mem, $target) {
-                    let _ = link.set(Arc::downgrade(&next));
-                    memo = Some(($target, next_slot, next));
-                }
-            }
-        }};
-    }
-
     'dispatch: while !cpu.halted {
         if executed >= max_instructions {
             fault = Some(SimError::Timeout { max_instructions });
             break;
         }
         let pc = cpu.pc;
-        let (slot, block) = match &memo {
-            Some((memo_pc, slot, block)) if *memo_pc == pc => (*slot, Arc::clone(block)),
-            _ => {
-                let Some((slot, block)) = cpu.cache.get_or_build(&cpu.mem, pc) else {
-                    fault = Some(SimError::BadFetch { pc });
-                    break;
-                };
-                memo = Some((pc, slot, Arc::clone(&block)));
-                (slot, block)
-            }
+        let Some((slot, block)) = cpu.cache.get_or_build(&cpu.mem, pc) else {
+            fault = Some(SimError::BadFetch { pc });
+            break;
         };
         let block = &block;
-        if !cpu.touched_flags[slot] {
-            cpu.touched_flags[slot] = true;
+        let profile = &mut cpu.profile[slot];
+        if !profile.touched {
+            profile.touched = true;
             cpu.touched_slots.push(slot);
-            if cpu.block_exit_counts[slot].len() != block.exits.len() {
-                cpu.block_exit_counts[slot] = vec![0; block.exits.len()];
+            if profile.exit_counts.len() != block.exits.len() {
+                profile.exit_counts = vec![0; block.exits.len()];
             }
         }
         let len = block.instrs.len();
@@ -627,7 +547,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
 
             if let Some((i, ordinal)) = side_exit {
                 executed += i as u64 + 1;
-                cpu.block_exit_counts[slot][ordinal as usize] += 1;
+                cpu.profile[slot].exit_counts[ordinal as usize] += 1;
                 // The taken branch ending the prefix is itself a
                 // prefetch-buffer miss.
                 charge_mem!(block, slot, i + 1, true);
@@ -641,10 +561,6 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                     continue;
                 }
                 cpu.pc = ctrl_next;
-                // Side-exit targets are always static.
-                if chaining {
-                    chain_to!(block, ordinal as usize, ctrl_next);
-                }
                 continue 'dispatch;
             }
 
@@ -703,17 +619,15 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                         // Every iteration ends in the closing jump, which
                         // clears the pending-load hazard state.
                         load_dest = 0;
-                        cpu.block_instr_counts[slot] += instret;
-                        cpu.block_exec_counts[slot] += iters;
-                        let bulk = &mut cpu.block_fused_bulk[slot];
+                        let profile = &mut cpu.profile[slot];
+                        profile.instructions += instret;
+                        profile.executions += iters;
+                        let bulk = &mut profile.fused_bulk;
                         bulk.nest_skip_lo += out.skip_lo;
                         bulk.nest_skip_hi += out.skip_hi;
                         bulk.nest_full += out.full;
                         bulk.nest_extra += out.inner_extra;
-                        cpu.block_fused_entries[slot] += 1;
-                        cpu.block_fused_iters[slot] += iters;
-                        cpu.block_fused_cycles[slot] += arch_cycles;
-                        cpu.block_fused_kind[slot] = Some(f.kind);
+                        profile.fused_entry(f.kind, iters, arch_cycles);
                     }
                     start = f.start;
                     continue;
@@ -742,18 +656,19 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                         load_dest = 0;
                         if taken > 0 {
                             executed += taken * f.body_len as u64;
-                            cpu.block_instr_counts[slot] += taken * f.body_len as u64;
+                            let profile = &mut cpu.profile[slot];
+                            profile.instructions += taken * f.body_len as u64;
                             if f.start == 0 {
                                 // Whole-trace self-loop: every taken back
                                 // edge is one completed execution of this
                                 // trace, exactly as the unfused engine
                                 // counts them.
-                                cpu.block_exec_counts[slot] += taken;
+                                profile.executions += taken;
                             }
                             // Per-mnemonic trace counts fold lazily in
                             // `fold_exec_counts`, keeping the map out of
                             // the hot loop.
-                            cpu.block_fused_bulk[slot].plain += taken;
+                            profile.fused_bulk.plain += taken;
                             if let Some(cfg) = &maupiti {
                                 // Arch order: the setup segment before the
                                 // loop head, then the taken iterations. The
@@ -770,14 +685,11 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                                     &mut mem_stats,
                                 );
                                 cycles += mstall;
-                                cpu.block_mem_stall_counts[slot] += mstall;
+                                cpu.profile[slot].mem_stall_cycles += mstall;
                             }
                             mem_base = f.start;
                         }
-                        cpu.block_fused_entries[slot] += 1;
-                        cpu.block_fused_iters[slot] += out.iters;
-                        cpu.block_fused_cycles[slot] += arch_cycles;
-                        cpu.block_fused_kind[slot] = Some(f.kind);
+                        cpu.profile[slot].fused_entry(f.kind, out.iters, arch_cycles);
                         if out.fell_through {
                             resume = f.start + f.body_len;
                         }
@@ -801,7 +713,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
             }
 
             executed += len as u64;
-            cpu.block_exit_counts[slot][end_exit] += 1;
+            cpu.profile[slot].exit_counts[end_exit] += 1;
             // End-exit redirects (terminator JAL/JALR) sit in the block's
             // `redirects` summary, so no explicit exit redirect here.
             charge_mem!(block, slot, len, false);
@@ -832,12 +744,6 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                     break 'dispatch;
                 }
             }
-            // End-exit chaining: fall-through and static-JAL ends leave
-            // for a fixed successor, so they carry a cached link exactly
-            // like side exits; dynamic ends (JALR) and halts do not.
-            if chaining && block.end_chainable && !cpu.halted {
-                chain_to!(block, end_exit, ctrl_next);
-            }
             continue 'dispatch;
         }
     }
@@ -860,71 +766,61 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
 /// persistent per-block profiling totals behind [`Cpu::hottest_blocks`].
 fn fold_exec_counts(cpu: &mut Cpu) {
     while let Some(slot) = cpu.touched_slots.pop() {
-        cpu.touched_flags[slot] = false;
-        if let Some(block) = cpu.cache.cached(slot) {
-            let mut execs = 0u64;
-            let mut instrs = 0u64;
-            for (exit, count) in block
-                .exits
-                .iter()
-                .zip(cpu.block_exit_counts[slot].iter_mut())
-            {
-                if *count > 0 {
-                    execs += *count;
-                    instrs += *count * exit.retired as u64;
-                    for &(mnemonic, per_exec) in &exit.counts {
-                        cpu.trace.record_many(mnemonic, per_exec * *count);
-                    }
-                    *count = 0;
+        let block = cpu
+            .cache
+            .cached(slot)
+            .expect("a dispatched slot is in the local snapshot");
+        let profile = &mut cpu.profile[slot];
+        profile.touched = false;
+        for (exit, count) in block.exits.iter().zip(profile.exit_counts.iter_mut()) {
+            if *count > 0 {
+                profile.executions += *count;
+                profile.instructions += *count * exit.retired as u64;
+                for &(mnemonic, per_exec) in &exit.counts {
+                    cpu.trace.record_many(mnemonic, per_exec * *count);
                 }
-            }
-            cpu.block_exec_counts[slot] += execs;
-            cpu.block_instr_counts[slot] += instrs;
-            let bulk = std::mem::take(&mut cpu.block_fused_bulk[slot]);
-            if bulk.plain > 0 {
-                // The plain op is either the recognised op itself or, on
-                // a nest block that ran under Maupiti, the nest's
-                // embedded channel loop.
-                let f = block
-                    .fused
-                    .as_ref()
-                    .filter(|f| f.kind != crate::fusion::FusedKind::ConvNest)
-                    .or(block.fused_inner.as_ref())
-                    .expect("bulk iterations imply a fused loop");
-                for d in &block.instrs[f.start..f.start + f.body_len] {
-                    cpu.trace.record_many(d.mnemonic(), bulk.plain);
-                }
-            }
-            let iters = bulk.nest_skip_lo + bulk.nest_skip_hi + bulk.nest_full;
-            if iters > 0 {
-                let f = block.fused.as_ref().expect("nest counts imply a nest");
-                let s = f.start;
-                for (j, d) in block.instrs[s..s + crate::fusion::NEST_LEN]
-                    .iter()
-                    .enumerate()
-                {
-                    // Per-position multiset of the executed paths: guards
-                    // and tail run every iteration, the right guard also
-                    // on full and right-skip paths, pointer setup only on
-                    // full iterations, the channel loop once per full
-                    // iteration plus the extra passes.
-                    let count = match j {
-                        0..=4 => iters,
-                        5 => bulk.nest_skip_hi + bulk.nest_full,
-                        6..=15 => bulk.nest_full,
-                        16..=22 => bulk.nest_full + bulk.nest_extra,
-                        _ => iters,
-                    };
-                    if count > 0 {
-                        cpu.trace.record_many(d.mnemonic(), count);
-                    }
-                }
-            }
-        } else {
-            for count in cpu.block_exit_counts[slot].iter_mut() {
                 *count = 0;
             }
-            cpu.block_fused_bulk[slot] = crate::cpu::FusedBulk::default();
+        }
+        let bulk = std::mem::take(&mut profile.fused_bulk);
+        if bulk.plain > 0 {
+            // The plain op is either the recognised op itself or, on
+            // a nest block that ran under Maupiti, the nest's
+            // embedded channel loop.
+            let f = block
+                .fused
+                .as_ref()
+                .filter(|f| f.kind != crate::fusion::FusedKind::ConvNest)
+                .or(block.fused_inner.as_ref())
+                .expect("bulk iterations imply a fused loop");
+            for d in &block.instrs[f.start..f.start + f.body_len] {
+                cpu.trace.record_many(d.mnemonic(), bulk.plain);
+            }
+        }
+        let iters = bulk.nest_skip_lo + bulk.nest_skip_hi + bulk.nest_full;
+        if iters > 0 {
+            let f = block.fused.as_ref().expect("nest counts imply a nest");
+            let s = f.start;
+            for (j, d) in block.instrs[s..s + crate::fusion::NEST_LEN]
+                .iter()
+                .enumerate()
+            {
+                // Per-position multiset of the executed paths: guards
+                // and tail run every iteration, the right guard also
+                // on full and right-skip paths, pointer setup only on
+                // full iterations, the channel loop once per full
+                // iteration plus the extra passes.
+                let count = match j {
+                    0..=4 => iters,
+                    5 => bulk.nest_skip_hi + bulk.nest_full,
+                    6..=15 => bulk.nest_full,
+                    16..=22 => bulk.nest_full + bulk.nest_extra,
+                    _ => iters,
+                };
+                if count > 0 {
+                    cpu.trace.record_many(d.mnemonic(), count);
+                }
+            }
         }
     }
 }
@@ -1563,6 +1459,9 @@ mod tests {
         let mut warm = base.clone();
         warm.run(100_000).unwrap();
         assert!(base.cached_blocks() > 0, "warming published the blocks");
+        // `base` never ran, so its local snapshot is stale (empty): each
+        // clone refreshes it on its first dispatch, and the trace fold
+        // must then find every block it ran in that refreshed snapshot.
         let results: Vec<Cpu> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -1581,71 +1480,13 @@ mod tests {
     }
 
     #[test]
-    fn chaining_disabled_matches_chaining_enabled_exactly() {
-        // Nested loops with multiple traces, so side exits chain between
-        // distinct blocks in the chained run.
-        let program = [
-            Instr::Addi {
-                rd: reg::T0,
-                rs1: reg::ZERO,
-                imm: 15,
-            },
-            Instr::Addi {
-                rd: reg::T1,
-                rs1: reg::ZERO,
-                imm: 9,
-            },
-            Instr::Addi {
-                rd: reg::A0,
-                rs1: reg::A0,
-                imm: 1,
-            },
-            Instr::Addi {
-                rd: reg::T1,
-                rs1: reg::T1,
-                imm: -1,
-            },
-            Instr::Branch {
-                op: BranchOp::Bne,
-                rs1: reg::T1,
-                rs2: reg::ZERO,
-                offset: -8,
-            },
-            Instr::Addi {
-                rd: reg::T0,
-                rs1: reg::T0,
-                imm: -1,
-            },
-            Instr::Branch {
-                op: BranchOp::Bne,
-                rs1: reg::T0,
-                rs2: reg::ZERO,
-                offset: -20,
-            },
-            Instr::Ebreak,
-        ];
-        let mut chained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        chained.load_program(&program).unwrap();
-        assert!(chained.superblock_chaining(), "chaining defaults on");
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
-        let rc = chained.run(100_000).unwrap();
-        let ru = unchained.run(100_000).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&chained, &unchained);
-        assert_eq!(chained.cycles, unchained.cycles);
-    }
-
-    #[test]
-    fn end_exit_chaining_is_bit_identical_to_unchained_execution() {
-        // One program exercising both chainable end-exit kinds:
+    fn fallthrough_split_and_backward_jal_match_simple_mode() {
+        // One program exercising both end exits with a static successor:
         //  * a straight-line run longer than MAX_BLOCK_LEN, so the first
-        //    trace ends with BlockEnd::Fallthrough and chains to its
+        //    trace ends with BlockEnd::Fallthrough and dispatches its
         //    continuation;
-        //  * a backward JAL into the trace's own entry, which ends the
-        //    trace with a static unfollowed JAL that chains to the loop
-        //    head.
+        //  * a backward JAL that ends the trace with a static unfollowed
+        //    JAL back to the loop head.
         use crate::block::MAX_BLOCK_LEN;
         let body = MAX_BLOCK_LEN + 40; // splits into two traces
         let mut program = vec![Instr::Addi {
@@ -1680,36 +1521,24 @@ mod tests {
         });
         program.push(Instr::Ebreak);
 
-        let mut simple = Cpu::new_default();
-        simple.load_program(&program).unwrap();
-        let mut chained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        chained.load_program(&program).unwrap();
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
-
+        let (mut simple, mut cached) = cpu_pair(&program);
         let budget = 200_000;
         let rs = simple.run(budget).unwrap();
-        let rc = chained.run(budget).unwrap();
-        let ru = unchained.run(budget).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&chained, &unchained);
-        assert_same_architectural_state(&simple, &chained);
-        assert_eq!(chained.cycles, unchained.cycles, "cycles must not move");
+        let rc = cached.run(budget).unwrap();
         assert_eq!(rs.instructions, rc.instructions);
-        assert_eq!(chained.reg(reg::A0), 25 * body as u32);
+        assert_eq!(rs.cycles, rc.cycles, "no loads, so no interlock stalls");
+        assert_same_architectural_state(&simple, &cached);
+        assert_eq!(cached.reg(reg::A0), 25 * body as u32);
         // The straight-line body really did split: more than one trace.
-        assert!(chained.cached_blocks() >= 2, "fallthrough split expected");
+        assert!(cached.cached_blocks() >= 2, "fallthrough split expected");
     }
 
     #[test]
-    fn static_jal_end_exit_chains_between_distinct_traces() {
+    fn static_jal_end_exit_between_distinct_traces_matches_simple_mode() {
         // The entry trace runs into the loop and ends with an *unfollowed*
         // static JAL (its target is already inside the trace), whose end
-        // exit chains to the loop-head trace — a distinct block, so the
-        // self-loop fast path does not swallow the link. Results must be
-        // bit-identical with chaining off and against the reference
-        // interpreter.
+        // exit dispatches the loop-head trace — a distinct block, so the
+        // self-loop fast path does not take it.
         let program = [
             Instr::Addi {
                 rd: reg::T0,
@@ -1745,21 +1574,14 @@ mod tests {
             },
             Instr::Ebreak,
         ];
-        let (mut simple, mut chained) = cpu_pair(&program);
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
+        let (mut simple, mut cached) = cpu_pair(&program);
         let rs = simple.run(10_000).unwrap();
-        let rc = chained.run(10_000).unwrap();
-        let ru = unchained.run(10_000).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&simple, &chained);
-        assert_same_architectural_state(&chained, &unchained);
-        assert_eq!(chained.cycles, unchained.cycles);
-        assert_eq!(rs.instructions, rc.instructions);
-        assert_eq!(chained.reg(reg::A0), 25);
-        assert_eq!(chained.reg(reg::A1), 24);
-        assert!(chained.cached_blocks() >= 2, "two distinct traces expected");
+        let rc = cached.run(10_000).unwrap();
+        assert_eq!(rs, rc, "no loads, so no interlock stalls");
+        assert_same_architectural_state(&simple, &cached);
+        assert_eq!(cached.reg(reg::A0), 25);
+        assert_eq!(cached.reg(reg::A1), 24);
+        assert!(cached.cached_blocks() >= 2, "two distinct traces expected");
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * a [`Cpu`] executing from byte-addressed instruction/data memories
 //!   with an instruction [`Trace`] and two engines selected by
 //!   [`ExecMode`]: the `Simple` reference interpreter with flat IBEX
-//!   cycle costs, and the `BlockCached` superblock-trace engine with
-//!   side-exit chaining, a pipelined IBEX timing model (load-use
-//!   interlock and branch-flush stall accounting via [`PipelineStats`])
+//!   cycle costs, and the `BlockCached` superblock-trace engine with a
+//!   pipelined IBEX timing model (load-use interlock and branch-flush
+//!   stall accounting via [`PipelineStats`])
 //!   and a per-block execution profile ([`Cpu::hottest_blocks`]) that
 //!   runs the deployed CNN workloads several times faster. The decoded
 //!   blocks are shared `Arc` snapshots, so `Cpu` is `Send` and a warmed

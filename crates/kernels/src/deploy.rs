@@ -250,13 +250,6 @@ impl Deployment {
         self.plan.weight_bytes
     }
 
-    /// Enables or disables superblock chaining on the simulator engine
-    /// (enabled by default; architectural results are identical either
-    /// way). Used by the throughput bench to measure the chaining delta.
-    pub fn set_superblock_chaining(&mut self, enabled: bool) {
-        self.base_cpu.set_superblock_chaining(enabled);
-    }
-
     /// Whether the block-cached engine lowers recognised loop idioms
     /// (SDOTP MAC reductions, memset/memcpy/strided copies) to fused
     /// host-level loops.
@@ -461,40 +454,6 @@ impl Deployment {
                 .collect::<Vec<Result<InferenceRun, SimError>>>()
         });
         collect(results.into_iter().flatten().collect())
-    }
-
-    /// Predicts classes for a `[N, 1, 8, 8]` batch of raw frames,
-    /// evaluating frames in parallel across `threads` workers (`0` =
-    /// auto). Predictions are identical to the serial path for any thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn predict_batch_with_threads(
-        &self,
-        x: &Tensor,
-        threads: usize,
-    ) -> Result<Vec<usize>, SimError> {
-        let pool = CpuPool::from_base(
-            &self.base_cpu,
-            crate::pool::resolve_cpu_pool_threads(threads).min(x.shape()[0].max(1)),
-        );
-        Ok(self
-            .run_batch(x, &pool)?
-            .into_iter()
-            .map(|r| r.prediction)
-            .collect())
-    }
-
-    /// Predicts classes for a `[N, 1, 8, 8]` batch of raw frames using
-    /// the host's available parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn predict_batch(&self, x: &Tensor) -> Result<Vec<usize>, SimError> {
-        self.predict_batch_with_threads(x, 0)
     }
 
     /// Trace-cache profile: runs one inference on `frame` and returns the
@@ -846,18 +805,6 @@ mod tests {
                 // sdotp all compare equal, in frame order.
                 assert_eq!(parallel, serial, "{mode:?} with {threads} threads");
             }
-            let serial_preds: Vec<usize> = serial.iter().map(|r| r.prediction).collect();
-            assert_eq!(
-                deployment.predict_batch(&batch).expect("predict"),
-                serial_preds,
-                "{mode:?} predict_batch"
-            );
-            assert_eq!(
-                deployment
-                    .predict_batch_with_threads(&batch, 4)
-                    .expect("predict"),
-                serial_preds,
-            );
         }
     }
 

@@ -3,8 +3,8 @@
 //! The block-cached engine shares its decoded-trace cache between CPU
 //! clones through `Arc` snapshots ([`pcount_isa::Cpu`] is `Send`), so one
 //! warmup inference decodes the whole deployed program once and every
-//! pooled CPU — on any thread — dispatches fully pre-decoded, chained
-//! superblocks from the first frame.
+//! pooled CPU — on any thread — dispatches fully pre-decoded superblocks
+//! from the first frame.
 //!
 //! [`Deployment::run_batch`][crate::Deployment::run_batch] drives the
 //! pool through the persistent `pcount-runtime` worker pool: the batch is
@@ -45,7 +45,11 @@ impl CpuPool {
     /// CPU carries a full memory image, and the flow's batch sizes never
     /// keep more ranges busy).
     pub(crate) fn from_base(base: &Cpu, threads: usize) -> Self {
-        let threads = resolve_cpu_pool_threads(threads);
+        let threads = if threads > 0 {
+            threads
+        } else {
+            resolve_threads(0).min(MAX_AUTO_CPUS)
+        };
         Self {
             base: base.clone(),
             cpus: (0..threads).map(|_| base.clone()).collect(),
@@ -118,16 +122,3 @@ impl CpuPool {
 }
 
 pub use pcount_runtime::resolve_threads;
-
-/// The `0 = auto` knob for CPU-pool sizing specifically: explicit values
-/// pass through, `0` becomes the runtime pool's width capped at
-/// [`MAX_AUTO_CPUS`]. Every `make_pool`-style surface resolves through
-/// this so the memory cap cannot be bypassed by resolving the generic
-/// knob first.
-pub(crate) fn resolve_cpu_pool_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        resolve_threads(0).min(MAX_AUTO_CPUS)
-    }
-}

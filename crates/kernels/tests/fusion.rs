@@ -4,9 +4,9 @@
 //! and *micro-architecturally* invisible: on the real deployed CNN,
 //! fusion on and fusion off must produce the same logits, instruction
 //! counts, cycle counts, pipeline stall breakdowns and memory-hierarchy
-//! stats — across both targets, both memory models, chained and
-//! unchained superblocks, serial and pooled execution, and watchdog
-//! budgets that expire in the middle of a fused loop.
+//! stats — across both targets, both memory models, serial and pooled
+//! execution, and watchdog budgets that expire in the middle of a fused
+//! loop.
 
 use pcount_kernels::{Deployment, ExecMode, MemoryModel, SimError, Target, INSTRUCTION_BUDGET};
 use pcount_nn::{CnnConfig, TrainConfig};
@@ -53,13 +53,11 @@ fn deployment(
     target: Target,
     mode: ExecMode,
     mem: MemoryModel,
-    chaining: bool,
     fusion: bool,
 ) -> Deployment {
     let mut d = Deployment::new(model, target).expect("deploy");
     d.set_exec_mode(mode);
     d.set_memory_model(mem);
-    d.set_superblock_chaining(chaining);
     d.set_macro_fusion(fusion);
     d
 }
@@ -71,27 +69,24 @@ fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
         let fresh = Deployment::new(&model, target).expect("deploy");
         assert!(fresh.macro_fusion(), "fusion is on by default");
         for mem in [MemoryModel::Flat, MemoryModel::maupiti()] {
-            let simple = deployment(&model, target, ExecMode::Simple, mem, true, true);
-            for chaining in [true, false] {
-                let fused = deployment(&model, target, ExecMode::BlockCached, mem, chaining, true);
-                let unfused =
-                    deployment(&model, target, ExecMode::BlockCached, mem, chaining, false);
-                for i in 0..3 {
-                    let frame = &x.data()[i * 64..(i + 1) * 64];
-                    let rs = simple.run_frame(frame).expect("simple");
-                    let rf = fused.run_frame(frame).expect("fused");
-                    let ru = unfused.run_frame(frame).expect("unfused");
-                    // Complete run equality — logits, prediction, cycles,
-                    // instret, sdotp count, stall breakdowns, mem stats.
-                    assert_eq!(
-                        rf, ru,
-                        "{target} {mem:?} chaining={chaining} frame {i}: fusion perturbed the run"
-                    );
-                    assert_eq!(rs.logits, rf.logits);
-                    assert_eq!(rs.instructions, rf.instructions);
-                    assert_eq!(rs.sdotp, rf.sdotp);
-                    assert_eq!(rs.mem, rf.mem, "mem stats are engine-independent");
-                }
+            let simple = deployment(&model, target, ExecMode::Simple, mem, true);
+            let fused = deployment(&model, target, ExecMode::BlockCached, mem, true);
+            let unfused = deployment(&model, target, ExecMode::BlockCached, mem, false);
+            for i in 0..3 {
+                let frame = &x.data()[i * 64..(i + 1) * 64];
+                let rs = simple.run_frame(frame).expect("simple");
+                let rf = fused.run_frame(frame).expect("fused");
+                let ru = unfused.run_frame(frame).expect("unfused");
+                // Complete run equality — logits, prediction, cycles,
+                // instret, sdotp count, stall breakdowns, mem stats.
+                assert_eq!(
+                    rf, ru,
+                    "{target} {mem:?} frame {i}: fusion perturbed the run"
+                );
+                assert_eq!(rs.logits, rf.logits);
+                assert_eq!(rs.instructions, rf.instructions);
+                assert_eq!(rs.sdotp, rf.sdotp);
+                assert_eq!(rs.mem, rf.mem, "mem stats are engine-independent");
             }
         }
     }
@@ -108,14 +103,12 @@ fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
         ExecMode::BlockCached,
         MemoryModel::maupiti(),
         true,
-        true,
     );
     let unfused = deployment(
         &model,
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::maupiti(),
-        true,
         false,
     );
     let serial: Vec<_> = (0..n)
@@ -143,7 +136,6 @@ fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
         true,
     );
     let frame = &x.data()[..64];
@@ -184,7 +176,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
         ExecMode::BlockCached,
         MemoryModel::Flat,
         true,
-        true,
     )
     .run_frame(frame)
     .expect("full run");
@@ -198,7 +189,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
                     Target::Maupiti,
                     ExecMode::BlockCached,
                     MemoryModel::Flat,
-                    true,
                     fusion == 1,
                 );
                 let mut pool = d.make_pool(1).expect("pool");
@@ -236,7 +226,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
         true,
     );
     let mut pool = d.make_pool(1).expect("pool");

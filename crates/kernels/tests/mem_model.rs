@@ -4,10 +4,9 @@
 //! accounting bit-for-bit on the real deployed workload: the reference
 //! interpreter's flat per-op costs in `ExecMode::Simple`, plus exactly
 //! the load-use interlock stalls on top of them in
-//! `ExecMode::BlockCached`, identical with and without superblock
-//! chaining. `MemoryModel::Maupiti` must leave every architectural result
-//! untouched while charging a strictly positive, engine-independent stall
-//! breakdown.
+//! `ExecMode::BlockCached`. `MemoryModel::Maupiti` must leave every
+//! architectural result untouched while charging a strictly positive,
+//! engine-independent stall breakdown.
 
 use pcount_kernels::{Deployment, ExecMode, MemoryModel, Target};
 use pcount_nn::{CnnConfig, TrainConfig};
@@ -54,12 +53,10 @@ fn deployment(
     target: Target,
     mode: ExecMode,
     mem: MemoryModel,
-    chaining: bool,
 ) -> Deployment {
     let mut d = Deployment::new(model, target).expect("deploy");
     d.set_exec_mode(mode);
     d.set_memory_model(mem);
-    d.set_superblock_chaining(chaining);
     d
 }
 
@@ -69,31 +66,16 @@ fn flat_model_reproduces_pre_seam_cycles_in_every_engine_combination() {
     for target in [Target::Maupiti, Target::Ibex] {
         let fresh = Deployment::new(&model, target).expect("deploy");
         assert!(fresh.memory_model().is_flat(), "Flat is the default model");
-        let simple = deployment(&model, target, ExecMode::Simple, MemoryModel::Flat, true);
-        let chained = deployment(
-            &model,
-            target,
-            ExecMode::BlockCached,
-            MemoryModel::Flat,
-            true,
-        );
-        let unchained = deployment(
-            &model,
-            target,
-            ExecMode::BlockCached,
-            MemoryModel::Flat,
-            false,
-        );
+        let simple = deployment(&model, target, ExecMode::Simple, MemoryModel::Flat);
+        let cached = deployment(&model, target, ExecMode::BlockCached, MemoryModel::Flat);
         for i in 0..4 {
             let frame = &x.data()[i * 64..(i + 1) * 64];
             let rs = simple.run_frame(frame).expect("simple");
-            let rc = chained.run_frame(frame).expect("chained");
-            let ru = unchained.run_frame(frame).expect("unchained");
-            // Architectural identity across all three execution paths.
+            let rc = cached.run_frame(frame).expect("cached");
+            // Architectural identity across both engines.
             assert_eq!(rs.logits, rc.logits, "{target} frame {i}");
             assert_eq!(rs.instructions, rc.instructions);
             assert_eq!(rs.sdotp, rc.sdotp);
-            assert_eq!(rc, ru, "chaining must not change anything");
             // The pre-seam cycle model: the block-cached engine charges
             // exactly the flat per-op costs plus its load-use interlock
             // stalls, and the memory model adds nothing.
@@ -118,29 +100,14 @@ fn maupiti_model_keeps_architectural_results_and_adds_engine_independent_stalls(
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
     );
-    let simple = deployment(&model, Target::Maupiti, ExecMode::Simple, maupiti, true);
-    let chained = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        maupiti,
-        true,
-    );
-    let unchained = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        maupiti,
-        false,
-    );
+    let simple = deployment(&model, Target::Maupiti, ExecMode::Simple, maupiti);
+    let cached = deployment(&model, Target::Maupiti, ExecMode::BlockCached, maupiti);
     for i in 0..4 {
         let frame = &x.data()[i * 64..(i + 1) * 64];
         let rf = flat.run_frame(frame).expect("flat");
         let rs = simple.run_frame(frame).expect("simple");
-        let rc = chained.run_frame(frame).expect("chained");
-        let ru = unchained.run_frame(frame).expect("unchained");
+        let rc = cached.run_frame(frame).expect("cached");
         // The hierarchy must not leak into architectural state.
         assert_eq!(rf.logits, rc.logits, "frame {i}");
         assert_eq!(rf.prediction, rc.prediction);
@@ -153,9 +120,8 @@ fn maupiti_model_keeps_architectural_results_and_adds_engine_independent_stalls(
         assert_eq!(rc.cycles, rf.cycles + rc.mem.stall_cycles());
         assert!(rc.cycles > rf.cycles);
         // The stall breakdown is a property of the retired stream, not of
-        // the engine or the chaining mode.
+        // the engine.
         assert_eq!(rs.mem, rc.mem, "frame {i}: engines diverged");
-        assert_eq!(rc, ru, "frame {i}: chaining diverged");
     }
 }
 
