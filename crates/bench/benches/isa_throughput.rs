@@ -412,10 +412,11 @@ fn bench_engine_throughput(c: &mut Criterion) {
         "block-cached engine under the maupiti memory model regressed to \
          {speedup_maupiti:.2}x the reference interpreter"
     );
-    // Macro-op fusion exists to be a perf win: the fused MAC/memset/copy
-    // loops must beat per-instruction dispatch by a clear margin on the
-    // deployed CNN. Measured well above 1.5x on an idle host; the floor
-    // sits at 1.2x to absorb wall-clock noise on loaded machines.
+    // Macro-op fusion exists to be a perf win: the fused conv3x3 guard
+    // nests and SDOTP channel loops must beat per-instruction dispatch by
+    // a clear margin on the deployed CNN. Measured well above 1.5x on an
+    // idle host; the floor sits at 1.2x to absorb wall-clock noise on
+    // loaded machines.
     assert!(
         fusion_speedup >= 1.2,
         "macro-op fusion regressed to {fusion_speedup:.3}x over per-instruction dispatch"

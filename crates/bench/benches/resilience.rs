@@ -11,7 +11,10 @@
 //! * a seeded fault sweep is bit-reproducible run-to-run and across pool
 //!   widths 1 and 4 (the CI chaos-smoke gate);
 //! * every swept stream completes with fallbacks/holds instead of
-//!   aborting, and the end-to-end accuracy degrades boundedly.
+//!   aborting, and the end-to-end accuracy degrades boundedly;
+//! * the sweep's SLO snapshot carries the retry, fallback, quarantine
+//!   and fault counters, and the written `BENCH_robust.json` parses back
+//!   with its `robustness.points` and `robustness.slo.counters` blocks.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pcount_dataset::{DatasetConfig, IrDataset};
@@ -19,7 +22,11 @@ use pcount_kernels::{Deployment, Target};
 use pcount_resilience::{
     evaluate_robustness, FaultConfig, FaultPlan, ResilienceConfig, ResilientDeployment, TickStatus,
 };
+use pcount_telemetry::{parse_json, JsonValue};
 use pcount_tensor::Tensor;
+
+/// Where the bench writes its numbers: the workspace root.
+const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robust.json");
 
 /// Seed of the demo model, the streamed session and the fault plans.
 const SEED: u64 = 7;
@@ -75,12 +82,34 @@ fn write_bench_json(lines: &[(&str, String)]) {
         .map(|(k, v)| format!("  \"{k}\": {v}"))
         .collect();
     let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robust.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
+    if let Err(e) = std::fs::write(BENCH_JSON, &json) {
+        eprintln!("warning: could not write {BENCH_JSON}: {e}");
     } else {
-        println!("wrote {path}");
+        println!("wrote {BENCH_JSON}");
     }
+}
+
+/// Reads `BENCH_robust.json` back and checks that it parses with a
+/// non-empty sweep and an SLO counter block.
+fn validate_bench_json() {
+    let text = std::fs::read_to_string(BENCH_JSON).expect("read back BENCH_robust.json");
+    let bench = parse_json(&text).expect("BENCH_robust.json parses");
+    let robust = bench.get("robustness").expect("robustness block");
+    let points = robust
+        .get("points")
+        .and_then(JsonValue::as_array)
+        .expect("robustness.points array");
+    assert!(!points.is_empty(), "robustness sweep has no points");
+    let Some(JsonValue::Object(counters)) = robust.get("slo").and_then(|slo| slo.get("counters"))
+    else {
+        panic!("robustness.slo.counters is not an object");
+    };
+    assert!(!counters.is_empty(), "robustness.slo.counters is empty");
+    println!(
+        "BENCH_robust.json OK: {} points, {} SLO counters",
+        points.len(),
+        counters.len()
+    );
 }
 
 fn bench_resilience(c: &mut Criterion) {
@@ -145,9 +174,19 @@ fn bench_resilience(c: &mut Criterion) {
         again.to_json(),
         "sweep not reproducible across runs/pool widths"
     );
-    // The SLO counter block is present and accounted (gate (c) parses
-    // the written JSON again from CI).
-    assert!(json.contains("\"resilience/retries\""));
+    // The SLO counter block is present and accounted; the written JSON
+    // is parsed back below.
+    for name in [
+        "resilience/retries",
+        "resilience/fallback_frames",
+        "resilience/quarantines",
+        "resilience/fault/drop",
+    ] {
+        assert!(
+            report.slo.counters.iter().any(|&(n, _)| n == name),
+            "missing SLO counter {name}"
+        );
+    }
     assert!(report.slo.total_faults() > 0, "sweep recorded no faults");
 
     println!("resilience summary (demo INT8 model, seeded faults):");
@@ -179,6 +218,7 @@ fn bench_resilience(c: &mut Criterion) {
         ("fault_seed", FAULT_SEED.to_string()),
         ("robustness", json),
     ]);
+    validate_bench_json();
 
     if smoke {
         println!("BENCH_SMOKE=1: criterion timing skipped");

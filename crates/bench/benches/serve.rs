@@ -20,7 +20,9 @@
 //!   percentiles, one sample per outage;
 //! * burn-driven adaptive admission beats the static watermarks on the
 //!   hardest ramp level: fewer frames shed at the queue with p99 latency
-//!   inside the static envelope.
+//!   inside the static envelope;
+//! * the written `BENCH_serve.json` parses back with every block its
+//!   readers use.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pcount_dataset::{DatasetConfig, IrDataset};
@@ -28,6 +30,10 @@ use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
 };
 use pcount_kernels::{Deployment, Target};
+use pcount_telemetry::{parse_json, JsonValue};
+
+/// Where the bench writes its numbers: the workspace root.
+const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
 
 /// Seed of the demo model and the dataset nodes replay.
 const SEED: u64 = 7;
@@ -69,7 +75,7 @@ fn run_fleet(deployment: &Deployment, data: &IrDataset, cfg: FleetConfig) -> Fle
 }
 
 /// Serve-smoke gate: the run completed, conserved every frame, and its
-/// latency block is populated.
+/// latency and per-shard SLO blocks are populated.
 fn check_complete(report: &FleetReport, what: &str) {
     assert!(
         report.conservation_holds(),
@@ -87,6 +93,13 @@ fn check_complete(report: &FleetReport, what: &str) {
         report.latency.p50 > 0 && report.latency.p99 >= report.latency.p50,
         "{what}: degenerate latency percentiles"
     );
+    for shard in &report.shard_reports {
+        assert!(
+            !shard.slo.counters.is_empty() && shard.burn_milli >= 0,
+            "{what}: shard {} has no SLO counters or a negative burn",
+            shard.shard
+        );
+    }
 }
 
 /// Always-on bit-reproducibility tripwire: same fleet seed, pool width
@@ -115,12 +128,87 @@ fn write_bench_json(lines: &[(&str, String)]) {
         .map(|(k, v)| format!("  \"{k}\": {v}"))
         .collect();
     let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
+    if let Err(e) = std::fs::write(BENCH_JSON, &json) {
+        eprintln!("warning: could not write {BENCH_JSON}: {e}");
     } else {
-        println!("wrote {path}");
+        println!("wrote {BENCH_JSON}");
     }
+}
+
+/// The member of `value` at the dot-separated `path`.
+fn member<'a>(value: &'a JsonValue, path: &str) -> &'a JsonValue {
+    path.split('.').fold(value, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("BENCH_serve.json lacks {path} (at {key})"))
+    })
+}
+
+/// The array at `path` under `value`.
+fn array<'a>(value: &'a JsonValue, path: &str) -> &'a [JsonValue] {
+    member(value, path)
+        .as_array()
+        .unwrap_or_else(|| panic!("BENCH_serve.json: {path} is not an array"))
+}
+
+/// Checks that `value` has every whitespace-separated path in `paths`.
+fn require(value: &JsonValue, paths: &str) {
+    for path in paths.split_whitespace() {
+        member(value, path);
+    }
+}
+
+/// Reads `BENCH_serve.json` back and checks that it parses with every
+/// block its readers use: each fleet report's latency, counters and
+/// per-shard detail, the crash storm's failover events and the
+/// determinism digests.
+fn validate_bench_json() {
+    let text = std::fs::read_to_string(BENCH_JSON).expect("read back BENCH_serve.json");
+    let bench = parse_json(&text).expect("BENCH_serve.json parses");
+    let serve = member(&bench, "serve");
+    let ramp = array(serve, "ramp");
+    assert!(!ramp.is_empty(), "load ramp has no levels");
+    let mut reports = Vec::new();
+    for level in ramp {
+        require(level, "frame_period_ms");
+        reports.push(member(level, "report"));
+    }
+    for path in [
+        "storm",
+        "crash_storm",
+        "adaptive.static",
+        "adaptive.adaptive",
+    ] {
+        reports.push(member(serve, path));
+    }
+    for report in &reports {
+        require(
+            report,
+            "nodes latency_ns.count latency_ns.p50 latency_ns.p99 counters.fleet/requests \
+             counters.fleet/admitted counters.fleet/shed counters.fleet/downsampled \
+             counters.fleet/failover_crash_lost counters.fleet/failover_checkpoints",
+        );
+        for shard in array(report, "shards_detail") {
+            require(shard, "slo.counters burn_milli crashes adaptive.tightens");
+        }
+    }
+    require(
+        serve,
+        "crash_storm.failover.crashes crash_storm.failover.recovery_ns.p50 \
+         crash_storm.failover.recovery_ns.p99 determinism.bit_identical \
+         determinism.occupancy_hash determinism.failover_occupancy_hash",
+    );
+    let events = array(serve, "crash_storm.failover.events");
+    for event in events {
+        require(
+            event,
+            "queued_at_crash crash_lost rerouted held crash_ns restart_ns recovery_ns",
+        );
+    }
+    println!(
+        "BENCH_serve.json OK: {} fleet reports, {} failover events",
+        reports.len(),
+        events.len()
+    );
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -229,6 +317,10 @@ fn bench_serve(c: &mut Criterion) {
         crash_report.recovery.p50 > 0,
         "recovery percentiles must be populated"
     );
+    assert!(
+        crash_report.recovery.p50 <= crash_report.recovery.p99,
+        "recovery percentiles out of order"
+    );
     let mut stranded = 0;
     for c in &crash_report.crash_reports {
         assert_eq!(
@@ -237,8 +329,26 @@ fn bench_serve(c: &mut Criterion) {
             "shard {} outage leaked part of its queue",
             c.shard
         );
+        assert!(
+            c.crash_ns < c.restart_ns && c.recovery_ns > 0,
+            "shard {} outage has a degenerate timeline",
+            c.shard
+        );
         stranded += c.queued_at_crash;
     }
+    assert_eq!(
+        crash_report
+            .shard_reports
+            .iter()
+            .map(|s| s.crashes)
+            .sum::<u64>(),
+        crash_report.totals.crashes,
+        "per-shard crash counts disagree with the fleet total"
+    );
+    assert!(
+        crash_report.totals.checkpoints > 0,
+        "crash storm took no checkpoints"
+    );
     assert!(stranded > 0, "no crash found a backlog to dispose of");
     assert!(
         crash_report.totals.rerouted > 0,
@@ -344,6 +454,7 @@ fn bench_serve(c: &mut Criterion) {
             ),
         ),
     ]);
+    validate_bench_json();
 
     if smoke {
         println!("BENCH_SMOKE=1: criterion timing skipped");

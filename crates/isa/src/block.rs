@@ -100,10 +100,10 @@ pub(crate) struct Block {
     /// charge the memory model once per trace execution
     /// (`MemModelState::charge_prefix`) instead of once per instruction.
     pub redirects: Vec<u32>,
-    /// Macro-op fusion: a recognised loop idiom at the head of the trace
-    /// (SDOTP MAC reduction, memset, memcpy, strided copy, convolution
-    /// kernel-x nest) that the engine may execute as one bulk host loop
-    /// per entry. `None` when the trace matches no pattern.
+    /// Macro-op fusion: a recognised loop idiom inside the trace (the
+    /// SDOTP MAC channel loop or the conv3x3 kernel-x guard nest) that
+    /// the engine may execute as one bulk host loop per entry. `None`
+    /// when the trace matches no pattern.
     pub fused: Option<crate::fusion::FusedOp>,
     /// When [`Block::fused`] is a convolution nest, the nest's embedded
     /// channel loop as a standalone plain MAC op; the engine substitutes

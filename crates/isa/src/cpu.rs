@@ -237,9 +237,8 @@ pub struct HotBlock {
     /// expensive" column of the hot-trace report.
     pub mem_stall_cycles: u64,
     /// Name of the fused loop idiom recognised at this trace
-    /// (`"mac_sdotp8"`, `"mac_sdotp4"`, `"memset"`, `"memcpy"`,
-    /// `"strided_copy"`), or `None` when the trace was never executed
-    /// through the fused path.
+    /// (`"mac_sdotp8"`, `"mac_sdotp4"` or `"conv3x3_nest"`), or `None`
+    /// when the trace was never executed through the fused path.
     pub fused_kind: Option<&'static str>,
     /// Trace entries that ran the fused loop executor.
     pub fused_entries: u64,
@@ -403,8 +402,8 @@ impl Cpu {
     }
 
     /// Whether the block-cached engine executes recognised loop idioms
-    /// (SDOTP MAC reductions, memset, memcpy, strided copies) as fused
-    /// host loops (enabled by default).
+    /// (SDOTP MAC channel loops and conv3x3 kernel-x guard nests) as
+    /// fused host loops (enabled by default).
     pub fn macro_fusion(&self) -> bool {
         self.fusion_enabled
     }

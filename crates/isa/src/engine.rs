@@ -590,7 +590,7 @@ fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
                 // is swapped for its inner loop there).
                 if f.kind == crate::fusion::FusedKind::ConvNest {
                     let budget = (max_instructions - executed).saturating_sub(f.start as u64);
-                    let out = f.execute_nest(&mut cpu.regs, &mut cpu.mem, budget);
+                    let out = f.execute_nest(&mut cpu.regs, &cpu.mem, budget);
                     let iters = out.iters();
                     if iters > 0 {
                         let crate::fusion::FusedDetail::ConvNest(nd) = &f.detail else {
@@ -636,7 +636,7 @@ fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
                 let max_iters = avail / f.body_len as u64;
                 let mut resume = f.start;
                 if max_iters > 0 {
-                    if let Some(out) = f.execute(&mut cpu.regs, &mut cpu.mem, max_iters) {
+                    if let Some(out) = f.execute(&mut cpu.regs, &cpu.mem, max_iters) {
                         let taken = if out.fell_through {
                             out.iters - 1
                         } else {
@@ -1765,16 +1765,18 @@ mod tests {
         (unfused, fused)
     }
 
-    /// `lui rd, 0x100` materialises `DMEM_BASE`; adding `extra` offsets
-    /// into the data image.
-    fn li_dmem(rd: u8, extra: i32) -> [Instr; 2] {
+    /// Materialises `DMEM_BASE + extra` (or `DMEM_BASE + 16K - extra`
+    /// when probing the end of data memory) without exceeding the
+    /// 12-bit `addi` immediate.
+    fn li_addr(rd: u8, near_end: bool, extra: i32) -> [Instr; 2] {
+        let (upper, imm) = if near_end {
+            (0x104, -extra) // DMEM_BASE + 16 KiB
+        } else {
+            (0x100, extra)
+        };
         [
-            Instr::Lui { rd, imm: 0x100 },
-            Instr::Addi {
-                rd,
-                rs1: rd,
-                imm: extra,
-            },
+            Instr::Lui { rd, imm: upper },
+            Instr::Addi { rd, rs1: rd, imm },
         ]
     }
 
@@ -1795,8 +1797,8 @@ mod tests {
             }
         };
         let mut p = Vec::new();
-        p.extend(li_dmem(reg::T1, 0));
-        p.extend(li_dmem(reg::T2, 512));
+        p.extend(li_addr(reg::T1, false, 0));
+        p.extend(li_addr(reg::T2, false, 512));
         p.push(Instr::Addi {
             rd: reg::T3,
             rs1: reg::ZERO,
@@ -1874,135 +1876,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_memset_variants_match_bit_for_bit() {
-        for (store, stride, count) in [
-            (StoreOp::Sb, 1, 100),
-            (StoreOp::Sh, 2, 50),
-            (StoreOp::Sw, 4, 25),
-            (StoreOp::Sb, 5, 30),  // strided fill
-            (StoreOp::Sw, -4, 20), // descending fill
-        ] {
-            let mut p = Vec::new();
-            p.extend(li_dmem(reg::T1, 256));
-            p.push(Instr::Addi {
-                rd: reg::T3,
-                rs1: reg::ZERO,
-                imm: count,
-            });
-            p.push(Instr::Addi {
-                rd: reg::A0,
-                rs1: reg::ZERO,
-                imm: 0x5A,
-            });
-            p.extend([
-                Instr::Store {
-                    op: store,
-                    rs1: reg::T1,
-                    rs2: reg::A0,
-                    offset: 0,
-                },
-                Instr::Addi {
-                    rd: reg::T1,
-                    rs1: reg::T1,
-                    imm: stride,
-                },
-                Instr::Addi {
-                    rd: reg::T3,
-                    rs1: reg::T3,
-                    imm: -1,
-                },
-                Instr::Branch {
-                    op: BranchOp::Bne,
-                    rs1: reg::T3,
-                    rs2: reg::ZERO,
-                    offset: -12,
-                },
-                Instr::Ebreak,
-            ]);
-            let (_, fused) = assert_fusion_parity(&p, 100_000, MemoryModel::Flat, &fill_dmem);
-            assert_eq!(fused.fusion_profile()[0].0, "memset");
-        }
-    }
-
-    fn copy_program(load: LoadOp, store: StoreOp, ss: i32, ds: i32, count: i32) -> Vec<Instr> {
-        let mut p = Vec::new();
-        p.extend(li_dmem(reg::T1, 0));
-        p.extend(li_dmem(reg::T2, 600));
-        p.push(Instr::Addi {
-            rd: reg::T3,
-            rs1: reg::ZERO,
-            imm: count,
-        });
-        p.extend([
-            Instr::Load {
-                op: load,
-                rd: reg::T4,
-                rs1: reg::T1,
-                offset: 0,
-            },
-            Instr::Store {
-                op: store,
-                rs1: reg::T2,
-                rs2: reg::T4,
-                offset: 0,
-            },
-            Instr::Addi {
-                rd: reg::T1,
-                rs1: reg::T1,
-                imm: ss,
-            },
-            Instr::Addi {
-                rd: reg::T2,
-                rs1: reg::T2,
-                imm: ds,
-            },
-            Instr::Addi {
-                rd: reg::T3,
-                rs1: reg::T3,
-                imm: -1,
-            },
-            Instr::Branch {
-                op: BranchOp::Bne,
-                rs1: reg::T3,
-                rs2: reg::ZERO,
-                offset: -20,
-            },
-            Instr::Ebreak,
-        ]);
-        p
-    }
-
-    #[test]
-    fn fused_copy_variants_match_bit_for_bit() {
-        for (load, store, ss, ds, count, kind) in [
-            (LoadOp::Lw, StoreOp::Sw, 4, 4, 64, "memcpy"),
-            (LoadOp::Lbu, StoreOp::Sb, 1, 1, 200, "memcpy"),
-            (LoadOp::Lb, StoreOp::Sb, 9, 1, 40, "strided_copy"), // im2col gather
-            (LoadOp::Lh, StoreOp::Sh, 16, 2, 30, "strided_copy"),
-            (LoadOp::Lhu, StoreOp::Sw, 2, 4, 30, "strided_copy"), // widening copy
-        ] {
-            let p = copy_program(load, store, ss, ds, count);
-            for model in [MemoryModel::Flat, MemoryModel::maupiti()] {
-                let (_, fused) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
-                assert_eq!(fused.fusion_profile()[0].0, kind);
-            }
-        }
-    }
-
-    #[test]
-    fn overlapping_fused_copy_matches_bit_for_bit() {
-        // dst inside the source stream: element-order semantics matter.
-        let p = copy_program(LoadOp::Lbu, StoreOp::Sb, 1, 1, 64);
-        let mut p = p;
-        p[3] = Instr::Addi {
-            rd: reg::T2,
-            rs1: reg::T2,
-            imm: -597, // dst = src + 3
-        };
-        assert_fusion_parity(&p, 100_000, MemoryModel::Flat, &fill_dmem);
-    }
-
-    #[test]
     fn single_iteration_and_fallthrough_entry_match() {
         // cnt0 == 1: one iteration, back-edge never taken.
         assert_fusion_parity(
@@ -2024,39 +1897,8 @@ mod tests {
     fn zero_trip_count_wraps_and_times_out_identically() {
         // A do-while loop entered with cnt == 0 runs 2^32 iterations;
         // with a small budget both engines must time out at the same
-        // instruction, with identical partial memory effects.
-        let mut p = Vec::new();
-        p.extend(li_dmem(reg::T1, 0));
-        p.push(Instr::Addi {
-            rd: reg::T3,
-            rs1: reg::ZERO,
-            imm: 0,
-        });
-        p.extend([
-            Instr::Store {
-                op: StoreOp::Sb,
-                rs1: reg::T1,
-                rs2: reg::ZERO,
-                offset: 0,
-            },
-            Instr::Addi {
-                rd: reg::T1,
-                rs1: reg::T1,
-                imm: 1,
-            },
-            Instr::Addi {
-                rd: reg::T3,
-                rs1: reg::T3,
-                imm: -1,
-            },
-            Instr::Branch {
-                op: BranchOp::Bne,
-                rs1: reg::T3,
-                rs2: reg::ZERO,
-                offset: -12,
-            },
-            Instr::Ebreak,
-        ]);
+        // instruction, with identical partial register state.
+        let p = mac_program(false, 0);
         // Budgets hitting the loop at every phase: mid-iteration, on an
         // iteration boundary and right at the back-edge.
         for budget in [100, 101, 102, 103, 104, 4003] {
@@ -2096,18 +1938,12 @@ mod tests {
 
     #[test]
     fn out_of_bounds_stream_falls_back_and_faults_identically() {
-        // The copy runs off the end of data memory; the fused path must
-        // decline and the unfused trace must reproduce the exact fault.
-        let mut p = copy_program(LoadOp::Lw, StoreOp::Sw, 4, 4, 64);
-        p[2] = Instr::Lui {
-            rd: reg::T2,
-            imm: 0x100,
-        };
-        p[3] = Instr::Addi {
-            rd: reg::T2,
-            rs1: reg::T2,
-            imm: 16 * 1024 - 32, // 8 words of headroom for a 64-word copy
-        };
+        // The weight stream runs off the end of data memory; the fused
+        // path must decline and the unfused trace must reproduce the
+        // exact fault.
+        let mut p = mac_program(false, 64);
+        // 8 words of headroom for a 64-word stream.
+        p.splice(2..4, li_addr(reg::T2, true, 32));
         let (_, fused) = assert_fusion_parity(&p, 100_000, MemoryModel::Flat, &fill_dmem);
         assert!(
             fused.fusion_profile().is_empty(),
@@ -2122,16 +1958,13 @@ mod tests {
         cpu.load_program(&mac_program(false, 60)).unwrap();
         fill_dmem(&mut cpu);
         cpu.run(100_000).unwrap();
-        assert!(!cpu.fusion_profile().is_empty());
+        assert_eq!(cpu.fusion_profile(), [("mac_sdotp8", 1, 60)]);
         // Loading a new image invalidates the decoded blocks and the
-        // fusion counters; the copy loop then fuses from scratch.
-        cpu.load_program(&copy_program(LoadOp::Lw, StoreOp::Sw, 4, 4, 8))
-            .unwrap();
+        // fusion counters; the 4-bit loop then fuses from scratch.
+        cpu.load_program(&mac_program(true, 8)).unwrap();
         fill_dmem(&mut cpu);
         cpu.run(100_000).unwrap();
-        let profile = cpu.fusion_profile();
-        assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].0, "memcpy");
+        assert_eq!(cpu.fusion_profile(), [("mac_sdotp4", 1, 8)]);
     }
 
     #[test]
@@ -2183,8 +2016,8 @@ mod tests {
     /// the re-entry trace at the loop head carries it at start 0.
     fn conv_nest_program(w: i32, ch: i32) -> Vec<Instr> {
         let mut p = Vec::new();
-        p.extend(li_dmem(reg::A0, 0)); // xbase
-        p.extend(li_dmem(reg::S10, 512)); // wbase
+        p.extend(li_addr(reg::A0, false, 0)); // xbase
+        p.extend(li_addr(reg::S10, false, 512)); // wbase
         for (rd, imm) in [
             (reg::A4, w),
             (reg::A5, ch),
@@ -2455,106 +2288,7 @@ mod tests {
             }
         }
 
-        /// Materialises `DMEM_BASE + extra` (or `DMEM_BASE + 16K - back`
-        /// when probing the end of data memory) without exceeding the
-        /// 12-bit `addi` immediate.
-        fn li_addr(rd: u8, near_end: bool, extra: i32) -> [Instr; 2] {
-            if near_end {
-                [
-                    Instr::Lui { rd, imm: 0x104 }, // DMEM_BASE + 16 KiB
-                    Instr::Addi {
-                        rd,
-                        rs1: rd,
-                        imm: -extra,
-                    },
-                ]
-            } else {
-                [
-                    Instr::Lui { rd, imm: 0x100 },
-                    Instr::Addi {
-                        rd,
-                        rs1: rd,
-                        imm: extra,
-                    },
-                ]
-            }
-        }
-
         proptest! {
-            /// Random copy loops — all five load widths, signed and
-            /// unsigned, random strides (including zero and negative),
-            /// random overlap, random budgets and occasional streams that
-            /// run off the end of data memory — are bit-identical between
-            /// the fused and unfused engines, faults and timeouts
-            /// included.
-            #[test]
-            fn random_copy_loops_are_bit_identical(
-                which in 0..5usize,
-                ss in -8i32..9,
-                ds in -8i32..9,
-                count in 0i32..70,
-                src_extra in 600i32..1800,
-                dst_extra in 600i32..1800,
-                near_end_sel in 0u32..5,
-                budget in 1u64..1200,
-                seed in any::<u64>(),
-            ) {
-                let (load, store) = [
-                    (LoadOp::Lb, StoreOp::Sb),
-                    (LoadOp::Lbu, StoreOp::Sb),
-                    (LoadOp::Lh, StoreOp::Sh),
-                    (LoadOp::Lhu, StoreOp::Sw),
-                    (LoadOp::Lw, StoreOp::Sw),
-                ][which];
-                let near_end = near_end_sel == 0;
-                let mut p = Vec::new();
-                p.extend(li_addr(reg::T1, near_end, src_extra));
-                p.extend(li_addr(reg::T2, false, dst_extra));
-                p.push(Instr::Addi { rd: reg::T3, rs1: reg::ZERO, imm: count });
-                p.extend([
-                    Instr::Load { op: load, rd: reg::T4, rs1: reg::T1, offset: 0 },
-                    Instr::Store { op: store, rs1: reg::T2, rs2: reg::T4, offset: 0 },
-                    Instr::Addi { rd: reg::T1, rs1: reg::T1, imm: ss },
-                    Instr::Addi { rd: reg::T2, rs1: reg::T2, imm: ds },
-                    Instr::Addi { rd: reg::T3, rs1: reg::T3, imm: -1 },
-                    Instr::Branch { op: BranchOp::Bne, rs1: reg::T3, rs2: reg::ZERO, offset: -20 },
-                    Instr::Ebreak,
-                ]);
-                assert_fusion_parity(&p, budget, MemoryModel::Flat, &seeded_fill(seed));
-                assert_fusion_parity(&p, budget, MemoryModel::maupiti(), &seeded_fill(seed));
-            }
-
-            /// Random memset loops with every store width, random stride
-            /// and fill value (x0 included) are bit-identical.
-            #[test]
-            fn random_memset_loops_are_bit_identical(
-                which in 0..3usize,
-                stride in -8i32..9,
-                count in 0i32..70,
-                extra in 600i32..1800,
-                near_end_sel in 0u32..5,
-                zero_val in any::<bool>(),
-                fill in -2048i32..2048,
-                budget in 1u64..1200,
-                seed in any::<u64>(),
-            ) {
-                let store = [StoreOp::Sb, StoreOp::Sh, StoreOp::Sw][which];
-                let near_end = near_end_sel == 0;
-                let val = if zero_val { reg::ZERO } else { reg::A0 };
-                let mut p = Vec::new();
-                p.extend(li_addr(reg::T1, near_end, extra));
-                p.push(Instr::Addi { rd: reg::T3, rs1: reg::ZERO, imm: count });
-                p.push(Instr::Addi { rd: reg::A0, rs1: reg::ZERO, imm: fill });
-                p.extend([
-                    Instr::Store { op: store, rs1: reg::T1, rs2: val, offset: 0 },
-                    Instr::Addi { rd: reg::T1, rs1: reg::T1, imm: stride },
-                    Instr::Addi { rd: reg::T3, rs1: reg::T3, imm: -1 },
-                    Instr::Branch { op: BranchOp::Bne, rs1: reg::T3, rs2: reg::ZERO, offset: -12 },
-                    Instr::Ebreak,
-                ]);
-                assert_fusion_parity(&p, budget, MemoryModel::Flat, &seeded_fill(seed));
-            }
-
             /// Random SDOTP MAC reductions — both lane widths, random
             /// word strides (unaligned included: data memory has no
             /// alignment requirement), random budgets — are

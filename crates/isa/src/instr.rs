@@ -311,9 +311,13 @@ fn sext(value: u32, bits: u32) -> i32 {
 
 impl Instr {
     /// Encodes the instruction as a 32-bit RISC-V word.
+    ///
+    /// Immediates must fit their encoding field (e.g. 12 signed bits for
+    /// `addi`): the encoder keeps only the field's bits, so debug builds
+    /// check that the word decodes back to `self`.
     pub fn encode(self) -> u32 {
         use Instr::*;
-        match self {
+        let word = match self {
             Lui { rd, imm } => enc_u(imm, rd, OPC_LUI),
             Auipc { rd, imm } => enc_u(imm, rd, OPC_AUIPC),
             Jal { rd, offset } => enc_j(offset, rd, OPC_JAL),
@@ -393,7 +397,9 @@ impl Instr {
             Sdotp4 { rd, rs1, rs2 } => enc_r(0, rs2, rs1, 1, rd, OPC_CUSTOM0),
             Ecall => 0x0000_0073,
             Ebreak => 0x0010_0073,
-        }
+        };
+        debug_assert_eq!(decode(word), Ok(self), "{self:?} does not fit its encoding");
+        word
     }
 
     /// Returns `true` for the SDOTP extension instructions.
@@ -998,6 +1004,19 @@ mod tests {
         }
         .encode();
         assert_eq!(decode(w4).unwrap().mnemonic(), "sdotp4");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not fit its encoding")]
+    fn out_of_range_immediates_are_caught_in_debug_builds() {
+        // 16 KiB - 32 needs 15 bits; `addi` has 12.
+        let _ = Instr::Addi {
+            rd: 7,
+            rs1: 7,
+            imm: 16 * 1024 - 32,
+        }
+        .encode();
     }
 
     #[test]

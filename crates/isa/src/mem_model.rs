@@ -441,7 +441,7 @@ mod tests {
             assert_loop_agrees(&cfg, &mac, &[], 0, 4, iters);
             assert_loop_agrees(&cfg, &mac, &[], 0, 2, iters);
         }
-        // Short memset body, and a deep window that outlives the body.
+        // Short single-load body, and a deep window that outlives the body.
         assert_loop_agrees(&cfg, &[true, false, false, false], &[], 0, 3, 5);
         let deep = MaupitiMemConfig {
             prefetch_entries: 16,

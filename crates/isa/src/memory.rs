@@ -177,13 +177,6 @@ impl Memory {
         &self.dmem
     }
 
-    /// Mutable data memory as a raw byte slice, for fused-loop execution
-    /// whose addresses have already been bounds-checked.
-    #[inline]
-    pub(crate) fn dmem_mut(&mut self) -> &mut [u8] {
-        &mut self.dmem
-    }
-
     /// Overwrites both memory images with `other`'s, in place (no
     /// reallocation). Used by [`crate::Cpu::restore_from`] to re-warm a
     /// faulted CPU from a pristine base without cloning fresh buffers.

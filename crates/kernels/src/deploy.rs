@@ -7,7 +7,7 @@ use crate::pool::CpuPool;
 use pcount_isa::{reg, Cpu, ExecMode, HotBlock, MemStats, MemoryModel, PipelineStats, SimError};
 use pcount_quant::{argmax, QuantizedCnn};
 use pcount_tensor::Tensor;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The execution target of a deployment.
@@ -251,8 +251,8 @@ impl Deployment {
     }
 
     /// Whether the block-cached engine lowers recognised loop idioms
-    /// (SDOTP MAC reductions, memset/memcpy/strided copies) to fused
-    /// host-level loops.
+    /// (SDOTP MAC channel loops and conv3x3 kernel-x guard nests) to
+    /// fused host-level loops.
     pub fn macro_fusion(&self) -> bool {
         self.base_cpu.macro_fusion()
     }
@@ -529,9 +529,10 @@ fn build_program(
     let simd = target.uses_simd();
     let mut asm = Assembler::new();
 
-    // Kernel labels, deduplicated by variant.
-    let mut conv_kernels: HashMap<String, KernelVariant> = HashMap::new();
-    let mut fc_kernels: HashMap<String, KernelVariant> = HashMap::new();
+    // Kernel labels, deduplicated by variant. Ordered maps emit the
+    // bodies in label order, so every build lays the program out alike.
+    let mut conv_kernels: BTreeMap<String, KernelVariant> = BTreeMap::new();
+    let mut fc_kernels: BTreeMap<String, KernelVariant> = BTreeMap::new();
     let conv_label = |v: KernelVariant| format!("conv3x3_{}", v.suffix());
     let fc_label = |v: KernelVariant| format!("fc_{}", v.suffix());
 
@@ -755,6 +756,34 @@ mod tests {
             Target::Ibex,
             3,
         );
+    }
+
+    #[test]
+    fn program_layout_is_identical_across_builds() {
+        for assignment in [
+            PrecisionAssignment::uniform(Precision::Int8),
+            PrecisionAssignment::new([
+                Precision::Int8,
+                Precision::Int4,
+                Precision::Int4,
+                Precision::Int4,
+            ]),
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let cfg = CnnConfig::seed().with_channels(5, 6, 10);
+            let net = cfg.build(&mut rng);
+            let folded = fold_sequential(cfg, &net).expect("fold");
+            let model = QuantizedCnn::from_qat(&QatCnn::from_folded(&folded, assignment));
+            let plan = MemoryPlan::new(&model);
+            let first = build_program(&model, &plan, Target::Maupiti).expect("assemble");
+            for _ in 1..16 {
+                assert_eq!(
+                    build_program(&model, &plan, Target::Maupiti).expect("assemble"),
+                    first,
+                    "{assignment}: kernel layout changed between builds"
+                );
+            }
+        }
     }
 
     #[test]

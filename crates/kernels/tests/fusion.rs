@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A small trained + quantised CNN and a batch of sample frames.
-fn deployed_model(seed: u64, precision: Precision) -> (QuantizedCnn, Tensor) {
+fn deployed_model(seed: u64, assignment: PrecisionAssignment) -> (QuantizedCnn, Tensor) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 24usize;
     let mut x = Tensor::zeros(&[n, 1, 8, 8]);
@@ -43,7 +43,7 @@ fn deployed_model(seed: u64, precision: Precision) -> (QuantizedCnn, Tensor) {
     };
     let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
     let folded = fold_sequential(cfg, &net).expect("fold");
-    let mut qat = QatCnn::from_folded(&folded, PrecisionAssignment::uniform(precision));
+    let mut qat = QatCnn::from_folded(&folded, assignment);
     qat.calibrate(&x);
     (QuantizedCnn::from_qat(&qat), x)
 }
@@ -64,7 +64,7 @@ fn deployment(
 
 #[test]
 fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
-    let (model, x) = deployed_model(31, Precision::Int8);
+    let (model, x) = deployed_model(31, PrecisionAssignment::uniform(Precision::Int8));
     for target in [Target::Maupiti, Target::Ibex] {
         let fresh = Deployment::new(&model, target).expect("deploy");
         assert!(fresh.macro_fusion(), "fusion is on by default");
@@ -94,7 +94,7 @@ fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
 
 #[test]
 fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
-    let (model, x) = deployed_model(32, Precision::Int4);
+    let (model, x) = deployed_model(32, PrecisionAssignment::uniform(Precision::Int4));
     let n = 8usize;
     let batch = Tensor::from_vec(x.data()[..n * 64].to_vec(), &[n, 1, 8, 8]);
     let fused = deployment(
@@ -130,45 +130,64 @@ fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
 
 #[test]
 fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
-    let (model, x) = deployed_model(33, Precision::Int8);
-    let d = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        MemoryModel::Flat,
-        true,
-    );
-    let frame = &x.data()[..64];
-    let run = d.run_frame(frame).expect("run");
-    let hot = d.hottest_blocks(frame, 32).expect("profile");
-    // The MAC channel loops dominate the deployed CNN; they must be
-    // recognised and actually executed through the fused path.
-    let fused_blocks: Vec<_> = hot.iter().filter(|b| b.fused_kind.is_some()).collect();
-    assert!(
-        !fused_blocks.is_empty(),
-        "no fused traces on the deployed CNN"
-    );
-    assert!(
-        fused_blocks
-            .iter()
-            .any(|b| b.fused_kind == Some("mac_sdotp8")),
-        "the SDOTP channel loop idiom must fuse: {fused_blocks:?}"
-    );
-    let fused_iters: u64 = fused_blocks.iter().map(|b| b.fused_iterations).sum();
-    assert!(fused_iters > 100, "fusion barely fired: {fused_iters}");
-    // Attribution invariants survive fusion: per-block retired
-    // instructions still sum to the whole inference, and fused cycles
-    // stay within each block's share of the run.
-    let attributed: u64 = hot.iter().map(|b| b.instructions).sum();
-    assert_eq!(attributed, run.instructions);
-    let fused_cycles: u64 = fused_blocks.iter().map(|b| b.fused_cycles).sum();
-    assert!(fused_cycles > 0);
-    assert!(fused_cycles < run.cycles);
+    // The loop shapes the kernel generator emits: the conv3x3 guard nest
+    // and the SDOTP channel loop at both lane widths.
+    const DEPLOYED: [&str; 3] = ["conv3x3_nest", "mac_sdotp4", "mac_sdotp8"];
+    for assignment in PrecisionAssignment::first_layer_int8_combinations() {
+        let (model, x) = deployed_model(33, assignment);
+        let frame = &x.data()[..64];
+        for target in [Target::Maupiti, Target::Ibex] {
+            let d = deployment(
+                &model,
+                target,
+                ExecMode::BlockCached,
+                MemoryModel::Flat,
+                true,
+            );
+            let run = d.run_frame(frame).expect("run");
+            let profile = d.fusion_profile(frame).expect("fusion profile");
+            let hot = d.hottest_blocks(frame, usize::MAX).expect("profile");
+            // Attribution invariant: per-block retired instructions
+            // still sum to the whole inference.
+            let attributed: u64 = hot.iter().map(|b| b.instructions).sum();
+            assert_eq!(attributed, run.instructions, "{assignment} {target}");
+            let fused_blocks: Vec<_> = hot.iter().filter(|b| b.fused_kind.is_some()).collect();
+            if target == Target::Ibex {
+                // The scalar channel loops match no idiom.
+                assert!(profile.is_empty(), "{assignment} {target}: {profile:?}");
+                assert!(fused_blocks.is_empty(), "{assignment} {target}");
+                continue;
+            }
+            assert!(
+                profile.iter().any(|(name, ..)| *name == "conv3x3_nest"),
+                "{assignment} {target}: the conv3x3 guard nest must fuse: {profile:?}"
+            );
+            assert!(
+                profile
+                    .iter()
+                    .any(|(name, ..)| name.starts_with("mac_sdotp")),
+                "{assignment} {target}: the SDOTP channel loop must fuse: {profile:?}"
+            );
+            assert!(
+                profile.iter().all(|(name, ..)| DEPLOYED.contains(name)),
+                "{assignment} {target}: unexpected idiom in {profile:?}"
+            );
+            let fused_iters: u64 = fused_blocks.iter().map(|b| b.fused_iterations).sum();
+            assert!(
+                fused_iters > 100,
+                "{assignment} {target}: fusion barely fired: {fused_iters}"
+            );
+            // Fused cycles stay within the run.
+            let fused_cycles: u64 = fused_blocks.iter().map(|b| b.fused_cycles).sum();
+            assert!(fused_cycles > 0, "{assignment} {target}");
+            assert!(fused_cycles < run.cycles, "{assignment} {target}");
+        }
+    }
 }
 
 #[test]
 fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
-    let (model, x) = deployed_model(34, Precision::Int8);
+    let (model, x) = deployed_model(34, PrecisionAssignment::uniform(Precision::Int8));
     let frame = &x.data()[..64];
     let full = deployment(
         &model,

@@ -84,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Hot-spot profile: the superblocks where the MAUPITI inference spends
     // its instructions and memory stalls, as machine-readable JSON. The
     // fused_* columns show which blocks the block engine ran as macro-op
-    // fused loops (SDOTP channel loops, conv3x3 guard nests, memset/copy)
-    // and how many loop iterations each fused entry absorbed.
+    // fused loops (SDOTP channel loops and conv3x3 guard nests) and how
+    // many loop iterations each fused entry absorbed.
     let mut profiled = Deployment::new(&model, Target::Maupiti)?;
     profiled.set_memory_model(MemoryModel::maupiti());
     let hot = profiled.hottest_blocks(frame, 5)?;
