@@ -13,39 +13,21 @@
 //! reads the file back and checks that the fusion columns are populated.
 //!
 //! `BENCH_SMOKE=1` (used by CI) shrinks every measurement window to a
-//! handful of iterations and skips the wall-clock assertions — the
-//! bit-identity checks across engines, memory models, fusion and thread
-//! counts and the `BENCH_isa.json` checks still run, so engine
-//! regressions fail fast without timing noise.
+//! handful of iterations, skips the wall-clock assertions and writes
+//! `target/bench-smoke/BENCH_isa.json` instead — the bit-identity checks
+//! across engines, memory models, fusion and thread counts and the
+//! read-back checks still run, so engine regressions fail fast without
+//! timing noise.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pcount_bench::demo_int8_model;
+use pcount_bench::{calls_per_s, demo_int8_model, smoke_mode, write_bench_json};
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
-use pcount_telemetry::{parse_json, JsonValue};
+use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
-use std::time::Instant;
 
 /// Worker threads used for the parallel-batch measurement.
 const PARALLEL_THREADS: usize = 4;
-
-/// Where the bench writes its numbers: the workspace root.
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_isa.json");
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Per-measurement wall-clock budget in seconds.
-fn measure_secs() -> f64 {
-    if smoke_mode() {
-        0.02
-    } else {
-        1.0
-    }
-}
 
 fn deployment_with_mode(model: &QuantizedCnn, mode: ExecMode) -> Deployment {
     deployment_with(model, mode, MemoryModel::Flat)
@@ -61,18 +43,8 @@ fn deployment_with(model: &QuantizedCnn, mode: ExecMode, mem: MemoryModel) -> De
 /// Measures sustained simulated instructions/second of the serial
 /// per-frame path.
 fn measure_ips(deployment: &Deployment, frame: &[f32]) -> f64 {
-    let per_frame = deployment.run_frame(frame).expect("warmup").instructions;
-    let budget = measure_secs();
-    let start = Instant::now();
-    let mut frames = 0u64;
-    loop {
-        black_box(deployment.run_frame(black_box(frame)).expect("run"));
-        frames += 1;
-        if start.elapsed().as_secs_f64() >= budget {
-            break;
-        }
-    }
-    (frames * per_frame) as f64 / start.elapsed().as_secs_f64()
+    let per_frame = deployment.run_frame(frame).expect("run").instructions;
+    per_frame as f64 * calls_per_s(|| deployment.run_frame(black_box(frame)).expect("run"))
 }
 
 /// Measures sustained simulated instructions/second of the pooled batch
@@ -84,25 +56,16 @@ fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) ->
     // warmup batch instead of extrapolating from one frame.
     let per_batch: u64 = deployment
         .run_batch(batch, &pool)
-        .expect("warmup")
+        .expect("batch")
         .iter()
         .map(|r| r.instructions)
         .sum();
-    let budget = measure_secs();
-    let start = Instant::now();
-    let mut batches = 0u64;
-    loop {
-        black_box(
+    per_batch as f64
+        * calls_per_s(|| {
             deployment
                 .run_batch(black_box(batch), &pool)
-                .expect("batch"),
-        );
-        batches += 1;
-        if start.elapsed().as_secs_f64() >= budget {
-            break;
-        }
-    }
-    (batches * per_batch) as f64 / start.elapsed().as_secs_f64()
+                .expect("batch")
+        })
 }
 
 /// Asserts bit-identical logits/instret across every execution strategy;
@@ -161,34 +124,18 @@ fn check_bit_identity(model: &QuantizedCnn, batch: &Tensor) {
     }
 }
 
-fn write_bench_json(lines: &[(&str, String)]) {
-    let body: Vec<String> = lines
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    if let Err(e) = std::fs::write(BENCH_JSON, &json) {
-        eprintln!("warning: could not write {BENCH_JSON}: {e}");
-    } else {
-        println!("wrote {BENCH_JSON}");
-    }
-}
-
-/// Reads `BENCH_isa.json` back and checks that its fusion columns are
-/// populated: the fused engine must hit the conv3x3 guard nest and the
-/// SDOTP channel loops, and the hot-block profile must carry the
-/// fused-loop attribution columns.
-fn validate_bench_json() {
-    let text = std::fs::read_to_string(BENCH_JSON).expect("read back BENCH_isa.json");
-    let bench = parse_json(&text).expect("BENCH_isa.json parses");
+/// Checks the `BENCH_isa.json` read back from disk: the fused engine
+/// must hit the conv3x3 guard nest and the SDOTP channel loops, and the
+/// hot-block profile must carry the fused-loop attribution columns.
+fn validate_bench_json(bench: &JsonValue) {
     let num = |value: &JsonValue, key: &str| {
         value
             .get(key)
             .and_then(JsonValue::as_f64)
             .unwrap_or_else(|| panic!("{key} is not a number in {value:?}"))
     };
-    assert!(num(&bench, "fusion_speedup") > 0.0);
-    assert!(num(&bench, "ips_block_cached_nofusion") > 0.0);
+    assert!(num(bench, "fusion_speedup") > 0.0);
+    assert!(num(bench, "ips_block_cached_nofusion") > 0.0);
     let Some(JsonValue::Object(hits)) = bench.get("fusion_hits") else {
         panic!("fusion_hits is not an object");
     };
@@ -334,63 +281,49 @@ fn bench_engine_throughput(c: &mut Criterion) {
             .any(|&(kind, _, iters)| kind == "mac_sdotp8" && iters > 0),
         "the SDOTP channel loops must run through the fused path"
     );
-    let fusion_hits_json = format!(
-        "{{{}}}",
-        fusion_profile
-            .iter()
-            .map(|(kind, entries, iterations)| format!(
-                "\"{kind}\": {{\"entries\": {entries}, \"iterations\": {iterations}}}"
-            ))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let fusion_hits =
+        JsonValue::object(fusion_profile.iter().map(|&(kind, entries, iterations)| {
+            (
+                kind,
+                JsonValue::object([
+                    ("entries", entries.into()),
+                    ("iterations", iterations.into()),
+                ]),
+            )
+        }));
 
-    write_bench_json(&[
-        ("bench", "\"isa_throughput\"".into()),
-        (
-            "mode",
-            format!("\"{}\"", if smoke { "smoke" } else { "full" }),
-        ),
-        ("host", pcount_bench::host_metadata_json(smoke)),
-        ("host_threads", host_threads.to_string()),
-        ("parallel_threads", PARALLEL_THREADS.to_string()),
-        ("ips_simple", format!("{ips_simple:.3e}")),
-        ("ips_block_cached", format!("{ips_cached:.3e}")),
-        (
-            "ips_simple_maupiti_mem",
-            format!("{ips_maupiti_simple:.3e}"),
-        ),
-        (
-            "ips_block_cached_maupiti_mem",
-            format!("{ips_maupiti_cached:.3e}"),
-        ),
-        ("ips_parallel", format!("{ips_parallel:.3e}")),
-        ("engine_speedup", format!("{speedup:.3}")),
-        (
-            "engine_speedup_maupiti_mem",
-            format!("{speedup_maupiti:.3}"),
-        ),
-        ("ips_block_cached_nofusion", format!("{ips_nofusion:.3e}")),
-        ("fusion_speedup", format!("{fusion_speedup:.3}")),
-        ("fusion_hits", fusion_hits_json),
-        ("parallel_scaling", format!("{scaling:.3}")),
-        ("cycles_per_inference_flat", run_flat.cycles.to_string()),
-        (
-            "cycles_per_inference_maupiti",
-            run_maupiti.cycles.to_string(),
-        ),
-        ("maupiti_cycle_delta", format!("{cycle_delta:.4}")),
-        (
-            "maupiti_imem_stall_cycles",
-            run_maupiti.mem.imem_stall_cycles.to_string(),
-        ),
-        (
-            "maupiti_dmem_stall_cycles",
-            run_maupiti.mem.dmem_stall_cycles.to_string(),
-        ),
-        ("hot_blocks", hot_blocks_json(&hot_blocks)),
-    ]);
-    validate_bench_json();
+    let bench = write_bench_json(
+        "BENCH_isa.json",
+        "isa_throughput",
+        [
+            ("host_threads", host_threads.into()),
+            ("parallel_threads", PARALLEL_THREADS.into()),
+            ("ips_simple", ips_simple.into()),
+            ("ips_block_cached", ips_cached.into()),
+            ("ips_simple_maupiti_mem", ips_maupiti_simple.into()),
+            ("ips_block_cached_maupiti_mem", ips_maupiti_cached.into()),
+            ("ips_parallel", ips_parallel.into()),
+            ("engine_speedup", speedup.into()),
+            ("engine_speedup_maupiti_mem", speedup_maupiti.into()),
+            ("ips_block_cached_nofusion", ips_nofusion.into()),
+            ("fusion_speedup", fusion_speedup.into()),
+            ("fusion_hits", fusion_hits),
+            ("parallel_scaling", scaling.into()),
+            ("cycles_per_inference_flat", run_flat.cycles.into()),
+            ("cycles_per_inference_maupiti", run_maupiti.cycles.into()),
+            ("maupiti_cycle_delta", cycle_delta.into()),
+            (
+                "maupiti_imem_stall_cycles",
+                run_maupiti.mem.imem_stall_cycles.into(),
+            ),
+            (
+                "maupiti_dmem_stall_cycles",
+                run_maupiti.mem.dmem_stall_cycles.into(),
+            ),
+            ("hot_blocks", hot_blocks_json(&hot_blocks)),
+        ],
+    );
+    validate_bench_json(&bench);
 
     if smoke {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");

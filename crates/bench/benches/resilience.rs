@@ -15,18 +15,19 @@
 //! * the sweep's SLO snapshot carries the retry, fallback, quarantine
 //!   and fault counters, and the written `BENCH_robust.json` parses back
 //!   with its `robustness.points` and `robustness.slo.counters` blocks.
+//!
+//! `BENCH_SMOKE=1` runs a shorter stream, skips the criterion timing and
+//! writes `target/bench-smoke/BENCH_robust.json` instead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pcount_bench::{smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_kernels::{Deployment, Target};
 use pcount_resilience::{
     evaluate_robustness, FaultConfig, FaultPlan, ResilienceConfig, ResilientDeployment, TickStatus,
 };
-use pcount_telemetry::{parse_json, JsonValue};
+use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
-
-/// Where the bench writes its numbers: the workspace root.
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_robust.json");
 
 /// Seed of the demo model, the streamed session and the fault plans.
 const SEED: u64 = 7;
@@ -36,12 +37,6 @@ const FAULT_SEED: u64 = 123;
 const POOL_THREADS: usize = 4;
 /// Intensity axis of the reported robustness curve.
 const INTENSITIES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// The deployed demo model plus a labelled IR frame stream (the first
 /// `n` frames of a held-out session, in temporal order).
@@ -76,24 +71,9 @@ fn check_transparent_when_healthy(d: &Deployment, frames: &Tensor) {
     }
 }
 
-fn write_bench_json(lines: &[(&str, String)]) {
-    let body: Vec<String> = lines
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    if let Err(e) = std::fs::write(BENCH_JSON, &json) {
-        eprintln!("warning: could not write {BENCH_JSON}: {e}");
-    } else {
-        println!("wrote {BENCH_JSON}");
-    }
-}
-
-/// Reads `BENCH_robust.json` back and checks that it parses with a
-/// non-empty sweep and an SLO counter block.
-fn validate_bench_json() {
-    let text = std::fs::read_to_string(BENCH_JSON).expect("read back BENCH_robust.json");
-    let bench = parse_json(&text).expect("BENCH_robust.json parses");
+/// Checks the `BENCH_robust.json` read back from disk: a non-empty sweep
+/// and an SLO counter block.
+fn validate_bench_json(bench: &JsonValue) {
     let robust = bench.get("robustness").expect("robustness block");
     let points = robust
         .get("points")
@@ -133,7 +113,7 @@ fn bench_resilience(c: &mut Criterion) {
         POOL_THREADS,
     )
     .expect("sweep");
-    let json = report.to_json();
+    let json = JsonValue::from(&report);
 
     // Chaos-smoke gate (a): every stream completed — one outcome per
     // tick, faults absorbed as retries/fallbacks/holds, never an abort.
@@ -171,7 +151,7 @@ fn bench_resilience(c: &mut Criterion) {
     pcount_telemetry::set_enabled(false);
     assert_eq!(
         json,
-        again.to_json(),
+        JsonValue::from(&again),
         "sweep not reproducible across runs/pool widths"
     );
     // The SLO counter block is present and accounted; the written JSON
@@ -206,19 +186,17 @@ fn bench_resilience(c: &mut Criterion) {
         );
     }
 
-    write_bench_json(&[
-        ("bench", "\"resilience\"".into()),
-        (
-            "mode",
-            format!("\"{}\"", if smoke { "smoke" } else { "full" }),
-        ),
-        ("host", pcount_bench::host_metadata_json(smoke)),
-        ("frames", n.to_string()),
-        ("pool_threads", POOL_THREADS.to_string()),
-        ("fault_seed", FAULT_SEED.to_string()),
-        ("robustness", json),
-    ]);
-    validate_bench_json();
+    let bench = write_bench_json(
+        "BENCH_robust.json",
+        "resilience",
+        [
+            ("frames", n.into()),
+            ("pool_threads", POOL_THREADS.into()),
+            ("fault_seed", FAULT_SEED.into()),
+            ("robustness", json),
+        ],
+    );
+    validate_bench_json(&bench);
 
     if smoke {
         println!("BENCH_SMOKE=1: criterion timing skipped");

@@ -23,17 +23,18 @@
 //!   inside the static envelope;
 //! * the written `BENCH_serve.json` parses back with every block its
 //!   readers use.
+//!
+//! `BENCH_SMOKE=1` runs the shorter smoke fleet, skips the criterion
+//! timing and writes `target/bench-smoke/BENCH_serve.json` instead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pcount_bench::{smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
 };
 use pcount_kernels::{Deployment, Target};
-use pcount_telemetry::{parse_json, JsonValue};
-
-/// Where the bench writes its numbers: the workspace root.
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+use pcount_telemetry::JsonValue;
 
 /// Seed of the demo model and the dataset nodes replay.
 const SEED: u64 = 7;
@@ -41,12 +42,6 @@ const SEED: u64 = 7;
 const FLEET_SEED: u64 = 4242;
 /// Worker threads of the reported runs.
 const POOL_THREADS: usize = 4;
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// Base fleet configuration of the bench: the smoke fleet keeps the
 /// ≥200-node floor but shortens each node's window.
@@ -115,24 +110,11 @@ fn check_reproducible(deployment: &Deployment, data: &IrDataset, cfg: &FleetConf
         "occupancy trajectory diverged across pool widths"
     );
     assert_eq!(
-        a.to_json(),
-        b.to_json(),
+        JsonValue::from(&a),
+        JsonValue::from(&b),
         "fleet report diverged across pool widths"
     );
     a.occupancy.hash_hex()
-}
-
-fn write_bench_json(lines: &[(&str, String)]) {
-    let body: Vec<String> = lines
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    if let Err(e) = std::fs::write(BENCH_JSON, &json) {
-        eprintln!("warning: could not write {BENCH_JSON}: {e}");
-    } else {
-        println!("wrote {BENCH_JSON}");
-    }
 }
 
 /// The member of `value` at the dot-separated `path`.
@@ -157,14 +139,12 @@ fn require(value: &JsonValue, paths: &str) {
     }
 }
 
-/// Reads `BENCH_serve.json` back and checks that it parses with every
-/// block its readers use: each fleet report's latency, counters and
-/// per-shard detail, the crash storm's failover events and the
-/// determinism digests.
-fn validate_bench_json() {
-    let text = std::fs::read_to_string(BENCH_JSON).expect("read back BENCH_serve.json");
-    let bench = parse_json(&text).expect("BENCH_serve.json parses");
-    let serve = member(&bench, "serve");
+/// Checks the `BENCH_serve.json` read back from disk for every block its
+/// readers use: each fleet report's latency, counters and per-shard
+/// detail, the crash storm's failover events and the determinism
+/// digests.
+fn validate_bench_json(bench: &JsonValue) {
+    let serve = member(bench, "serve");
     let ramp = array(serve, "ramp");
     assert!(!ramp.is_empty(), "load ramp has no levels");
     let mut reports = Vec::new();
@@ -256,10 +236,10 @@ fn bench_serve(c: &mut Criterion) {
             report.queue_depth_peak,
             report.worst_shard_burn_milli,
         );
-        ramp_entries.push(format!(
-            "{{\"frame_period_ms\":{period},\"report\":{}}}",
-            report.to_json()
-        ));
+        ramp_entries.push(JsonValue::object([
+            ("frame_period_ms", period.into()),
+            ("report", (&report).into()),
+        ]));
     }
 
     // Fault storm: a third of the fleet at intensity 0.6 for the middle
@@ -428,33 +408,37 @@ fn bench_serve(c: &mut Criterion) {
     let failover_hash = check_reproducible(&deployment, &data, &crash_cfg);
     pcount_telemetry::set_enabled(false);
 
-    write_bench_json(&[
-        ("bench", "\"serve\"".into()),
+    let serve = JsonValue::object([
+        ("ramp", JsonValue::Array(ramp_entries)),
+        ("storm", (&storm_report).into()),
+        ("crash_storm", (&crash_report).into()),
         (
-            "mode",
-            format!("\"{}\"", if smoke { "smoke" } else { "full" }),
+            "adaptive",
+            JsonValue::object([
+                ("static", (&static_report).into()),
+                ("adaptive", (&adaptive_report).into()),
+            ]),
         ),
-        ("host", pcount_bench::host_metadata_json(smoke)),
-        ("fleet_seed", FLEET_SEED.to_string()),
-        ("pool_threads", POOL_THREADS.to_string()),
         (
-            "serve",
-            format!(
-                "{{\"ramp\":[{}],\"storm\":{},\"crash_storm\":{},\
-                 \"adaptive\":{{\"static\":{},\"adaptive\":{}}},\"determinism\":{{\
-                 \"occupancy_hash\":\"{}\",\"failover_occupancy_hash\":\"{}\",\
-                 \"pool_widths\":[1,4],\"bit_identical\":true}}}}",
-                ramp_entries.join(","),
-                storm_report.to_json(),
-                crash_report.to_json(),
-                static_report.to_json(),
-                adaptive_report.to_json(),
-                occupancy_hash,
-                failover_hash,
-            ),
+            "determinism",
+            JsonValue::object([
+                ("occupancy_hash", occupancy_hash.into()),
+                ("failover_occupancy_hash", failover_hash.into()),
+                ("pool_widths", JsonValue::array([1u64, 4])),
+                ("bit_identical", true.into()),
+            ]),
         ),
     ]);
-    validate_bench_json();
+    let bench = write_bench_json(
+        "BENCH_serve.json",
+        "serve",
+        [
+            ("fleet_seed", FLEET_SEED.into()),
+            ("pool_threads", POOL_THREADS.into()),
+            ("serve", serve),
+        ],
+    );
+    validate_bench_json(&bench);
 
     if smoke {
         println!("BENCH_SMOKE=1: criterion timing skipped");

@@ -11,13 +11,15 @@
 //! workspace root so the perf trajectory stays machine-readable across
 //! PRs.
 //!
-//! `BENCH_SMOKE=1` (used by CI) skips the wall-clock assertions and
-//! shrinks every measurement window — the GEMM-vs-naive equivalence
-//! checks, the parallel-GEMM bit-identity tripwire and the thread-count
-//! determinism check still run in full, so training engine regressions
-//! fail fast without timing noise.
+//! `BENCH_SMOKE=1` (used by CI) skips the wall-clock assertions, shrinks
+//! every measurement window and writes
+//! `target/bench-smoke/BENCH_train.json` instead — the GEMM-vs-naive
+//! equivalence checks, the parallel-GEMM bit-identity tripwire and the
+//! thread-count determinism check still run in full, so training engine
+//! regressions fail fast without timing noise.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
 use pcount_core::FoldTrainJob;
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_nn::{CnnConfig, Conv2d, Layer, TrainConfig};
@@ -33,21 +35,6 @@ const PARALLEL_THREADS: usize = 4;
 
 /// Pool width used for the parallel-GEMM scaling measurement.
 const GEMM_THREADS: usize = 4;
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Per-measurement wall-clock budget in seconds.
-fn measure_secs() -> f64 {
-    if smoke_mode() {
-        0.02
-    } else {
-        1.0
-    }
-}
 
 /// The convolution workload: conv2 of the paper's scaled-down seed (the
 /// widest layer of the deployed CNNs) on a training-sized batch.
@@ -86,22 +73,6 @@ impl ConvWorkload {
         let y = self.conv.forward_naive_with_weight(&self.x, &self.weight);
         black_box(self.conv.backward_naive_with_weight(&y, &self.weight));
     }
-}
-
-/// Sustained images/second of a forward+backward step function.
-fn measure_images_per_s(mut step: impl FnMut(), batch: usize) -> f64 {
-    step(); // warmup
-    let budget = measure_secs();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    loop {
-        step();
-        iters += 1;
-        if start.elapsed().as_secs_f64() >= budget {
-            break;
-        }
-    }
-    (iters * batch as u64) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Holds the GEMM conv path to the naive reference on the bench workload;
@@ -205,20 +176,8 @@ fn check_gemm_parallel_bit_identity(w: &GemmWorkload) -> bool {
 fn measure_gemm_products_per_s(w: &GemmWorkload, width: usize) -> f64 {
     let pool = Pool::new(width);
     let mut c = vec![0.0f32; w.m * w.n];
-    install(&pool, || {
-        w.run(&mut c); // warmup (spins the workers up)
-        let budget = measure_secs();
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            w.run(black_box(&mut c));
-            iters += 1;
-            if start.elapsed().as_secs_f64() >= budget {
-                break;
-            }
-        }
-        iters as f64 / start.elapsed().as_secs_f64()
-    })
+    // The warm-up call spins the workers up.
+    install(&pool, || calls_per_s(|| w.run(black_box(&mut c))))
 }
 
 /// The per-fold training workload measured for scaling: the quick-flow
@@ -310,20 +269,6 @@ fn check_fold_determinism() {
     }
 }
 
-fn write_bench_json(lines: &[(&str, String)]) {
-    let body: Vec<String> = lines
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
 fn bench_train_throughput(c: &mut Criterion) {
     let smoke = smoke_mode();
 
@@ -353,8 +298,8 @@ fn bench_train_throughput(c: &mut Criterion) {
     // --- GEMM vs naive conv images/s ------------------------------------
     let mut w = ConvWorkload::new(3);
     let batch = w.batch;
-    let ips_naive = measure_images_per_s(|| w.step_naive(), batch);
-    let ips_gemm = measure_images_per_s(|| w.step_gemm(), batch);
+    let ips_naive = batch as f64 * calls_per_s(|| w.step_naive());
+    let ips_gemm = batch as f64 * calls_per_s(|| w.step_gemm());
     let conv_speedup = ips_gemm / ips_naive;
 
     // --- Serial vs pool-parallel GEMM -----------------------------------
@@ -420,35 +365,27 @@ fn bench_train_throughput(c: &mut Criterion) {
         util
     };
 
-    write_bench_json(&[
-        ("bench", "\"train_throughput\"".into()),
-        (
-            "mode",
-            format!("\"{}\"", if smoke { "smoke" } else { "full" }),
-        ),
-        ("host", pcount_bench::host_metadata_json(smoke)),
-        ("host_threads", host_threads.to_string()),
-        ("conv_batch", batch.to_string()),
-        ("images_per_s_naive", format!("{ips_naive:.3e}")),
-        ("images_per_s_gemm", format!("{ips_gemm:.3e}")),
-        ("conv_speedup", format!("{conv_speedup:.3}")),
-        ("gemm_threads", GEMM_THREADS.to_string()),
-        (
-            "gemm_parallel_speedup",
-            format!("{gemm_parallel_speedup:.3}"),
-        ),
-        (
-            "gemm_parallel_bit_identical",
-            gemm_bit_identical.to_string(),
-        ),
-        ("fold_count", folds.len().to_string()),
-        ("fold_workers", fold_workers.to_string()),
-        ("fold_serial_s", format!("{fold_serial_s:.3}")),
-        ("fold_parallel_s", format!("{fold_parallel_s:.3}")),
-        ("fold_scaling", format!("{fold_scaling:.3}")),
-        ("fold_efficiency", format!("{fold_efficiency:.3}")),
-        ("pool_utilization", pool_utilization.to_json()),
-    ]);
+    write_bench_json(
+        "BENCH_train.json",
+        "train_throughput",
+        [
+            ("host_threads", host_threads.into()),
+            ("conv_batch", batch.into()),
+            ("images_per_s_naive", ips_naive.into()),
+            ("images_per_s_gemm", ips_gemm.into()),
+            ("conv_speedup", conv_speedup.into()),
+            ("gemm_threads", GEMM_THREADS.into()),
+            ("gemm_parallel_speedup", gemm_parallel_speedup.into()),
+            ("gemm_parallel_bit_identical", gemm_bit_identical.into()),
+            ("fold_count", folds.len().into()),
+            ("fold_workers", fold_workers.into()),
+            ("fold_serial_s", fold_serial_s.into()),
+            ("fold_parallel_s", fold_parallel_s.into()),
+            ("fold_scaling", fold_scaling.into()),
+            ("fold_efficiency", fold_efficiency.into()),
+            ("pool_utilization", (&pool_utilization).into()),
+        ],
+    );
 
     if smoke {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");

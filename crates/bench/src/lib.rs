@@ -19,8 +19,11 @@ use pcount_core::FlowConfig;
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_nn::{train_classifier, CnnConfig, TrainConfig};
 use pcount_quant::{fold_sequential, Precision, PrecisionAssignment, QatCnn, QuantizedCnn};
+use pcount_telemetry::{parse_json, JsonValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
+use std::time::Instant;
 
 /// Returns `true` when the `PCOUNT_QUICK` environment variable asks for the
 /// reduced, seconds-scale experiment configuration.
@@ -100,22 +103,80 @@ fn git_rev() -> String {
 /// thread count, configured worker-pool width, whether the run was a
 /// `BENCH_SMOKE=1` smoke pass, and the git revision (from `GIT_REV` or
 /// the local `git` checkout).
-pub fn host_metadata_json(smoke: bool) -> String {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pool_width = pcount_runtime::current().width();
-    let git_rev = git_rev();
-    // GIT_REV is driver-controlled but untrusted for embedding raw.
-    let git_rev: String = git_rev
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-        .take(64)
+pub fn host_metadata_json(smoke: bool) -> JsonValue {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    JsonValue::object([
+        ("threads", threads.into()),
+        ("pool_width", pcount_runtime::current().width().into()),
+        ("smoke", smoke.into()),
+        ("git_rev", git_rev().into()),
+    ])
+}
+
+/// Whether `BENCH_SMOKE=1` asks for the smoke pass CI runs: short
+/// measurement windows, no wall-clock assertions, and the bench file
+/// written under `target/bench-smoke/` instead of the workspace root.
+pub fn smoke_mode() -> bool {
+    std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Sustained calls per second of `step`: one warm-up call, then repeated
+/// calls for 0.02 s in smoke mode or 1 s otherwise. Every result passes
+/// through [`std::hint::black_box`].
+pub fn calls_per_s<R>(mut step: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(step());
+    let budget = if smoke_mode() { 0.02 } else { 1.0 };
+    let start = Instant::now();
+    let mut calls = 0u64;
+    loop {
+        std::hint::black_box(step());
+        calls += 1;
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed >= budget {
+            return calls as f64 / elapsed;
+        }
+    }
+}
+
+/// Writes a bench's numbers to `file`: the `bench`, `mode` and `host`
+/// header, then `members`, one top-level member per line. Full runs
+/// write the committed ledger at the workspace root; smoke runs write
+/// under `target/bench-smoke/`. Reads the file back and returns it
+/// parsed, for the bench's own checks.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written, read back or parsed.
+pub fn write_bench_json(
+    file: &str,
+    bench: &str,
+    members: impl IntoIterator<Item = (&'static str, JsonValue)>,
+) -> JsonValue {
+    let smoke = smoke_mode();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if smoke {
+        root.join("target/bench-smoke")
+    } else {
+        root
+    };
+    let header = [
+        ("bench", bench.into()),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("host", host_metadata_json(smoke)),
+    ];
+    let lines: Vec<String> = header
+        .into_iter()
+        .chain(members)
+        .map(|(key, value)| format!("  {}: {value}", JsonValue::from(key)))
         .collect();
-    format!(
-        "{{\"threads\": {threads}, \"pool_width\": {pool_width}, \
-         \"smoke\": {smoke}, \"git_rev\": \"{git_rev}\"}}"
-    )
+    let path = dir.join(file);
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&path, format!("{{\n{}\n}}\n", lines.join(",\n"))))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read back {}: {e}", path.display()));
+    parse_json(&text).unwrap_or_else(|e| panic!("{file} does not parse: {e}"))
 }
 
 /// Formats a series of Pareto points as an aligned text table.
@@ -147,7 +208,7 @@ mod tests {
     #[test]
     fn host_metadata_is_valid_json() {
         let meta = host_metadata_json(true);
-        let parsed = pcount_telemetry::parse_json(&meta).expect("host metadata parses");
+        let parsed = parse_json(&meta.to_string()).expect("host metadata parses");
         assert!(parsed
             .get("threads")
             .and_then(|v| v.as_f64())

@@ -15,7 +15,7 @@ use pcount_postproc::apply_majority;
 use pcount_quant::{
     fold_sequential, qat_finetune, Precision, PrecisionAssignment, QatCnn, QatConfig, QuantizedCnn,
 };
-use pcount_telemetry::{HistogramSummary, PoolUtilization, SloBaseline, SloSnapshot};
+use pcount_telemetry::{HistogramSummary, JsonValue, PoolUtilization, SloBaseline, SloSnapshot};
 use pcount_tensor::{SplitMix64, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -332,49 +332,48 @@ pub struct TelemetryReport {
     pub slo: SloSnapshot,
 }
 
-impl TelemetryReport {
-    /// The report as a JSON object string, for the bench emitters
-    /// (`BENCH_train.json`) and any external dashboard.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut phases = String::from("{");
-        for (i, (name, secs)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            let _ = write!(phases, "\"{name}\":{secs:.6}");
-        }
-        phases.push('}');
-        format!(
-            concat!(
-                "{{\"enabled\":{},\"phases\":{},\"inference_latency_ns\":{},",
-                "\"frames\":{},\"frame_faults\":{},\"pool\":{},",
-                "\"mem\":{{\"fetch_misses\":{},\"imem_stall_cycles\":{},",
-                "\"contended_accesses\":{},\"dmem_stall_cycles\":{}}},",
-                "\"pipeline\":{{\"instructions\":{},\"load_use_stalls\":{},",
-                "\"flush_cycles\":{}}},",
-                "\"energy_uj\":{{\"core\":{:.4},\"imem\":{:.4},\"dmem\":{:.4}}},",
-                "\"hot_blocks\":{},\"slo\":{}}}"
+/// The report as a JSON object, for the bench files and any external
+/// dashboard.
+impl From<&TelemetryReport> for JsonValue {
+    fn from(t: &TelemetryReport) -> Self {
+        JsonValue::object([
+            ("enabled", t.enabled.into()),
+            (
+                "phases",
+                JsonValue::object(t.phases.iter().map(|&(name, secs)| (name, secs.into()))),
             ),
-            self.enabled,
-            phases,
-            self.inference_latency_ns.to_json(),
-            self.frames,
-            self.frame_faults,
-            self.pool.to_json(),
-            self.mem.fetch_misses,
-            self.mem.imem_stall_cycles,
-            self.mem.contended_accesses,
-            self.mem.dmem_stall_cycles,
-            self.pipeline.instructions,
-            self.pipeline.load_use_stalls,
-            self.pipeline.flush_cycles,
-            self.energy.core_uj,
-            self.energy.imem_uj,
-            self.energy.dmem_uj,
-            hot_blocks_json(&self.hot_blocks),
-            self.slo.to_json(),
-        )
+            ("inference_latency_ns", (&t.inference_latency_ns).into()),
+            ("frames", t.frames.into()),
+            ("frame_faults", t.frame_faults.into()),
+            ("pool", (&t.pool).into()),
+            (
+                "mem",
+                JsonValue::object([
+                    ("fetch_misses", t.mem.fetch_misses.into()),
+                    ("imem_stall_cycles", t.mem.imem_stall_cycles.into()),
+                    ("contended_accesses", t.mem.contended_accesses.into()),
+                    ("dmem_stall_cycles", t.mem.dmem_stall_cycles.into()),
+                ]),
+            ),
+            (
+                "pipeline",
+                JsonValue::object([
+                    ("instructions", t.pipeline.instructions.into()),
+                    ("load_use_stalls", t.pipeline.load_use_stalls.into()),
+                    ("flush_cycles", t.pipeline.flush_cycles.into()),
+                ]),
+            ),
+            (
+                "energy_uj",
+                JsonValue::object([
+                    ("core", t.energy.core_uj.into()),
+                    ("imem", t.energy.imem_uj.into()),
+                    ("dmem", t.energy.dmem_uj.into()),
+                ]),
+            ),
+            ("hot_blocks", hot_blocks_json(&t.hot_blocks)),
+            ("slo", (&t.slo).into()),
+        ])
     }
 }
 
@@ -1106,7 +1105,12 @@ mod tests {
         assert!(t.pool.total_tasks() > 0);
         assert!(!t.hot_blocks.is_empty(), "a candidate fits on-chip");
         assert!(t.pipeline.instructions > 0);
-        pcount_telemetry::parse_json(&t.to_json()).expect("flow telemetry report is valid JSON");
+        let json = JsonValue::from(t);
+        assert_eq!(
+            pcount_telemetry::parse_json(&json.to_string()),
+            Ok(json),
+            "flow telemetry report round-trips through its JSON text"
+        );
 
         // The accumulated chrome trace parses and covers every flow
         // phase plus the pool and kernel spans underneath.

@@ -1,10 +1,10 @@
 //! Folded results of a fleet run: per-node and per-shard accounting, the
-//! building-wide occupancy trajectory and the hand-rolled JSON the serve
-//! bench emits into `BENCH_serve.json`.
+//! building-wide occupancy trajectory and their conversions to the
+//! [`JsonValue`] the serve bench writes into `BENCH_serve.json`.
 
 use crate::msg::Delivery;
 use pcount_telemetry::slo;
-use pcount_telemetry::{HistogramCounts, HistogramSummary, SloSnapshot};
+use pcount_telemetry::{HistogramCounts, HistogramSummary, JsonValue, SloSnapshot};
 
 /// Fleet-wide front-end totals, one value per `fleet/*` counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,15 +63,12 @@ impl ServeTotals {
             (slo::FLEET_CHECKPOINTS, self.checkpoints),
         ]
     }
+}
 
-    /// The totals as a JSON object keyed by counter name.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .as_counters()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
+/// The totals as a JSON object keyed by counter name.
+impl From<&ServeTotals> for JsonValue {
+    fn from(t: &ServeTotals) -> Self {
+        JsonValue::object(t.as_counters().into_iter().map(|(n, v)| (n, v.into())))
     }
 }
 
@@ -146,24 +143,21 @@ pub struct CrashReport {
     pub recovery_ns: u64,
 }
 
-impl CrashReport {
-    /// The outage as a JSON object (the `failover.events` array of the
-    /// bench).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shard\":{},\"crash_ns\":{},\"restart_ns\":{},\"queued_at_crash\":{},\
-             \"crash_lost\":{},\"rerouted\":{},\"held\":{},\"migrations_out\":{},\
-             \"recovery_ns\":{}}}",
-            self.shard,
-            self.crash_ns,
-            self.restart_ns,
-            self.queued_at_crash,
-            self.crash_lost,
-            self.rerouted,
-            self.held,
-            self.migrations_out,
-            self.recovery_ns,
-        )
+/// The outage as a JSON object (the `failover.events` array of the
+/// bench).
+impl From<&CrashReport> for JsonValue {
+    fn from(c: &CrashReport) -> Self {
+        JsonValue::object([
+            ("shard", c.shard.into()),
+            ("crash_ns", c.crash_ns.into()),
+            ("restart_ns", c.restart_ns.into()),
+            ("queued_at_crash", c.queued_at_crash.into()),
+            ("crash_lost", c.crash_lost.into()),
+            ("rerouted", c.rerouted.into()),
+            ("held", c.held.into()),
+            ("migrations_out", c.migrations_out.into()),
+            ("recovery_ns", c.recovery_ns.into()),
+        ])
     }
 }
 
@@ -201,27 +195,28 @@ pub struct ShardReport {
     pub downsample_stride: u32,
 }
 
-impl ShardReport {
-    /// The shard as a JSON object (the `shards` array of the bench).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"shard\":{},\"nodes\":{},\"queue_depth_peak\":{},\"queue_depth\":{},\
-             \"latency_ns\":{},\"burn_milli\":{},\"crashes\":{},\
-             \"adaptive\":{{\"tightens\":{},\"relaxes\":{},\"high_watermark\":{},\
-             \"downsample_stride\":{}}},\"slo\":{}}}",
-            self.shard,
-            self.nodes,
-            self.queue_depth_peak,
-            self.queue_depth.to_json(),
-            self.latency.to_json(),
-            self.burn_milli,
-            self.crashes,
-            self.adaptive_tightens,
-            self.adaptive_relaxes,
-            self.high_watermark,
-            self.downsample_stride,
-            self.slo.to_json(),
-        )
+/// The shard as a JSON object (the `shards_detail` array of the bench).
+impl From<&ShardReport> for JsonValue {
+    fn from(s: &ShardReport) -> Self {
+        JsonValue::object([
+            ("shard", s.shard.into()),
+            ("nodes", s.nodes.into()),
+            ("queue_depth_peak", s.queue_depth_peak.into()),
+            ("queue_depth", (&s.queue_depth).into()),
+            ("latency_ns", (&s.latency).into()),
+            ("burn_milli", s.burn_milli.into()),
+            ("crashes", s.crashes.into()),
+            (
+                "adaptive",
+                JsonValue::object([
+                    ("tightens", s.adaptive_tightens.into()),
+                    ("relaxes", s.adaptive_relaxes.into()),
+                    ("high_watermark", s.high_watermark.into()),
+                    ("downsample_stride", s.downsample_stride.into()),
+                ]),
+            ),
+            ("slo", (&s.slo).into()),
+        ])
     }
 }
 
@@ -288,18 +283,21 @@ impl OccupancyTrajectory {
     pub fn hash_hex(&self) -> String {
         format!("{:016x}", self.hash)
     }
+}
 
-    /// The trajectory as a JSON object (change points elided, digest and
-    /// final state kept).
-    pub fn to_json(&self) -> String {
-        let rooms: Vec<String> = self.final_rooms.iter().map(|r| r.to_string()).collect();
-        format!(
-            "{{\"hash\":\"{}\",\"changes\":{},\"final_total\":{},\"final_rooms\":[{}]}}",
-            self.hash_hex(),
-            self.changes.len(),
-            self.final_total(),
-            rooms.join(","),
-        )
+/// The trajectory as a JSON object (change points elided, digest and
+/// final state kept).
+impl From<&OccupancyTrajectory> for JsonValue {
+    fn from(o: &OccupancyTrajectory) -> Self {
+        JsonValue::object([
+            ("hash", o.hash_hex().into()),
+            ("changes", o.changes.len().into()),
+            ("final_total", o.final_total().into()),
+            (
+                "final_rooms",
+                JsonValue::array(o.final_rooms.iter().copied()),
+            ),
+        ])
     }
 }
 
@@ -362,32 +360,44 @@ impl FleetReport {
             .count() as u64
     }
 
-    /// The report as a JSON object (the per-run payload of
-    /// `BENCH_serve.json`).
+    /// The report's compact JSON text, `JsonValue::from(self)` written
+    /// out: the digest reruns of the same fleet must reproduce.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self.shard_reports.iter().map(|s| s.to_json()).collect();
-        let crashes: Vec<String> = self.crash_reports.iter().map(|c| c.to_json()).collect();
-        format!(
-            "{{\"nodes\":{},\"rooms\":{},\"shards\":{},\"deliveries\":{},\"per_frame_ns\":{},\
-             \"counters\":{},\"latency_ns\":{},\"queue_depth\":{},\"queue_depth_peak\":{},\
-             \"worst_shard_burn_milli\":{},\
-             \"failover\":{{\"crashes\":{},\"recovery_ns\":{},\"events\":[{}]}},\
-             \"shards_detail\":[{}],\"occupancy\":{}}}",
-            self.nodes,
-            self.rooms,
-            self.shards,
-            self.deliveries.len(),
-            self.per_frame_ns,
-            self.totals.to_json(),
-            self.latency.to_json(),
-            self.queue_depth.to_json(),
-            self.queue_depth_peak,
-            self.worst_shard_burn_milli,
-            self.crash_reports.len(),
-            self.recovery.to_json(),
-            crashes.join(","),
-            shards.join(","),
-            self.occupancy.to_json(),
-        )
+        JsonValue::from(self).to_string()
+    }
+}
+
+/// The report as a JSON object (the per-run payload of
+/// `BENCH_serve.json`).
+impl From<&FleetReport> for JsonValue {
+    fn from(r: &FleetReport) -> Self {
+        JsonValue::object([
+            ("nodes", r.nodes.into()),
+            ("rooms", r.rooms.into()),
+            ("shards", r.shards.into()),
+            ("deliveries", r.deliveries.len().into()),
+            ("per_frame_ns", r.per_frame_ns.into()),
+            ("counters", (&r.totals).into()),
+            ("latency_ns", (&r.latency).into()),
+            ("queue_depth", (&r.queue_depth).into()),
+            ("queue_depth_peak", r.queue_depth_peak.into()),
+            ("worst_shard_burn_milli", r.worst_shard_burn_milli.into()),
+            (
+                "failover",
+                JsonValue::object([
+                    ("crashes", r.crash_reports.len().into()),
+                    ("recovery_ns", (&r.recovery).into()),
+                    (
+                        "events",
+                        JsonValue::array(r.crash_reports.iter().map(JsonValue::from)),
+                    ),
+                ]),
+            ),
+            (
+                "shards_detail",
+                JsonValue::array(r.shard_reports.iter().map(JsonValue::from)),
+            ),
+            ("occupancy", (&r.occupancy).into()),
+        ])
     }
 }

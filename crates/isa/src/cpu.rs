@@ -250,35 +250,6 @@ pub struct HotBlock {
     pub fused_cycles: u64,
 }
 
-/// Serialises a [`Cpu::hottest_blocks`] profile as a JSON array (one
-/// object per block, hex `entry_pc`), for machine-readable export from
-/// the examples and the bench emitters.
-pub fn hot_blocks_json(blocks: &[HotBlock]) -> String {
-    let mut out = String::from("[");
-    for (i, b) in blocks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let fused_kind = match b.fused_kind {
-            Some(kind) => format!("\"{kind}\""),
-            None => String::from("null"),
-        };
-        out.push_str(&format!(
-            "{{\"entry_pc\":\"{:#010x}\",\"executions\":{},\"instructions\":{},\"mem_stall_cycles\":{},\"fused_kind\":{},\"fused_entries\":{},\"fused_iterations\":{},\"fused_cycles\":{}}}",
-            b.entry_pc,
-            b.executions,
-            b.instructions,
-            b.mem_stall_cycles,
-            fused_kind,
-            b.fused_entries,
-            b.fused_iterations,
-            b.fused_cycles
-        ));
-    }
-    out.push(']');
-    out
-}
-
 /// Result of executing one instruction in the reference interpreter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecOutcome {

@@ -1987,9 +1987,6 @@ mod tests {
         // trace, so all 60 iterations are attributed to one block.
         assert_eq!(hot.fused_iterations, 60);
         assert!(hot.fused_cycles > 0);
-        let json = crate::cpu::hot_blocks_json(&blocks);
-        assert!(json.contains("\"fused_kind\":\"mac_sdotp8\""));
-        assert!(json.contains("\"fused_iterations\":60"));
     }
 
     #[test]

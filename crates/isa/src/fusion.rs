@@ -41,8 +41,8 @@ pub(crate) enum FusedKind {
 }
 
 impl FusedKind {
-    /// Stable machine-readable name (used by `hot_blocks_json` and the
-    /// bench emitters).
+    /// Stable machine-readable name (reported by `Cpu::hottest_blocks`
+    /// and `Cpu::fusion_profile`).
     pub(crate) fn name(self) -> &'static str {
         match self {
             FusedKind::MacSdotp8 => "mac_sdotp8",

@@ -57,7 +57,7 @@ mod mem_model;
 mod memory;
 mod pipeline;
 
-pub use cpu::{hot_blocks_json, Cpu, HotBlock, RunSummary, SimError, Trace};
+pub use cpu::{Cpu, HotBlock, RunSummary, SimError, Trace};
 pub use engine::ExecMode;
 pub use instr::{decode, BranchOp, Decoded, Instr, LoadOp, StoreOp};
 pub use mem_model::{MaupitiMemConfig, MemStats, MemoryModel};

@@ -6,6 +6,7 @@ use crate::layout::MemoryPlan;
 use crate::pool::CpuPool;
 use pcount_isa::{reg, Cpu, ExecMode, HotBlock, MemStats, MemoryModel, PipelineStats, SimError};
 use pcount_quant::{argmax, QuantizedCnn};
+use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -509,6 +510,23 @@ impl Deployment {
     }
 }
 
+/// A [`Deployment::hottest_blocks`] profile as a JSON array: one object
+/// per block, `entry_pc` as a hex string.
+pub fn hot_blocks_json(blocks: &[HotBlock]) -> JsonValue {
+    JsonValue::array(blocks.iter().map(|b| {
+        JsonValue::object([
+            ("entry_pc", format!("{:#010x}", b.entry_pc).into()),
+            ("executions", b.executions.into()),
+            ("instructions", b.instructions.into()),
+            ("mem_stall_cycles", b.mem_stall_cycles.into()),
+            ("fused_kind", b.fused_kind.into()),
+            ("fused_entries", b.fused_entries.into()),
+            ("fused_iterations", b.fused_iterations.into()),
+            ("fused_cycles", b.fused_cycles.into()),
+        ])
+    }))
+}
+
 /// Cached handle of the per-frame inference latency histogram (avoids
 /// taking the registry lock on every frame).
 fn frame_latency_histogram() -> &'static pcount_telemetry::Histogram {
@@ -855,6 +873,28 @@ mod tests {
             top_instrs * 2 > run.instructions,
             "top-5 traces cover under half the inference ({top_instrs} of {})",
             run.instructions
+        );
+        // The JSON export parses back block by block: hex entry PC,
+        // counters and the fused-loop attribution.
+        let json = pcount_telemetry::parse_json(&hot_blocks_json(&hot).to_string())
+            .expect("hot-block JSON parses");
+        let blocks = json.as_array().expect("an array");
+        assert_eq!(blocks.len(), hot.len());
+        for (block, h) in blocks.iter().zip(&hot) {
+            let entry_pc = format!("{:#010x}", h.entry_pc);
+            assert_eq!(block.get("entry_pc"), Some(&entry_pc.into()));
+            assert_eq!(block.get("executions"), Some(&h.executions.into()));
+            assert_eq!(block.get("fused_kind"), Some(&h.fused_kind.into()));
+            assert_eq!(
+                block.get("fused_iterations"),
+                Some(&h.fused_iterations.into())
+            );
+        }
+        assert!(
+            blocks
+                .iter()
+                .any(|b| b.get("fused_kind").and_then(JsonValue::as_str).is_some()),
+            "no hot block ran a fused loop: {json}"
         );
     }
 

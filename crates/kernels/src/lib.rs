@@ -28,12 +28,12 @@ mod pool;
 
 pub use asm::Assembler;
 pub use deploy::{
-    DeployError, Deployment, DeploymentReport, InferenceRun, Target, INSTRUCTION_BUDGET,
+    hot_blocks_json, DeployError, Deployment, DeploymentReport, InferenceRun, Target,
+    INSTRUCTION_BUDGET,
 };
 pub use kernels::{emit_conv3x3, emit_fc, emit_maxpool2x2, KernelVariant, OutputFormat};
 pub use layout::{lane_count, pack_values, pad_channels, MemoryPlan};
 pub use pcount_isa::{
-    hot_blocks_json, ExecMode, HotBlock, MaupitiMemConfig, MemStats, MemoryModel, PipelineStats,
-    SimError,
+    ExecMode, HotBlock, MaupitiMemConfig, MemStats, MemoryModel, PipelineStats, SimError,
 };
 pub use pool::{resolve_threads, CpuPool};

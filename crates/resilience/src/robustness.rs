@@ -5,13 +5,13 @@
 //! [`ResilientDeployment`] and reports, per swept point, the realised
 //! fault rate, the end-to-end accuracy of the *emitted* (smoothed/held)
 //! predictions against the clean labels, and the recovery statistics.
-//! The report serialises to the `BENCH_robust.json` schema.
+//! The report converts to the [`JsonValue`] block of `BENCH_robust.json`.
 
 use crate::deploy::{ResilienceConfig, ResilientDeployment};
 use crate::fault::{FaultConfig, FaultPlan};
 use pcount_isa::SimError;
 use pcount_kernels::Deployment;
-use pcount_telemetry::{SloBaseline, SloSnapshot};
+use pcount_telemetry::{JsonValue, SloBaseline, SloSnapshot};
 use pcount_tensor::Tensor;
 
 /// One swept intensity point of a robustness curve.
@@ -45,27 +45,23 @@ pub struct RobustnessPoint {
     pub mean_recovery_ms: f64,
 }
 
-impl RobustnessPoint {
-    /// The point as a JSON object string.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"intensity\":{:.4},\"fault_rate\":{:.4},\"ticks\":{},\"accuracy\":{:.4},\
-             \"recovered\":{},\"fallbacks\":{},\"gaps\":{},\"breaker_skips\":{},\
-             \"breaker_trips\":{},\"retries\":{},\"error_budget_burn_milli\":{},\
-             \"mean_recovery_ms\":{:.3}}}",
-            self.intensity,
-            self.fault_rate,
-            self.ticks,
-            self.accuracy,
-            self.recovered,
-            self.fallbacks,
-            self.gaps,
-            self.breaker_skips,
-            self.breaker_trips,
-            self.retries,
-            self.error_budget_burn_milli,
-            self.mean_recovery_ms
-        )
+/// The point as a JSON object.
+impl From<&RobustnessPoint> for JsonValue {
+    fn from(p: &RobustnessPoint) -> Self {
+        JsonValue::object([
+            ("intensity", p.intensity.into()),
+            ("fault_rate", p.fault_rate.into()),
+            ("ticks", p.ticks.into()),
+            ("accuracy", p.accuracy.into()),
+            ("recovered", p.recovered.into()),
+            ("fallbacks", p.fallbacks.into()),
+            ("gaps", p.gaps.into()),
+            ("breaker_skips", p.breaker_skips.into()),
+            ("breaker_trips", p.breaker_trips.into()),
+            ("retries", p.retries.into()),
+            ("error_budget_burn_milli", p.error_budget_burn_milli.into()),
+            ("mean_recovery_ms", p.mean_recovery_ms.into()),
+        ])
     }
 }
 
@@ -82,21 +78,18 @@ pub struct RobustnessReport {
     pub slo: SloSnapshot,
 }
 
-impl RobustnessReport {
-    /// The report as a JSON object string (the payload of
-    /// `BENCH_robust.json`).
-    pub fn to_json(&self) -> String {
-        let points = self
-            .points
-            .iter()
-            .map(RobustnessPoint::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"baseline_accuracy\":{:.4},\"points\":[{points}],\"slo\":{}}}",
-            self.baseline_accuracy,
-            self.slo.to_json()
-        )
+/// The report as a JSON object (the `robustness` block of
+/// `BENCH_robust.json`).
+impl From<&RobustnessReport> for JsonValue {
+    fn from(r: &RobustnessReport) -> Self {
+        JsonValue::object([
+            ("baseline_accuracy", r.baseline_accuracy.into()),
+            (
+                "points",
+                JsonValue::array(r.points.iter().map(JsonValue::from)),
+            ),
+            ("slo", (&r.slo).into()),
+        ])
     }
 }
 

@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::io;
 
-use crate::json::{escape_into, quote};
+use crate::json::{JsonValue, Quoted};
 use crate::metrics::{counters_snapshot, gauges_snapshot, histograms_snapshot, HistogramSummary};
 use crate::span::{collect_events, SpanEvent};
 
@@ -60,13 +60,12 @@ pub fn chrome_trace_json() -> String {
             out.push(',');
         }
         first = false;
-        out.push_str("\n  {\"name\": ");
-        out.push_str(&quote(ev.name));
         let cat = ev.name.split('/').next().unwrap_or(ev.name);
         let _ = write!(
             out,
-            ", \"cat\": {}, \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            quote(cat),
+            "\n  {{\"name\": {}, \"cat\": {}, \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
+            Quoted(ev.name),
+            Quoted(cat),
             ev.start_ns as f64 / 1_000.0,
             ev.dur_ns as f64 / 1_000.0,
             tid
@@ -89,7 +88,7 @@ pub fn chrome_trace_json() -> String {
         let _ = write!(
             out,
             "\n  {{\"name\": {}, \"ph\": \"C\", \"ts\": {end_ts:.3}, \"pid\": 1, \"args\": {{\"value\": {value}}}}}",
-            quote(name)
+            Quoted(name)
         );
     }
     out.push_str("\n],\n\"counters\": {");
@@ -97,21 +96,21 @@ pub fn chrome_trace_json() -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n  {}: {value}", quote(name));
+        let _ = write!(out, "\n  {}: {value}", Quoted(name));
     }
     out.push_str("\n},\n\"gauges\": {");
     for (i, &(name, value)) in snapshot.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n  {}: {value}", quote(name));
+        let _ = write!(out, "\n  {}: {value}", Quoted(name));
     }
     out.push_str("\n},\n\"histograms\": {");
     for (i, (name, summary)) in snapshot.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n  {}: {}", quote(name), summary.to_json());
+        let _ = write!(out, "\n  {}: {}", Quoted(name), JsonValue::from(summary));
     }
     out.push_str("\n},\n\"droppedSpans\": {");
     for (i, &(tid, n)) in snapshot.dropped.iter().enumerate() {
@@ -141,28 +140,36 @@ pub fn jsonl() -> String {
     let snapshot = TraceSnapshot::capture();
     let mut out = String::with_capacity(snapshot.spans.len() * 96 + 1024);
     for &(tid, ev) in &snapshot.spans {
-        out.push_str("{\"kind\":\"span\",\"name\":\"");
-        escape_into(&mut out, ev.name);
         let _ = writeln!(
             out,
-            "\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-            tid, ev.start_ns, ev.dur_ns
+            "{{\"kind\":\"span\",\"name\":{},\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
+            Quoted(ev.name),
+            tid,
+            ev.start_ns,
+            ev.dur_ns
         );
     }
     for &(name, value) in &snapshot.counters {
-        out.push_str("{\"kind\":\"counter\",\"name\":\"");
-        escape_into(&mut out, name);
-        let _ = writeln!(out, "\",\"value\":{value}}}");
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}",
+            Quoted(name)
+        );
     }
     for &(name, value) in &snapshot.gauges {
-        out.push_str("{\"kind\":\"gauge\",\"name\":\"");
-        escape_into(&mut out, name);
-        let _ = writeln!(out, "\",\"value\":{value}}}");
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"gauge\",\"name\":{},\"value\":{value}}}",
+            Quoted(name)
+        );
     }
     for (name, summary) in &snapshot.histograms {
-        out.push_str("{\"kind\":\"histogram\",\"name\":\"");
-        escape_into(&mut out, name);
-        let _ = writeln!(out, "\",\"summary\":{}}}", summary.to_json());
+        let _ = writeln!(
+            out,
+            "{{\"kind\":\"histogram\",\"name\":{},\"summary\":{}}}",
+            Quoted(name),
+            JsonValue::from(summary)
+        );
     }
     for &(tid, n) in &snapshot.dropped {
         let _ = writeln!(
@@ -213,29 +220,25 @@ impl PoolUtilization {
     pub fn total_tasks(&self) -> u64 {
         self.worker_tasks.iter().sum()
     }
+}
 
-    /// `self` as a JSON object string (used by the flow report and the
-    /// bench emitters).
-    pub fn to_json(&self) -> String {
-        let list = |xs: &[u64]| {
-            let mut s = String::from("[");
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{x}");
-            }
-            s.push(']');
-            s
-        };
-        format!(
-            "{{\"width\":{},\"worker_tasks\":{},\"worker_busy_ns\":{},\"groups\":{},\"queue_wait_ns\":{},\"drain_ns\":{}}}",
-            self.width,
-            list(&self.worker_tasks),
-            list(&self.worker_busy_ns),
-            self.groups,
-            self.queue_wait_ns.to_json(),
-            self.drain_ns.to_json(),
-        )
+/// The report as a JSON object (used by the flow report and the bench
+/// files).
+impl From<&PoolUtilization> for JsonValue {
+    fn from(u: &PoolUtilization) -> Self {
+        JsonValue::object([
+            ("width", u.width.into()),
+            (
+                "worker_tasks",
+                JsonValue::array(u.worker_tasks.iter().copied()),
+            ),
+            (
+                "worker_busy_ns",
+                JsonValue::array(u.worker_busy_ns.iter().copied()),
+            ),
+            ("groups", u.groups.into()),
+            ("queue_wait_ns", (&u.queue_wait_ns).into()),
+            ("drain_ns", (&u.drain_ns).into()),
+        ])
     }
 }

@@ -1,38 +1,46 @@
-//! Minimal JSON support: string escaping for the exporters and a small
-//! recursive-descent parser used by tests and smoke gates to validate
-//! emitted traces. Zero dependencies, no serde.
+//! Minimal JSON support: a [`JsonValue`] tree with a compact writer
+//! (its `Display`) that every report and bench file is built on, string
+//! quoting for the streaming trace exporters, and a small
+//! recursive-descent parser used by tests and benches to read emitted
+//! files back. Zero dependencies, no serde.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
-/// Escapes `s` as the body of a JSON string literal (no surrounding
-/// quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Displays a `&str` as a quoted, escaped JSON string literal.
+pub(crate) struct Quoted<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Every byte that needs escaping is ASCII, so unescaped runs are
+        // written as whole slices.
+        f.write_str("\"")?;
+        let mut run = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&self.0[run..i])?;
+            run = i + 1;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                _ => write!(f, "\\u{b:04x}")?,
+            }
         }
+        f.write_str(&self.0[run..])?;
+        f.write_str("\"")
     }
 }
 
-/// `s` as a quoted, escaped JSON string literal.
-pub(crate) fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value (see [`parse_json`]).
+/// A JSON value: built from the workspace's reports through the `From`
+/// conversions below, written compactly by its `Display` and read back
+/// by [`parse_json`].
+///
+/// Numbers are `f64`, which is exact for integers up to 2^53.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -81,14 +89,96 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// An object from `(key, value)` members; a repeated key keeps its
+    /// last value.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of `items`.
+    pub fn array<T: Into<JsonValue>>(items: impl IntoIterator<Item = T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// The compact JSON text of the value: no whitespace, keys and strings
+/// escaped, object keys in sorted order, finite numbers in Rust's
+/// shortest round-trip form and non-finite numbers as `null`.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Number(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Number(_) => f.write_str("null"),
+            JsonValue::String(s) => Quoted(s).fmt(f),
+            JsonValue::Array(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Object(map) => {
+                f.write_str("{")?;
+                for (i, (key, value)) in map.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{}:{value}", Quoted(key))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+macro_rules! number_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Number(n as f64)
+            }
+        }
+    )*};
+}
+
+number_from!(u32, u64, usize, i64, f64);
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::String(s)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
+    }
 }
 
 /// Parses a complete JSON document, rejecting trailing garbage.
 ///
-/// This is a strict but minimal parser meant for validating the traces
-/// and bench files this crate emits (tests, CI smoke gates) — not a
-/// general-purpose library. Unicode escapes outside the BMP
-/// (surrogate pairs) are supported.
+/// This is a strict but minimal parser meant for reading back the
+/// traces, reports and bench files the workspace writes (tests, benches,
+/// CI smoke gates) — not a general-purpose library. Unicode escapes
+/// outside the BMP (surrogate pairs) are supported.
 ///
 /// # Errors
 ///
@@ -228,12 +318,15 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("unescaped control character at byte {}", self.pos))
+                }
                 Some(_) => {
                     // Consume the whole unescaped run in one slice — one
                     // UTF-8 validation per run, not per character (the
                     // latter is quadratic on megabyte traces).
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
                         self.pos += 1;
                     }
                     let run = std::str::from_utf8(&self.bytes[start..self.pos])

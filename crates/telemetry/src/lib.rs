@@ -16,7 +16,11 @@
 //!   per-thread ring buffers;
 //! * **exporters**: chrome://tracing-compatible JSON
 //!   ([`write_chrome_trace`]), JSONL ([`write_jsonl`]) and a
-//!   [`PoolUtilization`] report assembled by `pcount-runtime`.
+//!   [`PoolUtilization`] report assembled by `pcount-runtime`;
+//! * **[`JsonValue`]**, the one JSON writer of the workspace: every
+//!   report and `BENCH_*.json` file is built as a value and written by
+//!   its `Display`, and [`parse_json`] reads them back. Only the two
+//!   trace exporters stream their text directly, for speed.
 //!
 //! # Gating and disabled-mode cost
 //!

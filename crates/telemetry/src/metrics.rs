@@ -1,6 +1,7 @@
 //! The global metrics registry: sharded atomic counters, gauges and
 //! HDR-style log-bucketed histograms.
 
+use crate::json::JsonValue;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -376,14 +377,18 @@ pub struct HistogramSummary {
     pub max: u64,
 }
 
-impl HistogramSummary {
-    /// `self` as a JSON object string (used by the exporters, the flow
-    /// report and the bench emitters).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            self.count, self.mean, self.p50, self.p90, self.p99, self.max
-        )
+/// The summary as a JSON object (used by the exporters, the flow report
+/// and the bench files).
+impl From<&HistogramSummary> for JsonValue {
+    fn from(s: &HistogramSummary) -> Self {
+        JsonValue::object([
+            ("count", s.count.into()),
+            ("mean", s.mean.into()),
+            ("p50", s.p50.into()),
+            ("p90", s.p90.into()),
+            ("p99", s.p99.into()),
+            ("max", s.max.into()),
+        ])
     }
 }
 

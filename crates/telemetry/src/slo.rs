@@ -11,6 +11,7 @@
 //! `BENCH_robust.json` export them) and folds them into one
 //! [`SloSnapshot`] with a deterministic JSON shape.
 
+use crate::json::JsonValue;
 use crate::metrics::{counter, gauge, histogram, HistogramCounts, HistogramSummary};
 
 /// Counter: retry attempts beyond the first try of a frame.
@@ -305,21 +306,20 @@ impl SloSnapshot {
             .map(|&(_, v)| v)
             .sum()
     }
+}
 
-    /// The snapshot as a JSON object string, the `"slo"` block of the
-    /// flow telemetry report and of `BENCH_robust.json`.
-    pub fn to_json(&self) -> String {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, v)| format!("\"{name}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"counters\":{{{counters}}},\"error_budget_burn_milli\":{},\"recovery_latency_ns\":{}}}",
-            self.error_budget_burn_milli,
-            self.recovery_latency.to_json()
-        )
+/// The snapshot as a JSON object, the `"slo"` block of the flow
+/// telemetry report and of `BENCH_robust.json`.
+impl From<&SloSnapshot> for JsonValue {
+    fn from(s: &SloSnapshot) -> Self {
+        JsonValue::object([
+            (
+                "counters",
+                JsonValue::object(s.counters.iter().map(|&(name, v)| (name, v.into()))),
+            ),
+            ("error_budget_burn_milli", s.error_budget_burn_milli.into()),
+            ("recovery_latency_ns", (&s.recovery_latency).into()),
+        ])
     }
 }
 
@@ -371,7 +371,7 @@ mod tests {
         assert_eq!(snap.total_faults(), 1);
         assert_eq!(snap.error_budget_burn_milli, 250);
         assert!(snap.recovery_latency.count >= 1);
-        let json = snap.to_json();
+        let json = JsonValue::from(&snap).to_string();
         assert!(json.contains("\"resilience/retries\":3"));
         assert!(json.contains("\"error_budget_burn_milli\":250"));
         assert!(json.contains("\"recovery_latency_ns\""));

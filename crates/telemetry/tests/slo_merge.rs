@@ -5,7 +5,7 @@
 //! fleet could disagree depending on node enumeration order.
 
 use pcount_telemetry::slo::slo_counter_names;
-use pcount_telemetry::{ErrorBudget, HistogramCounts, SloSnapshot};
+use pcount_telemetry::{ErrorBudget, HistogramCounts, JsonValue, SloSnapshot};
 use proptest::prelude::*;
 
 /// A random snapshot with counters in canonical [`slo_counter_names`]
@@ -42,7 +42,7 @@ fn assert_snapshots_equal(a: &SloSnapshot, b: &SloSnapshot, what: &str) {
     );
     assert_eq!(a.recovery_counts, b.recovery_counts, "{what}: counts");
     assert_eq!(a.recovery_latency, b.recovery_latency, "{what}: summary");
-    assert_eq!(a.to_json(), b.to_json(), "{what}: json");
+    assert_eq!(JsonValue::from(a), JsonValue::from(b), "{what}: json");
 }
 
 proptest! {

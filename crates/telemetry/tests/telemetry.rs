@@ -5,7 +5,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pcount_telemetry::{
-    chrome_trace_json, counter, gauge, histogram, jsonl, parse_json, set_enabled, span,
+    chrome_trace_json, counter, gauge, histogram, jsonl, parse_json, set_enabled, span, JsonValue,
     PoolUtilization,
 };
 
@@ -178,7 +178,7 @@ fn pool_utilization_serialises_to_valid_json() {
         ..PoolUtilization::default()
     };
     assert_eq!(report.total_tasks(), 8);
-    let parsed = parse_json(&report.to_json()).expect("valid JSON");
+    let parsed = parse_json(&JsonValue::from(&report).to_string()).expect("valid JSON");
     assert_eq!(parsed.get("width").and_then(|v| v.as_f64()), Some(2.0));
     assert_eq!(
         parsed
@@ -191,7 +191,16 @@ fn pool_utilization_serialises_to_valid_json() {
 
 #[test]
 fn json_parser_rejects_malformed_documents() {
-    for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
+    for bad in [
+        "",
+        "{",
+        "[1,]",
+        "{\"a\":}",
+        "tru",
+        "\"unterminated",
+        "1 2",
+        "\"raw\ncontrol\"",
+    ] {
         assert!(parse_json(bad).is_err(), "accepted malformed input {bad:?}");
     }
     // And accepts escapes and nesting.
