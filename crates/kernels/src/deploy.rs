@@ -351,16 +351,29 @@ impl Deployment {
     }
 
     /// The class this deployment predicts for `frame`, computed on the
-    /// host by the integer golden model
-    /// ([`QuantizedCnn::predict_frame`]: quantise,
-    /// [`QuantizedCnn::forward_int`], [`argmax`]) instead of on the
-    /// simulator. The deployed kernels reproduce `forward_int`'s logits
-    /// bit-exactly and both take the same argmax, so this equals
-    /// `run_frame(frame)?.prediction` for every frame the simulator
-    /// completes. It reports no cycles or instructions and has no
-    /// watchdog.
+    /// host by the integer golden model instead of on the simulator.
+    /// [`QuantizedCnn::predict_frame`] quantises the frame, runs each
+    /// layer as `i8` dot products (one im2col column per output pixel for
+    /// the 3x3 convs, one row per output for the FC layers) and takes the
+    /// [`argmax`]; a warm thread allocates nothing. The deployed kernels
+    /// reproduce its logits bit-exactly and both take the same argmax, so
+    /// this equals `run_frame(frame)?.prediction` for every frame the
+    /// simulator completes. It reports no cycles or instructions and has
+    /// no watchdog.
+    ///
+    /// When telemetry is enabled, every call bumps the
+    /// `deploy/golden_frames` counter and records its host wall time into
+    /// the `deploy/golden_latency_ns` histogram. The prediction is
+    /// unaffected.
     pub fn golden_prediction(&self, frame: &[f32]) -> usize {
-        self.model.predict_frame(frame)
+        if !pcount_telemetry::enabled() {
+            return self.model.predict_frame(frame);
+        }
+        let start = pcount_telemetry::now_ns();
+        let prediction = self.model.predict_frame(frame);
+        golden_latency_histogram().record(pcount_telemetry::now_ns() - start);
+        pcount_telemetry::counter("deploy/golden_frames").add(1);
+        prediction
     }
 
     /// Builds a pool of `threads` warmed CPUs (`0` = auto) for
@@ -533,6 +546,13 @@ fn frame_latency_histogram() -> &'static pcount_telemetry::Histogram {
     static HANDLE: std::sync::OnceLock<&'static pcount_telemetry::Histogram> =
         std::sync::OnceLock::new();
     HANDLE.get_or_init(|| pcount_telemetry::histogram("deploy/frame_latency_ns"))
+}
+
+/// Cached handle of the per-frame golden-model latency histogram.
+fn golden_latency_histogram() -> &'static pcount_telemetry::Histogram {
+    static HANDLE: std::sync::OnceLock<&'static pcount_telemetry::Histogram> =
+        std::sync::OnceLock::new();
+    HANDLE.get_or_init(|| pcount_telemetry::histogram("deploy/golden_latency_ns"))
 }
 
 /// Builds the complete program: per-layer call sequence followed by the

@@ -1,11 +1,12 @@
-//! Pure-integer inference: the golden reference the RISC-V kernels must
-//! reproduce bit-exactly.
+//! Pure-integer inference: the host golden model whose logits the RISC-V
+//! kernels reproduce bit-exactly.
 
 use crate::mixed::PrecisionAssignment;
 use crate::qat::QatCnn;
 use crate::qparams::{weight_scale, Precision};
 use pcount_nn::balanced_accuracy;
 use pcount_tensor::Tensor;
+use std::cell::RefCell;
 
 /// Fixed-point requantisation parameters: `out = round((acc * mult) >> SHIFT)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +104,14 @@ impl QuantizedLayer {
 /// The fully integer-quantised people-counting CNN.
 ///
 /// Activations and weights are symmetric signed integers; accumulators are
-/// 32-bit. The forward pass performs exactly the operations the MAUPITI
-/// kernels execute (including the fixed-point requantisation), so it serves
-/// as the bit-exact golden model for `pcount-kernels`.
+/// 32-bit. The forward pass uses the decomposition of the MAUPITI SDOTP
+/// kernels: each 3x3 conv is a channel loop of `i8` dot products over an
+/// im2col column, each fully connected layer one dot product per output,
+/// then the same fixed-point requantisation. Integer sums do not depend on
+/// their order, so its logits equal the deployed kernels' bit for bit, and
+/// it serves as the host golden model of `pcount-kernels` (the simulator
+/// gates it: a deployment's `run_frame` logits must equal
+/// [`QuantizedCnn::forward_int`]'s).
 #[derive(Debug, Clone)]
 pub struct QuantizedCnn {
     /// Architecture hyper-parameters.
@@ -167,20 +173,40 @@ impl QuantizedCnn {
     /// Quantises one raw 8x8 frame (already ambient-normalised) to the
     /// input precision.
     pub fn quantize_input(&self, frame: &[f32]) -> Vec<i8> {
+        let mut q = Vec::with_capacity(frame.len());
+        self.quantize_input_into(frame, &mut q);
+        q
+    }
+
+    /// [`Self::quantize_input`] into a caller-owned buffer.
+    fn quantize_input_into(&self, frame: &[f32], out: &mut Vec<i8>) {
         let qmax = self.layers[0].precision.qmax();
-        frame
-            .iter()
-            .map(|&v| ((v / self.input_scale).round() as i32).clamp(-qmax, qmax) as i8)
-            .collect()
+        out.clear();
+        out.extend(
+            frame
+                .iter()
+                .map(|&v| ((v / self.input_scale).round() as i32).clamp(-qmax, qmax) as i8),
+        );
     }
 
     /// Runs integer inference on a quantised input frame (`[1, 8, 8]` in
     /// CHW order) and returns the raw 32-bit logits.
     ///
+    /// Each 3x3 conv gathers one zero-padded im2col column per output
+    /// pixel and takes one `i8` dot product per output channel; each
+    /// fully connected layer takes one dot product per output. The
+    /// intermediates live in per-thread scratch buffers, so the only
+    /// allocation is the returned vector.
+    ///
     /// # Panics
     ///
     /// Panics if the input length does not match the expected frame size.
     pub fn forward_int(&self, input_q: &[i8]) -> Vec<i32> {
+        SCRATCH.with_borrow_mut(|s| self.forward_into(input_q, &mut s.layers).to_vec())
+    }
+
+    /// The body of [`Self::forward_int`]: the logits, in `bufs.logits`.
+    fn forward_into<'b>(&self, input_q: &[i8], bufs: &'b mut LayerBuffers) -> &'b [i32] {
         let cfg = &self.config;
         let hw = cfg.input_size;
         assert_eq!(
@@ -188,31 +214,42 @@ impl QuantizedCnn {
             cfg.input_channels * hw * hw,
             "bad input size"
         );
+        let LayerBuffers {
+            padded,
+            col,
+            conv1,
+            pooled,
+            conv2,
+            fc1,
+            logits,
+        } = bufs;
         // Layer 1: conv 3x3, pad 1, stride 1 on 8x8, then ReLU+requant, then
         // 2x2 max pool.
         let l1 = &self.layers[0];
-        let conv1_out = conv2d_int(input_q, cfg.input_channels, hw, hw, l1);
-        let pooled = maxpool2x2_int(&conv1_out, l1.out_features, hw, hw);
-        let ph = hw / 2;
+        conv3x3_int(input_q, cfg.input_channels, hw, l1, padded, col, conv1);
+        maxpool2x2_int(conv1, l1.out_features, hw, pooled);
         // Layer 2: conv 3x3 pad 1 on 4x4.
         let l2 = &self.layers[1];
-        let conv2_out = conv2d_int(&pooled, l1.out_features, ph, ph, l2);
+        conv3x3_int(pooled, l1.out_features, hw / 2, l2, padded, col, conv2);
         // Layer 3: fully connected over the flattened activations.
         let l3 = &self.layers[2];
-        let fc1_out: Vec<i8> = linear_int_raw(&conv2_out, l3)
-            .iter()
-            .map(|&acc| l3.requantize(acc) as i8)
-            .collect();
+        fc1.clear();
+        fc1.extend(linear_int(conv2, l3).map(|acc| l3.requantize(acc) as i8));
         // Layer 4: output layer, raw 32-bit accumulators are the logits.
-        let l4 = &self.layers[3];
-        linear_int_raw(&fc1_out, l4)
+        logits.clear();
+        logits.extend(linear_int(fc1, &self.layers[3]));
+        logits
     }
 
-    /// Predicts the class of one raw frame.
+    /// Predicts the class of one raw frame: quantise, the integer forward
+    /// pass of [`Self::forward_int`], [`argmax`]. Every intermediate lives
+    /// in per-thread scratch buffers, so once a thread has run a frame of
+    /// a model at least this large, a call allocates nothing.
     pub fn predict_frame(&self, frame: &[f32]) -> usize {
-        let q = self.quantize_input(frame);
-        let logits = self.forward_int(&q);
-        argmax(&logits)
+        SCRATCH.with_borrow_mut(|Scratch { input, layers }| {
+            self.quantize_input_into(frame, input);
+            argmax(self.forward_into(input, layers))
+        })
     }
 
     /// Predicts classes for a `[N, 1, 8, 8]` batch of raw frames.
@@ -288,79 +325,116 @@ fn quantize_layer(
     }
 }
 
-/// 3x3, pad-1, stride-1 integer convolution over a CHW `i8` activation map.
-fn conv2d_int(input: &[i8], in_ch: usize, h: usize, w: usize, layer: &QuantizedLayer) -> Vec<i8> {
+/// Per-thread buffers of the integer forward pass.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The quantised input frame of [`QuantizedCnn::predict_frame`].
+    input: Vec<i8>,
+    /// Every intermediate of [`QuantizedCnn::forward_into`].
+    layers: LayerBuffers,
+}
+
+/// The intermediates of one integer forward pass.
+#[derive(Debug, Default)]
+struct LayerBuffers {
+    /// The current conv input, one zero-bordered plane per channel.
+    padded: Vec<i8>,
+    /// One im2col column, `[ci][ky][kx]`.
+    col: Vec<i8>,
+    conv1: Vec<i8>,
+    pooled: Vec<i8>,
+    conv2: Vec<i8>,
+    fc1: Vec<i8>,
+    logits: Vec<i32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// `bias` plus the dot product of two `i8` vectors, accumulated in `i32`.
+fn dot(bias: i32, a: &[i8], b: &[i8]) -> i32 {
+    a.iter()
+        .zip(b)
+        .fold(bias, |acc, (&x, &y)| acc + i32::from(x) * i32::from(y))
+}
+
+/// 3x3, pad-1, stride-1 integer convolution of a CHW `i8` map of
+/// `in_ch` planes of `hw x hw` into `out`.
+///
+/// Each output pixel gathers one im2col column from zero-bordered copies
+/// of the planes, in `[ci][ky][kx]` order, which is the order of a
+/// `weight_q` row. A padded tap adds `0 * w`, so every output channel is
+/// exactly one dot product plus the bias, then [`QuantizedLayer::requantize`].
+fn conv3x3_int(
+    input: &[i8],
+    in_ch: usize,
+    hw: usize,
+    layer: &QuantizedLayer,
+    padded: &mut Vec<i8>,
+    col: &mut Vec<i8>,
+    out: &mut Vec<i8>,
+) {
     assert_eq!(layer.kernel, 3, "conv kernel must be 3");
     assert_eq!(layer.in_features, in_ch, "channel mismatch");
-    let k = 3usize;
-    let mut out = vec![0i8; layer.out_features * h * w];
-    for co in 0..layer.out_features {
-        let wbase_co = co * in_ch * k * k;
-        for oy in 0..h {
-            for ox in 0..w {
-                let mut acc: i32 = layer.bias_q[co];
-                for ci in 0..in_ch {
-                    let ibase = ci * h * w;
-                    let wbase = wbase_co + ci * k * k;
-                    for ky in 0..k {
-                        let iy = oy as isize + ky as isize - 1;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = ox as isize + kx as isize - 1;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let xv = input[ibase + iy as usize * w + ix as usize] as i32;
-                            let wv = layer.weight_q[wbase + ky * k + kx] as i32;
-                            acc += xv * wv;
-                        }
-                    }
+    let pw = hw + 2;
+    padded.clear();
+    padded.resize(in_ch * pw * pw, 0);
+    for (plane, src) in padded
+        .chunks_exact_mut(pw * pw)
+        .zip(input.chunks_exact(hw * hw))
+    {
+        for (row, line) in plane.chunks_exact_mut(pw).skip(1).zip(src.chunks_exact(hw)) {
+            row[1..=hw].copy_from_slice(line);
+        }
+    }
+    col.clear();
+    col.resize(in_ch * 9, 0);
+    out.clear();
+    out.resize(layer.out_features * hw * hw, 0);
+    for oy in 0..hw {
+        for ox in 0..hw {
+            for (taps, plane) in col.chunks_exact_mut(9).zip(padded.chunks_exact(pw * pw)) {
+                for (ky, tap) in taps.chunks_exact_mut(3).enumerate() {
+                    let at = (oy + ky) * pw + ox;
+                    tap.copy_from_slice(&plane[at..at + 3]);
                 }
-                out[co * h * w + oy * w + ox] = layer.requantize(acc) as i8;
+            }
+            let rows = layer.weight_q.chunks_exact(in_ch * 9).zip(&layer.bias_q);
+            for (co, (w, &bias)) in rows.enumerate() {
+                out[co * hw * hw + oy * hw + ox] = layer.requantize(dot(bias, w, col)) as i8;
             }
         }
     }
-    out
 }
 
-/// 2x2 stride-2 max pooling over a CHW `i8` map.
-fn maxpool2x2_int(input: &[i8], ch: usize, h: usize, w: usize) -> Vec<i8> {
-    let (ho, wo) = (h / 2, w / 2);
-    let mut out = vec![0i8; ch * ho * wo];
+/// 2x2 stride-2 max pooling of a CHW `i8` map of `ch` planes of `hw x hw`
+/// into `out`.
+fn maxpool2x2_int(input: &[i8], ch: usize, hw: usize, out: &mut Vec<i8>) {
+    let ho = hw / 2;
+    out.clear();
     for c in 0..ch {
         for oy in 0..ho {
-            for ox in 0..wo {
-                let mut best = i8::MIN;
-                for ky in 0..2 {
-                    for kx in 0..2 {
-                        let v = input[c * h * w + (oy * 2 + ky) * w + ox * 2 + kx];
-                        best = best.max(v);
-                    }
-                }
-                out[c * ho * wo + oy * wo + ox] = best;
+            for ox in 0..ho {
+                let at = c * hw * hw + oy * 2 * hw + ox * 2;
+                let top = input[at].max(input[at + 1]);
+                out.push(top.max(input[at + hw]).max(input[at + hw + 1]));
             }
         }
     }
-    out
 }
 
-/// Integer fully connected layer over an `i8` activation vector, returning
-/// the raw 32-bit accumulators (bias included, no requantisation).
-fn linear_int_raw(input: &[i8], layer: &QuantizedLayer) -> Vec<i32> {
+/// The raw 32-bit accumulators of an integer fully connected layer over
+/// an `i8` activation vector: the bias plus one dot product per output,
+/// with no requantisation.
+fn linear_int<'a>(input: &'a [i8], layer: &'a QuantizedLayer) -> impl Iterator<Item = i32> + 'a {
     assert_eq!(layer.kernel, 1, "linear layers are 1x1");
     assert_eq!(input.len(), layer.in_features, "feature mismatch");
-    let mut raw = vec![0i32; layer.out_features];
-    for (o, acc_out) in raw.iter_mut().enumerate() {
-        let mut acc = layer.bias_q[o];
-        let base = o * layer.in_features;
-        for (i, &x) in input.iter().enumerate() {
-            acc += x as i32 * layer.weight_q[base + i] as i32;
-        }
-        *acc_out = acc;
-    }
-    raw
+    layer
+        .weight_q
+        .chunks_exact(layer.in_features)
+        .zip(&layer.bias_q)
+        .map(move |(w, &bias)| dot(bias, w, input))
 }
 
 /// The predicted class of a logit vector: the index of the largest logit,

@@ -13,8 +13,12 @@
 //!    4x4-bit and 8x8-bit SDOTP), with the first layer pinned at INT8
 //!    ([`PrecisionAssignment`]).
 //! 4. **Integer conversion**: a pure-integer inference model
-//!    ([`QuantizedCnn`]) that is bit-exact with the RISC-V kernels in
-//!    `pcount-kernels` and serves as their golden reference.
+//!    ([`QuantizedCnn`]) whose logits are bit-exact with the RISC-V
+//!    kernels in `pcount-kernels`. It runs each layer the way those
+//!    kernels do, as `i8` dot products (over an im2col column per output
+//!    pixel for the 3x3 convs), and a frame allocates nothing once a
+//!    thread is warm, so it is the host golden model the fleet serves
+//!    full-budget attempts on.
 //!
 //! ## Simplification relative to the paper
 //!
