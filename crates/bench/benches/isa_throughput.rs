@@ -3,28 +3,30 @@
 //! on the deployed CNN workload (the program every Table-I / Fig. 5–7
 //! measurement funnels through).
 //!
-//! Besides the criterion timings, the bench prints an explicit
-//! instructions-per-second summary (engine speedup under both memory
-//! models, fusion speedup, parallel scaling), the Flat-vs-Maupiti
-//! memory-hierarchy cycle delta with its stall breakdown, a trace-cache
-//! profile of the hottest superblocks (with the per-trace memory-stall
-//! column), and writes the numbers to `BENCH_isa.json` at the workspace
-//! root so the perf trajectory stays machine-readable across PRs. It then
-//! reads the file back and checks that the fusion columns are populated.
+//! The bench prints an instructions-per-second summary (engine speedup
+//! under both memory models, fusion speedup, parallel scaling), the
+//! Flat-vs-Maupiti memory-hierarchy cycle delta with its stall
+//! breakdown, a trace-cache profile of the hottest superblocks (with the
+//! per-trace memory-stall column), and writes the numbers to
+//! `BENCH_isa.json` at the workspace root so the perf trajectory stays
+//! machine-readable across PRs. It then reads the file back and checks
+//! that the fusion columns are populated.
 //!
 //! `BENCH_SMOKE=1` (used by CI) shrinks every measurement window to a
-//! handful of iterations, skips the wall-clock assertions and writes
+//! few milliseconds, skips the wall-clock assertions and writes
 //! `target/bench-smoke/BENCH_isa.json` instead — the bit-identity checks
 //! across engines, memory models, fusion and thread counts and the
 //! read-back checks still run, so engine regressions fail fast without
 //! timing noise.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pcount_bench::{calls_per_s, demo_int8_model, smoke_mode, write_bench_json};
+use pcount_bench::{
+    calls_per_s, demo_int8_model, host_threads, smoke_mode, write_bench_json, Rate,
+};
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
 use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
+use std::hint::black_box;
 
 /// Worker threads used for the parallel-batch measurement.
 const PARALLEL_THREADS: usize = 4;
@@ -42,14 +44,14 @@ fn deployment_with(model: &QuantizedCnn, mode: ExecMode, mem: MemoryModel) -> De
 
 /// Measures sustained simulated instructions/second of the serial
 /// per-frame path.
-fn measure_ips(deployment: &Deployment, frame: &[f32]) -> f64 {
+fn measure_ips(deployment: &Deployment, frame: &[f32]) -> Rate {
     let per_frame = deployment.run_frame(frame).expect("run").instructions;
-    per_frame as f64 * calls_per_s(|| deployment.run_frame(black_box(frame)).expect("run"))
+    calls_per_s(|| deployment.run_frame(black_box(frame)).expect("run")).scaled(per_frame as f64)
 }
 
 /// Measures sustained simulated instructions/second of the pooled batch
 /// path at the given thread count.
-fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) -> f64 {
+fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) -> Rate {
     let pool = deployment.make_pool(threads).expect("pool");
     // Retired instruction counts are data-dependent (requant clamps,
     // pooling comparisons), so sum the real per-frame counts of the
@@ -60,12 +62,12 @@ fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) ->
         .iter()
         .map(|r| r.instructions)
         .sum();
-    per_batch as f64
-        * calls_per_s(|| {
-            deployment
-                .run_batch(black_box(batch), &pool)
-                .expect("batch")
-        })
+    calls_per_s(|| {
+        deployment
+            .run_batch(black_box(batch), &pool)
+            .expect("batch")
+    })
+    .scaled(per_batch as f64)
 }
 
 /// Asserts bit-identical logits/instret across every execution strategy;
@@ -135,7 +137,10 @@ fn validate_bench_json(bench: &JsonValue) {
             .unwrap_or_else(|| panic!("{key} is not a number in {value:?}"))
     };
     assert!(num(bench, "fusion_speedup") > 0.0);
-    assert!(num(bench, "ips_block_cached_nofusion") > 0.0);
+    let nofusion = bench
+        .get("ips_block_cached_nofusion")
+        .expect("nofusion rate");
+    assert!(num(nofusion, "min") > 0.0);
     let Some(JsonValue::Object(hits)) = bench.get("fusion_hits") else {
         panic!("fusion_hits is not an object");
     };
@@ -182,7 +187,7 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-fn bench_engine_throughput(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let (model, x) = demo_int8_model(7);
     let frame: Vec<f32> = x.data()[0..64].to_vec();
@@ -190,23 +195,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let batch = Tensor::from_vec(x.data()[..batch_n * 64].to_vec(), &[batch_n, 1, 8, 8]);
 
     check_bit_identity(&model, &batch);
-
-    if !smoke {
-        let mut group = c.benchmark_group("isa_throughput");
-        group.sample_size(10);
-        for (name, mode) in [
-            ("simple", ExecMode::Simple),
-            ("block_cached", ExecMode::BlockCached),
-        ] {
-            let deployment = deployment_with_mode(&model, mode);
-            group.bench_with_input(
-                BenchmarkId::new("cnn_inference", name),
-                &deployment,
-                |b, d| b.iter(|| d.run_frame(black_box(&frame)).expect("run")),
-            );
-        }
-        group.finish();
-    }
 
     let simple = deployment_with_mode(&model, ExecMode::Simple);
     let cached = deployment_with_mode(&model, ExecMode::BlockCached);
@@ -220,13 +208,11 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let ips_maupiti_simple = measure_ips(&maupiti_simple, &frame);
     let ips_maupiti_cached = measure_ips(&maupiti_cached, &frame);
     let ips_parallel = measure_batch_ips(&cached, &batch, PARALLEL_THREADS);
-    let speedup = ips_cached / ips_simple;
-    let speedup_maupiti = ips_maupiti_cached / ips_maupiti_simple;
-    let fusion_speedup = ips_cached / ips_nofusion;
-    let scaling = ips_parallel / ips_cached;
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let speedup = ips_cached.median / ips_simple.median;
+    let speedup_maupiti = ips_maupiti_cached.median / ips_maupiti_simple.median;
+    let fusion_speedup = ips_cached.median / ips_nofusion.median;
+    let scaling = ips_parallel.median / ips_cached.median;
+    let host_threads = host_threads();
 
     // Flat-vs-Maupiti cycle delta of one inference: how much the modelled
     // memory hierarchy costs over the ideal memories of the flat model.
@@ -234,10 +220,12 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let run_maupiti = maupiti_cached.run_frame(&frame).expect("maupiti run");
     let cycle_delta = run_maupiti.cycles as f64 / run_flat.cycles as f64;
 
-    println!("isa_throughput summary (deployed CNN, MAUPITI target):");
-    println!("  simple:                  {ips_simple:>10.2e} instructions/s");
-    println!("  block_cached:            {ips_cached:>10.2e} instructions/s");
-    println!("  parallel x{PARALLEL_THREADS}:             {ips_parallel:>10.2e} instructions/s");
+    println!("isa_throughput summary (deployed CNN, MAUPITI target; medians):");
+    let (simple_ips, cached_ips, parallel_ips) =
+        (ips_simple.median, ips_cached.median, ips_parallel.median);
+    println!("  simple:                  {simple_ips:>10.2e} instructions/s");
+    println!("  block_cached:            {cached_ips:>10.2e} instructions/s");
+    println!("  parallel x{PARALLEL_THREADS}:             {parallel_ips:>10.2e} instructions/s");
     println!("  engine speedup:          {speedup:.2}x (asserted floor: >= 3x)");
     println!("  engine speedup (maupiti mem model): {speedup_maupiti:.2}x");
     println!(
@@ -296,7 +284,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
         "BENCH_isa.json",
         "isa_throughput",
         [
-            ("host_threads", host_threads.into()),
             ("parallel_threads", PARALLEL_THREADS.into()),
             ("ips_simple", ips_simple.into()),
             ("ips_block_cached", ips_cached.into()),
@@ -363,6 +350,3 @@ fn bench_engine_throughput(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_engine_throughput);
-criterion_main!(benches);

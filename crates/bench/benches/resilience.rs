@@ -2,9 +2,10 @@
 //! streaming deployment, written to `BENCH_robust.json` at the workspace
 //! root so the robustness trajectory stays machine-readable across PRs.
 //!
-//! Besides the criterion timing of the supervised stream against the
-//! plain pooled batch, the bench runs the timing-independent chaos
-//! tripwires in every mode (including `BENCH_SMOKE=1`):
+//! The bench records frames/s of the plain pooled batch and of the
+//! supervised stream at fault intensity 0.1, and runs the
+//! timing-independent chaos tripwires in every mode (including
+//! `BENCH_SMOKE=1`):
 //!
 //! * zero-intensity supervision is bit-identical to the plain
 //!   [`Deployment`] (logits, cycles, instret);
@@ -16,11 +17,10 @@
 //!   and fault counters, and the written `BENCH_robust.json` parses back
 //!   with its `robustness.points` and `robustness.slo.counters` blocks.
 //!
-//! `BENCH_SMOKE=1` runs a shorter stream, skips the criterion timing and
+//! `BENCH_SMOKE=1` runs a shorter stream, shrinks the timing windows and
 //! writes `target/bench-smoke/BENCH_robust.json` instead.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pcount_bench::{smoke_mode, write_bench_json};
+use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_kernels::{Deployment, Target};
 use pcount_resilience::{
@@ -28,6 +28,7 @@ use pcount_resilience::{
 };
 use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
+use std::hint::black_box;
 
 /// Seed of the demo model, the streamed session and the fault plans.
 const SEED: u64 = 7;
@@ -92,7 +93,7 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-fn bench_resilience(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let n = if smoke { 16 } else { 48 };
     let (deployment, frames, labels) = deployed_stream(n);
@@ -186,6 +187,25 @@ fn bench_resilience(c: &mut Criterion) {
         );
     }
 
+    // Frames/s of the session through the plain pooled batch and through
+    // the supervised stream under faults, each on a pool built once.
+    let supervised = ResilientDeployment::new(deployment.clone(), ResilienceConfig::default());
+    let faulted = FaultPlan::new(FAULT_SEED, FaultConfig::uniform(0.1)).inject(&frames);
+    let mut pool = deployment.make_pool(POOL_THREADS).expect("pool");
+    let session_frames = frames.shape()[0] as f64;
+    let plain_fps = calls_per_s(|| {
+        deployment
+            .run_batch(black_box(&frames), &pool)
+            .expect("batch")
+    })
+    .scaled(session_frames);
+    let supervised_fps = calls_per_s(|| supervised.run_stream(black_box(&faulted), &mut pool))
+        .scaled(session_frames);
+    println!(
+        "  frames/s (medians): plain batch {:.0}, supervised stream at intensity 0.1 {:.0}",
+        plain_fps.median, supervised_fps.median
+    );
+
     let bench = write_bench_json(
         "BENCH_robust.json",
         "resilience",
@@ -193,35 +213,13 @@ fn bench_resilience(c: &mut Criterion) {
             ("frames", n.into()),
             ("pool_threads", POOL_THREADS.into()),
             ("fault_seed", FAULT_SEED.into()),
+            ("plain_batch_frames_per_s", plain_fps.into()),
+            (
+                "supervised_frames_per_s_intensity_0.1",
+                supervised_fps.into(),
+            ),
             ("robustness", json),
         ],
     );
     validate_bench_json(&bench);
-
-    if smoke {
-        println!("BENCH_SMOKE=1: criterion timing skipped");
-        return;
-    }
-    let supervised = ResilientDeployment::new(deployment.clone(), ResilienceConfig::default());
-    let faulted = FaultPlan::new(FAULT_SEED, FaultConfig::uniform(0.1)).inject(&frames);
-    let pool = deployment.make_pool(POOL_THREADS).expect("pool");
-    let mut group = c.benchmark_group("resilience");
-    group.sample_size(10);
-    group.bench_function("plain_batch", |b| {
-        b.iter(|| {
-            deployment
-                .run_batch(black_box(&frames), &pool)
-                .expect("batch")
-        })
-    });
-    group.bench_function("supervised_stream_intensity_0.1", |b| {
-        b.iter(|| {
-            let mut pool = deployment.make_pool(POOL_THREADS).expect("pool");
-            black_box(supervised.run_stream(black_box(&faulted), &mut pool))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_resilience);
-criterion_main!(benches);

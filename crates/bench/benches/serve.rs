@@ -4,8 +4,8 @@
 //! queue depths, shed/quarantine counts, per-shard error-budget burn)
 //! stays machine-readable across PRs.
 //!
-//! Besides the criterion timing of one full fleet run, the bench runs
-//! the timing-independent serve tripwires in every mode (including
+//! The bench records frames/s of the default fleet's run, and runs the
+//! timing-independent serve tripwires in every mode (including
 //! `BENCH_SMOKE=1`):
 //!
 //! * a ≥200-node fleet run completes with every delivery slot disposed
@@ -24,11 +24,10 @@
 //! * the written `BENCH_serve.json` parses back with every block its
 //!   readers use.
 //!
-//! `BENCH_SMOKE=1` runs the shorter smoke fleet, skips the criterion
-//! timing and writes `target/bench-smoke/BENCH_serve.json` instead.
+//! `BENCH_SMOKE=1` runs the shorter smoke fleet, shrinks the timing
+//! windows and writes `target/bench-smoke/BENCH_serve.json` instead.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pcount_bench::{smoke_mode, write_bench_json};
+use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
@@ -191,7 +190,7 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-fn bench_serve(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let (deployment, data) = deployed();
 
@@ -408,6 +407,17 @@ fn bench_serve(c: &mut Criterion) {
     let failover_hash = check_reproducible(&deployment, &data, &crash_cfg);
     pcount_telemetry::set_enabled(false);
 
+    // Frames/s of the base fleet's run; the service and its pool are
+    // built once, outside the timed calls.
+    let svc = FleetService::new(deployment.clone(), base_cfg(smoke), &data).expect("fleet");
+    let mut pool = svc.make_pool(POOL_THREADS).expect("pool");
+    let frames = svc.run(&mut pool).totals.requests;
+    let fleet_fps = calls_per_s(|| svc.run(&mut pool)).scaled(frames as f64);
+    println!(
+        "serve fleet run: {frames} frames, {:.0} frames/s (median)",
+        fleet_fps.median
+    );
+
     let serve = JsonValue::object([
         ("ramp", JsonValue::Array(ramp_entries)),
         ("storm", (&storm_report).into()),
@@ -435,26 +445,9 @@ fn bench_serve(c: &mut Criterion) {
         [
             ("fleet_seed", FLEET_SEED.into()),
             ("pool_threads", POOL_THREADS.into()),
+            ("fleet_frames_per_s", fleet_fps.into()),
             ("serve", serve),
         ],
     );
     validate_bench_json(&bench);
-
-    if smoke {
-        println!("BENCH_SMOKE=1: criterion timing skipped");
-        return;
-    }
-    let svc = FleetService::new(deployment.clone(), base_cfg(false), &data).expect("fleet");
-    let mut group = c.benchmark_group("serve");
-    group.sample_size(10);
-    group.bench_function("fleet_run_240_nodes", |b| {
-        b.iter(|| {
-            let mut pool = svc.make_pool(POOL_THREADS).expect("pool");
-            black_box(svc.run(&mut pool))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_serve);
-criterion_main!(benches);

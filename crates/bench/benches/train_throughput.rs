@@ -4,12 +4,11 @@
 //! `pcount-runtime` worker pool, and serial vs parallel per-fold NAS
 //! training wall-clock through `pcount_core::FoldTrainJob`.
 //!
-//! Besides the criterion timings, the bench prints an explicit summary
-//! (conv speedup vs the 3x acceptance target, GEMM parallel scaling vs
-//! the 1.7x 4-thread floor, fold-scaling efficiency vs the 0.7 target
-//! on 4-core-or-wider hosts) and writes the numbers to `BENCH_train.json` at the
-//! workspace root so the perf trajectory stays machine-readable across
-//! PRs.
+//! The bench prints a summary (conv speedup vs the 3x acceptance
+//! target, GEMM parallel scaling vs the 1.7x 4-thread floor, fold-scaling
+//! efficiency vs the 0.7 target on 4-core-or-wider hosts) and writes the
+//! numbers to `BENCH_train.json` at the workspace root so the perf
+//! trajectory stays machine-readable across PRs.
 //!
 //! `BENCH_SMOKE=1` (used by CI) skips the wall-clock assertions, shrinks
 //! every measurement window and writes
@@ -18,8 +17,7 @@
 //! thread-count determinism check still run in full, so training engine
 //! regressions fail fast without timing noise.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
+use pcount_bench::{calls_per_s, host_threads, smoke_mode, write_bench_json, Rate};
 use pcount_core::FoldTrainJob;
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_nn::{CnnConfig, Conv2d, Layer, TrainConfig};
@@ -28,7 +26,7 @@ use pcount_runtime::{install, Pool};
 use pcount_tensor::{gemm, gemm_splits_columns, GemmScratch, SplitMix64, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::hint::black_box;
 
 /// Worker threads used for the parallel-fold measurement.
 const PARALLEL_THREADS: usize = 4;
@@ -173,7 +171,7 @@ fn check_gemm_parallel_bit_identity(w: &GemmWorkload) -> bool {
 
 /// Sustained wall-clock of the bench GEMM under a pool of `width`
 /// workers, in products/second.
-fn measure_gemm_products_per_s(w: &GemmWorkload, width: usize) -> f64 {
+fn measure_gemm_products_per_s(w: &GemmWorkload, width: usize) -> Rate {
     let pool = Pool::new(width);
     let mut c = vec![0.0f32; w.m * w.n];
     // The warm-up call spins the workers up.
@@ -269,7 +267,7 @@ fn check_fold_determinism() {
     }
 }
 
-fn bench_train_throughput(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
 
     check_conv_equivalence();
@@ -277,37 +275,19 @@ fn bench_train_throughput(c: &mut Criterion) {
     let gemm_workload = GemmWorkload::new(13);
     let gemm_bit_identical = check_gemm_parallel_bit_identity(&gemm_workload);
 
-    if !smoke {
-        let mut group = c.benchmark_group("train_throughput");
-        group.sample_size(10);
-        for name in ["gemm", "naive"] {
-            group.bench_with_input(BenchmarkId::new("conv_fwd_bwd", name), &name, |b, &name| {
-                let mut w = ConvWorkload::new(3);
-                b.iter(|| {
-                    if name == "gemm" {
-                        w.step_gemm()
-                    } else {
-                        w.step_naive()
-                    }
-                })
-            });
-        }
-        group.finish();
-    }
-
     // --- GEMM vs naive conv images/s ------------------------------------
     let mut w = ConvWorkload::new(3);
     let batch = w.batch;
-    let ips_naive = batch as f64 * calls_per_s(|| w.step_naive());
-    let ips_gemm = batch as f64 * calls_per_s(|| w.step_gemm());
-    let conv_speedup = ips_gemm / ips_naive;
+    let ips_naive = calls_per_s(|| w.step_naive()).scaled(batch as f64);
+    let ips_gemm = calls_per_s(|| w.step_gemm()).scaled(batch as f64);
+    let conv_speedup = ips_gemm.median / ips_naive.median;
 
     // --- Serial vs pool-parallel GEMM -----------------------------------
     let gemm_serial_pps = measure_gemm_products_per_s(&gemm_workload, 1);
     let gemm_parallel_pps = measure_gemm_products_per_s(&gemm_workload, GEMM_THREADS);
-    let gemm_parallel_speedup = gemm_parallel_pps / gemm_serial_pps;
+    let gemm_parallel_speedup = gemm_parallel_pps.median / gemm_serial_pps.median;
 
-    // --- Serial vs parallel fold wall-clock -----------------------------
+    // --- Serial vs parallel fold jobs/s ---------------------------------
     let workload = FoldWorkload::new(if smoke { 1 } else { 8 });
     let folds = workload.dataset.leave_one_session_out();
     let folds: Vec<_> = if smoke {
@@ -317,33 +297,30 @@ fn bench_train_throughput(c: &mut Criterion) {
     };
     let job = workload.job(&folds);
     let fold_workers = PARALLEL_THREADS.min(folds.len());
-    let start = Instant::now();
-    black_box(job.run(1));
-    let fold_serial_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    black_box(job.run(PARALLEL_THREADS));
-    let fold_parallel_s = start.elapsed().as_secs_f64();
-    let fold_scaling = fold_serial_s / fold_parallel_s;
+    let fold_serial = calls_per_s(|| job.run(1));
+    let fold_parallel = calls_per_s(|| job.run(PARALLEL_THREADS));
+    let fold_scaling = fold_parallel.median / fold_serial.median;
     let fold_efficiency = fold_scaling / fold_workers as f64;
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_threads = host_threads();
 
-    println!("train_throughput summary (training engine):");
-    println!("  conv naive:            {ips_naive:>10.2e} images/s (fwd+bwd, batch {batch})");
-    println!("  conv GEMM:             {ips_gemm:>10.2e} images/s");
+    println!("train_throughput summary (training engine; medians):");
+    let (naive_ips, gemm_ips) = (ips_naive.median, ips_gemm.median);
+    println!("  conv naive:            {naive_ips:>10.2e} images/s (fwd+bwd, batch {batch})");
+    println!("  conv GEMM:             {gemm_ips:>10.2e} images/s");
     println!("  conv speedup:          {conv_speedup:.2}x (acceptance target: >= 3x)");
+    let (serial_pps, parallel_pps) = (gemm_serial_pps.median, gemm_parallel_pps.median);
     println!(
-        "  GEMM {}x{}x{}:      serial {gemm_serial_pps:.1}/s vs pool x{GEMM_THREADS} \
-         {gemm_parallel_pps:.1}/s",
+        "  GEMM {}x{}x{}:      serial {serial_pps:.1}/s vs pool x{GEMM_THREADS} \
+         {parallel_pps:.1}/s",
         gemm_workload.m, gemm_workload.k, gemm_workload.n
     );
     println!(
         "  GEMM parallel scaling: {gemm_parallel_speedup:.2}x at {GEMM_THREADS} workers \
          (floor >= 1.7x on >= 4-core hosts; bit-identical: {gemm_bit_identical})"
     );
+    let (serial_s, parallel_s) = (fold_serial.median.recip(), fold_parallel.median.recip());
     println!(
-        "  fold training:         serial {fold_serial_s:.2}s vs parallel x{fold_workers} {fold_parallel_s:.2}s ({} folds)",
+        "  fold training:         serial {serial_s:.2}s vs parallel x{fold_workers} {parallel_s:.2}s ({} folds)",
         folds.len()
     );
     println!(
@@ -369,18 +346,19 @@ fn bench_train_throughput(c: &mut Criterion) {
         "BENCH_train.json",
         "train_throughput",
         [
-            ("host_threads", host_threads.into()),
             ("conv_batch", batch.into()),
             ("images_per_s_naive", ips_naive.into()),
             ("images_per_s_gemm", ips_gemm.into()),
             ("conv_speedup", conv_speedup.into()),
             ("gemm_threads", GEMM_THREADS.into()),
+            ("gemm_products_per_s_serial", gemm_serial_pps.into()),
+            ("gemm_products_per_s_parallel", gemm_parallel_pps.into()),
             ("gemm_parallel_speedup", gemm_parallel_speedup.into()),
             ("gemm_parallel_bit_identical", gemm_bit_identical.into()),
             ("fold_count", folds.len().into()),
             ("fold_workers", fold_workers.into()),
-            ("fold_serial_s", fold_serial_s.into()),
-            ("fold_parallel_s", fold_parallel_s.into()),
+            ("fold_jobs_per_s_serial", fold_serial.into()),
+            ("fold_jobs_per_s_parallel", fold_parallel.into()),
             ("fold_scaling", fold_scaling.into()),
             ("fold_efficiency", fold_efficiency.into()),
             ("pool_utilization", (&pool_utilization).into()),
@@ -421,6 +399,3 @@ fn bench_train_throughput(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_train_throughput);
-criterion_main!(benches);

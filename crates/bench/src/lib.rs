@@ -42,8 +42,8 @@ pub fn experiment_flow_config() -> FlowConfig {
     }
 }
 
-/// Builds a small trained + quantised model used by the micro-benchmarks
-/// (kernel latency, integer inference), without running the full flow.
+/// Builds a small trained + quantised model for the ledger benches,
+/// without running the full flow.
 pub fn demo_quantized_model(
     channels: (usize, usize, usize),
     assignment: PrecisionAssignment,
@@ -99,14 +99,19 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// Hardware threads of this host (1 when unknown): the `host.threads`
+/// field of every `BENCH_*.json` and the gate of the multi-core floors.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The host metadata block embedded in every `BENCH_*.json`: hardware
 /// thread count, configured worker-pool width, whether the run was a
 /// `BENCH_SMOKE=1` smoke pass, and the git revision (from `GIT_REV` or
 /// the local `git` checkout).
 pub fn host_metadata_json(smoke: bool) -> JsonValue {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     JsonValue::object([
-        ("threads", threads.into()),
+        ("threads", host_threads().into()),
         ("pool_width", pcount_runtime::current().width().into()),
         ("smoke", smoke.into()),
         ("git_rev", git_rev().into()),
@@ -120,21 +125,71 @@ pub fn smoke_mode() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
-/// Sustained calls per second of `step`: one warm-up call, then repeated
-/// calls for 0.02 s in smoke mode or 1 s otherwise. Every result passes
-/// through [`std::hint::black_box`].
-pub fn calls_per_s<R>(mut step: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(step());
-    let budget = if smoke_mode() { 0.02 } else { 1.0 };
-    let start = Instant::now();
-    let mut calls = 0u64;
-    loop {
-        std::hint::black_box(step());
-        calls += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= budget {
-            return calls as f64 / elapsed;
+/// Timed windows per [`calls_per_s`] measurement; odd, so the median is
+/// one window's rate.
+pub const REPEATS: usize = 9;
+
+/// A rate measured by [`calls_per_s`]: the median and the slowest of
+/// its timed windows. Bench files record it as `{"median", "min",
+/// "repeats"}`; speedups are ratios of medians.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rate {
+    /// The median window's rate, per second.
+    pub median: f64,
+    /// The slowest window's rate, per second.
+    pub min: f64,
+    /// The number of timed windows, [`REPEATS`].
+    pub repeats: usize,
+}
+
+impl Rate {
+    /// The same measurement in units of `per_call` items per call, e.g.
+    /// instructions or frames per second instead of calls per second.
+    pub fn scaled(self, per_call: f64) -> Rate {
+        Rate {
+            median: self.median * per_call,
+            min: self.min * per_call,
+            ..self
         }
+    }
+}
+
+impl From<Rate> for JsonValue {
+    fn from(rate: Rate) -> Self {
+        JsonValue::object([
+            ("median", rate.median.into()),
+            ("min", rate.min.into()),
+            ("repeats", rate.repeats.into()),
+        ])
+    }
+}
+
+/// Sustained calls per second of `step`: one warm-up call, then
+/// [`REPEATS`] timed windows that share 1 s (0.02 s in smoke mode), each
+/// of at least one call. Every result passes through
+/// [`std::hint::black_box`].
+pub fn calls_per_s<R>(mut step: impl FnMut() -> R) -> Rate {
+    std::hint::black_box(step());
+    let window = if smoke_mode() { 0.02 } else { 1.0 } / REPEATS as f64;
+    let mut rates: Vec<f64> = (0..REPEATS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut calls = 0u64;
+            loop {
+                std::hint::black_box(step());
+                calls += 1;
+                let elapsed = start.elapsed().as_secs_f64();
+                if elapsed >= window {
+                    return calls as f64 / elapsed;
+                }
+            }
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    Rate {
+        median: rates[REPEATS / 2],
+        min: rates[0],
+        repeats: REPEATS,
     }
 }
 
@@ -203,6 +258,13 @@ mod tests {
         let (model, x) = demo_int8_model(1);
         assert!(model.weight_bytes() < 16 * 1024);
         assert_eq!(x.shape()[2], 8);
+    }
+
+    #[test]
+    fn calls_per_s_times_every_window() {
+        let rate = calls_per_s(|| (0..1_000u64).map(std::hint::black_box).sum::<u64>());
+        assert_eq!(rate.repeats, REPEATS);
+        assert!(0.0 < rate.min && rate.min <= rate.median, "{rate:?}");
     }
 
     #[test]

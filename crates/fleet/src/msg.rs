@@ -64,14 +64,6 @@ impl DeliveryStatus {
         )
     }
 
-    /// `true` when the *node* (not the service) is responsible for the
-    /// missing fresh prediction: sensor gaps and unrecoverable faults.
-    /// Shed and downsampled frames are service-caused and never count
-    /// against a node's health.
-    pub fn node_caused_degradation(self) -> bool {
-        matches!(self, DeliveryStatus::Gap | DeliveryStatus::Fallback)
-    }
-
     /// Stable lowercase name (JSON keys).
     pub fn name(self) -> &'static str {
         match self {

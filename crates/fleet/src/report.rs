@@ -43,8 +43,8 @@ pub struct ServeTotals {
 }
 
 impl ServeTotals {
-    /// The totals as `(canonical fleet counter name, value)` pairs, in
-    /// [`slo::fleet_counter_names`] order.
+    /// The totals as `(fleet counter name, value)` pairs; this order is
+    /// the canonical order of the fleet counters.
     pub fn as_counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             (slo::FLEET_REQUESTS, self.requests),

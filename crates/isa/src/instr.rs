@@ -402,11 +402,6 @@ impl Instr {
         word
     }
 
-    /// Returns `true` for the SDOTP extension instructions.
-    pub fn is_sdotp(self) -> bool {
-        matches!(self, Instr::Sdotp8 { .. } | Instr::Sdotp4 { .. })
-    }
-
     /// Short mnemonic for tracing.
     pub fn mnemonic(self) -> &'static str {
         use Instr::*;

@@ -321,11 +321,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layer stack.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Forward pass through all layers in order.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut cur = x.clone();

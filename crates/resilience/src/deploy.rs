@@ -580,8 +580,3 @@ impl ResilientDeployment {
         total
     }
 }
-
-/// The emitted (smoothed/held) prediction sequence of a report.
-pub fn emitted_predictions(report: &StreamReport) -> Vec<usize> {
-    report.outcomes.iter().map(|o| o.emitted).collect()
-}

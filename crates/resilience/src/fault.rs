@@ -151,11 +151,6 @@ impl FaultConfig {
         }
     }
 
-    /// `true` when every class rate is zero.
-    pub fn is_off(&self) -> bool {
-        FaultClass::ALL.iter().all(|&c| self.rate(c) == 0.0)
-    }
-
     /// The per-frame rate of `class`.
     pub fn rate(&self, class: FaultClass) -> f64 {
         match class {

@@ -28,8 +28,8 @@ mod fault;
 mod robustness;
 
 pub use deploy::{
-    emitted_predictions, AttemptOutcome, BreakerConfig, FrameOutcome, RecoveryStats,
-    ResilienceConfig, ResilientDeployment, RetryPolicy, StreamReport, TickStatus,
+    AttemptOutcome, BreakerConfig, FrameOutcome, RecoveryStats, ResilienceConfig,
+    ResilientDeployment, RetryPolicy, StreamReport, TickStatus,
 };
 pub use fault::{FaultClass, FaultConfig, FaultPlan, FaultyStream, StallFault, Tick};
 pub use robustness::{evaluate_robustness, RobustnessPoint, RobustnessReport};

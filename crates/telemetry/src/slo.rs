@@ -126,28 +126,6 @@ pub const FLEET_ADAPTIVE_HIGH_WATERMARK: &str = "fleet/adaptive_high_watermark";
 /// with (2 = the static every-other-frame policy).
 pub const FLEET_ADAPTIVE_DOWNSAMPLE_STRIDE: &str = "fleet/adaptive_downsample_stride";
 
-/// Every fleet-serving counter name, in canonical export order.
-pub fn fleet_counter_names() -> Vec<&'static str> {
-    vec![
-        FLEET_REQUESTS,
-        FLEET_ADMITTED,
-        FLEET_SHED,
-        FLEET_DOWNSAMPLED,
-        FLEET_GAPS,
-        FLEET_FUSED,
-        FLEET_QUARANTINED_FRAMES,
-        FLEET_QUARANTINE_TRIPS,
-        FLEET_READMISSIONS,
-        FLEET_CRASHES,
-        FLEET_CRASH_LOST,
-        FLEET_REROUTED,
-        FLEET_MIGRATIONS,
-        FLEET_CHECKPOINTS,
-        FLEET_ADAPTIVE_TIGHTENS,
-        FLEET_ADAPTIVE_RELAXES,
-    ]
-}
-
 /// An error budget: the fraction of frames a stream is allowed to degrade
 /// (fallback or drop) before its SLO is considered spent.
 ///

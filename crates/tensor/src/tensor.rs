@@ -80,16 +80,6 @@ impl Tensor {
         Self::from_vec(data, shape)
     }
 
-    /// Creates a tensor with elements drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let n = numel(shape);
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(rng.gen_range(lo..hi));
-        }
-        Self::from_vec(data, shape)
-    }
-
     /// Returns the shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -113,11 +103,6 @@ impl Tensor {
     /// Returns a mutable view of the underlying flat data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns a copy with a new shape describing the same number of
