@@ -316,10 +316,11 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The engine measures ~7x on an idle host; the hard guard sits lower
-    // because both operands are independent wall-clock measurements and a
-    // loaded machine can perturb them by tens of percent. A reading under
-    // the 5x target on a quiet machine is a real regression.
+    // The committed record (2-core host) reads 14.7x from the medians:
+    // block-cached 5.5e8 instructions/s (slowest window 5.0e8) vs simple
+    // 3.8e7 (3.0e7). The hard guard sits far lower because both operands
+    // are independent wall-clock measurements and a loaded machine can
+    // perturb them by tens of percent.
     assert!(
         speedup >= 3.0,
         "block-cached engine regressed to {speedup:.2}x the reference interpreter"
@@ -334,15 +335,17 @@ fn main() {
     );
     // Macro-op fusion exists to be a perf win: the fused conv3x3 guard
     // nests and SDOTP channel loops must beat per-instruction dispatch by
-    // a clear margin on the deployed CNN. Measured well above 1.5x on an
-    // idle host; the floor sits at 1.2x to absorb wall-clock noise on
-    // loaded machines.
+    // a clear margin on the deployed CNN. The committed record reads 1.86x
+    // from the medians (unfused 3.0e8 instructions/s, slowest window
+    // 2.8e8); the floor sits at 1.2x to absorb wall-clock noise on loaded
+    // machines.
     assert!(
         fusion_speedup >= 1.2,
         "macro-op fusion regressed to {fusion_speedup:.3}x over per-instruction dispatch"
     );
     // Batch scaling needs real cores; on a >= 4-thread host the pooled
-    // path must deliver the acceptance target.
+    // path must deliver the acceptance target. The committed record comes
+    // from a 2-thread host (0.93x), so it does not exercise this floor.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             scaling >= 2.5,
