@@ -54,6 +54,8 @@
 //!
 //! [`IrDataset::session_stream_window`]: pcount_dataset::IrDataset::session_stream_window
 
+#![forbid(unsafe_code)]
+
 // Lets the integration suites' fixtures, which name this crate, also
 // build inside its unit tests.
 #[cfg(test)]

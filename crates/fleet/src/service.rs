@@ -1723,7 +1723,7 @@ mod tests {
                     let svc =
                         FleetService::new(deployment.clone(), cfg.clone(), &data).expect("fleet");
                     let plan = svc.plan();
-                    let mut pool = svc.make_pool(0).expect("pool");
+                    let pool = svc.make_pool(0).expect("pool");
                     let simulated = pool.map_in_place(plan.exec_list.len(), |cpu, base, k| {
                         let (frame, stall) = svc.payload(&plan.planned[plan.exec_list[k]]);
                         let o = svc.supervised.attempt_frame(cpu, base, frame, stall);

@@ -473,8 +473,8 @@ impl Cpu {
         self.pc = IMEM_BASE;
         self.halted = false;
         // The old image's decoded blocks are stale; clones that still run
-        // the old image keep their (shared) cache untouched.
-        self.cache.invalidate(self.mem.imem_size());
+        // the old image keep their (shared) table untouched.
+        self.cache = BlockCache::new(self.mem.imem_size());
         // The profile is re-allocated lazily on the next block-cached run
         // (see `engine::run_inner`).
         self.profile = Vec::new();
@@ -492,7 +492,7 @@ impl Cpu {
     /// the large buffers are overwritten rather than reallocated, so this
     /// is cheaper than `*self = base.clone()` on a hot streaming path.
     ///
-    /// The shared block cache is re-pointed at `base`'s (an `Arc` copy),
+    /// The shared block table is re-pointed at `base`'s (an `Arc` copy),
     /// so warmed decoded traces survive the restore. The persistent
     /// trace-cache *profile* ([`Cpu::hottest_blocks`]) keeps accumulating
     /// across restores — it is observational and never feeds back into

@@ -18,7 +18,7 @@
 //!    re-enters the execution loop locally, with no dispatch at all.
 //!
 //! Every other trace transition is one dispatch: a single bounds-checked
-//! probe of the CPU's local cache snapshot.
+//! probe of the block table, which borrows the cached block.
 //!
 //! Instruction-mix accounting is O(1) per trace execution: every exit
 //! carries its pre-aggregated per-mnemonic prefix counts and the CPU
@@ -26,15 +26,14 @@
 //! [`crate::Trace`] when [`run`] returns (on success *and* on error), so
 //! observable state is indistinguishable from the reference interpreter.
 //!
-//! The cache is shared (copy-on-`load_program`) between clones of a `Cpu`,
-//! including clones running on other threads: decoded blocks live behind
-//! `Arc` in an immutable published snapshot, each CPU probes its own
-//! lock-free snapshot handle, and a mutex-guarded publish step (taken only
-//! when a block is *built*) makes new blocks visible to every clone. A
-//! deployment that clones a pristine CPU per inference therefore warms the
-//! cache once and every later frame — on any thread — dispatches fully
-//! pre-decoded code. Loading a new program image swaps in a fresh cache,
-//! so clones diverging by program never see each other's blocks.
+//! The cache is one write-once table per program image, shared through
+//! an `Arc` by every clone of a `Cpu`, including clones running on other
+//! threads: each slot is built once, by the first clone to enter it, and
+//! never changes afterwards. A deployment that clones a pristine CPU per
+//! frame range therefore warms the cache once and every later frame — on
+//! any thread — dispatches fully pre-decoded code. Loading a new program
+//! image assigns a fresh table, so clones diverging by program never see
+//! each other's blocks.
 //!
 //! Architectural results (registers, memory, instruction counts, trace,
 //! faults) are identical to [`ExecMode::Simple`] — the differential tests
@@ -49,7 +48,7 @@ use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
 use crate::pipeline::LOAD_USE_STALL;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Which execution engine a [`Cpu`] uses in [`Cpu::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -62,102 +61,45 @@ pub enum ExecMode {
     BlockCached,
 }
 
-/// One decoded-block table: direct-mapped by word index, immutable once
-/// published.
-type Slots = Vec<Option<Arc<Block>>>;
-
-/// Lazily populated cache of decoded blocks, shared between CPU clones
-/// across threads (see module docs).
+/// Lazily populated cache of decoded blocks: one write-once slot per
+/// instruction word, direct-mapped by word index and shared by every
+/// clone of a [`Cpu`] that runs the same program image, on any thread
+/// (see module docs).
 ///
-/// Reads go through `local`, a lock-free snapshot handle owned by this
-/// CPU. Building a block takes the `published` mutex, re-checks the latest
-/// snapshot (another thread may have built the same block), publishes a
-/// copy-on-write successor snapshot and refreshes `local`. The copy is
-/// O(slots) but happens at most once per distinct block per program image
-/// — never on the dispatch hot path. Everything here is `Send + Sync`, so
-/// `Cpu` can move across threads and a warmed deployment CPU can be cloned
-/// into a thread pool.
+/// The first CPU to enter a block builds it into its slot; a clone
+/// entering the same empty slot at the same time waits for that build
+/// instead of repeating it. A filled slot never changes, so dispatch
+/// borrows the block without a lock or a reference count. Boxing keeps
+/// an empty slot at 16 bytes.
 #[derive(Debug, Clone)]
-pub(crate) struct BlockCache {
-    /// Latest published snapshot, shared by every clone of this image.
-    published: Arc<Mutex<Arc<Slots>>>,
-    /// This CPU's read-only snapshot.
-    local: Arc<Slots>,
-}
+pub(crate) struct BlockCache(Arc<[OnceLock<Box<Block>>]>);
 
 impl BlockCache {
-    /// An empty cache with one slot per instruction word.
+    /// An empty table with one slot per instruction word.
     pub(crate) fn new(imem_bytes: usize) -> Self {
-        let slots: Arc<Slots> = Arc::new(vec![None; imem_bytes / 4]);
-        Self {
-            published: Arc::new(Mutex::new(Arc::clone(&slots))),
-            local: slots,
-        }
+        Self((0..imem_bytes / 4).map(|_| OnceLock::new()).collect())
     }
 
-    /// Replaces the slot table with a fresh one (new program image). Other
-    /// clones keep the old table.
-    pub(crate) fn invalidate(&mut self, imem_bytes: usize) {
-        *self = Self::new(imem_bytes);
-    }
-
-    /// Number of blocks currently published.
+    /// Number of blocks built so far.
     pub(crate) fn len(&self) -> usize {
-        self.published
-            .lock()
-            .expect("block cache lock")
-            .iter()
-            .filter(|s| s.is_some())
-            .count()
+        self.0.iter().filter(|slot| slot.get().is_some()).count()
     }
 
-    /// Returns the slot index and block entered at `pc`, building and
-    /// publishing the block on miss. `None` means `pc` cannot index
-    /// instruction memory at all.
+    /// Returns the slot index and block entered at `pc`, building the
+    /// block on first entry. `None` means `pc` cannot index instruction
+    /// memory at all.
     #[inline]
-    fn get_or_build(&mut self, mem: &Memory, pc: u32) -> Option<(usize, Arc<Block>)> {
+    fn get_or_build(&self, mem: &Memory, pc: u32) -> Option<(usize, &Block)> {
         let off = pc.checked_sub(IMEM_BASE)? as usize;
         if !off.is_multiple_of(4) {
             return None;
         }
         let index = off / 4;
-        match self.local.get(index)? {
-            Some(block) => Some((index, Arc::clone(block))),
-            None => self.build_and_publish(mem, pc, index),
-        }
-    }
-
-    /// Cold path of [`BlockCache::get_or_build`]: builds the block under
-    /// the publish lock (unless a sibling already did) and makes it
-    /// visible to every clone.
-    #[cold]
-    fn build_and_publish(
-        &mut self,
-        mem: &Memory,
-        pc: u32,
-        index: usize,
-    ) -> Option<(usize, Arc<Block>)> {
-        let mut published = self.published.lock().expect("block cache lock");
-        if let Some(block) = &published[index] {
-            let block = Arc::clone(block);
-            self.local = Arc::clone(&published);
-            return Some((index, block));
-        }
-        let block = Arc::new(build_block(mem, pc));
-        let mut next: Slots = (**published).clone();
-        next[index] = Some(Arc::clone(&block));
-        let next = Arc::new(next);
-        *published = Arc::clone(&next);
-        self.local = next;
+        let block = self
+            .0
+            .get(index)?
+            .get_or_init(|| Box::new(build_block(mem, pc)));
         Some((index, block))
-    }
-
-    /// The block in `slot` of this CPU's local snapshot, if any. A slot
-    /// dispatched through [`BlockCache::get_or_build`] is always there:
-    /// snapshots only grow, and a miss refreshes `local` to one that
-    /// holds the block.
-    fn cached(&self, slot: usize) -> Option<Arc<Block>> {
-        self.local.get(slot)?.clone()
     }
 }
 
@@ -165,8 +107,11 @@ impl BlockCache {
 pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, SimError> {
     let start_instret = cpu.instret;
     let start_cycles = cpu.cycles;
-    let result = run_inner(cpu, max_instructions);
-    fold_exec_counts(cpu);
+    // One handle on the table for the whole run: dispatch and the fold
+    // borrow blocks from it while `cpu` stays mutable.
+    let cache = cpu.cache.clone();
+    let result = run_inner(cpu, &cache, max_instructions);
+    fold_exec_counts(cpu, &cache);
     result?;
     Ok(RunSummary {
         instructions: cpu.instret - start_instret,
@@ -174,7 +119,7 @@ pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, Si
     })
 }
 
-fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
+fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result<(), SimError> {
     // All per-instruction accounting lives in locals for the whole run and
     // is committed to the CPU exactly once on exit (including error exits),
     // so the dispatch loop does no redundant memory traffic.
@@ -251,11 +196,10 @@ fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
             break;
         }
         let pc = cpu.pc;
-        let Some((slot, block)) = cpu.cache.get_or_build(&cpu.mem, pc) else {
+        let Some((slot, block)) = cache.get_or_build(&cpu.mem, pc) else {
             fault = Some(SimError::BadFetch { pc });
             break;
         };
-        let block = &block;
         let profile = &mut cpu.profile[slot];
         if !profile.touched {
             profile.touched = true;
@@ -764,12 +708,11 @@ fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
 
 /// Folds per-slot, per-exit execution counts into the trace and the
 /// persistent per-block profiling totals behind [`Cpu::hottest_blocks`].
-fn fold_exec_counts(cpu: &mut Cpu) {
+fn fold_exec_counts(cpu: &mut Cpu, cache: &BlockCache) {
     while let Some(slot) = cpu.touched_slots.pop() {
-        let block = cpu
-            .cache
-            .cached(slot)
-            .expect("a dispatched slot is in the local snapshot");
+        let block = cache.0[slot]
+            .get()
+            .expect("a dispatched slot holds its block");
         let profile = &mut cpu.profile[slot];
         profile.touched = false;
         for (exit, count) in block.exits.iter().zip(profile.exit_counts.iter_mut()) {
@@ -1458,25 +1401,32 @@ mod tests {
         // Warm the shared cache on this thread.
         let mut warm = base.clone();
         warm.run(100_000).unwrap();
-        assert!(base.cached_blocks() > 0, "warming published the blocks");
-        // `base` never ran, so its local snapshot is stale (empty): each
-        // clone refreshes it on its first dispatch, and the trace fold
-        // must then find every block it ran in that refreshed snapshot.
-        let results: Vec<Cpu> = std::thread::scope(|s| {
+        assert!(base.cached_blocks() > 0, "warming built the blocks");
+        // `base` never ran, but it shares the table `warm` filled: every
+        // clone dispatches and folds from those prebuilt blocks.
+        for cpu in &run_clones_at_once(&base) {
+            assert_same_architectural_state(&warm, cpu);
+        }
+    }
+
+    /// Runs four clones of `base` on four threads, released together by
+    /// a barrier, and returns them once every run has finished.
+    fn run_clones_at_once(base: &Cpu) -> Vec<Cpu> {
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let mut cpu = base.clone();
+                    let start = &start;
                     s.spawn(move || {
+                        start.wait();
                         cpu.run(100_000).unwrap();
                         cpu
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for cpu in &results {
-            assert_same_architectural_state(&warm, cpu);
-        }
+        })
     }
 
     #[test]
@@ -1641,11 +1591,10 @@ mod tests {
         assert!(cpu.hottest_blocks(10).is_empty());
     }
 
-    #[test]
-    fn branch_heavy_program_traces_match_simple_mode() {
-        // Nested loops: inner blocks execute thousands of times, so the
-        // fold-based trace accounting is exercised hard.
-        let program = [
+    /// Nested loops over several traces: inner blocks execute thousands
+    /// of times, so the fold-based trace accounting is exercised hard.
+    fn nested_loops() -> [Instr; 8] {
+        [
             Instr::Addi {
                 rd: reg::T0,
                 rs1: reg::ZERO,
@@ -1684,12 +1633,30 @@ mod tests {
                 offset: -20,
             },
             Instr::Ebreak,
-        ];
-        let (mut simple, mut cached) = cpu_pair(&program);
+        ]
+    }
+
+    #[test]
+    fn branch_heavy_program_traces_match_simple_mode() {
+        let (mut simple, mut cached) = cpu_pair(&nested_loops());
         simple.run(100_000).unwrap();
         cached.run(100_000).unwrap();
         assert_same_architectural_state(&simple, &cached);
         assert_eq!(cached.reg(reg::A0), 40 * 25);
+    }
+
+    #[test]
+    fn cold_clones_build_each_block_once_across_threads() {
+        let (_, mut serial) = cpu_pair(&nested_loops());
+        serial.run(100_000).unwrap();
+        assert!(serial.cached_blocks() >= 3, "several traces expected");
+        // Four clones of a CPU that never ran enter the same empty slots
+        // at once.
+        let (_, base) = cpu_pair(&nested_loops());
+        for cpu in &run_clones_at_once(&base) {
+            assert_same_architectural_state(&serial, cpu);
+        }
+        assert_eq!(base.cached_blocks(), serial.cached_blocks());
     }
 
     // ---- macro-op fusion differential tests -------------------------

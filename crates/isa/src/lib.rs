@@ -20,8 +20,9 @@
 //!   stall accounting via [`PipelineStats`])
 //!   and a per-block execution profile ([`Cpu::hottest_blocks`]) that
 //!   runs the deployed CNN workloads several times faster. The decoded
-//!   blocks are shared `Arc` snapshots, so `Cpu` is `Send` and a warmed
-//!   CPU clones across threads for parallel frame evaluation;
+//!   blocks live in one write-once table per program image, shared by
+//!   every clone, so `Cpu` is `Send` and a warmed CPU clones across
+//!   threads for parallel frame evaluation;
 //! * a pluggable memory-hierarchy cost seam ([`MemoryModel`]): the
 //!   default [`MemoryModel::Flat`] reproduces the ideal-memory cycle
 //!   counts bit-identically, while [`MemoryModel::Maupiti`] models a
@@ -47,6 +48,8 @@
 //! cpu.run(1_000).unwrap();
 //! assert_eq!(cpu.reg(reg::A0), 42);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod block;
 mod cpu;

@@ -297,8 +297,8 @@ impl Deployment {
     ///
     /// The caller owns `cpu` and its post-run state: after an `Ok` the
     /// CPU is halted at the end of the program; after a fault it holds a
-    /// torn memory image and a mid-program PC and must be re-warmed (see
-    /// `Cpu::restore_from` / `CpuPool::quarantine`) before reuse.
+    /// torn memory image and a mid-program PC and must be reset with
+    /// `Cpu::restore_from` before reuse.
     ///
     /// # Errors
     ///
@@ -376,11 +376,11 @@ impl Deployment {
         prediction
     }
 
-    /// Builds a pool of `threads` warmed CPUs (`0` = auto) for
-    /// [`Deployment::run_batch`]. The warmup inference (on an all-zero
-    /// frame) decodes and publishes every superblock of the deployed
-    /// program into the shared cache, so pooled CPUs never decode on the
-    /// batch path.
+    /// Builds a pool that runs `threads` frame ranges at once (`0` =
+    /// auto) for [`Deployment::run_batch`]. The warmup inference (on an
+    /// all-zero frame) decodes every superblock of the deployed program
+    /// into the shared block table, so the pool's per-range CPU clones
+    /// never decode on the batch path.
     ///
     /// # Errors
     ///
@@ -392,13 +392,14 @@ impl Deployment {
     }
 
     /// Runs one inference per frame of a `[N, 1, 8, 8]` batch across the
-    /// pool's threads, returning the runs in frame order.
+    /// pool's threads ([`CpuPool::map_in_place`]), returning the runs in
+    /// frame order.
     ///
     /// Results are bit-identical to a serial [`Deployment::run_frame`]
     /// loop — logits, predictions, cycles and instruction counts —
-    /// regardless of the pool size: every frame's inference is
-    /// independent, and each worker writes into its own contiguous slice
-    /// of the output.
+    /// regardless of the pool size: each frame range runs on one clone
+    /// of the pool's base CPU, restored from that base before every
+    /// frame.
     ///
     /// # Errors
     ///
@@ -413,11 +414,10 @@ impl Deployment {
 
     /// [`Deployment::run_batch`] with a per-frame watchdog budget:
     /// `budget_of(i)` is the instruction limit of frame `i`. This is the
-    /// seam the resilience layer and the fault-ordering tests use to make
-    /// *specific* frames of a pooled batch time out deterministically;
-    /// the error semantics are identical to `run_batch` (every frame is
-    /// evaluated, every fault is counted, the lowest-index fault is
-    /// returned).
+    /// seam the fault-ordering tests use to make *specific* frames of a
+    /// pooled batch time out deterministically; the error semantics are
+    /// identical to `run_batch` (every frame is evaluated, every fault is
+    /// counted, the lowest-index fault is returned).
     ///
     /// # Errors
     ///
@@ -435,39 +435,16 @@ impl Deployment {
         let n = x.shape()[0];
         let pixels: usize = x.shape()[1..].iter().product();
         let data = x.data();
-        let frame = |i: usize| &data[i * pixels..(i + 1) * pixels];
-        let collect = |runs: Vec<Result<InferenceRun, SimError>>| {
-            // First (lowest-index) fault wins, after every frame ran and
-            // was counted — exactly the serial loop's error, without its
-            // short-circuit hiding later faults from the fault counter.
-            runs.into_iter().collect::<Result<Vec<_>, _>>()
-        };
-        if pool.threads() <= 1 || n <= 1 {
-            return collect(
-                (0..n)
-                    .map(|i| {
-                        self.run_frame_with_budget(
-                            &mut self.base_cpu.clone(),
-                            frame(i),
-                            budget_of(i),
-                        )
-                    })
-                    .collect(),
-            );
-        }
-        // One contiguous frame range per pooled CPU, run as jobs on the
-        // persistent runtime pool (no threads are spawned per batch).
-        // Ranges are concatenated in order, so the flattened run list is
-        // frame-ordered.
-        let chunk = n.div_ceil(pool.threads());
-        let ranges = n.div_ceil(chunk);
-        let results = pcount_runtime::current().map_limited(ranges, pool.threads(), |w| {
-            let cpu = pool.cpu(w);
-            (w * chunk..((w + 1) * chunk).min(n))
-                .map(|i| self.run_frame_with_budget(&mut cpu.clone(), frame(i), budget_of(i)))
-                .collect::<Vec<Result<InferenceRun, SimError>>>()
-        });
-        collect(results.into_iter().flatten().collect())
+        // First (lowest-index) fault wins, after every frame ran and was
+        // counted — exactly the serial loop's error, without its
+        // short-circuit hiding later faults from the fault counter.
+        pool.map_in_place(n, |cpu, base, i| {
+            cpu.restore_from(base);
+            let frame = &data[i * pixels..(i + 1) * pixels];
+            self.run_frame_with_budget(cpu, frame, budget_of(i))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Trace-cache profile: runs one inference on `frame` and returns the

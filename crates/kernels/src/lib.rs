@@ -20,6 +20,8 @@
 //! zero weights, so they never affect results. INT4 tensors pack two
 //! values per byte, low nibble first.
 
+#![forbid(unsafe_code)]
+
 mod asm;
 mod deploy;
 mod kernels;

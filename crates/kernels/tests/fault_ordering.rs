@@ -10,11 +10,13 @@
 //! values embedded in [`SimError::Timeout`] identify *which* frame's
 //! fault came back.
 //!
-//! The hygiene half pins down the quarantine contract: a CPU that faulted
+//! The hygiene half pins down the reset contract: a CPU that faulted
 //! mid-inference holds a torn memory image and a mid-program PC, and
 //! reusing it without a reset perturbs the next frame's results;
-//! [`CpuPool::quarantine`] restores the pristine base state and makes the
+//! [`Cpu::restore_from`] restores the pristine base state and makes the
 //! next inference bit-identical to a fresh clone's.
+//!
+//! [`Cpu::restore_from`]: pcount_isa::Cpu::restore_from
 
 use pcount_kernels::{Deployment, SimError, Target, INSTRUCTION_BUDGET};
 use pcount_nn::{CnnConfig, TrainConfig};
@@ -184,7 +186,7 @@ fn every_frame_of_a_faulting_batch_is_still_evaluated() {
 }
 
 #[test]
-fn faulted_cpu_perturbs_the_next_frame_unless_quarantined() {
+fn faulted_cpu_perturbs_the_next_frame_unless_restored() {
     let (model, x) = deployed_model(45, 4);
     let d = Deployment::new(&model, Target::Maupiti).expect("deploy");
     let clean: Vec<_> = (0..2)
@@ -198,16 +200,17 @@ fn faulted_cpu_perturbs_the_next_frame_unless_quarantined() {
         "inference too small for a mid-flight timeout"
     );
 
-    // Fault frame 0 mid-inference on pool slot 0, then run frame 1 on the
-    // same slot WITHOUT a reset: the torn memory image and mid-program PC
-    // must perturb the result (this is the hazard quarantine exists for).
-    let mut pool = d.make_pool(2).expect("pool");
-    let (_, cpus) = pool.split_mut();
+    // Fault frame 0 mid-inference on a clone of the pool's base, then run
+    // frame 1 on the same CPU WITHOUT a reset: the torn memory image and
+    // mid-program PC must perturb the result (this is the hazard the
+    // reset exists for).
+    let pool = d.make_pool(2).expect("pool");
+    let mut cpu = pool.base().clone();
     let err = d
-        .run_frame_with_budget(&mut cpus[0], &x.data()[..64], 2_000)
+        .run_frame_with_budget(&mut cpu, &x.data()[..64], 2_000)
         .expect_err("reduced budget must fault");
     assert!(matches!(err, SimError::Timeout { .. }));
-    let dirty = d.run_frame_with_budget(&mut cpus[0], &x.data()[64..128], INSTRUCTION_BUDGET);
+    let dirty = d.run_frame_with_budget(&mut cpu, &x.data()[64..128], INSTRUCTION_BUDGET);
     let dirty_matches_clean = match dirty {
         Ok(run) => run == clean[1],
         Err(_) => false,
@@ -217,23 +220,16 @@ fn faulted_cpu_perturbs_the_next_frame_unless_quarantined() {
         "reusing a faulted CPU without reset silently produced the clean result"
     );
 
-    // Quarantine the slot: the next inference is bit-identical to a
-    // fresh clone's.
-    pool.quarantine(0);
-    let (_, cpus) = pool.split_mut();
+    // Restore the CPU from the base: the next inference is bit-identical
+    // to a fresh clone's.
+    cpu.restore_from(pool.base());
     let healed = d
-        .run_frame_with_budget(&mut cpus[0], &x.data()[64..128], INSTRUCTION_BUDGET)
-        .expect("quarantined CPU runs clean");
-    assert_eq!(
-        healed, clean[1],
-        "quarantine did not restore pristine state"
-    );
+        .run_frame_with_budget(&mut cpu, &x.data()[64..128], INSTRUCTION_BUDGET)
+        .expect("restored CPU runs clean");
+    assert_eq!(healed, clean[1], "restore did not reset pristine state");
 
-    // `run_batch` clones each pool slot per frame, so within a batch no
-    // frame can leak into the next — but the clones inherit whatever
-    // state the slot holds, so a slot used in place must be quarantined
-    // before the pool serves batches again.
-    pool.quarantine(0);
+    // `run_batch` restores its CPU from the base before every frame, so
+    // no frame of a batch leaks into the next one.
     let runs = d.run_batch(&x, &pool).expect("batch");
     for (i, run) in runs.iter().enumerate() {
         let serial = d

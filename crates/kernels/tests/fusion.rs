@@ -210,10 +210,9 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
                     MemoryModel::Flat,
                     fusion == 1,
                 );
-                let mut pool = d.make_pool(1).expect("pool");
-                let (_, slots) = pool.split_mut();
+                let mut cpu = d.make_pool(1).expect("pool").base().clone();
                 let err = d
-                    .run_frame_with_budget(&mut slots[0], frame, budget)
+                    .run_frame_with_budget(&mut cpu, frame, budget)
                     .expect_err("reduced budget must time out");
                 assert_eq!(
                     err,
@@ -221,7 +220,7 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
                         max_instructions: budget
                     }
                 );
-                slots[0].clone()
+                cpu
             })
             .collect();
         let (unfused, fused) = (cpus.remove(0), cpus.remove(0));
@@ -247,10 +246,9 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
         MemoryModel::Flat,
         true,
     );
-    let mut pool = d.make_pool(1).expect("pool");
-    let (_, slots) = pool.split_mut();
+    let mut cpu = d.make_pool(1).expect("pool").base().clone();
     let ok = d
-        .run_frame_with_budget(&mut slots[0], frame, INSTRUCTION_BUDGET)
+        .run_frame_with_budget(&mut cpu, frame, INSTRUCTION_BUDGET)
         .expect("default budget");
     assert_eq!(ok, full);
 }

@@ -23,6 +23,8 @@
 //!    `BENCH_robust.json` payload), recording the
 //!    `pcount_telemetry::slo` counters along the way.
 
+#![forbid(unsafe_code)]
+
 mod deploy;
 mod fault;
 mod robustness;
