@@ -1,17 +1,29 @@
 //! 2-D convolution over NCHW tensors.
 
 use crate::layer::{Layer, Mode};
-use pcount_runtime::SendPtr;
-use pcount_tensor::{col2im, gemm, im2col, GemmScratch, Tensor};
+use pcount_tensor::{col2im, conv_output_size, gemm, im2col, GemmScratch, Tensor};
 use rand::Rng;
 use std::cell::RefCell;
 
+/// Target column count of one GEMM group: `Conv2d` puts
+/// `GROUP_COLS / (Ho*Wo)` images (at least one) side by side in each
+/// forward and input-gradient product, so a group's `[Ci*k*k, G*Ho*Wo]`
+/// column matrix stays cache-sized while W is packed once per group
+/// instead of once per image. A blocking constant like the GEMM's
+/// `KC`/`NC`: it never changes a result.
+const GROUP_COLS: usize = 256;
+
 thread_local! {
-    /// Per-worker arena for the parallel per-image batches: the
-    /// `pcount-runtime` pool threads are persistent, so each worker's
-    /// packing buffers and im2col staging warm up once and are reused
+    /// Per-thread arena for the convolution passes: the `pcount-runtime`
+    /// pool threads are persistent, so each thread's packing buffers,
+    /// im2col staging and gradient partials warm up once and are reused
     /// for the rest of the process.
     static WORKER_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::default());
+}
+
+/// Runs `f` on the calling thread's arena.
+fn with_scratch<T>(f: impl FnOnce(&mut GemmScratch) -> T) -> T {
+    WORKER_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Resizes an arena buffer to exactly `len` zeroed elements (capacity is
@@ -21,7 +33,7 @@ fn sized(buf: &mut Vec<f32>, len: usize) {
     buf.resize(len, 0.0);
 }
 
-/// Geometry of one convolution call, shared by the per-image jobs.
+/// Geometry of one convolution call, shared by the per-group jobs.
 #[derive(Clone, Copy)]
 struct ConvGeom {
     c: usize,
@@ -45,104 +57,144 @@ impl ConvGeom {
     fn chw(&self) -> usize {
         self.c * self.h * self.w
     }
+    /// Output elements of one image.
+    fn out_len(&self) -> usize {
+        self.co * self.plane()
+    }
+    /// Images per GEMM group.
+    fn group(&self) -> usize {
+        (GROUP_COLS / self.plane()).max(1)
+    }
+    /// Packs image `g` of a group into the group's column matrix, whose
+    /// rows hold `ld` columns.
+    fn im2col(&self, img: &[f32], col: &mut [f32], g: usize, ld: usize) {
+        let (c, h, w, k) = (self.c, self.h, self.w, self.k);
+        let col = &mut col[g * self.plane()..];
+        im2col(img, c, h, w, k, self.stride, self.padding, col, ld);
+    }
+    /// Scatter-adds image `g`'s columns of a group's column-matrix
+    /// gradient onto that image's gradient.
+    fn col2im(&self, col: &[f32], g: usize, ld: usize, grad_img: &mut [f32]) {
+        let (c, h, w, k) = (self.c, self.h, self.w, self.k);
+        let col = &col[g * self.plane()..];
+        col2im(col, ld, c, h, w, k, self.stride, self.padding, grad_img);
+    }
 }
 
-/// One image of the GEMM-lowered forward pass:
-/// `dst[Co, Ho*Wo] = W · col(img) + b`.
-fn forward_image(
+/// One group of images of the GEMM-lowered forward pass:
+/// `Y[Co, G*Ho*Wo] = W · [col(img_0) … col(img_G-1)]`, scattered back to
+/// the group's NCHW output planes with the bias added.
+fn forward_group(
     scratch: &mut GemmScratch,
     geom: ConvGeom,
-    img: &[f32],
+    imgs: &[f32],
     wd: &[f32],
     bd: &[f32],
     dst: &mut [f32],
 ) {
+    let plane = geom.plane();
+    let cols = dst.len() / geom.out_len() * plane;
     let mut col = scratch.take_aux();
-    let (ho, wo) = im2col(
-        img,
-        geom.c,
-        geom.h,
-        geom.w,
-        geom.k,
-        geom.stride,
-        geom.padding,
-        &mut col,
-    );
-    debug_assert_eq!((ho, wo), (geom.ho, geom.wo));
+    sized(&mut col, geom.ckk() * cols);
+    for (g, img) in imgs.chunks_exact(geom.chw()).take(cols / plane).enumerate() {
+        geom.im2col(img, &mut col, g, cols);
+    }
+    let mut y = scratch.take_aux();
+    sized(&mut y, geom.co * cols);
     gemm(
         scratch,
         false,
         false,
         geom.co,
-        geom.plane(),
+        cols,
         geom.ckk(),
         wd,
         &col,
-        dst,
+        &mut y,
         false,
     );
-    scratch.give_aux(col);
-    for (co, row) in dst.chunks_exact_mut(geom.plane()).enumerate() {
-        let b = bd[co];
-        for v in row {
-            *v += b;
+    for (g, out) in dst.chunks_exact_mut(geom.out_len()).enumerate() {
+        for (co, row) in out.chunks_exact_mut(plane).enumerate() {
+            for (v, &acc) in row.iter_mut().zip(&y[co * cols + g * plane..]) {
+                *v = acc + bd[co];
+            }
         }
     }
+    scratch.give_aux(y);
+    scratch.give_aux(col);
 }
 
-/// One image of the GEMM-lowered backward pass: weight-gradient partial
-/// `dw_n = dY_n · col_nᵀ`, bias-gradient partial `db_n[co] = Σ dY_n[co, :]`
-/// and input gradient `grad_img += col2im(Wᵀ · dY_n)`.
-#[allow(clippy::too_many_arguments)]
-fn backward_image(
+/// Input gradient of one group of images:
+/// `dcol[Ci*k*k, G*Ho*Wo] = Wᵀ · [dY_0 … dY_G-1]`, then one [`col2im`]
+/// scatter-add per image into `grad_imgs`.
+fn input_grad_group(
     scratch: &mut GemmScratch,
     geom: ConvGeom,
-    img: &[f32],
-    wd: &[f32],
     gy: &[f32],
-    grad_img: &mut [f32],
-    dw_n: &mut [f32],
-    db_n: &mut [f32],
+    wd: &[f32],
+    grad_imgs: &mut [f32],
 ) {
     let plane = geom.plane();
-    let ckk = geom.ckk();
-    let gy = &gy[..geom.co * plane];
-    let mut col = scratch.take_aux();
-    let _ = im2col(
-        img,
-        geom.c,
-        geom.h,
-        geom.w,
-        geom.k,
-        geom.stride,
-        geom.padding,
-        &mut col,
-    );
-    // dW_n[Co, Ci*k*k] = dY_n[Co, Ho*Wo] · col_nᵀ[Ho*Wo, Ci*k*k].
-    gemm(
-        scratch, false, true, geom.co, ckk, plane, gy, &col, dw_n, false,
-    );
-    // db_n[co] = Σ dY_n[co, :].
-    for (b, row) in db_n.iter_mut().zip(gy.chunks_exact(plane)) {
-        *b = row.iter().sum::<f32>();
+    let cols = grad_imgs.len() / geom.chw() * plane;
+    let mut dy = scratch.take_aux();
+    sized(&mut dy, geom.co * cols);
+    for (g, gy_n) in gy
+        .chunks_exact(geom.out_len())
+        .take(cols / plane)
+        .enumerate()
+    {
+        for (co, row) in gy_n.chunks_exact(plane).enumerate() {
+            dy[co * cols + g * plane..][..plane].copy_from_slice(row);
+        }
     }
-    // dcol[Ci*k*k, Ho*Wo] = Wᵀ[Ci*k*k, Co] · dY_n[Co, Ho*Wo].
     let mut dcol = scratch.take_aux();
-    sized(&mut dcol, ckk * plane);
+    sized(&mut dcol, geom.ckk() * cols);
     gemm(
-        scratch, true, false, ckk, plane, geom.co, wd, gy, &mut dcol, false,
+        scratch,
+        true,
+        false,
+        geom.ckk(),
+        cols,
+        geom.co,
+        wd,
+        &dy,
+        &mut dcol,
+        false,
     );
-    col2im(
-        &dcol,
-        geom.c,
-        geom.h,
-        geom.w,
-        geom.k,
-        geom.stride,
-        geom.padding,
-        grad_img,
-    );
+    for (g, grad_img) in grad_imgs.chunks_exact_mut(geom.chw()).enumerate() {
+        geom.col2im(&dcol, g, cols, grad_img);
+    }
     scratch.give_aux(dcol);
+    scratch.give_aux(dy);
+}
+
+/// Weight- and bias-gradient partials of a run of images, one per image:
+/// `dW_n = dY_n · col_nᵀ` and `db_n[co] = Σ dY_n[co, :]`, written to
+/// consecutive `[dW_n | db_n]` records of `partials`.
+fn param_grad_images(
+    scratch: &mut GemmScratch,
+    geom: ConvGeom,
+    imgs: &[f32],
+    gy: &[f32],
+    partials: &mut [f32],
+) {
+    let (plane, ckk) = (geom.plane(), geom.ckk());
+    let wsize = geom.co * ckk;
+    let mut col = scratch.take_aux();
+    sized(&mut col, ckk * plane);
+    let images = imgs
+        .chunks_exact(geom.chw())
+        .zip(gy.chunks_exact(geom.out_len()));
+    for (part, (img, gy_n)) in partials.chunks_exact_mut(wsize + geom.co).zip(images) {
+        geom.im2col(img, &mut col, 0, plane);
+        let (dw_n, db_n) = part.split_at_mut(wsize);
+        gemm(
+            scratch, false, true, geom.co, ckk, plane, gy_n, &col, dw_n, false,
+        );
+        for (b, row) in db_n.iter_mut().zip(gy_n.chunks_exact(plane)) {
+            *b = row.iter().sum::<f32>();
+        }
+    }
     scratch.give_aux(col);
 }
 
@@ -150,8 +202,11 @@ fn backward_image(
 ///
 /// Weight layout is `[out_channels, in_channels, k, k]`; inputs and outputs
 /// are NCHW. Forward and backward lower to cache-blocked GEMMs over
-/// im2col-packed buffers (`pcount-tensor`'s [`gemm`] engine), with the
-/// original 7-deep nested loops kept as
+/// im2col-packed buffers (`pcount-tensor`'s [`gemm`] engine). The forward
+/// product and the input-gradient product each run as one GEMM per group
+/// of about `256 / (Ho*Wo)` images; the weight and bias gradients keep one
+/// partial per image, summed in image order. The original 7-deep nested
+/// loops are kept as
 /// [`Conv2d::forward_naive_with_weight`] /
 /// [`Conv2d::backward_naive_with_weight`] — the bit-for-bit reference the
 /// equivalence tests and the training-throughput bench compare against.
@@ -189,7 +244,6 @@ pub struct Conv2d {
     /// Accumulated bias gradient.
     pub bias_grad: Tensor,
     cached_input: Option<Tensor>,
-    scratch: GemmScratch,
 }
 
 impl Conv2d {
@@ -220,7 +274,6 @@ impl Conv2d {
             weight_grad: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             bias_grad: Tensor::zeros(&[out_channels]),
             cached_input: None,
-            scratch: GemmScratch::default(),
         }
     }
 
@@ -247,35 +300,22 @@ impl Conv2d {
             weight,
             bias,
             cached_input: None,
-            scratch: GemmScratch::default(),
         }
     }
 
     /// Output spatial size for a given input spatial size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel is larger than the padded input
+    /// (`input + 2 * padding < kernel`).
     pub fn output_size(&self, input: usize) -> usize {
-        (input + 2 * self.padding - self.kernel) / self.stride + 1
+        conv_output_size(input, self.kernel, self.stride, self.padding)
     }
 
-    /// Forward pass using an externally supplied effective weight tensor
-    /// (used by the QAT fake-quantised weights and the NAS masked-layer
-    /// path); caches the input for backward.
-    ///
-    /// Lowered to one GEMM per image over an im2col-packed column matrix:
-    /// `out_n[Co, Ho*Wo] = W[Co, Ci*k*k] · col_n[Ci*k*k, Ho*Wo] + b`.
-    /// Images are independent, so batches with more than one image fan
-    /// out over the persistent `pcount-runtime` pool (each worker stages
-    /// its column matrix in a warm thread-local arena); single images and
-    /// width-1 pools run inline on the layer's own arena. Either way the
-    /// packing buffers are reused across calls, so steady-state training
-    /// allocates only the output tensor, and results are bit-identical
-    /// for any pool size.
-    pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
-        let _span = pcount_telemetry::span("conv_fwd");
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "conv expects NCHW input");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        assert_eq!(c, self.in_channels, "conv input channel mismatch");
-        let geom = ConvGeom {
+    /// The geometry of a call on `[n, c, h, w]` inputs.
+    fn geom(&self, c: usize, h: usize, w: usize) -> ConvGeom {
+        ConvGeom {
             c,
             h,
             w,
@@ -285,32 +325,48 @@ impl Conv2d {
             co: self.out_channels,
             ho: self.output_size(h),
             wo: self.output_size(w),
-        };
+        }
+    }
+
+    /// Forward pass using an externally supplied effective weight tensor
+    /// (used by the QAT fake-quantised weights and the NAS masked-layer
+    /// path); caches the input for backward.
+    ///
+    /// Lowered to one GEMM per group of `G` images, with `G·Ho·Wo` about
+    /// 256 columns: `Y[Co, G*Ho*Wo] = W[Co, Ci*k*k] · col[Ci*k*k, G*Ho*Wo]`,
+    /// whose columns are the images' im2col matrices side by side; the
+    /// result is scattered back to NCHW with the bias added. A GEMM
+    /// column depends only on its own image, so grouping never changes a
+    /// result. Groups fan out over the persistent `pcount-runtime` pool
+    /// (inline on a width-1 pool), each staging its matrices in its
+    /// thread's warm arena, so steady-state training allocates only the
+    /// output tensor, and results are bit-identical for any pool size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not NCHW with `in_channels` channels, or if the
+    /// kernel is larger than the padded input.
+    pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
+        let _span = pcount_telemetry::span("conv_fwd");
+        let shape = x.shape();
+        assert_eq!(shape.len(), 4, "conv expects NCHW input");
+        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        assert_eq!(c, self.in_channels, "conv input channel mismatch");
+        let geom = self.geom(c, h, w);
         let mut out = Tensor::zeros(&[n, geom.co, geom.ho, geom.wo]);
         let xd = x.data();
         let wd = weight.data();
         let bd = self.bias.data();
-        let od = out.data_mut();
-        let image_len = geom.co * geom.plane();
-        let pool = pcount_runtime::current();
-        if pool.width() > 1 && n > 1 {
-            pool.par_chunks_mut(od, image_len, 0, |ni, dst| {
-                WORKER_SCRATCH.with(|s| {
-                    forward_image(
-                        &mut s.borrow_mut(),
-                        geom,
-                        &xd[ni * geom.chw()..],
-                        wd,
-                        bd,
-                        dst,
-                    );
-                });
-            });
-        } else {
-            for (ni, dst) in od.chunks_mut(image_len).enumerate() {
-                forward_image(&mut self.scratch, geom, &xd[ni * geom.chw()..], wd, bd, dst);
-            }
-        }
+        let group = geom.group();
+        pcount_runtime::current().par_chunks_mut(
+            out.data_mut(),
+            group * geom.out_len(),
+            0,
+            |t, dst| {
+                let imgs = &xd[t * group * geom.chw()..];
+                with_scratch(|s| forward_group(s, geom, imgs, wd, bd, dst));
+            },
+        );
         self.cached_input = Some(x.clone());
         out
     }
@@ -371,16 +427,17 @@ impl Conv2d {
     /// accumulates into `weight_grad`/`bias_grad` and returns the input
     /// gradient.
     ///
-    /// Both gradients are GEMMs over the packed column matrix of the
-    /// cached input: `dW_n = dY_n · col_nᵀ` and `dcol = Wᵀ · dY_n`
-    /// followed by a [`col2im`] scatter-add. Every image's partial
-    /// gradients are computed independently (fanned out over the
-    /// persistent `pcount-runtime` pool, staging buffers hoisted into the
-    /// caller-owned [`GemmScratch`] arena so the grad path performs no
-    /// steady-state allocation) and reduced into
+    /// The input gradient is one GEMM per group of images, as in the
+    /// forward pass: `dcol = Wᵀ · dY` over the group's columns, followed by
+    /// a [`col2im`] scatter-add per image. The weight and bias gradients
+    /// are per-image partials, `dW_n = dY_n · col_nᵀ` and
+    /// `db_n[co] = Σ dY_n[co, :]`, computed in parallel and reduced into
     /// `weight_grad`/`bias_grad` in image order on the calling thread —
     /// the reduction order is a function of the batch alone, so results
-    /// are bit-identical for any pool size.
+    /// are bit-identical for any pool size and equal those of one
+    /// single-image call per image. All staging buffers, the partials
+    /// included, live in per-thread arenas, so the grad path performs no
+    /// steady-state allocation besides the returned gradient.
     pub fn backward_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let _span = pcount_telemetry::span("conv_bwd");
         let x = self
@@ -389,95 +446,47 @@ impl Conv2d {
             .expect("backward called before forward");
         let xs = x.shape();
         let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-        let gs = grad_out.shape();
-        assert_eq!(gs[1], self.out_channels, "grad channel mismatch");
-        let geom = ConvGeom {
-            c,
-            h,
-            w,
-            k: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-            co: self.out_channels,
-            ho: gs[2],
-            wo: gs[3],
-        };
+        let geom = self.geom(c, h, w);
+        assert_eq!(
+            grad_out.shape(),
+            &[n, geom.co, geom.ho, geom.wo],
+            "conv grad shape mismatch"
+        );
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         let xd = x.data();
         let wd = weight.data();
         let gd = grad_out.data();
-        let gi = grad_in.data_mut();
-        let wsize = geom.co * geom.ckk();
-        // Per-image gradient partials live in the caller-owned arena;
-        // they grow to the workload's high-water mark once and are
-        // reused for every subsequent step.
-        let mut dw = self.scratch.take_aux();
-        sized(&mut dw, n * wsize);
-        let mut db = self.scratch.take_aux();
-        sized(&mut db, n * geom.co);
+        let group = geom.group();
         let pool = pcount_runtime::current();
-        if pool.width() > 1 && n > 1 {
-            let dw_ptr = SendPtr::new(dw.as_mut_ptr());
-            let db_ptr = SendPtr::new(db.as_mut_ptr());
-            pool.par_chunks_mut(gi, geom.chw(), 0, |ni, grad_img| {
-                // SAFETY: each image index is claimed exactly once, so
-                // the `[ni * len, (ni + 1) * len)` partial regions have a
-                // single writer.
-                let (dw_n, db_n) = unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(dw_ptr.ptr().add(ni * wsize), wsize),
-                        std::slice::from_raw_parts_mut(db_ptr.ptr().add(ni * geom.co), geom.co),
-                    )
-                };
-                WORKER_SCRATCH.with(|s| {
-                    backward_image(
-                        &mut s.borrow_mut(),
-                        geom,
-                        &xd[ni * geom.chw()..],
-                        wd,
-                        &gd[ni * geom.co * geom.plane()..],
-                        grad_img,
-                        dw_n,
-                        db_n,
-                    );
-                });
-            });
-        } else {
-            for (ni, grad_img) in gi.chunks_mut(geom.chw()).enumerate() {
-                let (dw_n, db_n) = (
-                    &mut dw[ni * wsize..(ni + 1) * wsize],
-                    &mut db[ni * geom.co..(ni + 1) * geom.co],
-                );
-                backward_image(
-                    &mut self.scratch,
-                    geom,
-                    &xd[ni * geom.chw()..],
-                    wd,
-                    &gd[ni * geom.co * geom.plane()..],
-                    grad_img,
-                    dw_n,
-                    db_n,
-                );
-            }
-        }
+        pool.par_chunks_mut(grad_in.data_mut(), group * geom.chw(), 0, |t, grad_imgs| {
+            let gy = &gd[t * group * geom.out_len()..];
+            with_scratch(|s| input_grad_group(s, geom, gy, wd, grad_imgs));
+        });
+        let wsize = geom.co * geom.ckk();
+        let record = wsize + geom.co;
+        let mut partials = with_scratch(GemmScratch::take_aux);
+        sized(&mut partials, n * record);
+        pool.par_chunks_mut(&mut partials, group * record, 0, |t, parts| {
+            let imgs = &xd[t * group * geom.chw()..];
+            let gy = &gd[t * group * geom.out_len()..];
+            with_scratch(|s| param_grad_images(s, geom, imgs, gy, parts));
+        });
         // Canonical-order reduction: image partials land in batch order
         // regardless of which worker computed them, matching the
         // historical serial accumulation exactly for the k-blocking in
         // use (`Ho*Wo <= KC`, one k block per image).
         let wg = self.weight_grad.data_mut();
-        for dw_n in dw.chunks_exact(wsize) {
-            for (acc, &v) in wg.iter_mut().zip(dw_n.iter()) {
-                *acc += v;
-            }
-        }
         let bg = self.bias_grad.data_mut();
-        for db_n in db.chunks_exact(geom.co) {
-            for (acc, &v) in bg.iter_mut().zip(db_n.iter()) {
+        for part in partials.chunks_exact(record) {
+            let (dw_n, db_n) = part.split_at(wsize);
+            for (acc, &v) in wg.iter_mut().zip(dw_n) {
+                *acc += v;
+            }
+            for (acc, &v) in bg.iter_mut().zip(db_n) {
                 *acc += v;
             }
         }
-        self.scratch.give_aux(db);
-        self.scratch.give_aux(dw);
+        with_scratch(|s| s.give_aux(partials));
         grad_in
     }
 
@@ -674,6 +683,14 @@ mod tests {
         let x = Tensor::randn(&[1, 2, 5, 5], 1.0, &mut rng);
         // Loss = sum of squares / 2, so dL/dy = y.
         finite_diff_check(&mut conv, &x, |y| 0.5 * y.sq_norm(), |y| y.clone());
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel 3 is larger than the padded input (2 + 2 * padding 0)")]
+    fn input_smaller_than_the_kernel_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut conv = Conv2d::new(1, 2, 3, 1, 0, &mut rng);
+        let _ = conv.forward(&Tensor::ones(&[1, 1, 2, 2]), Mode::Eval);
     }
 
     #[test]

@@ -224,8 +224,11 @@ impl Layer for MaxPool2d {
                 let base_out = (ni * c + ci) * ho * wo;
                 for oy in 0..ho {
                     for ox in 0..wo {
+                        // The argmax starts at the window's first element,
+                        // so a window with no value above -inf (all NaN or
+                        // all -inf) routes its gradient inside itself.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = base_in + oy * self.stride * w + ox * self.stride;
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
                                 let iy = oy * self.stride + ky;
@@ -414,6 +417,24 @@ mod tests {
         assert_eq!(g.data().iter().filter(|&&v| v == 1.0).count(), 4);
         assert_eq!(g.at(&[0, 0, 1, 1]), 1.0);
         assert_eq!(g.at(&[0, 0, 3, 3]), 1.0);
+    }
+
+    #[test]
+    fn maxpool_routes_gradients_of_nan_windows_to_their_own_images() {
+        // Two all-NaN 1x2x2 images: each window's gradient must land on
+        // its own first element, not on element 0 of the whole batch.
+        let mut pool = MaxPool2d::new(2, 2);
+        let y = pool.forward(&Tensor::full(&[2, 1, 2, 2], f32::NAN), Mode::Train);
+        assert_eq!(y.shape(), &[2, 1, 1, 1]);
+        let g = pool.backward(&Tensor::ones(&[2, 1, 1, 1]));
+        assert_eq!(g.data(), &[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
+        let mut pool = MaxPool2d::new(2, 2);
+        let x = Tensor::full(&[1, 1, 4, 4], f32::NEG_INFINITY);
+        let _ = pool.forward(&x, Mode::Train);
+        let g = pool.backward(&Tensor::ones(&[1, 1, 2, 2]));
+        for at in [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0], [0, 0, 2, 2]] {
+            assert_eq!(g.at(&at), 1.0, "window starting at {at:?}");
+        }
     }
 
     #[test]

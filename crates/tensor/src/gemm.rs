@@ -9,8 +9,13 @@
 //! hundred on a side):
 //!
 //! * the innermost **micro-kernel** keeps an `MR x NR` accumulator tile in
-//!   registers and streams packed panels of A and B through it (the `NR`
-//!   dimension auto-vectorises);
+//!   registers and streams packed panels of A and B through it. Its loop
+//!   nest is compiled twice: once for the baseline target (SSE2 on
+//!   x86-64: the tile spills out of the 16 `xmm` registers) and once with
+//!   AVX2 enabled (the tile fits in 8 `ymm` registers), and [`gemm`] picks
+//!   the AVX2 copy at run time when the CPU has it. Rust never contracts
+//!   `a * b + c` into a fused multiply-add, so both copies round every
+//!   lane identically and the choice never changes a result;
 //! * operands are **packed** into panel-major buffers once per cache
 //!   block, which makes transposed operands free (packing reads through
 //!   strides) and keeps the micro-kernel's memory traffic unit-stride;
@@ -20,7 +25,10 @@
 //!
 //! Accumulation order is fixed by the blocking (k is swept in `KC` chunks,
 //! innermost), so results are deterministic across runs and threads —
-//! parallel fold training in `pcount-core` relies on this.
+//! parallel fold training in `pcount-core` relies on this. An output
+//! element's value depends only on its row of A and its column of B, never
+//! on how many columns sit beside it, which is what lets `Conv2d` put
+//! several images side by side in one product.
 //!
 //! Large products additionally fan out over the persistent
 //! [`pcount_runtime`] worker pool: the N dimension is split into
@@ -144,9 +152,9 @@ pub fn gemm(
     // Observability only: one relaxed atomic load while telemetry is
     // disabled, a scoped "gemm" span otherwise. Results are unaffected.
     let _span = pcount_telemetry::span("gemm");
-    // Element (r, c) of an effective operand lives at `r*rs + c*cs`.
-    let (rs_a, cs_a) = if trans_a { (1, m) } else { (k, 1) };
-    let (rs_b, cs_b) = if trans_b { (1, k) } else { (n, 1) };
+    let kernel = Kernel::detect();
+    let a_strides = operand_strides(trans_a, m, k);
+    let b_strides = operand_strides(trans_b, k, n);
 
     let pool = pcount_runtime::current();
     if pool.width() > 1 && gemm_splits_columns(m, n, k) {
@@ -170,17 +178,13 @@ pub fn gemm(
             let j_hi = (j_lo + strip_cols).min(n);
             PAR_SCRATCH.with(|s| {
                 gemm_cols(
+                    kernel,
                     &mut s.borrow_mut(),
-                    m,
-                    n,
-                    k,
-                    a,
-                    b,
+                    (m, n, k),
+                    (a, a_strides),
+                    (b, b_strides),
                     &cp,
-                    (rs_a, cs_a),
-                    (rs_b, cs_b),
-                    j_lo,
-                    j_hi,
+                    j_lo..j_hi,
                     accumulate,
                 );
             });
@@ -189,19 +193,50 @@ pub fn gemm(
     }
     let cp = SendPtr::new(c.as_mut_ptr());
     gemm_cols(
+        kernel,
         scratch,
-        m,
-        n,
-        k,
-        a,
-        b,
+        (m, n, k),
+        (a, a_strides),
+        (b, b_strides),
         &cp,
-        (rs_a, cs_a),
-        (rs_b, cs_b),
-        0,
-        n,
+        0..n,
         accumulate,
     );
+}
+
+/// `(row stride, column stride)` of an effective `rows x cols` operand
+/// stored row-major, or stored as the row-major transpose when `trans`:
+/// element `(r, c)` lives at `r * rs + c * cs`.
+fn operand_strides(trans: bool, rows: usize, cols: usize) -> (usize, usize) {
+    if trans {
+        (1, rows)
+    } else {
+        (cols, 1)
+    }
+}
+
+/// Which compiled copy of the [`multiply_block`] loop nest runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Compiled for the baseline target: the only kernel on hosts without
+    /// AVX2, and the reference the AVX2 copy is tested against.
+    Portable,
+    /// The same loop nest compiled with AVX2 enabled. Only constructed
+    /// after `is_x86_feature_detected!("avx2")` said yes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs (the detection result is cached
+    /// by `std`, so this is one relaxed load per call).
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Portable
+    }
 }
 
 /// True when a `[m x k] · [k x n]` product is large enough for [`gemm`]
@@ -213,36 +248,34 @@ pub fn gemm_splits_columns(m: usize, n: usize, k: usize) -> bool {
     n >= 2 * NR && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MACS
 }
 
-/// The serial Goto blocking restricted to the output columns
-/// `[j_lo, j_hi)`: exactly the historical `gemm` loop nest with the `jc`
-/// sweep clipped to the strip. Every task of a parallel GEMM runs this
-/// over its own strip; the serial path runs it once over `[0, n)`.
+/// The serial Goto blocking restricted to the output columns `cols`:
+/// exactly the historical `gemm` loop nest with the `jc` sweep clipped to
+/// the strip. Every task of a parallel GEMM runs this over its own strip;
+/// the serial path runs it once over `0..n`. Operands come with their
+/// [`operand_strides`].
 #[allow(clippy::too_many_arguments)]
 fn gemm_cols(
+    kernel: Kernel,
     scratch: &mut GemmScratch,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
+    (m, n, k): (usize, usize, usize),
+    (a, (rs_a, cs_a)): (&[f32], (usize, usize)),
+    (b, (rs_b, cs_b)): (&[f32], (usize, usize)),
     c: &SendPtr<f32>,
-    (rs_a, cs_a): (usize, usize),
-    (rs_b, cs_b): (usize, usize),
-    j_lo: usize,
-    j_hi: usize,
+    cols: std::ops::Range<usize>,
     accumulate: bool,
 ) {
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         let first_k_block = pc == 0;
-        let mut jc = j_lo;
-        while jc < j_hi {
-            let nc = NC.min(j_hi - jc);
+        let mut jc = cols.start;
+        while jc < cols.end {
+            let nc = NC.min(cols.end - jc);
             pack_b(scratch, b, pc, jc, kc, nc, rs_b, cs_b);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 pack_a(scratch, a, ic, pc, mc, kc, rs_a, cs_a);
                 multiply_block(
+                    kernel,
                     scratch,
                     c,
                     n,
@@ -331,9 +364,54 @@ fn pack_b(
 /// Multiplies the packed A block by the packed B block into the `C` tile
 /// at `(ic, jc)`, storing through the shared raw-pointer writer (column
 /// strips of one GEMM may be running on other workers; this tile's
-/// columns are exclusively ours).
+/// columns are exclusively ours). `kernel` picks the compiled copy of
+/// the loop nest; every copy gives bit-identical results.
 #[allow(clippy::too_many_arguments)]
 fn multiply_block(
+    kernel: Kernel,
+    scratch: &GemmScratch,
+    c: &SendPtr<f32>,
+    ldc: usize,
+    ic: usize,
+    jc: usize,
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    accumulate: bool,
+) {
+    match kernel {
+        Kernel::Portable => block_loops(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Kernel::Avx2` exists only once AVX2 was detected.
+        Kernel::Avx2 => unsafe {
+            block_loops_avx2(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate)
+        },
+    }
+}
+
+/// [`block_loops`] compiled with AVX2 enabled (8-lane `ymm` vectors; no
+/// FMA, which Rust would not emit for `a * b + c` anyway).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn block_loops_avx2(
+    scratch: &GemmScratch,
+    c: &SendPtr<f32>,
+    ldc: usize,
+    ic: usize,
+    jc: usize,
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    accumulate: bool,
+) {
+    block_loops(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate);
+}
+
+/// The loop nest of [`multiply_block`], inlined into each compiled copy.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn block_loops(
     scratch: &GemmScratch,
     c: &SendPtr<f32>,
     ldc: usize,
@@ -377,7 +455,8 @@ fn multiply_block(
 
 /// The register-blocked inner kernel: `acc[MR][NR] += pa ⊗ pb` over `kc`
 /// rank-1 updates. `pa`/`pb` are panel-major, so every iteration reads
-/// `MR + NR` contiguous floats; the `NR` loop vectorises.
+/// `MR + NR` contiguous floats; the `NR` loop vectorises to the widest
+/// vectors the enclosing copy of [`block_loops`] is compiled for.
 #[inline(always)]
 fn microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (a, b) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
@@ -390,22 +469,53 @@ fn microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Lowers one `[c, h, w]` image into a `[c*k*k, ho*wo]` column matrix for
-/// a `k x k` convolution with the given stride and zero padding, writing
-/// into `col` (resized, previous contents discarded).
+/// Output size along one spatial axis of a `k`-tap convolution with the
+/// given stride and zero padding: `(input + 2 * padding - k) / stride + 1`.
 ///
-/// Row `(ci*k + ky)*k + kx` of the column matrix holds, for every output
-/// position `(oy, ox)`, the input value under kernel tap `(ky, kx)` of
-/// channel `ci` — zero where the tap falls into the padding. A convolution
-/// then becomes `out[co][oy*wo+ox] = Σ W[co][row] · col[row][oy*wo+ox]`,
-/// i.e. one GEMM per image.
+/// # Panics
+///
+/// Panics if `stride` or `k` is zero, or if the kernel is larger than the
+/// padded input (`input + 2 * padding < k`), where no output exists.
+pub fn conv_output_size(input: usize, k: usize, stride: usize, padding: usize) -> usize {
+    assert!(stride > 0 && k > 0, "conv: kernel and stride must be > 0");
+    let padded = input + 2 * padding;
+    assert!(
+        padded >= k,
+        "conv: kernel {k} is larger than the padded input ({input} + 2 * padding {padding})"
+    );
+    (padded - k) / stride + 1
+}
+
+thread_local! {
+    /// Per-thread zero-bordered copy of one input plane, shared by
+    /// [`im2col`] and [`col2im`] (each call re-zeroes it, so neither
+    /// depends on what the other left behind).
+    static PADDED_PLANE: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Lowers one `[c, h, w]` image into the `c*k*k` rows of a column matrix
+/// for a `k x k` convolution with the given stride and zero padding.
+///
+/// Row `(ci*k + ky)*k + kx` holds, for every output position `(oy, ox)`,
+/// the input value under kernel tap `(ky, kx)` of channel `ci` — zero where
+/// the tap falls into the padding. It is written to
+/// `col[row * ld..row * ld + ho * wo]`, so with `ld = ho * wo` the result is
+/// the image's own `[c*k*k, ho*wo]` matrix, and with a wider `ld` several
+/// images sit side by side in one matrix (`Conv2d` passes
+/// `&mut col[g * ho * wo..]` and `ld = G * ho * wo` for image `g` of a
+/// group). A convolution then becomes
+/// `out[co][j] = Σ W[co][row] · col[row][j]`, one GEMM for the whole group.
+///
+/// Each input plane is first copied into a zero-bordered plane, so every
+/// output line is a plain copy (stride 1) or a strided gather with no
+/// bounds tests.
 ///
 /// Returns `(ho, wo)`.
 ///
 /// # Panics
 ///
-/// Panics if `src` is shorter than `c*h*w` or the geometry yields an empty
-/// output.
+/// Panics if `src` is shorter than `c*h*w`, if `col` cannot hold the rows
+/// at stride `ld`, or as [`conv_output_size`] does.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     src: &[f32],
@@ -415,66 +525,72 @@ pub fn im2col(
     k: usize,
     stride: usize,
     padding: usize,
-    col: &mut Vec<f32>,
+    col: &mut [f32],
+    ld: usize,
 ) -> (usize, usize) {
+    let ho = conv_output_size(h, k, stride, padding);
+    let wo = conv_output_size(w, k, stride, padding);
+    let plane = ho * wo;
     assert!(src.len() >= c * h * w, "im2col: image too short");
-    assert!(stride > 0 && k > 0, "im2col: degenerate geometry");
-    let ho = (h + 2 * padding - k) / stride + 1;
-    let wo = (w + 2 * padding - k) / stride + 1;
-    col.resize(c * k * k * ho * wo, 0.0);
-    for ci in 0..c {
-        let img = &src[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ci * k + ky) * k + kx;
-                let dst = &mut col[row * ho * wo..(row + 1) * ho * wo];
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - padding as isize;
-                    let line = &mut dst[oy * wo..(oy + 1) * wo];
-                    if iy < 0 || iy >= h as isize {
-                        line.fill(0.0);
-                        continue;
-                    }
-                    let src_line = &img[iy as usize * w..(iy as usize + 1) * w];
-                    // Valid ox range: 0 <= ox*stride + kx - padding < w.
-                    let (lo, hi) = valid_range(wo, w, kx, stride, padding);
-                    line[..lo].fill(0.0);
-                    line[hi..].fill(0.0);
-                    if lo >= hi {
-                        // The tap never lands in-bounds on this row (the
-                        // kernel overhangs the full width); everything is
-                        // already zero-filled and the copy offset below
-                        // would underflow.
-                        continue;
-                    }
-                    if stride == 1 {
-                        // For stride 1 the inner gather is a straight copy
-                        // (a non-empty range pins lo + kx >= padding).
-                        let start = lo + kx - padding;
-                        line[lo..hi].copy_from_slice(&src_line[start..start + (hi - lo)]);
-                    } else {
-                        for (ox, slot) in line[lo..hi].iter_mut().enumerate() {
-                            let ix = ((lo + ox) * stride + kx) as isize - padding as isize;
-                            *slot = src_line[ix as usize];
+    assert!(
+        ld >= plane && col.len() >= (c * k * k).saturating_sub(1) * ld + plane,
+        "im2col: column matrix too short"
+    );
+    let wp = w + 2 * padding;
+    PADDED_PLANE.with(|staging| {
+        let mut staging = staging.borrow_mut();
+        staging.clear();
+        staging.resize((h + 2 * padding) * wp, 0.0);
+        for ci in 0..c {
+            let img = &src[ci * h * w..(ci + 1) * h * w];
+            let padded: &[f32] = if padding == 0 {
+                img
+            } else {
+                for (y, line) in img.chunks_exact(w).enumerate() {
+                    let at = (y + padding) * wp + padding;
+                    staging[at..at + w].copy_from_slice(line);
+                }
+                &staging[..]
+            };
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ci * k + ky) * k + kx;
+                    let dst = &mut col[row * ld..row * ld + plane];
+                    for (oy, line) in dst.chunks_exact_mut(wo).enumerate() {
+                        let at = (oy * stride + ky) * wp + kx;
+                        if stride == 1 {
+                            line.copy_from_slice(&padded[at..at + wo]);
+                        } else {
+                            for (ox, slot) in line.iter_mut().enumerate() {
+                                *slot = padded[at + ox * stride];
+                            }
                         }
                     }
                 }
             }
         }
-    }
+    });
     (ho, wo)
 }
 
-/// Scatter-adds a `[c*k*k, ho*wo]` column-matrix gradient back onto the
+/// Scatter-adds the `c*k*k` rows of a column-matrix gradient back onto the
 /// `[c, h, w]` image gradient (`dst += col2im(col)`): the exact adjoint of
-/// [`im2col`], used for the convolution input gradient.
+/// [`im2col`], used for the convolution input gradient. Row `r` is read
+/// from `col[r * ld..]`, with `ld` as in [`im2col`].
+///
+/// Each plane of `dst` is staged in a zero-bordered plane, so taps that
+/// land in the padding add into the border instead of being tested for;
+/// every pixel still receives its taps in `(ky, kx)` order, on top of the
+/// value it came in with.
 ///
 /// # Panics
 ///
-/// Panics if the slices are shorter than their shapes imply.
+/// Panics if the slices are shorter than their shapes imply, or as
+/// [`conv_output_size`] does.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     col: &[f32],
+    ld: usize,
     c: usize,
     h: usize,
     w: usize,
@@ -483,46 +599,58 @@ pub fn col2im(
     padding: usize,
     dst: &mut [f32],
 ) {
+    let ho = conv_output_size(h, k, stride, padding);
+    let wo = conv_output_size(w, k, stride, padding);
+    let plane = ho * wo;
     assert!(dst.len() >= c * h * w, "col2im: image too short");
-    assert!(stride > 0 && k > 0, "col2im: degenerate geometry");
-    let ho = (h + 2 * padding - k) / stride + 1;
-    let wo = (w + 2 * padding - k) / stride + 1;
-    assert!(col.len() >= c * k * k * ho * wo, "col2im: column too short");
-    for ci in 0..c {
-        let img = &mut dst[ci * h * w..(ci + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ci * k + ky) * k + kx;
-                let src = &col[row * ho * wo..(row + 1) * ho * wo];
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let line = &src[oy * wo..(oy + 1) * wo];
-                    let img_line = &mut img[iy as usize * w..(iy as usize + 1) * w];
-                    let (lo, hi) = valid_range(wo, w, kx, stride, padding);
-                    for (ox, &v) in line[lo..hi].iter().enumerate() {
-                        let ix = ((lo + ox) * stride + kx) as isize - padding as isize;
-                        img_line[ix as usize] += v;
+    assert!(
+        ld >= plane && col.len() >= (c * k * k).saturating_sub(1) * ld + plane,
+        "col2im: column matrix too short"
+    );
+    let wp = w + 2 * padding;
+    PADDED_PLANE.with(|staging| {
+        let mut staging = staging.borrow_mut();
+        staging.clear();
+        staging.resize((h + 2 * padding) * wp, 0.0);
+        for ci in 0..c {
+            let img = &mut dst[ci * h * w..(ci + 1) * h * w];
+            if padding > 0 {
+                for (y, line) in img.chunks_exact(w).enumerate() {
+                    let at = (y + padding) * wp + padding;
+                    staging[at..at + w].copy_from_slice(line);
+                }
+            }
+            let padded: &mut [f32] = if padding == 0 {
+                &mut *img
+            } else {
+                &mut staging[..]
+            };
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ci * k + ky) * k + kx;
+                    let src = &col[row * ld..row * ld + plane];
+                    for (oy, line) in src.chunks_exact(wo).enumerate() {
+                        let at = (oy * stride + ky) * wp + kx;
+                        if stride == 1 {
+                            for (slot, &v) in padded[at..at + wo].iter_mut().zip(line) {
+                                *slot += v;
+                            }
+                        } else {
+                            for (ox, &v) in line.iter().enumerate() {
+                                padded[at + ox * stride] += v;
+                            }
+                        }
                     }
                 }
             }
+            if padding > 0 {
+                for (y, line) in img.chunks_exact_mut(w).enumerate() {
+                    let at = (y + padding) * wp + padding;
+                    line.copy_from_slice(&staging[at..at + w]);
+                }
+            }
         }
-    }
-}
-
-/// Output-column range `[lo, hi)` whose kernel tap `kx` lands inside
-/// `[0, w)` for the given stride/padding.
-fn valid_range(wo: usize, w: usize, kx: usize, stride: usize, padding: usize) -> (usize, usize) {
-    let lo = padding.saturating_sub(kx).div_ceil(stride).min(wo);
-    // Largest ox with ox*stride + kx - padding <= w - 1.
-    let hi = if w + padding > kx {
-        ((w + padding - 1 - kx) / stride + 1).min(wo)
-    } else {
-        0
-    };
-    (lo, hi.max(lo))
+    });
 }
 
 #[cfg(test)]
@@ -532,6 +660,24 @@ mod tests {
 
     fn random_vec(n: usize, rng: &mut SplitMix64) -> Vec<f32> {
         (0..n).map(|_| rng.next_f32() * 2.0 - 1.0).collect()
+    }
+
+    /// One image's own `[c*k*k, ho*wo]` im2col matrix, with `(ho, wo)`.
+    fn im2col_matrix(
+        src: &[f32],
+        (c, h, w): (usize, usize, usize),
+        k: usize,
+        stride: usize,
+        padding: usize,
+    ) -> (Vec<f32>, usize, usize) {
+        let ho = conv_output_size(h, k, stride, padding);
+        let wo = conv_output_size(w, k, stride, padding);
+        let mut col = vec![f32::NAN; c * k * k * ho * wo];
+        assert_eq!(
+            im2col(src, c, h, w, k, stride, padding, &mut col, ho * wo),
+            (ho, wo)
+        );
+        (col, ho, wo)
     }
 
     /// Naive reference: C = A_eff · B_eff with the same effective-operand
@@ -666,8 +812,8 @@ mod tests {
         stride: usize,
         padding: usize,
     ) -> Vec<f32> {
-        let ho = (h + 2 * padding - k) / stride + 1;
-        let wo = (w + 2 * padding - k) / stride + 1;
+        let ho = conv_output_size(h, k, stride, padding);
+        let wo = conv_output_size(w, k, stride, padding);
         let mut out = vec![0.0f32; co * ho * wo];
         for o in 0..co {
             for oy in 0..ho {
@@ -706,8 +852,7 @@ mod tests {
         ] {
             let src = random_vec(c * h * w, &mut rng);
             let weight = random_vec(co * c * k * k, &mut rng);
-            let mut col = Vec::new();
-            let (ho, wo) = im2col(&src, c, h, w, k, stride, padding, &mut col);
+            let (col, ho, wo) = im2col_matrix(&src, (c, h, w), k, stride, padding);
             let mut out = vec![0.0f32; co * ho * wo];
             let mut scratch = GemmScratch::default();
             gemm(
@@ -740,8 +885,7 @@ mod tests {
             (1, 6, 6, 3, 3, 0),
         ] {
             let x = random_vec(c * h * w, &mut rng);
-            let mut col = Vec::new();
-            let (ho, wo) = im2col(&x, c, h, w, k, stride, padding, &mut col);
+            let (col, ho, wo) = im2col_matrix(&x, (c, h, w), k, stride, padding);
             let y = random_vec(c * k * k * ho * wo, &mut rng);
             let lhs: f64 = col
                 .iter()
@@ -749,7 +893,7 @@ mod tests {
                 .map(|(&a, &b)| (a * b) as f64)
                 .sum();
             let mut back = vec![0.0f32; c * h * w];
-            col2im(&y, c, h, w, k, stride, padding, &mut back);
+            col2im(&y, ho * wo, c, h, w, k, stride, padding, &mut back);
             let rhs: f64 = x
                 .iter()
                 .zip(back.iter())
@@ -769,8 +913,7 @@ mod tests {
         // panicking on an underflowed copy offset (regression test).
         let (c, h, w, k, stride, padding) = (1, 6, 2, 6, 1, 2);
         let src: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
-        let mut col = Vec::new();
-        let (ho, wo) = im2col(&src, c, h, w, k, stride, padding, &mut col);
+        let (col, ho, wo) = im2col_matrix(&src, (c, h, w), k, stride, padding);
         assert_eq!((ho, wo), (5, 1));
         // Tap kx=5 needs ix = 0*1 + 5 - 2 = 3 >= w for every ox: all zero.
         for ky in 0..k {
@@ -801,13 +944,157 @@ mod tests {
     fn col2im_accumulates_into_existing_gradient() {
         let (c, h, w, k) = (1, 4, 4, 3);
         let x = vec![1.0f32; c * h * w];
-        let mut col = Vec::new();
-        let _ = im2col(&x, c, h, w, k, 1, 1, &mut col);
+        let (col, ho, wo) = im2col_matrix(&x, (c, h, w), k, 1, 1);
         let ones = vec![1.0f32; col.len()];
         let mut dst = vec![10.0f32; c * h * w];
-        col2im(&ones, c, h, w, k, 1, 1, &mut dst);
+        col2im(&ones, ho * wo, c, h, w, k, 1, 1, &mut dst);
         // Every interior pixel is covered by k*k = 9 taps; corners by 4.
         assert_eq!(dst[5], 19.0);
         assert_eq!(dst[0], 14.0);
+    }
+
+    #[test]
+    fn packing_at_a_wider_row_stride_matches_per_image_matrices() {
+        // Images packed side by side (image g at column offset g*ho*wo,
+        // row stride G*ho*wo) read exactly their own im2col matrices, and
+        // col2im from that layout gives exactly the per-image gradients.
+        let mut rng = SplitMix64::new(6);
+        for &(c, h, w, k, stride, padding) in &[
+            (2, 8, 8, 3, 1, 1),
+            (3, 7, 9, 3, 2, 1),
+            (2, 5, 5, 1, 1, 0),
+            (1, 6, 6, 3, 2, 0),
+        ] {
+            let images = 3;
+            let chw = c * h * w;
+            let x = random_vec(images * chw, &mut rng);
+            let (ho, wo) = (
+                conv_output_size(h, k, stride, padding),
+                conv_output_size(w, k, stride, padding),
+            );
+            let (plane, rows) = (ho * wo, c * k * k);
+            let ld = images * plane;
+            let mut group = vec![f32::NAN; rows * ld];
+            for g in 0..images {
+                im2col(
+                    &x[g * chw..],
+                    c,
+                    h,
+                    w,
+                    k,
+                    stride,
+                    padding,
+                    &mut group[g * plane..],
+                    ld,
+                );
+            }
+            let dy = random_vec(rows * ld, &mut rng);
+            for g in 0..images {
+                let (own, _, _) = im2col_matrix(&x[g * chw..], (c, h, w), k, stride, padding);
+                for r in 0..rows {
+                    let packed = &group[r * ld + g * plane..][..plane];
+                    assert_eq!(
+                        packed,
+                        &own[r * plane..][..plane],
+                        "im2col row {r} of image {g}"
+                    );
+                }
+                let own_dy: Vec<f32> = (0..rows)
+                    .flat_map(|r| dy[r * ld + g * plane..][..plane].to_vec())
+                    .collect();
+                let init = random_vec(chw, &mut rng);
+                let (mut strided, mut own_grad) = (init.clone(), init);
+                col2im(
+                    &dy[g * plane..],
+                    ld,
+                    c,
+                    h,
+                    w,
+                    k,
+                    stride,
+                    padding,
+                    &mut strided,
+                );
+                col2im(&own_dy, plane, c, h, w, k, stride, padding, &mut own_grad);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&strided), bits(&own_grad), "col2im of image {g}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "larger than the padded input")]
+    fn conv_output_size_rejects_kernels_larger_than_the_padded_input() {
+        conv_output_size(2, 3, 1, 0);
+    }
+
+    /// `gemm`'s serial sweep with an explicit kernel copy.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_with_kernel(
+        kernel: Kernel,
+        (trans_a, trans_b): (bool, bool),
+        (m, n, k): (usize, usize, usize),
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        accumulate: bool,
+    ) {
+        gemm_cols(
+            kernel,
+            &mut GemmScratch::default(),
+            (m, n, k),
+            (a, operand_strides(trans_a, m, k)),
+            (b, operand_strides(trans_b, k, n)),
+            &SendPtr::new(c.as_mut_ptr()),
+            0..n,
+            accumulate,
+        );
+    }
+
+    #[test]
+    fn avx2_kernel_is_bit_identical_to_the_portable_kernel() {
+        // Guards the no-FMA property: a contracted multiply-add rounds once
+        // where the portable kernel rounds twice, and would show up here.
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            let mut rng = SplitMix64::new(7);
+            for &(m, n, k) in &[
+                (1, 1, 1),
+                (3, 5, 7),
+                (4, 16, 8),
+                (5, 17, 9),
+                (MR, NR, KC),
+                (MR + 1, NR + 1, KC + 1),
+                (33, 70, 41),
+                (130, 65, 260),
+            ] {
+                for trans in [(false, false), (true, false), (false, true), (true, true)] {
+                    for accumulate in [false, true] {
+                        let a = random_vec(m * k, &mut rng);
+                        let b = random_vec(k * n, &mut rng);
+                        let init = random_vec(m * n, &mut rng);
+                        let (mut portable, mut avx2) = (init.clone(), init);
+                        let shape = (m, n, k);
+                        gemm_with_kernel(
+                            Kernel::Portable,
+                            trans,
+                            shape,
+                            &a,
+                            &b,
+                            &mut portable,
+                            accumulate,
+                        );
+                        gemm_with_kernel(Kernel::Avx2, trans, shape, &a, &b, &mut avx2, accumulate);
+                        for (i, (p, v)) in portable.iter().zip(&avx2).enumerate() {
+                            assert_eq!(
+                                p.to_bits(),
+                                v.to_bits(),
+                                "{m}x{n}x{k} {trans:?} accumulate {accumulate}: element {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

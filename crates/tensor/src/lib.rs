@@ -25,7 +25,7 @@ mod gemm;
 mod shape;
 mod tensor;
 
-pub use gemm::{col2im, gemm, gemm_splits_columns, im2col, GemmScratch};
+pub use gemm::{col2im, conv_output_size, gemm, gemm_splits_columns, im2col, GemmScratch};
 pub use shape::{broadcast_shapes, numel, strides_for, Shape, ShapeError};
 pub use tensor::Tensor;
 
