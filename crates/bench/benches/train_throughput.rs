@@ -369,8 +369,8 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads 17.5x from the medians:
-    // GEMM 9.9e3 images/s (slowest window 8.5e3) vs naive 565 (507). The
+    // The committed record (2-core host) reads 47.4x from the medians:
+    // GEMM 2.37e4 images/s (slowest window 2.03e4) vs naive 499 (489). The
     // hard guard sits lower because both operands are wall-clock
     // measurements on a possibly loaded machine. A reading under the 3x
     // acceptance target on a quiet machine is a real regression.
@@ -380,9 +380,9 @@ fn main() {
     );
     // Parallel GEMM needs real cores: on a >= 4-core host the NR-aligned
     // column split across 4 pool workers must deliver at least 1.7x over
-    // the serial sweep (acceptance target). Even the committed 2-core
-    // record reads 1.94x from the medians: 276 products/s (slowest window
-    // 228) vs 142 (107).
+    // the serial sweep (acceptance target). The committed 2-core record,
+    // where the floor does not apply, reads 1.53x from the medians: 574
+    // products/s (slowest window 481) vs 376 (357).
     if host_threads >= GEMM_THREADS {
         assert!(
             gemm_parallel_speedup >= 1.7,
@@ -393,8 +393,8 @@ fn main() {
     // Fold scaling needs real cores: on a >= 4-core host the parallel fold
     // loop must deliver most of the linear speedup (0.7 efficiency
     // acceptance target, floor below for wall-clock noise). The committed
-    // 2-core record reads 0.32 from the medians: 3.09 jobs/s (slowest
-    // window 3.01) at 4 workers vs 2.42 (2.29) serial.
+    // 2-core record reads 0.33 from the medians: 4.52 jobs/s (slowest
+    // window 4.37) at 4 workers vs 3.43 (3.14) serial.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             fold_efficiency >= 0.5,
