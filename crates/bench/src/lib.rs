@@ -15,6 +15,8 @@
 //! reduced configuration; on a 2-core host `table1` then takes under half
 //! a second instead of 3–6 s.
 
+#![forbid(unsafe_code)]
+
 use pcount_core::FlowConfig;
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_nn::{train_classifier, CnnConfig, TrainConfig};

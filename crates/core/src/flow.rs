@@ -1049,8 +1049,8 @@ mod tests {
     #[test]
     fn run_flow_is_deterministic_across_pool_sizes() {
         // The `POOL_THREADS` knob sizes the persistent runtime pool every
-        // fan-out in the flow draws from (λ sweep, fold loops, GEMM
-        // column strips, deployment sweep). Running the same flow under
+        // fan-out in the flow draws from (λ sweep, fold loops, `Conv2d`
+        // image groups, deployment sweep). Running the same flow under
         // explicitly installed pools of different widths must produce
         // identical results in every observable metric — the pool size is
         // a pure performance knob.

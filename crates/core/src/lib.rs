@@ -23,6 +23,8 @@
 //! println!("{} quantized candidates", result.quantized.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod baseline;
 mod flow;
 mod pareto;

@@ -25,6 +25,8 @@
 //! assert_eq!(folds.len(), 4); // session 1 is always kept for training
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cv;
 mod scene;
 

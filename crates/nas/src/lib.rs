@@ -25,6 +25,8 @@
 //! assert_eq!(mask.alive_count(), 4); // all channels start alive
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod mask;
 mod model;

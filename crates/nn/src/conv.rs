@@ -1,7 +1,7 @@
 //! 2-D convolution over NCHW tensors.
 
 use crate::layer::{Layer, Mode};
-use pcount_tensor::{col2im, conv_output_size, gemm, im2col, GemmScratch, Tensor};
+use pcount_tensor::{col2im, conv_output_size, gemm, im2col, Tensor};
 use rand::Rng;
 use std::cell::RefCell;
 
@@ -14,23 +14,28 @@ use std::cell::RefCell;
 const GROUP_COLS: usize = 256;
 
 thread_local! {
-    /// Per-thread arena for the convolution passes: the `pcount-runtime`
-    /// pool threads are persistent, so each thread's packing buffers,
-    /// im2col staging and gradient partials warm up once and are reused
-    /// for the rest of the process.
-    static WORKER_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::default());
+    /// Per-thread pool of staging buffers for the convolution passes
+    /// (im2col matrices, column gradients, GEMM outputs and gradient
+    /// partials). The `pcount-runtime` pool threads are persistent, so
+    /// each thread's buffers warm up once and are reused for the rest of
+    /// the process.
+    static STAGING: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on the calling thread's arena.
-fn with_scratch<T>(f: impl FnOnce(&mut GemmScratch) -> T) -> T {
-    WORKER_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Resizes an arena buffer to exactly `len` zeroed elements (capacity is
-/// kept, so steady-state reuse performs no allocation).
-fn sized(buf: &mut Vec<f32>, len: usize) {
+/// Takes a buffer of exactly `len` zeroed elements from the calling
+/// thread's staging pool (capacity is kept from earlier uses, so
+/// steady-state reuse performs no allocation). Return it with
+/// [`give_buffer`].
+fn take_buffer(len: usize) -> Vec<f32> {
+    let mut buf = STAGING.with(|s| s.borrow_mut().pop()).unwrap_or_default();
     buf.clear();
     buf.resize(len, 0.0);
+    buf
+}
+
+/// Returns a buffer from [`take_buffer`] to the calling thread's pool.
+fn give_buffer(buf: Vec<f32>) {
+    STAGING.with(|s| s.borrow_mut().push(buf));
 }
 
 /// Geometry of one convolution call, shared by the per-group jobs.
@@ -84,25 +89,15 @@ impl ConvGeom {
 /// One group of images of the GEMM-lowered forward pass:
 /// `Y[Co, G*Ho*Wo] = W · [col(img_0) … col(img_G-1)]`, scattered back to
 /// the group's NCHW output planes with the bias added.
-fn forward_group(
-    scratch: &mut GemmScratch,
-    geom: ConvGeom,
-    imgs: &[f32],
-    wd: &[f32],
-    bd: &[f32],
-    dst: &mut [f32],
-) {
+fn forward_group(geom: ConvGeom, imgs: &[f32], wd: &[f32], bd: &[f32], dst: &mut [f32]) {
     let plane = geom.plane();
     let cols = dst.len() / geom.out_len() * plane;
-    let mut col = scratch.take_aux();
-    sized(&mut col, geom.ckk() * cols);
+    let mut col = take_buffer(geom.ckk() * cols);
     for (g, img) in imgs.chunks_exact(geom.chw()).take(cols / plane).enumerate() {
         geom.im2col(img, &mut col, g, cols);
     }
-    let mut y = scratch.take_aux();
-    sized(&mut y, geom.co * cols);
+    let mut y = take_buffer(geom.co * cols);
     gemm(
-        scratch,
         false,
         false,
         geom.co,
@@ -120,24 +115,17 @@ fn forward_group(
             }
         }
     }
-    scratch.give_aux(y);
-    scratch.give_aux(col);
+    give_buffer(y);
+    give_buffer(col);
 }
 
 /// Input gradient of one group of images:
 /// `dcol[Ci*k*k, G*Ho*Wo] = Wᵀ · [dY_0 … dY_G-1]`, then one [`col2im`]
 /// scatter-add per image into `grad_imgs`.
-fn input_grad_group(
-    scratch: &mut GemmScratch,
-    geom: ConvGeom,
-    gy: &[f32],
-    wd: &[f32],
-    grad_imgs: &mut [f32],
-) {
+fn input_grad_group(geom: ConvGeom, gy: &[f32], wd: &[f32], grad_imgs: &mut [f32]) {
     let plane = geom.plane();
     let cols = grad_imgs.len() / geom.chw() * plane;
-    let mut dy = scratch.take_aux();
-    sized(&mut dy, geom.co * cols);
+    let mut dy = take_buffer(geom.co * cols);
     for (g, gy_n) in gy
         .chunks_exact(geom.out_len())
         .take(cols / plane)
@@ -147,10 +135,8 @@ fn input_grad_group(
             dy[co * cols + g * plane..][..plane].copy_from_slice(row);
         }
     }
-    let mut dcol = scratch.take_aux();
-    sized(&mut dcol, geom.ckk() * cols);
+    let mut dcol = take_buffer(geom.ckk() * cols);
     gemm(
-        scratch,
         true,
         false,
         geom.ckk(),
@@ -164,38 +150,29 @@ fn input_grad_group(
     for (g, grad_img) in grad_imgs.chunks_exact_mut(geom.chw()).enumerate() {
         geom.col2im(&dcol, g, cols, grad_img);
     }
-    scratch.give_aux(dcol);
-    scratch.give_aux(dy);
+    give_buffer(dcol);
+    give_buffer(dy);
 }
 
 /// Weight- and bias-gradient partials of a run of images, one per image:
 /// `dW_n = dY_n · col_nᵀ` and `db_n[co] = Σ dY_n[co, :]`, written to
 /// consecutive `[dW_n | db_n]` records of `partials`.
-fn param_grad_images(
-    scratch: &mut GemmScratch,
-    geom: ConvGeom,
-    imgs: &[f32],
-    gy: &[f32],
-    partials: &mut [f32],
-) {
+fn param_grad_images(geom: ConvGeom, imgs: &[f32], gy: &[f32], partials: &mut [f32]) {
     let (plane, ckk) = (geom.plane(), geom.ckk());
     let wsize = geom.co * ckk;
-    let mut col = scratch.take_aux();
-    sized(&mut col, ckk * plane);
+    let mut col = take_buffer(ckk * plane);
     let images = imgs
         .chunks_exact(geom.chw())
         .zip(gy.chunks_exact(geom.out_len()));
     for (part, (img, gy_n)) in partials.chunks_exact_mut(wsize + geom.co).zip(images) {
         geom.im2col(img, &mut col, 0, plane);
         let (dw_n, db_n) = part.split_at_mut(wsize);
-        gemm(
-            scratch, false, true, geom.co, ckk, plane, gy_n, &col, dw_n, false,
-        );
+        gemm(false, true, geom.co, ckk, plane, gy_n, &col, dw_n, false);
         for (b, row) in db_n.iter_mut().zip(gy_n.chunks_exact(plane)) {
             *b = row.iter().sum::<f32>();
         }
     }
-    scratch.give_aux(col);
+    give_buffer(col);
 }
 
 /// A 2-D convolution layer with square kernels, zero padding and bias.
@@ -328,6 +305,17 @@ impl Conv2d {
         }
     }
 
+    /// Asserts that an effective weight has this layer's
+    /// `[out, in, k, k]` shape.
+    fn check_weight(&self, weight: &Tensor) {
+        let (co, ci, k) = (self.out_channels, self.in_channels, self.kernel);
+        assert_eq!(
+            weight.shape(),
+            &[co, ci, k, k],
+            "conv weight shape mismatch"
+        );
+    }
+
     /// Forward pass using an externally supplied effective weight tensor
     /// (used by the QAT fake-quantised weights and the NAS masked-layer
     /// path); caches the input for backward.
@@ -338,13 +326,15 @@ impl Conv2d {
     /// result is scattered back to NCHW with the bias added. A GEMM
     /// column depends only on its own image, so grouping never changes a
     /// result. Groups fan out over the persistent `pcount-runtime` pool
-    /// (inline on a width-1 pool), each staging its matrices in its
-    /// thread's warm arena, so steady-state training allocates only the
+    /// (inline on a width-1 pool), and each group's GEMM runs serially on
+    /// the thread that took the group, staging its matrices in that
+    /// thread's warm buffers. Steady-state training allocates only the
     /// output tensor, and results are bit-identical for any pool size.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not NCHW with `in_channels` channels, or if the
+    /// Panics if `x` is not NCHW with `in_channels` channels, if `weight`
+    /// is not `[out_channels, in_channels, kernel, kernel]`, or if the
     /// kernel is larger than the padded input.
     pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
         let _span = pcount_telemetry::span("conv_fwd");
@@ -352,6 +342,7 @@ impl Conv2d {
         assert_eq!(shape.len(), 4, "conv expects NCHW input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.in_channels, "conv input channel mismatch");
+        self.check_weight(weight);
         let geom = self.geom(c, h, w);
         let mut out = Tensor::zeros(&[n, geom.co, geom.ho, geom.wo]);
         let xd = x.data();
@@ -364,7 +355,7 @@ impl Conv2d {
             0,
             |t, dst| {
                 let imgs = &xd[t * group * geom.chw()..];
-                with_scratch(|s| forward_group(s, geom, imgs, wd, bd, dst));
+                forward_group(geom, imgs, wd, bd, dst);
             },
         );
         self.cached_input = Some(x.clone());
@@ -379,6 +370,7 @@ impl Conv2d {
         assert_eq!(shape.len(), 4, "conv expects NCHW input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.in_channels, "conv input channel mismatch");
+        self.check_weight(weight);
         let ho = self.output_size(h);
         let wo = self.output_size(w);
         let mut out = Tensor::zeros(&[n, self.out_channels, ho, wo]);
@@ -436,8 +428,14 @@ impl Conv2d {
     /// the reduction order is a function of the batch alone, so results
     /// are bit-identical for any pool size and equal those of one
     /// single-image call per image. All staging buffers, the partials
-    /// included, live in per-thread arenas, so the grad path performs no
+    /// included, come from per-thread pools, so the grad path performs no
     /// steady-state allocation besides the returned gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass preceded this call, if `grad_out` does not
+    /// have the forward output's shape, or if `weight` is not
+    /// `[out_channels, in_channels, kernel, kernel]`.
     pub fn backward_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let _span = pcount_telemetry::span("conv_bwd");
         let x = self
@@ -452,6 +450,7 @@ impl Conv2d {
             &[n, geom.co, geom.ho, geom.wo],
             "conv grad shape mismatch"
         );
+        self.check_weight(weight);
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         let xd = x.data();
         let wd = weight.data();
@@ -460,16 +459,15 @@ impl Conv2d {
         let pool = pcount_runtime::current();
         pool.par_chunks_mut(grad_in.data_mut(), group * geom.chw(), 0, |t, grad_imgs| {
             let gy = &gd[t * group * geom.out_len()..];
-            with_scratch(|s| input_grad_group(s, geom, gy, wd, grad_imgs));
+            input_grad_group(geom, gy, wd, grad_imgs);
         });
         let wsize = geom.co * geom.ckk();
         let record = wsize + geom.co;
-        let mut partials = with_scratch(GemmScratch::take_aux);
-        sized(&mut partials, n * record);
+        let mut partials = take_buffer(n * record);
         pool.par_chunks_mut(&mut partials, group * record, 0, |t, parts| {
             let imgs = &xd[t * group * geom.chw()..];
             let gy = &gd[t * group * geom.out_len()..];
-            with_scratch(|s| param_grad_images(s, geom, imgs, gy, parts));
+            param_grad_images(geom, imgs, gy, parts);
         });
         // Canonical-order reduction: image partials land in batch order
         // regardless of which worker computed them, matching the
@@ -486,7 +484,7 @@ impl Conv2d {
                 *acc += v;
             }
         }
-        with_scratch(|s| s.give_aux(partials));
+        give_buffer(partials);
         grad_in
     }
 
@@ -504,6 +502,7 @@ impl Conv2d {
         let gs = grad_out.shape();
         let (ho, wo) = (gs[2], gs[3]);
         assert_eq!(gs[1], self.out_channels, "grad channel mismatch");
+        self.check_weight(weight);
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         let k = self.kernel;
         let xd = x.data();
@@ -691,6 +690,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut conv = Conv2d::new(1, 2, 3, 1, 0, &mut rng);
         let _ = conv.forward(&Tensor::ones(&[1, 1, 2, 2]), Mode::Eval);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv weight shape mismatch")]
+    fn forward_rejects_a_weight_of_the_wrong_shape() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        // Same element count as the [3, 2, 3, 3] weight.
+        let weight = Tensor::ones(&[2, 3, 3, 3]);
+        let _ = conv.forward_with_weight(&Tensor::ones(&[1, 2, 4, 4]), &weight);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv weight shape mismatch")]
+    fn backward_rejects_a_weight_of_the_wrong_shape() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let y = conv.forward(&Tensor::ones(&[1, 2, 4, 4]), Mode::Train);
+        let _ = conv.backward_with_weight(&y, &Tensor::ones(&[2, 3, 3, 3]));
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! assert_eq!(logits.shape(), &[2, 4]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batchnorm;
 mod conv;
 mod layer;

@@ -1,7 +1,7 @@
 //! Fully connected (linear) layer.
 
 use crate::layer::{Layer, Mode};
-use pcount_tensor::{gemm, GemmScratch, Tensor};
+use pcount_tensor::{gemm, Tensor};
 use rand::Rng;
 
 /// A fully connected layer computing `y = x W^T + b`.
@@ -43,7 +43,6 @@ pub struct Linear {
     /// Accumulated bias gradient.
     pub bias_grad: Tensor,
     cached_input: Option<Tensor>,
-    scratch: GemmScratch,
 }
 
 impl Linear {
@@ -63,7 +62,6 @@ impl Linear {
             weight_grad: Tensor::zeros(&[out_features, in_features]),
             bias_grad: Tensor::zeros(&[out_features]),
             cached_input: None,
-            scratch: GemmScratch::default(),
         }
     }
 
@@ -84,20 +82,31 @@ impl Linear {
             weight,
             bias,
             cached_input: None,
-            scratch: GemmScratch::default(),
         }
+    }
+
+    /// Asserts that an effective weight has this layer's `[out, in]`
+    /// shape.
+    fn check_weight(&self, weight: &Tensor) {
+        let shape = [self.out_features, self.in_features];
+        assert_eq!(weight.shape(), &shape, "linear weight shape mismatch");
     }
 
     /// Forward pass with an externally supplied effective weight tensor
     /// (used by the QAT fake-quantised weights and the NAS masked-layer
     /// path): one `y = x · Wᵀ` GEMM plus a fused bias add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[N, in_features]` or `weight` is not
+    /// `[out_features, in_features]`.
     pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "linear expects [N, in] input");
         assert_eq!(x.shape()[1], self.in_features, "linear input size mismatch");
+        self.check_weight(weight);
         let n = x.shape()[0];
         let mut out = Tensor::zeros(&[n, self.out_features]);
         gemm(
-            &mut self.scratch,
             false,
             true,
             n,
@@ -122,16 +131,21 @@ impl Linear {
     ///
     /// `dW += dYᵀ · X` accumulates straight into `weight_grad` (no
     /// intermediate), `db` is the column sums of `dY`, and `dX = dY · W`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass preceded this call, if `grad_out` is not
+    /// `[N, out_features]` for the forward input's `N`, or if `weight` is
+    /// not `[out_features, in_features]`.
     pub fn backward_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let x = self
             .cached_input
             .take()
             .expect("backward called before forward");
-        let n = grad_out.shape()[0];
-        let c = grad_out.shape()[1];
-        assert_eq!(c, self.out_features, "linear gradient size mismatch");
+        let (n, c) = (x.shape()[0], self.out_features);
+        assert_eq!(grad_out.shape(), &[n, c], "linear gradient shape mismatch");
+        self.check_weight(weight);
         gemm(
-            &mut self.scratch,
             true,
             false,
             self.out_features,
@@ -152,7 +166,6 @@ impl Linear {
         }
         let mut grad_in = Tensor::zeros(&[n, self.in_features]);
         gemm(
-            &mut self.scratch,
             false,
             false,
             n,
@@ -171,6 +184,7 @@ impl Linear {
     pub fn forward_naive_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "linear expects [N, in] input");
         assert_eq!(x.shape()[1], self.in_features, "linear input size mismatch");
+        self.check_weight(weight);
         let n = x.shape()[0];
         let (xd, wd, bd) = (x.data(), weight.data(), self.bias.data());
         let mut out = Tensor::zeros(&[n, self.out_features]);
@@ -198,6 +212,7 @@ impl Linear {
         let n = grad_out.shape()[0];
         let c = grad_out.shape()[1];
         assert_eq!(c, self.out_features, "linear gradient size mismatch");
+        self.check_weight(weight);
         let (xd, wd, gd) = (x.data(), weight.data(), grad_out.data());
         {
             let wg = self.weight_grad.data_mut();
@@ -323,5 +338,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut fc = Linear::new(10, 4, &mut rng);
         assert_eq!(fc.num_params(), 44);
+    }
+
+    #[test]
+    #[should_panic(expected = "linear gradient shape mismatch")]
+    fn backward_rejects_a_gradient_with_fewer_rows_than_the_input() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut fc = Linear::new(3, 2, &mut rng);
+        let _ = fc.forward(&Tensor::ones(&[4, 3]), Mode::Train);
+        let _ = fc.backward(&Tensor::ones(&[2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "linear weight shape mismatch")]
+    fn forward_rejects_a_weight_of_the_wrong_shape() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut fc = Linear::new(4, 3, &mut rng);
+        // Same element count as the [3, 4] weight, transposed shape.
+        let _ = fc.forward_with_weight(&Tensor::ones(&[2, 4]), &Tensor::ones(&[4, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "linear weight shape mismatch")]
+    fn backward_rejects_a_weight_of_the_wrong_shape() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut fc = Linear::new(4, 3, &mut rng);
+        let _ = fc.forward(&Tensor::ones(&[2, 4]), Mode::Train);
+        let _ = fc.backward_with_weight(&Tensor::ones(&[2, 3]), &Tensor::ones(&[4, 3]));
     }
 }

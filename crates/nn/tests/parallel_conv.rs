@@ -4,9 +4,11 @@
 //! Forward and the input gradient run one GEMM per group of images, the
 //! groups fanned out over the `pcount-runtime` pool with disjoint output
 //! planes; the weight and bias gradients are per-image partials reduced
-//! in image order on the caller. Both must be **bit-identical** for any
-//! pool width — this is what makes `POOL_THREADS` a pure performance knob
-//! for the whole training stack — and equal to one call per image.
+//! in image order on the caller. Each group's GEMM runs serially on the
+//! thread that took the group, so these groups are the layer's only
+//! parallelism. Both must be **bit-identical** for any pool width — this
+//! is what makes `POOL_THREADS` a pure performance knob for the whole
+//! training stack — and equal to one call per image.
 
 use pcount_nn::{Conv2d, Layer, Mode};
 use pcount_runtime::{install, Pool};

@@ -19,6 +19,8 @@
 //!
 //! Energy per inference is always `cycles / f_clk * P_active`.
 
+#![forbid(unsafe_code)]
+
 use pcount_kernels::{Deployment, DeploymentReport, MemStats, Target};
 use pcount_quant::{Precision, QuantizedCnn};
 

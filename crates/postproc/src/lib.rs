@@ -20,6 +20,8 @@
 //! assert_eq!(smoothed[4], 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 
 /// Sliding-window majority-vote filter over class predictions.

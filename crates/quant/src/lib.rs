@@ -29,6 +29,8 @@
 //! bookkeeping while preserving the INT8-vs-INT4 accuracy/memory trade-off
 //! shape the paper reports.
 
+#![forbid(unsafe_code)]
+
 mod fake;
 mod fold;
 mod int;

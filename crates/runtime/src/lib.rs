@@ -1,7 +1,7 @@
 //! Persistent worker-pool runtime for the MAUPITI stack.
 //!
 //! Before this crate existed, every parallel surface of the workspace —
-//! the blocked GEMM's callers, the per-fold and per-λ training loops in
+//! the convolution layers, the per-fold and per-λ training loops in
 //! `pcount-core`, the batch inference pool in `pcount-kernels` and the
 //! benches — spawned short-lived `std::thread::scope` workers per call.
 //! That cost a thread create/join round-trip on every hot-path invocation
@@ -12,18 +12,18 @@
 //!   whenever the queue is empty — the steady state performs no thread
 //!   creation at all;
 //! * work is submitted as *groups* of independent index jobs `f(0..n)`
-//!   and scheduled as **chunked index ranges** claimed from an atomic
-//!   counter, so any number of workers can drain one group without
+//!   whose indices are **claimed one at a time** from an atomic counter,
+//!   so any number of workers can drain one group without
 //!   pre-partitioning;
 //! * the submitting thread always participates in its own group and then
-//!   blocks until stragglers finish, which makes [`PoolRef::run`]
+//!   blocks until stragglers finish, which makes [`PoolRef::run_limited`]
 //!   **scoped**: the closure may borrow stack data even though the
 //!   workers are `'static` threads;
-//! * nested submissions (a GEMM inside a fold job inside a λ sweep) go
-//!   to the **same** pool — the single worker budget is shared across
-//!   every level instead of multiplying, and a nested submitter simply
-//!   drains its own group inline when every worker is busy, so nesting
-//!   can never deadlock or oversubscribe.
+//! * nested submissions (a `Conv2d` image group inside a fold job inside
+//!   a λ sweep) go to the **same** pool — the single worker budget is
+//!   shared across every level instead of multiplying, and a nested
+//!   submitter simply drains its own group inline when every worker is
+//!   busy, so nesting can never deadlock or oversubscribe.
 //!
 //! The pool size comes from the `POOL_THREADS` environment variable
 //! (`0` or unset = auto: the host's available parallelism). **Results
@@ -78,8 +78,6 @@ struct Group {
     job: Job,
     /// Total number of index jobs.
     n: usize,
-    /// Indices claimed per queue pop.
-    chunk: usize,
     /// Next unclaimed index.
     next: AtomicUsize,
     /// Worker slots still available (concurrency limit minus active
@@ -94,7 +92,7 @@ struct Group {
     /// telemetry was disabled at submission — the sentinel that turns all
     /// per-group recording off.
     submitted_ns: u64,
-    /// Set by whichever thread claims the group's first chunk; gates the
+    /// Set by whichever thread claims the group's first index; gates the
     /// one-shot queue-wait measurement.
     first_claim: AtomicBool,
 }
@@ -106,34 +104,29 @@ struct GroupState {
 }
 
 impl Group {
-    /// Claims and runs chunks until the index counter is exhausted,
+    /// Claims and runs indices until the index counter is exhausted,
     /// returning how many index jobs this thread executed.
     /// Panics inside jobs are caught, recorded and re-thrown by the
     /// submitter after the group completes.
     fn work(&self) -> usize {
         let mut executed = 0;
         loop {
-            let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.n {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
                 return executed;
             }
             if self.submitted_ns != 0 && !self.first_claim.swap(true, Ordering::Relaxed) {
                 pcount_telemetry::histogram("pool/queue_wait_ns")
                     .record(pcount_telemetry::now_ns().saturating_sub(self.submitted_ns));
             }
-            let end = (start + self.chunk).min(self.n);
-            executed += end - start;
+            executed += 1;
             // SAFETY: the submitter keeps the closure alive until
-            // `state.done == n`, and `done` only counts claimed chunks
+            // `state.done == n`, and `done` only counts claimed indices
             // after they ran.
             let job = unsafe { &*self.job.0 };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    job(i);
-                }
-            }));
+            let result = catch_unwind(AssertUnwindSafe(|| job(i)));
             let mut state = self.state.lock().expect("group state lock");
-            state.done += end - start;
+            state.done += 1;
             if let Err(payload) = result {
                 state.panic.get_or_insert(payload);
             }
@@ -204,7 +197,7 @@ struct Shared {
 
 impl Shared {
     /// The main loop of one pool worker: pick a group with remaining
-    /// work and a free slot, drain chunks, park when idle. `slot` is the
+    /// work and a free slot, drain its indices, park when idle. `slot` is the
     /// worker's index into `stats` (`1..width`).
     fn worker_loop(self: &Arc<Self>, slot: usize) {
         CURRENT.with(|c| {
@@ -236,7 +229,7 @@ impl Shared {
         }
     }
 
-    /// Drains `group` chunks on behalf of `slot`, recording a
+    /// Drains `group`'s indices on behalf of `slot`, recording a
     /// `pool/task` span and the slot's task/busy totals when telemetry
     /// is enabled (one relaxed atomic load otherwise).
     fn work_instrumented(self: &Arc<Self>, group: &Group, slot: usize) {
@@ -354,28 +347,17 @@ impl PoolRef {
         self.shared.width
     }
 
-    /// Runs `f(0..jobs)` across the pool and blocks until every index has
-    /// completed. Panics in jobs are re-thrown here after the group
+    /// Runs `f(0..jobs)` across the pool with at most `limit` threads
+    /// working the group concurrently (`0` = no extra limit; the submitter
+    /// always counts as one participant), and blocks until every index
+    /// has completed. Panics in jobs are re-thrown here after the group
     /// drains, so the borrowed closure never outlives its captures.
-    pub fn run<F: Fn(usize) + Sync>(&self, jobs: usize, f: F) {
-        self.run_chunked(jobs, 1, 0, f);
-    }
-
-    /// [`PoolRef::run`] with at most `limit` threads working the group
-    /// concurrently (`0` = no extra limit; the submitter always counts as
-    /// one participant). Results must not depend on `limit`: jobs are
-    /// independent per index, so this is a pure scheduling knob.
+    /// Results must not depend on `limit`: jobs are independent per
+    /// index, so this is a pure scheduling knob.
     pub fn run_limited<F: Fn(usize) + Sync>(&self, jobs: usize, limit: usize, f: F) {
-        self.run_chunked(jobs, 1, limit, f);
-    }
-
-    /// Fully general submission: `f(0..jobs)` with indices claimed
-    /// `chunk` at a time by at most `limit` concurrent threads.
-    pub fn run_chunked<F: Fn(usize) + Sync>(&self, jobs: usize, chunk: usize, limit: usize, f: F) {
         if jobs == 0 {
             return;
         }
-        let chunk = chunk.max(1);
         let limit = if limit == 0 { self.width() } else { limit };
         if jobs == 1 || limit <= 1 || self.width() <= 1 {
             if pcount_telemetry::enabled() {
@@ -415,7 +397,6 @@ impl PoolRef {
         let group = Arc::new(Group {
             job,
             n: jobs,
-            chunk,
             next: AtomicUsize::new(0),
             // The submitter participates unconditionally below, so it
             // takes its slot up front.
@@ -530,31 +511,30 @@ impl PoolRef {
     }
 }
 
-/// Raw-pointer wrapper that lets disjoint-region writers cross a job
-/// closure's `Sync` bound (used by [`PoolRef::map`] internally and by
-/// the GEMM / conv fan-outs in `pcount-tensor` / `pcount-nn`).
-///
-/// # Safety contract (on the user, not the type)
+/// Raw-pointer wrapper that lets the disjoint-slot writers of
+/// [`PoolRef::map_limited`] and [`PoolRef::par_chunks_mut`] cross a job
+/// closure's `Sync` bound. Private to this crate: every caller elsewhere
+/// gets disjoint `&mut` access through those two safe functions.
 ///
 /// The wrapper itself is just a pointer; whoever dereferences it must
 /// guarantee that concurrent jobs write disjoint regions and that the
-/// pointee outlives the submission (which [`PoolRef::run`] guarantees by
-/// blocking until the group drains).
-pub struct SendPtr<T>(*mut T);
+/// pointee outlives the submission (which [`PoolRef::run_limited`]
+/// guarantees by blocking until the group drains).
+struct SendPtr<T>(*mut T);
+// SAFETY: the one field is a pointer to `T` values that jobs on other
+// threads write (and whose old values they drop), hence `T: Send`; the
+// dereferencing code above keeps those writes disjoint.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: sharing the wrapper only shares the pointer, and
+// every write through it goes to a slot no other job touches.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    /// Wraps a raw pointer for capture by `Sync` job closures.
-    pub fn new(ptr: *mut T) -> Self {
-        Self(ptr)
-    }
-
     /// The wrapped pointer. An accessor (rather than direct field use)
     /// so closures capture the `Sync` wrapper, not a raw pointer field
     /// (edition-2021 disjoint capture would otherwise unravel the
     /// wrapper).
-    pub fn ptr(&self) -> *mut T {
+    fn ptr(&self) -> *mut T {
         self.0
     }
 }
@@ -642,7 +622,7 @@ mod tests {
     fn run_executes_every_index_exactly_once() {
         let pool = Pool::new(3);
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        pool.handle().run_chunked(hits.len(), 7, 0, |i| {
+        pool.handle().run_limited(hits.len(), 0, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -652,7 +632,7 @@ mod tests {
     fn width_one_pool_runs_inline() {
         let pool = Pool::new(1);
         let main_thread = std::thread::current().id();
-        pool.handle().run(8, |_| {
+        pool.handle().run_limited(8, 0, |_| {
             assert_eq!(std::thread::current().id(), main_thread);
         });
     }
@@ -672,7 +652,7 @@ mod tests {
         let pool = Pool::new(4);
         let total = AtomicU64::new(0);
         install(&pool, || {
-            current().run(6, |_| {
+            current().run_limited(6, 0, |_| {
                 // Workers resolve `current()` to their own pool; nesting
                 // two levels deep must drain without deadlock even when
                 // every worker is busy with outer jobs.
@@ -714,7 +694,7 @@ mod tests {
     fn job_panics_propagate_to_the_submitter() {
         let pool = Pool::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.handle().run(16, |i| {
+            pool.handle().run_limited(16, 0, |i| {
                 if i == 9 {
                     panic!("job 9 exploded");
                 }
@@ -738,7 +718,7 @@ mod tests {
     #[test]
     fn dropping_a_pool_joins_its_workers() {
         let pool = Pool::new(4);
-        pool.handle().run(8, |_| {});
+        pool.handle().run_limited(8, 0, |_| {});
         drop(pool); // must not hang
     }
 
@@ -748,7 +728,7 @@ mod tests {
         // Results and totals must be unaffected by whether telemetry is
         // recording; only the stats themselves appear.
         pcount_telemetry::set_enabled(true);
-        pool.handle().run_chunked(64, 4, 0, |_| {});
+        pool.handle().run_limited(64, 0, |_| {});
         pcount_telemetry::set_enabled(false);
         let report = pool.handle().utilization();
         assert_eq!(report.width, 3);

@@ -62,6 +62,8 @@
 //! pcount_telemetry::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod export;
 mod json;
 mod metrics;

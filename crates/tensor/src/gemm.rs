@@ -19,9 +19,16 @@
 //! * operands are **packed** into panel-major buffers once per cache
 //!   block, which makes transposed operands free (packing reads through
 //!   strides) and keeps the micro-kernel's memory traffic unit-stride;
-//! * packing buffers live in a caller-owned [`GemmScratch`] **arena** so a
+//! * the packed panels live in one private **per-thread arena** that grows
+//!   to the largest block the thread has packed and is never shrunk, so a
 //!   training loop that issues thousands of small GEMMs per epoch performs
 //!   zero allocations after warm-up.
+//!
+//! [`gemm`] always runs serially on the calling thread and never submits
+//! work to the `pcount-runtime` pool. Every product in the workspace is
+//! small, and each already runs inside a coarser pool task (a `Conv2d`
+//! image group, a fold job or a λ point), so parallelism lives at that one
+//! level and one arena per thread is enough.
 //!
 //! Accumulation order is fixed by the blocking (k is swept in `KC` chunks,
 //! innermost), so results are deterministic across runs and threads —
@@ -29,18 +36,8 @@
 //! element's value depends only on its row of A and its column of B, never
 //! on how many columns sit beside it, which is what lets `Conv2d` put
 //! several images side by side in one product.
-//!
-//! Large products additionally fan out over the persistent
-//! [`pcount_runtime`] worker pool: the N dimension is split into
-//! [`NR`]-aligned column strips, one strip per task, each packed and
-//! multiplied with a per-worker thread-local arena. Because `c[i][j]`
-//! only ever involves row `i` of A and column `j` of B, and the k sweep
-//! inside a strip is the exact serial schedule, **every output element
-//! sees the same accumulation order for any pool size** — parallel GEMM
-//! is bit-identical to serial GEMM (asserted by proptests and the
-//! `train_throughput` bench tripwire).
 
-use pcount_runtime::SendPtr;
+use std::cell::RefCell;
 
 /// Rows of the register tile (accumulator height).
 const MR: usize = 4;
@@ -53,64 +50,23 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// n-dimension cache block (multiple of [`NR`]).
 const NC: usize = 1024;
-/// Minimum `m * n * k` MAC count before a GEMM fans out over the worker
-/// pool; below this the submit/park round-trip outweighs the win.
-const PAR_MIN_MACS: usize = 1 << 20;
-/// Column-strip tasks created per pool worker (slack for load balance;
-/// the split never affects results, only scheduling).
-const PAR_TASKS_PER_WORKER: usize = 2;
 
-/// Reusable packing arena for [`gemm`].
-///
-/// Holds the panel-major copies of the current A and B cache blocks. Create
-/// one per training thread (it is cheap when empty) and pass it to every
-/// GEMM call; buffers grow to the high-water mark of the workload and are
-/// never shrunk, so steady-state training performs no allocation.
-///
-/// # Example
-///
-/// ```
-/// use pcount_tensor::{gemm, GemmScratch};
-/// let (a, b) = (vec![1.0f32; 6], vec![1.0f32; 6]);
-/// let mut c = vec![0.0f32; 4];
-/// let mut scratch = GemmScratch::default();
-/// // C[2x2] = A[2x3] * B[3x2]
-/// gemm(&mut scratch, false, false, 2, 2, 3, &a, &b, &mut c, false);
-/// assert_eq!(c, vec![3.0; 4]);
-/// ```
-#[derive(Debug, Default)]
-pub struct GemmScratch {
-    packed_a: Vec<f32>,
-    packed_b: Vec<f32>,
-    /// Reusable auxiliary buffers (see [`GemmScratch::take_aux`]).
-    aux: Vec<Vec<f32>>,
+/// The panel-major copies of the current A and B cache blocks.
+struct Panels {
+    a: Vec<f32>,
+    b: Vec<f32>,
 }
 
-impl GemmScratch {
-    /// Borrows a reusable auxiliary buffer out of the arena (empty, but
-    /// with whatever capacity earlier uses grew it to). `pcount-nn`
-    /// stages its im2col column matrices, column gradients and per-image
-    /// gradient partials in these so the training grad path performs no
-    /// steady-state allocation; return the buffer with
-    /// [`GemmScratch::give_aux`] when done.
-    pub fn take_aux(&mut self) -> Vec<f32> {
-        self.aux.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer obtained from [`GemmScratch::take_aux`] to the
-    /// arena for reuse.
-    pub fn give_aux(&mut self, mut buf: Vec<f32>) {
-        buf.clear();
-        self.aux.push(buf);
-    }
-}
-
-impl Clone for GemmScratch {
-    /// Clones are fresh arenas: packed panels are transient per-call state
-    /// and copying them would only waste memory.
-    fn clone(&self) -> Self {
-        Self::default()
-    }
+thread_local! {
+    /// The calling thread's packing arena. `pcount-runtime` pool threads
+    /// are persistent, so each thread's panels warm up once and are reused
+    /// for the rest of the process.
+    static PANELS: RefCell<Panels> = const {
+        RefCell::new(Panels {
+            a: Vec::new(),
+            b: Vec::new(),
+        })
+    };
 }
 
 /// `C[m x n] = A_eff[m x k] · B_eff[k x n]` (`+=` when `accumulate`).
@@ -121,12 +77,53 @@ impl Clone for GemmScratch {
 /// always row-major `[m, n]` and is overwritten unless `accumulate` asks
 /// for `C += A·B` (used to accumulate weight gradients in place).
 ///
+/// Runs serially on the calling thread, packing into that thread's arena.
+///
+/// # Example
+///
+/// ```
+/// use pcount_tensor::gemm;
+/// let (a, b) = (vec![1.0f32; 6], vec![1.0f32; 6]);
+/// let mut c = vec![0.0f32; 4];
+/// // C[2x2] = A[2x3] * B[3x2]
+/// gemm(false, false, 2, 2, 3, &a, &b, &mut c, false);
+/// assert_eq!(c, vec![3.0; 4]);
+/// ```
+///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its shape implies.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
-    scratch: &mut GemmScratch,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    accumulate: bool,
+) {
+    gemm_with_kernel(
+        Kernel::detect(),
+        trans_a,
+        trans_b,
+        m,
+        n,
+        k,
+        a,
+        b,
+        c,
+        accumulate,
+    );
+}
+
+/// [`gemm`] on an explicit compiled copy of the loop nest: the Goto
+/// blocking over the whole of C.
+#[allow(clippy::too_many_arguments)]
+fn gemm_with_kernel(
+    kernel: Kernel,
     trans_a: bool,
     trans_b: bool,
     m: usize,
@@ -152,56 +149,35 @@ pub fn gemm(
     // Observability only: one relaxed atomic load while telemetry is
     // disabled, a scoped "gemm" span otherwise. Results are unaffected.
     let _span = pcount_telemetry::span("gemm");
-    let kernel = Kernel::detect();
-    let a_strides = operand_strides(trans_a, m, k);
-    let b_strides = operand_strides(trans_b, k, n);
-
-    let pool = pcount_runtime::current();
-    if pool.width() > 1 && gemm_splits_columns(m, n, k) {
-        // Fan the NR-aligned column strips out over the persistent pool.
-        // Each task runs the full serial k/m blocking restricted to its
-        // strip with a per-worker thread-local arena, so results are
-        // bit-identical to the serial sweep for any pool size (c[i][j]
-        // never depends on which strip j landed in).
-        thread_local! {
-            static PAR_SCRATCH: std::cell::RefCell<GemmScratch> =
-                RefCell::new(GemmScratch::default());
+    let (rs_a, cs_a) = operand_strides(trans_a, m, k);
+    let (rs_b, cs_b) = operand_strides(trans_b, k, n);
+    PANELS.with(|panels| {
+        let panels = &mut *panels.borrow_mut();
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let first_k_block = pc == 0;
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                pack_b(&mut panels.b, b, pc, jc, kc, nc, rs_b, cs_b);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    pack_a(&mut panels.a, a, ic, pc, mc, kc, rs_a, cs_a);
+                    multiply_block(
+                        kernel,
+                        panels,
+                        c,
+                        n,
+                        ic,
+                        jc,
+                        mc,
+                        nc,
+                        kc,
+                        accumulate || !first_k_block,
+                    );
+                }
+            }
         }
-        use std::cell::RefCell;
-        let panels = n.div_ceil(NR);
-        let max_tasks = pool.width() * PAR_TASKS_PER_WORKER;
-        let strip_cols = panels.div_ceil(max_tasks).max(1) * NR;
-        let tasks = n.div_ceil(strip_cols);
-        let cp = SendPtr::new(c.as_mut_ptr());
-        pool.run(tasks, |t| {
-            let j_lo = t * strip_cols;
-            let j_hi = (j_lo + strip_cols).min(n);
-            PAR_SCRATCH.with(|s| {
-                gemm_cols(
-                    kernel,
-                    &mut s.borrow_mut(),
-                    (m, n, k),
-                    (a, a_strides),
-                    (b, b_strides),
-                    &cp,
-                    j_lo..j_hi,
-                    accumulate,
-                );
-            });
-        });
-        return;
-    }
-    let cp = SendPtr::new(c.as_mut_ptr());
-    gemm_cols(
-        kernel,
-        scratch,
-        (m, n, k),
-        (a, a_strides),
-        (b, b_strides),
-        &cp,
-        0..n,
-        accumulate,
-    );
+    });
 }
 
 /// `(row stride, column stride)` of an effective `rows x cols` operand
@@ -239,64 +215,11 @@ impl Kernel {
     }
 }
 
-/// True when a `[m x k] · [k x n]` product is large enough for [`gemm`]
-/// to fan its column strips out over the worker pool (it still runs
-/// serially when the current pool has width 1). Results never depend on
-/// the answer — the split is bit-identical — so this exists only for
-/// tests and benches to confirm they exercise the parallel path.
-pub fn gemm_splits_columns(m: usize, n: usize, k: usize) -> bool {
-    n >= 2 * NR && m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MACS
-}
-
-/// The serial Goto blocking restricted to the output columns `cols`:
-/// exactly the historical `gemm` loop nest with the `jc` sweep clipped to
-/// the strip. Every task of a parallel GEMM runs this over its own strip;
-/// the serial path runs it once over `0..n`. Operands come with their
-/// [`operand_strides`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_cols(
-    kernel: Kernel,
-    scratch: &mut GemmScratch,
-    (m, n, k): (usize, usize, usize),
-    (a, (rs_a, cs_a)): (&[f32], (usize, usize)),
-    (b, (rs_b, cs_b)): (&[f32], (usize, usize)),
-    c: &SendPtr<f32>,
-    cols: std::ops::Range<usize>,
-    accumulate: bool,
-) {
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        let first_k_block = pc == 0;
-        let mut jc = cols.start;
-        while jc < cols.end {
-            let nc = NC.min(cols.end - jc);
-            pack_b(scratch, b, pc, jc, kc, nc, rs_b, cs_b);
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                pack_a(scratch, a, ic, pc, mc, kc, rs_a, cs_a);
-                multiply_block(
-                    kernel,
-                    scratch,
-                    c,
-                    n,
-                    ic,
-                    jc,
-                    mc,
-                    nc,
-                    kc,
-                    accumulate || !first_k_block,
-                );
-            }
-            jc += nc;
-        }
-    }
-}
-
 /// Packs the `mc x kc` block of A starting at `(ic, pc)` into panels of
 /// [`MR`] rows, zero-padding the ragged last panel.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
-    scratch: &mut GemmScratch,
+    packed: &mut Vec<f32>,
     a: &[f32],
     ic: usize,
     pc: usize,
@@ -306,11 +229,11 @@ fn pack_a(
     cs: usize,
 ) {
     let panels = mc.div_ceil(MR);
-    scratch.packed_a.resize(panels * kc * MR, 0.0);
+    packed.resize(panels * kc * MR, 0.0);
     for pi in 0..panels {
         let row0 = ic + pi * MR;
         let rows = MR.min(ic + mc - row0);
-        let dst = &mut scratch.packed_a[pi * kc * MR..(pi + 1) * kc * MR];
+        let dst = &mut packed[pi * kc * MR..(pi + 1) * kc * MR];
         if rows < MR {
             dst.fill(0.0);
         }
@@ -327,7 +250,7 @@ fn pack_a(
 /// [`NR`] columns, zero-padding the ragged last panel.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
-    scratch: &mut GemmScratch,
+    packed: &mut Vec<f32>,
     b: &[f32],
     pc: usize,
     jc: usize,
@@ -337,11 +260,11 @@ fn pack_b(
     cs: usize,
 ) {
     let panels = nc.div_ceil(NR);
-    scratch.packed_b.resize(panels * kc * NR, 0.0);
+    packed.resize(panels * kc * NR, 0.0);
     for pj in 0..panels {
         let col0 = jc + pj * NR;
         let cols = NR.min(jc + nc - col0);
-        let dst = &mut scratch.packed_b[pj * kc * NR..(pj + 1) * kc * NR];
+        let dst = &mut packed[pj * kc * NR..(pj + 1) * kc * NR];
         if cols < NR {
             dst.fill(0.0);
         }
@@ -362,15 +285,14 @@ fn pack_b(
 }
 
 /// Multiplies the packed A block by the packed B block into the `C` tile
-/// at `(ic, jc)`, storing through the shared raw-pointer writer (column
-/// strips of one GEMM may be running on other workers; this tile's
-/// columns are exclusively ours). `kernel` picks the compiled copy of
-/// the loop nest; every copy gives bit-identical results.
+/// at `(ic, jc)` of the row-major C with row stride `ldc`. `kernel` picks
+/// the compiled copy of the loop nest; every copy gives bit-identical
+/// results.
 #[allow(clippy::too_many_arguments)]
 fn multiply_block(
     kernel: Kernel,
-    scratch: &GemmScratch,
-    c: &SendPtr<f32>,
+    panels: &Panels,
+    c: &mut [f32],
     ldc: usize,
     ic: usize,
     jc: usize,
@@ -380,12 +302,11 @@ fn multiply_block(
     accumulate: bool,
 ) {
     match kernel {
-        Kernel::Portable => block_loops(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate),
+        Kernel::Portable => block_loops(panels, c, ldc, ic, jc, mc, nc, kc, accumulate),
         #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
         // SAFETY: `Kernel::Avx2` exists only once AVX2 was detected.
-        Kernel::Avx2 => unsafe {
-            block_loops_avx2(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate)
-        },
+        Kernel::Avx2 => unsafe { block_loops_avx2(panels, c, ldc, ic, jc, mc, nc, kc, accumulate) },
     }
 }
 
@@ -395,8 +316,8 @@ fn multiply_block(
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 fn block_loops_avx2(
-    scratch: &GemmScratch,
-    c: &SendPtr<f32>,
+    panels: &Panels,
+    c: &mut [f32],
     ldc: usize,
     ic: usize,
     jc: usize,
@@ -405,15 +326,15 @@ fn block_loops_avx2(
     kc: usize,
     accumulate: bool,
 ) {
-    block_loops(scratch, c, ldc, ic, jc, mc, nc, kc, accumulate);
+    block_loops(panels, c, ldc, ic, jc, mc, nc, kc, accumulate);
 }
 
 /// The loop nest of [`multiply_block`], inlined into each compiled copy.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn block_loops(
-    scratch: &GemmScratch,
-    c: &SendPtr<f32>,
+    panels: &Panels,
+    c: &mut [f32],
     ldc: usize,
     ic: usize,
     jc: usize,
@@ -425,28 +346,23 @@ fn block_loops(
     let m_panels = mc.div_ceil(MR);
     let n_panels = nc.div_ceil(NR);
     for pj in 0..n_panels {
-        let pb = &scratch.packed_b[pj * kc * NR..(pj + 1) * kc * NR];
+        let pb = &panels.b[pj * kc * NR..(pj + 1) * kc * NR];
         let cols = NR.min(nc - pj * NR);
         for pi in 0..m_panels {
-            let pa = &scratch.packed_a[pi * kc * MR..(pi + 1) * kc * MR];
+            let pa = &panels.a[pi * kc * MR..(pi + 1) * kc * MR];
             let rows = MR.min(mc - pi * MR);
             let mut acc = [[0.0f32; NR]; MR];
             microkernel(kc, pa, pb, &mut acc);
             let c_row0 = ic + pi * MR;
             let c_col0 = jc + pj * NR;
             for (i, acc_row) in acc.iter().enumerate().take(rows) {
-                // SAFETY: the tile's rows stay inside the caller-checked
-                // `m x ldc` bounds of C, and no other strip writes the
-                // columns [c_col0, c_col0 + cols).
-                unsafe {
-                    let dst = c.ptr().add((c_row0 + i) * ldc + c_col0);
-                    if accumulate {
-                        for (j, &v) in acc_row.iter().enumerate().take(cols) {
-                            *dst.add(j) += v;
-                        }
-                    } else {
-                        std::ptr::copy_nonoverlapping(acc_row.as_ptr(), dst, cols);
+                let dst = &mut c[(c_row0 + i) * ldc + c_col0..][..cols];
+                if accumulate {
+                    for (slot, &v) in dst.iter_mut().zip(acc_row) {
+                        *slot += v;
                     }
+                } else {
+                    dst.copy_from_slice(&acc_row[..cols]);
                 }
             }
         }
@@ -735,8 +651,7 @@ mod tests {
                 let a = random_vec(m * k, &mut rng);
                 let b = random_vec(k * n, &mut rng);
                 let mut c = vec![f32::NAN; m * n];
-                let mut scratch = GemmScratch::default();
-                gemm(&mut scratch, ta, tb, m, n, k, &a, &b, &mut c, false);
+                gemm(ta, tb, m, n, k, &a, &b, &mut c, false);
                 let want = reference(ta, tb, m, n, k, &a, &b);
                 assert_close(&c, &want, 1e-5);
             }
@@ -751,8 +666,7 @@ mod tests {
         let b = random_vec(k * n, &mut rng);
         let init = random_vec(m * n, &mut rng);
         let mut c = init.clone();
-        let mut scratch = GemmScratch::default();
-        gemm(&mut scratch, false, false, m, n, k, &a, &b, &mut c, true);
+        gemm(false, false, m, n, k, &a, &b, &mut c, true);
         let mut want = reference(false, false, m, n, k, &a, &b);
         for (w, &i) in want.iter_mut().zip(init.iter()) {
             *w += i;
@@ -762,12 +676,11 @@ mod tests {
 
     #[test]
     fn gemm_with_zero_k_clears_or_preserves_c() {
-        let mut scratch = GemmScratch::default();
         let mut c = vec![3.0f32; 4];
-        gemm(&mut scratch, false, false, 2, 2, 0, &[], &[], &mut c, false);
+        gemm(false, false, 2, 2, 0, &[], &[], &mut c, false);
         assert_eq!(c, vec![0.0; 4]);
         let mut c = vec![3.0f32; 4];
-        gemm(&mut scratch, false, false, 2, 2, 0, &[], &[], &mut c, true);
+        gemm(false, false, 2, 2, 0, &[], &[], &mut c, true);
         assert_eq!(c, vec![3.0; 4]);
     }
 
@@ -777,26 +690,25 @@ mod tests {
         let (m, n, k) = (31, 47, 129);
         let a = random_vec(m * k, &mut rng);
         let b = random_vec(k * n, &mut rng);
-        let mut scratch = GemmScratch::default();
-        let mut c1 = vec![0.0f32; m * n];
-        gemm(&mut scratch, false, false, m, n, k, &a, &b, &mut c1, false);
-        let mut c2 = vec![0.0f32; m * n];
-        gemm(&mut scratch, false, false, m, n, k, &a, &b, &mut c2, false);
-        let mut c3 = vec![0.0f32; m * n];
+        let run = || {
+            let mut c = vec![0.0f32; m * n];
+            gemm(false, false, m, n, k, &a, &b, &mut c, false);
+            c
+        };
+        // A fresh thread packs into a fresh arena.
+        let fresh = std::thread::scope(|s| s.spawn(run).join().expect("gemm thread"));
+        // A larger product leaves stale panels behind in this thread's
+        // arena; the next products must not see them.
+        let (big_m, big_n, big_k) = (130, 65, 260);
+        let big_a = random_vec(big_m * big_k, &mut rng);
+        let big_b = random_vec(big_k * big_n, &mut rng);
+        let mut big_c = vec![0.0f32; big_m * big_n];
         gemm(
-            &mut GemmScratch::default(),
-            false,
-            false,
-            m,
-            n,
-            k,
-            &a,
-            &b,
-            &mut c3,
-            false,
+            true, true, big_m, big_n, big_k, &big_a, &big_b, &mut big_c, false,
         );
-        assert_eq!(c1, c2, "scratch reuse must not change results");
-        assert_eq!(c1, c3, "fresh scratch must not change results");
+        let (c1, c2) = (run(), run());
+        assert_eq!(c1, c2, "arena reuse must not change results");
+        assert_eq!(c1, fresh, "a fresh arena must not change results");
     }
 
     /// Direct per-element convolution used as the im2col oracle.
@@ -854,9 +766,7 @@ mod tests {
             let weight = random_vec(co * c * k * k, &mut rng);
             let (col, ho, wo) = im2col_matrix(&src, (c, h, w), k, stride, padding);
             let mut out = vec![0.0f32; co * ho * wo];
-            let mut scratch = GemmScratch::default();
             gemm(
-                &mut scratch,
                 false,
                 false,
                 co,
@@ -923,9 +833,7 @@ mod tests {
         // And the whole matrix still matches the direct convolution.
         let weight = vec![1.0f32; k * k];
         let mut out = vec![0.0f32; ho * wo];
-        let mut scratch = GemmScratch::default();
         gemm(
-            &mut scratch,
             false,
             false,
             1,
@@ -1028,29 +936,6 @@ mod tests {
         conv_output_size(2, 3, 1, 0);
     }
 
-    /// `gemm`'s serial sweep with an explicit kernel copy.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_with_kernel(
-        kernel: Kernel,
-        (trans_a, trans_b): (bool, bool),
-        (m, n, k): (usize, usize, usize),
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        accumulate: bool,
-    ) {
-        gemm_cols(
-            kernel,
-            &mut GemmScratch::default(),
-            (m, n, k),
-            (a, operand_strides(trans_a, m, k)),
-            (b, operand_strides(trans_b, k, n)),
-            &SendPtr::new(c.as_mut_ptr()),
-            0..n,
-            accumulate,
-        );
-    }
-
     #[test]
     fn avx2_kernel_is_bit_identical_to_the_portable_kernel() {
         // Guards the no-FMA property: a contracted multiply-add rounds once
@@ -1074,17 +959,13 @@ mod tests {
                         let b = random_vec(k * n, &mut rng);
                         let init = random_vec(m * n, &mut rng);
                         let (mut portable, mut avx2) = (init.clone(), init);
-                        let shape = (m, n, k);
-                        gemm_with_kernel(
-                            Kernel::Portable,
-                            trans,
-                            shape,
-                            &a,
-                            &b,
-                            &mut portable,
-                            accumulate,
-                        );
-                        gemm_with_kernel(Kernel::Avx2, trans, shape, &a, &b, &mut avx2, accumulate);
+                        for (kernel, c) in
+                            [(Kernel::Portable, &mut portable), (Kernel::Avx2, &mut avx2)]
+                        {
+                            gemm_with_kernel(
+                                kernel, trans.0, trans.1, m, n, k, &a, &b, c, accumulate,
+                            );
+                        }
                         for (i, (p, v)) in portable.iter().zip(&avx2).enumerate() {
                             assert_eq!(
                                 p.to_bits(),

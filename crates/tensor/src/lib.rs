@@ -12,21 +12,24 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 //! let b = Tensor::full(&[2, 2], 0.5);
-//! let c = a.matmul(&b);
+//! let c = a.mul(&b).add(&b);
 //! assert_eq!(c.shape(), &[2, 2]);
-//! assert!((c.at(&[0, 0]) - 1.5).abs() < 1e-6);
+//! assert_eq!(c.at(&[1, 0]), 2.0);
+//! assert_eq!(c.argmax_rows(), vec![1, 1]);
 //! ```
 //!
 //! [`pcount-nn`]: https://docs.rs/pcount-nn
 //! [`pcount-nas`]: https://docs.rs/pcount-nas
 //! [`pcount-quant`]: https://docs.rs/pcount-quant
 
+#![deny(unsafe_code)]
+
 mod gemm;
 mod shape;
 mod tensor;
 
-pub use gemm::{col2im, conv_output_size, gemm, gemm_splits_columns, im2col, GemmScratch};
-pub use shape::{broadcast_shapes, numel, strides_for, Shape, ShapeError};
+pub use gemm::{col2im, conv_output_size, gemm, im2col};
+pub use shape::{numel, Shape};
 pub use tensor::Tensor;
 
 /// Deterministic xorshift-based pseudo random number generator used for

@@ -1,33 +1,7 @@
 //! Shape arithmetic shared by all tensor operations.
 
-use std::fmt;
-
 /// A tensor shape: the length of each dimension, outermost first.
 pub type Shape = Vec<usize>;
-
-/// Error returned when two shapes are incompatible for an operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShapeError {
-    /// Human-readable description of the mismatch.
-    pub message: String,
-}
-
-impl fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shape error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ShapeError {}
-
-impl ShapeError {
-    /// Creates a new error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-}
 
 /// Returns the number of elements described by `shape`.
 ///
@@ -43,61 +17,6 @@ pub fn numel(shape: &[usize]) -> usize {
     shape.iter().product()
 }
 
-/// Returns row-major strides for `shape`.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(pcount_tensor::strides_for(&[2, 3, 4]), vec![12, 4, 1]);
-/// ```
-pub fn strides_for(shape: &[usize]) -> Vec<usize> {
-    let mut strides = vec![1usize; shape.len()];
-    for i in (0..shape.len().saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * shape[i + 1];
-    }
-    strides
-}
-
-/// Computes the broadcast of two shapes following NumPy semantics
-/// (trailing dimensions must be equal or one of them must be 1).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the shapes cannot be broadcast together.
-///
-/// # Example
-///
-/// ```
-/// let out = pcount_tensor::broadcast_shapes(&[4, 1, 3], &[2, 3]).unwrap();
-/// assert_eq!(out, vec![4, 2, 3]);
-/// ```
-pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Shape, ShapeError> {
-    let rank = a.len().max(b.len());
-    let mut out = vec![0usize; rank];
-    for i in 0..rank {
-        let da = if i < rank - a.len() {
-            1
-        } else {
-            a[i - (rank - a.len())]
-        };
-        let db = if i < rank - b.len() {
-            1
-        } else {
-            b[i - (rank - b.len())]
-        };
-        out[i] = if da == db || db == 1 {
-            da
-        } else if da == 1 {
-            db
-        } else {
-            return Err(ShapeError::new(format!(
-                "cannot broadcast {a:?} with {b:?} (dim {i}: {da} vs {db})"
-            )));
-        };
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,29 +29,5 @@ mod tests {
     #[test]
     fn numel_with_zero_dim_is_zero() {
         assert_eq!(numel(&[3, 0, 2]), 0);
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(strides_for(&[5]), vec![1]);
-        assert_eq!(strides_for(&[2, 3]), vec![3, 1]);
-        assert_eq!(strides_for(&[2, 3, 4, 5]), vec![60, 20, 5, 1]);
-    }
-
-    #[test]
-    fn broadcast_equal_shapes() {
-        assert_eq!(broadcast_shapes(&[2, 3], &[2, 3]).unwrap(), vec![2, 3]);
-    }
-
-    #[test]
-    fn broadcast_with_ones() {
-        assert_eq!(broadcast_shapes(&[2, 1], &[1, 3]).unwrap(), vec![2, 3]);
-        assert_eq!(broadcast_shapes(&[3], &[4, 3]).unwrap(), vec![4, 3]);
-    }
-
-    #[test]
-    fn broadcast_mismatch_errors() {
-        let err = broadcast_shapes(&[2, 3], &[4, 3]).unwrap_err();
-        assert!(err.to_string().contains("cannot broadcast"));
     }
 }

@@ -1,6 +1,6 @@
 //! The dense row-major tensor type.
 
-use crate::shape::{numel, strides_for, Shape};
+use crate::shape::{numel, Shape};
 use rand::Rng;
 
 /// A dense, row-major, heap-allocated `f32` tensor.
@@ -21,7 +21,6 @@ use rand::Rng;
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
-    strides: Vec<usize>,
 }
 
 impl Tensor {
@@ -40,7 +39,6 @@ impl Tensor {
         Self {
             data: vec![value; numel(shape)],
             shape: shape.to_vec(),
-            strides: strides_for(shape),
         }
     }
 
@@ -61,7 +59,6 @@ impl Tensor {
         Self {
             data,
             shape: shape.to_vec(),
-            strides: strides_for(shape),
         }
     }
 
@@ -83,11 +80,6 @@ impl Tensor {
     /// Returns the shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    /// Returns the row-major strides.
-    pub fn strides(&self) -> &[usize] {
-        &self.strides
     }
 
     /// Returns the number of elements.
@@ -124,7 +116,7 @@ impl Tensor {
         Self::from_vec(self.data.clone(), shape)
     }
 
-    /// Flat offset of a multi-dimensional index.
+    /// Flat row-major offset of a multi-dimensional index.
     ///
     /// # Panics
     ///
@@ -134,7 +126,7 @@ impl Tensor {
         let mut off = 0usize;
         for (i, (&idx, &dim)) in index.iter().zip(self.shape.iter()).enumerate() {
             assert!(idx < dim, "index {idx} out of bounds for dim {i} ({dim})");
-            off += idx * self.strides[i];
+            off = off * dim + idx;
         }
         off
     }
@@ -203,14 +195,6 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// In-place `self += other * alpha` (axpy). Shapes must match.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         for x in &mut self.data {
@@ -245,80 +229,6 @@ impl Tensor {
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// 2-D matrix multiplication: `self [m, k] x other [k, n] -> [m, n]`.
-    ///
-    /// Runs on the cache-blocked [`crate::gemm`] engine with a thread-local
-    /// packing arena, so repeated products allocate nothing beyond the
-    /// result tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not 2-D or the inner dimensions differ.
-    pub fn matmul(&self, other: &Self) -> Self {
-        use std::cell::RefCell;
-        thread_local! {
-            static SCRATCH: RefCell<crate::GemmScratch> =
-                RefCell::new(crate::GemmScratch::default());
-        }
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dimension mismatch ({k} vs {k2})");
-        let mut out = vec![0.0f32; m * n];
-        SCRATCH.with(|scratch| {
-            crate::gemm(
-                &mut scratch.borrow_mut(),
-                false,
-                false,
-                m,
-                n,
-                k,
-                &self.data,
-                &other.data,
-                &mut out,
-                false,
-            );
-        });
-        Self::from_vec(out, &[m, n])
-    }
-
-    /// Transpose of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn transpose(&self) -> Self {
-        assert_eq!(self.shape.len(), 2, "transpose requires a 2-D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Self::from_vec(out, &[n, m])
-    }
-
-    /// Adds a 1-D bias of length `n` to every row of a 2-D `[m, n]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes are incompatible.
-    pub fn add_row_bias(&self, bias: &Self) -> Self {
-        assert_eq!(self.shape.len(), 2, "add_row_bias requires a 2-D tensor");
-        assert_eq!(bias.shape.len(), 1, "bias must be 1-D");
-        assert_eq!(self.shape[1], bias.shape[0], "bias length mismatch");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = self.data.clone();
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += bias.data[j];
-            }
-        }
-        Self::from_vec(out, &[m, n])
     }
 
     /// Index of the maximum value along the last axis of a 2-D tensor,
@@ -408,41 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_hand_computation() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = Tensor::randn(&[4, 4], 1.0, &mut rng);
-        let mut eye = Tensor::zeros(&[4, 4]);
-        for i in 0..4 {
-            eye.set(&[i, i], 1.0);
-        }
-        assert!(a.matmul(&eye).approx_eq(&a, 1e-6));
-    }
-
-    #[test]
-    fn transpose_twice_is_identity() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Tensor::randn(&[3, 5], 1.0, &mut rng);
-        assert!(a.transpose().transpose().approx_eq(&a, 0.0));
-    }
-
-    #[test]
-    fn add_row_bias_adds_per_column() {
-        let a = Tensor::zeros(&[2, 3]);
-        let bias = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let out = a.add_row_bias(&bias);
-        assert_eq!(out.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn argmax_rows_picks_largest() {
         let a = Tensor::from_vec(vec![0.1, 0.9, 0.0, 3.0, -1.0, 2.0], &[2, 3]);
         assert_eq!(a.argmax_rows(), vec![1, 0]);
@@ -456,14 +331,6 @@ mod tests {
         assert_eq!(a.max(), 4.0);
         assert_eq!(a.min(), -2.0);
         assert_eq!(a.sq_norm(), 1.0 + 4.0 + 9.0 + 16.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::ones(&[3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[1.5, 2.0, 2.5]);
     }
 
     #[test]
