@@ -285,8 +285,9 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads CONV_SPEEDUP_TBDx from the medians:
-    // GEMM at 1 worker CONV_SERIAL_TBD images/s vs naive CONV_NAIVE_TBD. The
+    // The committed record (2-core host) reads 19.3x from the medians:
+    // GEMM at 1 worker 8.51e3 images/s (slowest window 8.44e3) vs naive
+    // 441 (438). The
     // hard guard sits lower because both operands are wall-clock
     // measurements on a possibly loaded machine. A reading under the 3x
     // acceptance target on a quiet machine is a real regression.
@@ -297,8 +298,9 @@ fn main() {
     // The conv image groups are the training engine's parallelism (each
     // group's GEMM runs serially on its worker): on a >= 4-core host a
     // 4-worker pool must deliver at least 1.7x over one worker. The
-    // committed 2-core record, where the floor does not apply, reads
-    // CONV_PAR_TBD.
+    // committed 2-core record, where the floor does not apply, reads 1.66x
+    // from the medians: 1.41e4 images/s (slowest window 1.29e4) vs 8.51e3
+    // (8.44e3).
     if host_threads >= PARALLEL_THREADS {
         assert!(
             conv_parallel_speedup >= 1.7,
@@ -309,8 +311,8 @@ fn main() {
     // Fold scaling needs real cores: on a >= 4-core host the parallel fold
     // loop must deliver most of the linear speedup (0.7 efficiency
     // acceptance target, floor below for wall-clock noise). The committed
-    // 2-core record reads 0.33 from the medians: 4.52 jobs/s (slowest
-    // window 4.37) at 4 workers vs 3.43 (3.14) serial.
+    // 2-core record reads 0.33 from the medians: 3.73 jobs/s (slowest
+    // window 3.09) at 4 workers vs 2.86 (2.80) serial.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             fold_efficiency >= 0.5,
