@@ -133,13 +133,11 @@ impl FoldWorkload {
                 batch_size: 64,
                 learning_rate: 2e-3,
                 weight_decay: 0.0,
-                verbose: false,
             },
             qat: QatConfig {
                 epochs: 1,
                 batch_size: 64,
                 learning_rate: 5e-4,
-                verbose: false,
             },
             assignments: vec![
                 PrecisionAssignment::uniform(Precision::Int8),

@@ -62,7 +62,6 @@ pub fn demo_quantized_model(
         batch_size: 64,
         learning_rate: 2e-3,
         weight_decay: 0.0,
-        verbose: false,
     };
     let _ = train_classifier(&mut net, &x_train, &y_train, &cfg, &mut rng);
     let folded = fold_sequential(arch, &net).expect("canonical layout");

@@ -9,7 +9,7 @@
 
 use crate::pareto::ParetoPoint;
 use pcount_dataset::{DatasetConfig, IrDataset};
-use pcount_nn::{balanced_accuracy, train_classifier, CnnConfig, TrainConfig};
+use pcount_nn::{balanced_accuracy, predict, train_classifier, CnnConfig, TrainConfig};
 use pcount_postproc::apply_majority;
 use pcount_quant::{
     fold_sequential, qat_finetune, Precision, PrecisionAssignment, QatCnn, QatConfig,
@@ -57,13 +57,11 @@ impl BaselineConfig {
                 batch_size: 128,
                 learning_rate: 1e-3,
                 weight_decay: 1e-4,
-                verbose: false,
             },
             qat: QatConfig {
                 epochs: 2,
                 batch_size: 128,
                 learning_rate: 5e-4,
-                verbose: false,
             },
             max_folds: 1,
             majority_window: 1,
@@ -83,13 +81,11 @@ impl BaselineConfig {
                 batch_size: 64,
                 learning_rate: 2e-3,
                 weight_decay: 0.0,
-                verbose: false,
             },
             qat: QatConfig {
                 epochs: 1,
                 batch_size: 64,
                 learning_rate: 5e-4,
-                verbose: false,
             },
             max_folds: 1,
             majority_window: 1,
@@ -123,18 +119,7 @@ pub fn manual_grid_baseline(cfg: &BaselineConfig) -> Vec<ParetoPoint> {
                     let folded = fold_sequential(arch, &net).expect("canonical layout");
                     let mut qat = QatCnn::from_folded(&folded, int8);
                     let _ = qat_finetune(&mut qat, &x_train, &y_train, &cfg.qat, &mut rng);
-                    let preds = {
-                        let mut preds = Vec::new();
-                        let n = x_test.shape()[0];
-                        let mut start = 0usize;
-                        while start < n {
-                            let end = (start + 256).min(n);
-                            let idx: Vec<usize> = (start..end).collect();
-                            preds.extend(qat.predict(&pcount_nn::batch_select(&x_test, &idx)));
-                            start = end;
-                        }
-                        preds
-                    };
+                    let preds = predict(&mut qat, &x_test);
                     let smoothed = apply_majority(&preds, cfg.majority_window.max(1));
                     bas_sum += balanced_accuracy(&smoothed, &y_test, num_classes);
                 }

@@ -8,7 +8,7 @@ use pcount_kernels::{
 };
 use pcount_nas::{search, CostTarget, NasConfig};
 use pcount_nn::{
-    balanced_accuracy, evaluate, train_classifier, CnnConfig, Sequential, TrainConfig,
+    balanced_accuracy, evaluate, predict, train_classifier, CnnConfig, Sequential, TrainConfig,
 };
 use pcount_platform::{result_from_report, EnergyBreakdown, PlatformSpec};
 use pcount_postproc::apply_majority;
@@ -16,7 +16,7 @@ use pcount_quant::{
     fold_sequential, qat_finetune, Precision, PrecisionAssignment, QatCnn, QatConfig, QuantizedCnn,
 };
 use pcount_telemetry::{HistogramSummary, JsonValue, PoolUtilization, SloBaseline, SloSnapshot};
-use pcount_tensor::{SplitMix64, Tensor};
+use pcount_tensor::SplitMix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -55,8 +55,8 @@ pub struct FlowConfig {
     /// runtime pool's width). Both levels draw from the single
     /// persistent `pcount-runtime` pool (sized by `POOL_THREADS`), so
     /// the budget is shared across levels rather than multiplied. Note
-    /// this caps only those two scheduling groups — the GEMM column
-    /// strips underneath use whatever pool workers are free — so the
+    /// this caps only those two scheduling groups — the conv image
+    /// groups underneath use whatever pool workers are free — so the
     /// hard bound on total CPU use is always the pool width
     /// (`POOL_THREADS`), not this knob. Every (phase, λ, fold) work item
     /// draws from its own RNG stream derived via SplitMix64 from
@@ -96,7 +96,6 @@ impl FlowConfig {
                 warmup_epochs: 2,
                 batch_size: 128,
                 learning_rate: 2e-3,
-                verbose: false,
                 lambda: 0.0,
             },
             train: TrainConfig {
@@ -104,13 +103,11 @@ impl FlowConfig {
                 batch_size: 128,
                 learning_rate: 1e-3,
                 weight_decay: 1e-4,
-                verbose: false,
             },
             qat: QatConfig {
                 epochs: 2,
                 batch_size: 128,
                 learning_rate: 5e-4,
-                verbose: false,
             },
             assignments: vec![
                 PrecisionAssignment::uniform(Precision::Int8),
@@ -155,7 +152,6 @@ impl FlowConfig {
                 warmup_epochs: 1,
                 batch_size: 64,
                 learning_rate: 3e-3,
-                verbose: false,
                 lambda: 0.0,
             },
             train: TrainConfig {
@@ -163,13 +159,11 @@ impl FlowConfig {
                 batch_size: 64,
                 learning_rate: 2e-3,
                 weight_decay: 0.0,
-                verbose: false,
             },
             qat: QatConfig {
                 epochs: 2,
                 batch_size: 64,
                 learning_rate: 5e-4,
-                verbose: false,
             },
             assignments: vec![
                 PrecisionAssignment::uniform(Precision::Int8),
@@ -419,25 +413,6 @@ impl FlowResult {
     }
 }
 
-/// Snapshot of all trainable parameters of a network.
-#[cfg(test)]
-fn snapshot_params(net: &mut Sequential) -> Vec<Tensor> {
-    net.params_and_grads()
-        .into_iter()
-        .map(|(p, _)| p.clone())
-        .collect()
-}
-
-/// Restores a parameter snapshot taken with [`snapshot_params`].
-#[cfg(test)]
-fn restore_params(net: &mut Sequential, snapshot: &[Tensor]) {
-    let params = net.params_and_grads();
-    assert_eq!(params.len(), snapshot.len(), "parameter count changed");
-    for ((p, _), saved) in params.into_iter().zip(snapshot.iter()) {
-        *p = saved.clone();
-    }
-}
-
 /// RNG stream tags for [`derive_seed`]: one namespace per flow phase.
 const STREAM_SEED_EVAL: u64 = 1;
 const STREAM_SEARCH: u64 = 2;
@@ -454,22 +429,6 @@ fn derive_seed(root: u64, phase: u64, lambda_index: u64, fold: u64) -> u64 {
     let stream = (phase << 48) ^ (lambda_index << 24) ^ fold;
     let mut sm = SplitMix64::new(root ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     sm.next_u64()
-}
-
-/// Runs `f(0..n)` across the persistent `pcount-runtime` worker pool
-/// with at most `threads` concurrent workers (`0` = the pool's width),
-/// returning the results in index order. Jobs are independent per index
-/// and collected in order, so the output is identical for any thread
-/// count and any `POOL_THREADS` pool size. Nested fan-outs (the fold
-/// loops under a λ sweep point, the GEMMs under a fold) draw from the
-/// same pool, so the worker budget is shared across levels instead of
-/// multiplying.
-fn parallel_map_folds<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    pcount_runtime::current().map_limited(n, threads, f)
 }
 
 /// One quantised candidate's metrics on a single cross-validation fold.
@@ -532,7 +491,7 @@ impl FoldTrainJob<'_> {
     /// thread count.
     pub fn run(&self, threads: usize) -> Vec<FoldOutcome> {
         let num_classes = self.dataset.num_classes();
-        parallel_map_folds(self.folds.len(), threads, |fi| {
+        pcount_runtime::current().map_limited(self.folds.len(), threads, |fi| {
             let _span = pcount_telemetry::span("flow/lambda_sweep/fold_train");
             let fold = &self.folds[fi];
             let mut rng = StdRng::seed_from_u64(derive_seed(
@@ -554,7 +513,7 @@ impl FoldTrainJob<'_> {
                 .map(|&assignment| {
                     let mut qat = QatCnn::from_folded(&folded, assignment);
                     let _ = qat_finetune(&mut qat, &x_train, &y_train, self.qat, &mut rng);
-                    let preds = batched_predict(&mut qat, &x_test);
+                    let preds = predict(&mut qat, &x_test);
                     let bas = balanced_accuracy(&preds, &y_test, num_classes);
                     let smoothed = apply_majority(&preds, self.majority_window);
                     let bas_majority = balanced_accuracy(&smoothed, &y_test, num_classes);
@@ -605,7 +564,8 @@ pub fn run_flow(cfg: &FlowConfig) -> FlowResult {
     // --- Seed evaluation (parallel across folds) -------------------------
     let phase_start = Instant::now();
     let seed_span = pcount_telemetry::span("flow/seed_eval");
-    let seed_scores = parallel_map_folds(folds.len(), cfg.train_threads, |fi| {
+    let pool = pcount_runtime::current();
+    let seed_scores = pool.map_limited(folds.len(), cfg.train_threads, |fi| {
         let fold = &folds[fi];
         let mut rng =
             StdRng::seed_from_u64(derive_seed(cfg.rng_seed, STREAM_SEED_EVAL, 0, fi as u64));
@@ -636,7 +596,7 @@ pub fn run_flow(cfg: &FlowConfig) -> FlowResult {
     // order.
     let phase_start = Instant::now();
     let sweep_span = pcount_telemetry::span("flow/lambda_sweep");
-    let sweeps = parallel_map_folds(cfg.lambdas.len(), cfg.train_threads, |li| {
+    let sweeps = pool.map_limited(cfg.lambdas.len(), cfg.train_threads, |li| {
         let lambda = cfg.lambdas[li];
         let nas_cfg = NasConfig { lambda, ..cfg.nas };
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.rng_seed, STREAM_SEARCH, li as u64, 0));
@@ -821,7 +781,7 @@ pub fn evaluate_deployments(
     model: MemoryModel,
     threads: usize,
 ) {
-    let costs = parallel_map_folds(candidates.len(), threads, |i| {
+    let costs = pcount_runtime::current().map_limited(candidates.len(), threads, |i| {
         measure_deployment(&candidates[i], sample_frame, model)
     });
     for (candidate, cost) in candidates.iter_mut().zip(costs) {
@@ -854,20 +814,6 @@ fn measure_deployment(
     })
 }
 
-fn batched_predict(qat: &mut QatCnn, x: &Tensor) -> Vec<usize> {
-    let n = x.shape()[0];
-    let mut preds = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + 256).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let xb = pcount_nn::batch_select(x, &idx);
-        preds.extend(qat.predict(&xb));
-        start = end;
-    }
-    preds
-}
-
 /// Selects the three models deployed in Table I from the quantised
 /// candidates: the most accurate (`Top`), the smallest within 5 BAS points
 /// of the top (`-5%`) and the smallest overall (`Mini`).
@@ -896,6 +842,25 @@ pub fn select_table1_models(
 mod tests {
     use super::*;
     use crate::pareto::pareto_front_by;
+    use pcount_nn::Network;
+    use pcount_tensor::Tensor;
+
+    /// Snapshot of all trainable parameters of a network.
+    fn snapshot_params(net: &mut Sequential) -> Vec<Tensor> {
+        net.params_and_grads()
+            .into_iter()
+            .map(|(p, _)| p.clone())
+            .collect()
+    }
+
+    /// Restores a parameter snapshot taken with [`snapshot_params`].
+    fn restore_params(net: &mut Sequential, snapshot: &[Tensor]) {
+        let params = net.params_and_grads();
+        assert_eq!(params.len(), snapshot.len(), "parameter count changed");
+        for ((p, _), saved) in params.into_iter().zip(snapshot.iter()) {
+            *p = saved.clone();
+        }
+    }
 
     #[test]
     fn quick_flow_produces_consistent_results() {

@@ -42,7 +42,6 @@ pub fn tiny_model(seed: u64, assignment: PrecisionAssignment) -> QuantizedCnn {
         batch_size: 12,
         learning_rate: 2e-3,
         weight_decay: 0.0,
-        verbose: false,
     };
     let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
     let folded = fold_sequential(cfg, &net).expect("fold");

@@ -694,7 +694,6 @@ mod tests {
             batch_size: 32,
             learning_rate: 3e-3,
             weight_decay: 0.0,
-            verbose: false,
         };
         let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, rng);
         let folded = fold_sequential(cfg, &net).expect("fold");
@@ -703,7 +702,6 @@ mod tests {
             epochs: 2,
             batch_size: 32,
             learning_rate: 5e-4,
-            verbose: false,
         };
         let _ = qat_finetune(&mut qat, &x, &y, &qc, rng);
         (QuantizedCnn::from_qat(&qat), x)
@@ -958,7 +956,6 @@ mod tests {
             batch_size: 32,
             learning_rate: 1e-3,
             weight_decay: 0.0,
-            verbose: false,
         };
         let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
         let folded = fold_sequential(cfg, &net).unwrap();

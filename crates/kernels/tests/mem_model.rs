@@ -39,7 +39,6 @@ fn deployed_model(seed: u64) -> (QuantizedCnn, Tensor) {
         batch_size: 12,
         learning_rate: 2e-3,
         weight_decay: 0.0,
-        verbose: false,
     };
     let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
     let folded = fold_sequential(cfg, &net).expect("fold");

@@ -30,11 +30,6 @@ impl MaskedCost {
         Self { cfg, target }
     }
 
-    /// The cost target this model optimises.
-    pub fn target(&self) -> CostTarget {
-        self.target
-    }
-
     /// Absolute (unnormalised) cost for the given alive channel counts.
     pub fn absolute_cost(&self, alive1: f64, alive2: f64, alive3: f64) -> f64 {
         let cin = self.cfg.input_channels as f64;

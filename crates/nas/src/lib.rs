@@ -35,4 +35,4 @@ mod search;
 pub use cost::{CostTarget, MaskedCost};
 pub use mask::ChannelMask;
 pub use model::PitModel;
-pub use search::{extract_subnetwork, lambda_sweep, search, NasConfig, SearchOutcome, SweepPoint};
+pub use search::{extract_subnetwork, search, NasConfig, SearchOutcome};

@@ -2,7 +2,9 @@
 
 use crate::cost::MaskedCost;
 use crate::mask::ChannelMask;
-use pcount_nn::{BatchNorm2d, CnnConfig, Conv2d, Flatten, Layer, Linear, MaxPool2d, Mode, Relu};
+use pcount_nn::{
+    BatchNorm2d, CnnConfig, Conv2d, Flatten, Layer, Linear, MaxPool2d, Mode, Network, Relu,
+};
 use pcount_tensor::Tensor;
 use rand::Rng;
 
@@ -62,72 +64,6 @@ impl PitModel {
         [&self.mask1, &self.mask2, &self.mask3]
     }
 
-    /// Forward pass; `mode` controls batch-norm behaviour.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let x = self.conv1.forward(x, mode);
-        let x = self.bn1.forward(&x, mode);
-        let x = self.relu1.forward(&x, mode);
-        let x = self.mask1.forward(&x);
-        let x = self.pool.forward(&x, mode);
-        let x = self.conv2.forward(&x, mode);
-        let x = self.bn2.forward(&x, mode);
-        let x = self.relu2.forward(&x, mode);
-        let x = self.mask2.forward(&x);
-        let x = self.flatten.forward(&x, mode);
-        let x = self.fc1.forward(&x, mode);
-        let x = self.relu3.forward(&x, mode);
-        let x = self.mask3.forward(&x);
-        self.fc2.forward(&x, mode)
-    }
-
-    /// Backward pass mirroring [`PitModel::forward`].
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.fc2.backward(grad_out);
-        let g = self.mask3.backward(&g);
-        let g = self.relu3.backward(&g);
-        let g = self.fc1.backward(&g);
-        let g = self.flatten.backward(&g);
-        let g = self.mask2.backward(&g);
-        let g = self.relu2.backward(&g);
-        let g = self.bn2.backward(&g);
-        let g = self.conv2.backward(&g);
-        let g = self.pool.backward(&g);
-        let g = self.mask1.backward(&g);
-        let g = self.relu1.backward(&g);
-        let g = self.bn1.backward(&g);
-        self.conv1.backward(&g)
-    }
-
-    /// Resets all weight, batch-norm and mask gradients.
-    pub fn zero_grad(&mut self) {
-        self.conv1.zero_grad();
-        self.bn1.zero_grad();
-        self.conv2.zero_grad();
-        self.bn2.zero_grad();
-        self.fc1.zero_grad();
-        self.fc2.zero_grad();
-        self.mask1.zero_grad();
-        self.mask2.zero_grad();
-        self.mask3.zero_grad();
-    }
-
-    /// All `(parameter, gradient)` pairs, weights first, then batch-norm,
-    /// then the three mask parameter vectors. The order is stable so a
-    /// single optimiser can update everything.
-    pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        let mut out = Vec::new();
-        out.extend(self.conv1.params_and_grads());
-        out.extend(self.bn1.params_and_grads());
-        out.extend(self.conv2.params_and_grads());
-        out.extend(self.bn2.params_and_grads());
-        out.extend(self.fc1.params_and_grads());
-        out.extend(self.fc2.params_and_grads());
-        out.push((&mut self.mask1.theta, &mut self.mask1.theta_grad));
-        out.push((&mut self.mask2.theta, &mut self.mask2.theta_grad));
-        out.push((&mut self.mask3.theta, &mut self.mask3.theta_grad));
-        out
-    }
-
     /// Adds `λ · dC/dθ` to the mask gradients (the cost half of the PIT
     /// objective `L + λ·C`).
     pub fn apply_cost_gradient(&mut self, lambda: f64, cost: &MaskedCost) {
@@ -144,11 +80,6 @@ impl PitModel {
         }
     }
 
-    /// Normalised cost of the current mask configuration.
-    pub fn current_cost(&self, cost: &MaskedCost) -> f64 {
-        cost.cost(&self.mask1, &self.mask2, &self.mask3)
-    }
-
     /// The architecture currently selected by the masks.
     pub fn alive_config(&self) -> CnnConfig {
         self.cfg.with_channels(
@@ -156,11 +87,6 @@ impl PitModel {
             self.mask2.alive_count(),
             self.mask3.alive_count(),
         )
-    }
-
-    /// Predicted class per sample (argmax of the logits) in eval mode.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x, Mode::Eval).argmax_rows()
     }
 
     /// Borrow of the layer weights needed for sub-network extraction:
@@ -183,6 +109,74 @@ impl PitModel {
             &self.fc1,
             &self.fc2,
         )
+    }
+}
+
+impl Network for PitModel {
+    /// Forward pass; `mode` controls batch-norm behaviour.
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let x = self.conv1.forward(x, mode);
+        let x = self.bn1.forward(&x, mode);
+        let x = self.relu1.forward(&x, mode);
+        let x = self.mask1.forward(&x);
+        let x = self.pool.forward(&x, mode);
+        let x = self.conv2.forward(&x, mode);
+        let x = self.bn2.forward(&x, mode);
+        let x = self.relu2.forward(&x, mode);
+        let x = self.mask2.forward(&x);
+        let x = self.flatten.forward(&x, mode);
+        let x = self.fc1.forward(&x, mode);
+        let x = self.relu3.forward(&x, mode);
+        let x = self.mask3.forward(&x);
+        self.fc2.forward(&x, mode)
+    }
+
+    /// Backward pass mirroring the forward pass.
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let g = self.fc2.backward(grad_out);
+        let g = self.mask3.backward(&g);
+        let g = self.relu3.backward(&g);
+        let g = self.fc1.backward(&g);
+        let g = self.flatten.backward(&g);
+        let g = self.mask2.backward(&g);
+        let g = self.relu2.backward(&g);
+        let g = self.bn2.backward(&g);
+        let g = self.conv2.backward(&g);
+        let g = self.pool.backward(&g);
+        let g = self.mask1.backward(&g);
+        let g = self.relu1.backward(&g);
+        let g = self.bn1.backward(&g);
+        self.conv1.backward(&g)
+    }
+
+    /// Resets all weight, batch-norm and mask gradients.
+    fn zero_grad(&mut self) {
+        self.conv1.zero_grad();
+        self.bn1.zero_grad();
+        self.conv2.zero_grad();
+        self.bn2.zero_grad();
+        self.fc1.zero_grad();
+        self.fc2.zero_grad();
+        self.mask1.zero_grad();
+        self.mask2.zero_grad();
+        self.mask3.zero_grad();
+    }
+
+    /// All `(parameter, gradient)` pairs, weights first, then batch-norm,
+    /// then the three mask parameter vectors. The order is stable so a
+    /// single optimiser can update everything.
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        let mut out = Vec::new();
+        out.extend(self.conv1.params_and_grads());
+        out.extend(self.bn1.params_and_grads());
+        out.extend(self.conv2.params_and_grads());
+        out.extend(self.bn2.params_and_grads());
+        out.extend(self.fc1.params_and_grads());
+        out.extend(self.fc2.params_and_grads());
+        out.push((&mut self.mask1.theta, &mut self.mask1.theta_grad));
+        out.push((&mut self.mask2.theta, &mut self.mask2.theta_grad));
+        out.push((&mut self.mask3.theta, &mut self.mask3.theta_grad));
+        out
     }
 }
 

@@ -1,13 +1,11 @@
-//! The DNAS training loop, λ sweep and sub-network extraction.
+//! The DNAS search run and sub-network extraction.
 
 use crate::cost::{CostTarget, MaskedCost};
 use crate::model::PitModel;
 use pcount_nn::{
-    batch_select, Adam, BatchNorm2d, CnnConfig, Conv2d, CrossEntropyLoss, Flatten, Linear,
-    MaxPool2d, Mode, Optimizer, Relu, Sequential,
+    fit, BatchNorm2d, CnnConfig, Conv2d, Flatten, Linear, MaxPool2d, Relu, Sequential, TrainConfig,
 };
 use pcount_tensor::Tensor;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Hyper-parameters of one DNAS run.
@@ -26,8 +24,6 @@ pub struct NasConfig {
     pub batch_size: usize,
     /// Adam learning rate (shared by weights and mask parameters).
     pub learning_rate: f32,
-    /// Print progress to stderr.
-    pub verbose: bool,
 }
 
 impl Default for NasConfig {
@@ -39,7 +35,6 @@ impl Default for NasConfig {
             warmup_epochs: 2,
             batch_size: 128,
             learning_rate: 1e-3,
-            verbose: false,
         }
     }
 }
@@ -51,8 +46,6 @@ pub struct SearchOutcome {
     pub lambda: f64,
     /// The discovered architecture.
     pub config: CnnConfig,
-    /// Normalised cost after every epoch.
-    pub cost_history: Vec<f64>,
     /// Mean task loss after every epoch.
     pub loss_history: Vec<f32>,
     /// The extracted sub-network with weights copied from the search model.
@@ -68,20 +61,16 @@ impl std::fmt::Debug for SearchOutcome {
     }
 }
 
-/// Summary of one λ-sweep point (used by the Pareto-front plots).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Regularisation strength.
-    pub lambda: f64,
-    /// Discovered architecture.
-    pub config: CnnConfig,
-    /// Parameter count of the discovered architecture.
-    pub params: usize,
-    /// MAC count of the discovered architecture.
-    pub macs: usize,
-}
-
 /// Runs one PIT search on the given training data and extracts the result.
+///
+/// The weights and masks train in [`fit`] without weight decay; from
+/// epoch `warmup_epochs` on, every batch adds the cost gradient
+/// `λ · dC/dθ` to the mask gradients before the Adam step.
+///
+/// # Panics
+///
+/// Panics if `x` and `y` disagree on the number of samples or if there
+/// are none.
 pub fn search<R: Rng>(
     seed: CnnConfig,
     x: &Tensor,
@@ -91,71 +80,24 @@ pub fn search<R: Rng>(
 ) -> SearchOutcome {
     let mut model = PitModel::new(seed, rng);
     let cost = MaskedCost::new(seed, cfg.cost_target);
-    let mut opt = Adam::new(cfg.learning_rate, 0.0);
-    let mut loss_fn = CrossEntropyLoss::new();
-    let n = x.shape()[0];
-    assert_eq!(n, y.len(), "sample count mismatch");
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut cost_history = Vec::with_capacity(cfg.epochs);
-    let mut loss_history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        order.shuffle(rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let xb = batch_select(x, chunk);
-            let yb: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
-            model.zero_grad();
-            let logits = model.forward(&xb, Mode::Train);
-            let loss = loss_fn.forward(&logits, &yb);
-            let grad = loss_fn.backward();
-            model.backward(&grad);
-            if epoch >= cfg.warmup_epochs {
-                model.apply_cost_gradient(cfg.lambda, &cost);
-            }
-            opt.step(model.params_and_grads());
-            epoch_loss += loss;
-            batches += 1;
+    let train = TrainConfig {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        learning_rate: cfg.learning_rate,
+        weight_decay: 0.0,
+    };
+    let loss_history = fit(&mut model, x, y, &train, rng, |model, epoch| {
+        if epoch >= cfg.warmup_epochs {
+            model.apply_cost_gradient(cfg.lambda, &cost);
         }
-        let mean_loss = epoch_loss / batches.max(1) as f32;
-        let current_cost = model.current_cost(&cost);
-        cost_history.push(current_cost);
-        loss_history.push(mean_loss);
-        if cfg.verbose {
-            eprintln!(
-                "nas λ={:.3} epoch {epoch:3} loss {mean_loss:.4} cost {current_cost:.4} arch {:?}",
-                cfg.lambda,
-                model.alive_config()
-            );
-        }
-    }
+    });
     let (config, network) = extract_subnetwork(&model);
     SearchOutcome {
         lambda: cfg.lambda,
         config,
-        cost_history,
         loss_history,
         network,
     }
-}
-
-/// Runs [`search`] for every λ in `lambdas`, returning the outcomes in the
-/// same order.
-pub fn lambda_sweep<R: Rng>(
-    seed: CnnConfig,
-    x: &Tensor,
-    y: &[usize],
-    lambdas: &[f64],
-    base: &NasConfig,
-    rng: &mut R,
-) -> Vec<SearchOutcome> {
-    lambdas
-        .iter()
-        .map(|&lambda| {
-            let cfg = NasConfig { lambda, ..*base };
-            search(seed, x, y, &cfg, rng)
-        })
-        .collect()
 }
 
 /// Extracts the sub-network currently selected by the masks of `model`,
@@ -270,7 +212,7 @@ fn slice_batchnorm(bn: &BatchNorm2d, indices: &[usize]) -> BatchNorm2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcount_nn::evaluate;
+    use pcount_nn::{evaluate, Mode, Network};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -416,18 +358,33 @@ mod tests {
     }
 
     #[test]
-    fn lambda_sweep_returns_one_outcome_per_lambda() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (x, y) = toy_dataset(80, &mut rng);
+    fn lambda_is_inert_until_the_warmup_ends() {
+        let (x, y) = toy_dataset(80, &mut StdRng::seed_from_u64(4));
         let seed = CnnConfig::seed().with_channels(4, 4, 8);
-        let base = NasConfig {
-            epochs: 2,
-            warmup_epochs: 0,
-            batch_size: 32,
-            ..NasConfig::default()
+        let run = |lambda, warmup_epochs| {
+            let cfg = NasConfig {
+                lambda,
+                epochs: 3,
+                warmup_epochs,
+                batch_size: 32,
+                learning_rate: 1e-2,
+                ..NasConfig::default()
+            };
+            search(seed, &x, &y, &cfg, &mut StdRng::seed_from_u64(5))
         };
-        let outcomes = lambda_sweep(seed, &x, &y, &[0.0, 1.0, 2.0], &base, &mut rng);
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(outcomes[1].lambda, 1.0);
+        let weights = |outcome: &mut SearchOutcome| -> Vec<Vec<f32>> {
+            let params = outcome.network.params_and_grads();
+            params.into_iter().map(|(p, _)| p.data().to_vec()).collect()
+        };
+        // With the warmup covering every epoch the cost gradient never
+        // reaches the masks, so λ changes nothing.
+        let mut low = run(0.0, 3);
+        let mut high = run(100.0, 3);
+        assert_eq!(low.config, high.config);
+        assert_eq!(low.loss_history, high.loss_history);
+        assert_eq!(weights(&mut low), weights(&mut high));
+        // Without a warmup the same λ prunes.
+        let pruned = run(100.0, 0);
+        assert!(pruned.config.num_params() < low.config.num_params());
     }
 }

@@ -491,6 +491,10 @@ impl Conv2d {
     /// Reference backward pass mirroring
     /// [`Conv2d::forward_naive_with_weight`]; accumulates into
     /// `weight_grad`/`bias_grad` and returns the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Conv2d::backward_with_weight`] does.
     pub fn backward_naive_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let x = self
             .cached_input
@@ -499,9 +503,13 @@ impl Conv2d {
             .clone();
         let xs = x.shape();
         let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-        let gs = grad_out.shape();
-        let (ho, wo) = (gs[2], gs[3]);
-        assert_eq!(gs[1], self.out_channels, "grad channel mismatch");
+        let geom = self.geom(c, h, w);
+        let (ho, wo) = (geom.ho, geom.wo);
+        assert_eq!(
+            grad_out.shape(),
+            &[n, geom.co, ho, wo],
+            "conv grad shape mismatch"
+        );
         self.check_weight(weight);
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         let k = self.kernel;
@@ -709,6 +717,16 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let y = conv.forward(&Tensor::ones(&[1, 2, 4, 4]), Mode::Train);
         let _ = conv.backward_with_weight(&y, &Tensor::ones(&[2, 3, 3, 3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv grad shape mismatch")]
+    fn naive_backward_rejects_a_gradient_of_a_smaller_spatial_size() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let weight = conv.weight.clone();
+        let _ = conv.forward_naive_with_weight(&Tensor::ones(&[1, 2, 4, 4]), &weight);
+        let _ = conv.backward_naive_with_weight(&Tensor::ones(&[1, 3, 2, 2]), &weight);
     }
 
     #[test]

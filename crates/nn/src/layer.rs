@@ -1,5 +1,5 @@
-//! The [`Layer`] trait, simple stateless layers and the [`Sequential`]
-//! container.
+//! The [`Layer`] and [`Network`] traits, simple stateless layers and the
+//! [`Sequential`] container.
 
 use pcount_tensor::Tensor;
 
@@ -20,7 +20,7 @@ pub enum Mode {
 /// Layers cache whatever they need during [`Layer::forward`] so that
 /// [`Layer::backward`] can compute input gradients and accumulate parameter
 /// gradients. Gradients are accumulated (`+=`) so call
-/// [`Layer::zero_grad`] (usually through [`Sequential::zero_grad`]) between
+/// [`Layer::zero_grad`] (usually through [`Network::zero_grad`]) between
 /// optimisation steps.
 ///
 /// Layers are `Send + Sync` plain data, so whole networks can be cloned
@@ -66,6 +66,27 @@ pub trait Layer: Send + Sync {
     /// Clones the layer behind a fresh box (object-safe `Clone`), so
     /// containers of boxed layers — and whole networks — can be cloned.
     fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+/// A whole network that the mini-batch loop [`crate::fit`] trains and
+/// [`crate::predict`] runs: the [`Sequential`] CNN, the masked search
+/// model of `pcount-nas` and the fake-quantised network of `pcount-quant`.
+pub trait Network {
+    /// Computes the logits of `x`; `mode` selects training or evaluation
+    /// behaviour.
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+
+    /// Back-propagates `grad_out` (the loss gradient w.r.t. the logits of
+    /// the last forward pass), accumulating parameter gradients, and
+    /// returns the gradient w.r.t. the input.
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Resets every parameter gradient to zero.
+    fn zero_grad(&mut self);
+
+    /// Mutable `(parameter, gradient)` pairs, in the same order on every
+    /// call, so one optimiser can update them across steps.
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)>;
 }
 
 impl Clone for Box<dyn Layer> {
@@ -282,7 +303,7 @@ impl Layer for MaxPool2d {
 /// # Example
 ///
 /// ```
-/// use pcount_nn::{Flatten, Mode, Relu, Sequential};
+/// use pcount_nn::{Flatten, Mode, Network, Relu, Sequential};
 /// use pcount_tensor::Tensor;
 /// let mut net = Sequential::new(vec![Box::new(Relu::new()), Box::new(Flatten::new())]);
 /// let y = net.forward(&Tensor::ones(&[2, 3, 2, 2]), Mode::Eval);
@@ -297,16 +318,6 @@ impl Sequential {
     /// Creates a container from an ordered list of layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
         Self { layers }
-    }
-
-    /// Creates an empty container.
-    pub fn empty() -> Self {
-        Self { layers: Vec::new() }
-    }
-
-    /// Appends a layer.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// Number of layers.
@@ -324,8 +335,15 @@ impl Sequential {
         &self.layers
     }
 
+    /// Total number of trainable parameters.
+    pub fn num_params(&mut self) -> usize {
+        self.layers.iter_mut().map(|l| l.num_params()).sum()
+    }
+}
+
+impl Network for Sequential {
     /// Forward pass through all layers in order.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
             cur = layer.forward(&cur, mode);
@@ -334,7 +352,7 @@ impl Sequential {
     }
 
     /// Backward pass through all layers in reverse order.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut cur = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
             cur = layer.backward(&cur);
@@ -342,24 +360,19 @@ impl Sequential {
         cur
     }
 
-    /// Collects (parameter, gradient) pairs from every layer in order.
-    pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_and_grads())
-            .collect()
-    }
-
     /// Resets gradients of every layer.
-    pub fn zero_grad(&mut self) {
+    fn zero_grad(&mut self) {
         for layer in &mut self.layers {
             layer.zero_grad();
         }
     }
 
-    /// Total number of trainable parameters.
-    pub fn num_params(&mut self) -> usize {
-        self.layers.iter_mut().map(|l| l.num_params()).sum()
+    /// Collects (parameter, gradient) pairs from every layer in order.
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_and_grads())
+            .collect()
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! This crate provides exactly what the DATE 2024 paper's software flow
 //! needs: NCHW convolution, batch normalisation, max pooling, linear
-//! layers, ReLU, cross-entropy loss, SGD/Adam, a [`Sequential`] container
-//! and the seed CNN architecture ([`CnnConfig`]) that the neural
-//! architecture search in `pcount-nas` starts from.
+//! layers, ReLU, cross-entropy loss, Adam, a [`Sequential`] container,
+//! the seed CNN architecture ([`CnnConfig`]) that the neural
+//! architecture search in `pcount-nas` starts from, and the one
+//! mini-batch loop ([`fit`]) and batched [`predict`] that every trained
+//! network ([`Network`]) shares.
 //!
 //! # Example
 //!
 //! ```
-//! use pcount_nn::{CnnConfig, Mode};
+//! use pcount_nn::{CnnConfig, Mode, Network};
 //! use pcount_tensor::Tensor;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
@@ -35,10 +37,12 @@ mod train;
 
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use layer::{Flatten, Layer, MaxPool2d, Mode, Relu, Sequential};
+pub use layer::{Flatten, Layer, MaxPool2d, Mode, Network, Relu, Sequential};
 pub use linear::Linear;
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, balanced_accuracy, confusion_matrix};
 pub use model::{CnnConfig, LayerDims};
-pub use optim::{Adam, Optimizer, Sgd};
-pub use train::{batch_select, evaluate, predict, train_classifier, TrainConfig, TrainStats};
+pub use optim::Adam;
+pub use train::{
+    batch_select, evaluate, fit, predict, train_classifier, TrainConfig, TrainStats, PREDICT_BATCH,
+};

@@ -204,14 +204,17 @@ impl Linear {
 
     /// Reference backward pass mirroring
     /// [`Linear::forward_naive_with_weight`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Linear::backward_with_weight`] does.
     pub fn backward_naive_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let x = self
             .cached_input
             .take()
             .expect("backward called before forward");
-        let n = grad_out.shape()[0];
-        let c = grad_out.shape()[1];
-        assert_eq!(c, self.out_features, "linear gradient size mismatch");
+        let (n, c) = (x.shape()[0], self.out_features);
+        assert_eq!(grad_out.shape(), &[n, c], "linear gradient shape mismatch");
         self.check_weight(weight);
         let (xd, wd, gd) = (x.data(), weight.data(), grad_out.data());
         {
@@ -347,6 +350,16 @@ mod tests {
         let mut fc = Linear::new(3, 2, &mut rng);
         let _ = fc.forward(&Tensor::ones(&[4, 3]), Mode::Train);
         let _ = fc.backward(&Tensor::ones(&[2, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "linear gradient shape mismatch")]
+    fn naive_backward_rejects_a_gradient_with_fewer_rows_than_the_input() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut fc = Linear::new(3, 2, &mut rng);
+        let weight = fc.weight.clone();
+        let _ = fc.forward_naive_with_weight(&Tensor::ones(&[4, 3]), &weight);
+        let _ = fc.backward_naive_with_weight(&Tensor::ones(&[2, 2]), &weight);
     }
 
     #[test]

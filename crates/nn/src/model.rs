@@ -186,7 +186,7 @@ impl Default for CnnConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Mode;
+    use crate::layer::{Mode, Network};
     use pcount_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -1,86 +1,6 @@
-//! Gradient-descent optimisers.
+//! The Adam optimiser.
 
 use pcount_tensor::Tensor;
-
-/// A first-order optimiser updating parameters in place from their
-/// accumulated gradients.
-///
-/// The parameter list must be presented in the same order on every call —
-/// [`crate::Sequential::params_and_grads`] guarantees this for a fixed
-/// network structure.
-pub trait Optimizer {
-    /// Applies one update step to `(parameter, gradient)` pairs.
-    fn step(&mut self, params_and_grads: Vec<(&mut Tensor, &mut Tensor)>);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (e.g. for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum and L2 weight decay.
-///
-/// # Example
-///
-/// ```
-/// use pcount_nn::{Optimizer, Sgd};
-/// use pcount_tensor::Tensor;
-/// let mut p = Tensor::ones(&[2]);
-/// let mut g = Tensor::from_vec(vec![1.0, -1.0], &[2]);
-/// let mut opt = Sgd::new(0.1, 0.0, 0.0);
-/// opt.step(vec![(&mut p, &mut g)]);
-/// assert!((p.data()[0] - 0.9).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params_and_grads: Vec<(&mut Tensor, &mut Tensor)>) {
-        if self.velocity.len() != params_and_grads.len() {
-            self.velocity = params_and_grads
-                .iter()
-                .map(|(p, _)| vec![0.0f32; p.numel()])
-                .collect();
-        }
-        for (i, (param, grad)) in params_and_grads.into_iter().enumerate() {
-            let v = &mut self.velocity[i];
-            assert_eq!(v.len(), param.numel(), "parameter {i} changed size");
-            let pd = param.data_mut();
-            let gd = grad.data();
-            for j in 0..pd.len() {
-                let g = gd[j] + self.weight_decay * pd[j];
-                v[j] = self.momentum * v[j] + g;
-                pd[j] -= self.lr * v[j];
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
 
 /// Adam optimiser (Kingma & Ba), the optimiser used by the paper
 /// (learning rate 1e-3, default betas).
@@ -111,10 +31,14 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params_and_grads: Vec<(&mut Tensor, &mut Tensor)>) {
+    /// Applies one update step to `(parameter, gradient)` pairs, with L2
+    /// weight decay added to each gradient.
+    ///
+    /// The parameter list must be presented in the same order on every
+    /// call; [`crate::Network::params_and_grads`] guarantees this for a
+    /// fixed network structure.
+    pub fn step(&mut self, params_and_grads: Vec<(&mut Tensor, &mut Tensor)>) {
         if self.m.len() != params_and_grads.len() {
             self.m = params_and_grads
                 .iter()
@@ -142,42 +66,20 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x - 3)^2 with each optimiser.
-    fn minimise(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    /// Minimise f(x) = (x - 3)^2.
+    fn minimise(opt: &mut Adam, steps: usize) -> f32 {
         let mut x = Tensor::from_vec(vec![0.0], &[1]);
         for _ in 0..steps {
             let mut g = Tensor::from_vec(vec![2.0 * (x.data()[0] - 3.0)], &[1]);
             opt.step(vec![(&mut x, &mut g)]);
         }
         x.data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
-        let x = minimise(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.05, 0.9, 0.0);
-        let x = minimise(&mut opt, 300);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]
@@ -189,21 +91,17 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_parameters_without_gradient() {
-        let mut opt = Sgd::new(0.1, 0.0, 0.5);
-        let mut p = Tensor::from_vec(vec![1.0], &[1]);
-        let mut g = Tensor::zeros(&[1]);
-        for _ in 0..10 {
-            opt.step(vec![(&mut p, &mut g)]);
-        }
-        assert!(p.data()[0] < 1.0);
-        assert!(p.data()[0] > 0.0);
-    }
-
-    #[test]
-    fn learning_rate_accessors_round_trip() {
-        let mut opt = Adam::new(0.001, 0.0);
-        assert_eq!(opt.learning_rate(), 0.001);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
+        let after_ten_steps = |weight_decay: f32| {
+            let mut opt = Adam::new(0.01, weight_decay);
+            let mut p = Tensor::from_vec(vec![1.0], &[1]);
+            let mut g = Tensor::zeros(&[1]);
+            for _ in 0..10 {
+                opt.step(vec![(&mut p, &mut g)]);
+            }
+            p.data()[0]
+        };
+        assert_eq!(after_ten_steps(0.0), 1.0, "no gradient, no decay: no move");
+        let decayed = after_ten_steps(0.5);
+        assert!(decayed < 1.0 && decayed > 0.0, "decayed to {decayed}");
     }
 }

@@ -1,9 +1,10 @@
-//! Mini-batch training and evaluation loops.
+//! The mini-batch training loop and batched prediction every trained
+//! network shares.
 
-use crate::layer::{Mode, Sequential};
+use crate::layer::{Mode, Network, Sequential};
 use crate::loss::CrossEntropyLoss;
 use crate::metrics::balanced_accuracy;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use pcount_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -23,8 +24,6 @@ pub struct TrainConfig {
     pub learning_rate: f32,
     /// L2 weight decay.
     pub weight_decay: f32,
-    /// Print the loss after every epoch.
-    pub verbose: bool,
 }
 
 impl Default for TrainConfig {
@@ -34,7 +33,6 @@ impl Default for TrainConfig {
             batch_size: 128,
             learning_rate: 1e-3,
             weight_decay: 1e-4,
-            verbose: false,
         }
     }
 }
@@ -44,8 +42,6 @@ impl Default for TrainConfig {
 pub struct TrainStats {
     /// Mean loss of every epoch, in order.
     pub epoch_losses: Vec<f32>,
-    /// Balanced accuracy on the training data after the last epoch.
-    pub final_train_bas: f64,
 }
 
 impl TrainStats {
@@ -54,6 +50,11 @@ impl TrainStats {
         self.epoch_losses.last().copied().unwrap_or(f32::NAN)
     }
 }
+
+/// Rows per forward pass of [`predict`]. A row's logits do not depend on
+/// the rows batched with it, so this bounds memory and changes no
+/// prediction.
+pub const PREDICT_BATCH: usize = 256;
 
 /// Gathers rows (`dim 0` slices) of `x` at the given indices into a new
 /// tensor, preserving the remaining dimensions.
@@ -75,50 +76,57 @@ pub fn batch_select(x: &Tensor, indices: &[usize]) -> Tensor {
     Tensor::from_vec(data, &out_shape)
 }
 
-/// Runs prediction in mini-batches and returns the argmax class per sample.
-pub fn predict(net: &mut Sequential, x: &Tensor, batch_size: usize) -> Vec<usize> {
+/// Runs prediction in [`PREDICT_BATCH`]-row evaluation-mode forward
+/// passes and returns the argmax class per sample.
+pub fn predict<N: Network>(net: &mut N, x: &Tensor) -> Vec<usize> {
     let n = x.shape()[0];
     let mut preds = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let xb = batch_select(x, &idx);
-        let logits = net.forward(&xb, Mode::Eval);
+    for start in (0..n).step_by(PREDICT_BATCH) {
+        let idx: Vec<usize> = (start..n.min(start + PREDICT_BATCH)).collect();
+        let logits = net.forward(&batch_select(x, &idx), Mode::Eval);
         preds.extend(logits.argmax_rows());
-        start = end;
     }
     preds
 }
 
 /// Evaluates a network and returns its Balanced Accuracy Score.
-pub fn evaluate(net: &mut Sequential, x: &Tensor, y: &[usize], num_classes: usize) -> f64 {
-    let preds = predict(net, x, 256);
-    balanced_accuracy(&preds, y, num_classes)
+pub fn evaluate<N: Network>(net: &mut N, x: &Tensor, y: &[usize], num_classes: usize) -> f64 {
+    balanced_accuracy(&predict(net, x), y, num_classes)
 }
 
-/// Trains a classifier with Adam and cross-entropy.
+/// The mini-batch loop: trains `net` with Adam and cross-entropy and
+/// returns the mean loss of every epoch.
 ///
-/// `x` is `[N, C, H, W]`, `y` holds the integer class of each sample.
+/// Each epoch shuffles one sample order, kept from the previous epoch,
+/// and walks it in `cfg.batch_size` chunks. Each batch runs `zero_grad`,
+/// a training-mode forward pass, the loss and `backward`, then
+/// `after_backward(net, epoch)` (the search adds its cost gradient
+/// there), then one Adam step.
 ///
 /// # Panics
 ///
-/// Panics if `x` and `y` disagree on the number of samples.
-pub fn train_classifier<R: Rng>(
-    net: &mut Sequential,
+/// Panics if `x` and `y` disagree on the number of samples or if there
+/// are none.
+pub fn fit<N, R, F>(
+    net: &mut N,
     x: &Tensor,
     y: &[usize],
     cfg: &TrainConfig,
     rng: &mut R,
-) -> TrainStats {
+    mut after_backward: F,
+) -> Vec<f32>
+where
+    N: Network,
+    R: Rng,
+    F: FnMut(&mut N, usize),
+{
     let n = x.shape()[0];
     assert_eq!(n, y.len(), "sample count mismatch");
     assert!(n > 0, "cannot train on an empty dataset");
-    let num_classes = y.iter().copied().max().unwrap_or(0) + 1;
     let mut opt = Adam::new(cfg.learning_rate, cfg.weight_decay);
     let mut loss_fn = CrossEntropyLoss::new();
-    let mut stats = TrainStats::default();
     let mut order: Vec<usize> = (0..n).collect();
+    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         order.shuffle(rng);
         let mut epoch_loss = 0.0f32;
@@ -129,20 +137,35 @@ pub fn train_classifier<R: Rng>(
             net.zero_grad();
             let logits = net.forward(&xb, Mode::Train);
             let loss = loss_fn.forward(&logits, &yb);
-            let grad = loss_fn.backward();
-            net.backward(&grad);
+            net.backward(&loss_fn.backward());
+            after_backward(net, epoch);
             opt.step(net.params_and_grads());
             epoch_loss += loss;
             batches += 1;
         }
-        let mean_loss = epoch_loss / batches.max(1) as f32;
-        stats.epoch_losses.push(mean_loss);
-        if cfg.verbose {
-            eprintln!("epoch {epoch:3}  loss {mean_loss:.4}");
-        }
+        epoch_losses.push(epoch_loss / batches as f32);
     }
-    stats.final_train_bas = evaluate(net, x, y, num_classes);
-    stats
+    epoch_losses
+}
+
+/// Trains a classifier with [`fit`].
+///
+/// `x` is `[N, C, H, W]`, `y` holds the integer class of each sample.
+///
+/// # Panics
+///
+/// Panics if `x` and `y` disagree on the number of samples or if there
+/// are none.
+pub fn train_classifier<R: Rng>(
+    net: &mut Sequential,
+    x: &Tensor,
+    y: &[usize],
+    cfg: &TrainConfig,
+    rng: &mut R,
+) -> TrainStats {
+    TrainStats {
+        epoch_losses: fit(net, x, y, cfg, rng, |_, _| {}),
+    }
 }
 
 #[cfg(test)]
@@ -208,14 +231,10 @@ mod tests {
             batch_size: 32,
             learning_rate: 3e-3,
             weight_decay: 0.0,
-            verbose: false,
         };
         let stats = train_classifier(&mut net, &x, &y, &train_cfg, &mut rng);
-        assert!(
-            stats.final_train_bas > 0.9,
-            "training failed to fit toy data: BAS {}",
-            stats.final_train_bas
-        );
+        let bas = evaluate(&mut net, &x, &y, 4);
+        assert!(bas > 0.9, "training failed to fit toy data: BAS {bas}");
         assert!(stats.final_loss() < stats.epoch_losses[0]);
     }
 
@@ -225,8 +244,18 @@ mod tests {
         let cfg = CnnConfig::seed().with_channels(2, 2, 4);
         let mut net = cfg.build(&mut rng);
         let x = Tensor::zeros(&[5, 1, 8, 8]);
-        let preds = predict(&mut net, &x, 2);
+        let preds = predict(&mut net, &x);
         assert_eq!(preds.len(), 5);
         assert!(preds.iter().all(|&p| p < 4));
+    }
+
+    #[test]
+    fn batched_predict_equals_one_unbatched_forward() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = CnnConfig::seed().with_channels(4, 6, 8).build(&mut rng);
+        let x = Tensor::randn(&[PREDICT_BATCH + 45, 1, 8, 8], 1.0, &mut rng);
+        let whole = net.forward(&x, Mode::Eval).argmax_rows();
+        assert!(whole.iter().any(|&c| c != whole[0]), "one class only");
+        assert_eq!(predict(&mut net, &x), whole);
     }
 }

@@ -279,7 +279,6 @@ mod tests {
             batch_size: 32,
             learning_rate: 1e-3,
             weight_decay: 0.0,
-            verbose: false,
         };
         let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, rng);
         let folded = fold_sequential(cfg, &net).unwrap();

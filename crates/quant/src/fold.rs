@@ -126,7 +126,7 @@ fn downcast<'a, T: 'static>(layer: &'a dyn std::any::Any, what: &str) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcount_nn::Layer;
+    use pcount_nn::{Layer, Network};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

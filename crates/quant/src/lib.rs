@@ -41,6 +41,6 @@ mod qparams;
 pub use fake::FakeQuantAct;
 pub use fold::{fold_conv_bn, fold_sequential, FoldError, FoldedCnn};
 pub use int::{argmax, QuantizedCnn, QuantizedLayer, RequantParams};
-pub use mixed::{explore_precisions, MixedPrecisionResult, PrecisionAssignment};
+pub use mixed::PrecisionAssignment;
 pub use qat::{qat_finetune, QatCnn, QatConfig};
 pub use qparams::{fake_quant_slice, fake_quant_tensor, quantize_value, weight_scale, Precision};

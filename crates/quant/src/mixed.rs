@@ -1,11 +1,7 @@
-//! Layer-wise mixed-precision assignments and their exhaustive exploration.
+//! Layer-wise mixed-precision assignments and their combination space.
 
-use crate::fold::FoldedCnn;
-use crate::qat::{qat_finetune, QatCnn, QatConfig};
 use crate::qparams::Precision;
 use pcount_nn::CnnConfig;
-use pcount_tensor::Tensor;
-use rand::Rng;
 
 /// A per-layer precision assignment for the four parameterised layers
 /// (conv1, conv2, fc1, fc2).
@@ -94,52 +90,6 @@ impl std::fmt::Display for PrecisionAssignment {
             self.0[3].label()
         )
     }
-}
-
-/// Outcome of fine-tuning and evaluating one precision assignment.
-#[derive(Debug, Clone)]
-pub struct MixedPrecisionResult {
-    /// The evaluated assignment.
-    pub assignment: PrecisionAssignment,
-    /// Balanced accuracy on the evaluation split.
-    pub bas: f64,
-    /// Model weight memory in bytes.
-    pub memory_bytes: usize,
-    /// MAC count of the architecture (independent of precision).
-    pub macs: usize,
-    /// The fine-tuned fake-quantised network.
-    pub network: QatCnn,
-}
-
-/// Runs QAT fine-tuning for every assignment in `assignments` and evaluates
-/// each on `(x_eval, y_eval)`.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_precisions<R: Rng>(
-    folded: &FoldedCnn,
-    assignments: &[PrecisionAssignment],
-    x_train: &Tensor,
-    y_train: &[usize],
-    x_eval: &Tensor,
-    y_eval: &[usize],
-    cfg: &QatConfig,
-    rng: &mut R,
-) -> Vec<MixedPrecisionResult> {
-    let num_classes = folded.config.num_classes;
-    assignments
-        .iter()
-        .map(|&assignment| {
-            let mut qat = QatCnn::from_folded(folded, assignment);
-            let _ = qat_finetune(&mut qat, x_train, y_train, cfg, rng);
-            let bas = qat.evaluate(x_eval, y_eval, num_classes);
-            MixedPrecisionResult {
-                assignment,
-                bas,
-                memory_bytes: assignment.memory_bytes(&folded.config),
-                macs: folded.config.macs(),
-                network: qat,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

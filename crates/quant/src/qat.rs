@@ -5,11 +5,10 @@ use crate::fold::FoldedCnn;
 use crate::mixed::PrecisionAssignment;
 use crate::qparams::{fake_quant_tensor, weight_scale};
 use pcount_nn::{
-    balanced_accuracy, batch_select, Adam, CnnConfig, Conv2d, CrossEntropyLoss, Flatten, Layer,
-    Linear, MaxPool2d, Mode, Optimizer, Relu,
+    batch_select, evaluate, fit, CnnConfig, Conv2d, Flatten, Layer, Linear, MaxPool2d, Mode,
+    Network, Relu, TrainConfig,
 };
 use pcount_tensor::Tensor;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Hyper-parameters of a QAT fine-tuning run.
@@ -21,8 +20,6 @@ pub struct QatConfig {
     pub batch_size: usize,
     /// Adam learning rate (typically lower than the FP32 training rate).
     pub learning_rate: f32,
-    /// Print progress to stderr.
-    pub verbose: bool,
 }
 
 impl Default for QatConfig {
@@ -31,7 +28,6 @@ impl Default for QatConfig {
             epochs: 8,
             batch_size: 128,
             learning_rate: 5e-4,
-            verbose: false,
         }
     }
 }
@@ -128,8 +124,27 @@ impl QatCnn {
         fake_quant_tensor(weight, scale, precision.qmax())
     }
 
+    /// Predicted class per sample in eval mode.
+    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
+        self.forward(x, Mode::Eval).argmax_rows()
+    }
+
+    /// Balanced accuracy of the fake-quantised network
+    /// ([`pcount_nn::evaluate`]).
+    pub fn evaluate(&mut self, x: &Tensor, y: &[usize], num_classes: usize) -> f64 {
+        evaluate(self, x, y, num_classes)
+    }
+
+    /// Model weight memory in bytes under this precision assignment
+    /// (packed sub-byte weights, 32-bit biases).
+    pub fn memory_bytes(&self) -> usize {
+        self.assignment.memory_bytes(&self.config)
+    }
+}
+
+impl Network for QatCnn {
     /// Forward pass with fake-quantised weights and activations.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let p = self.assignment.layers();
         let x = self.input_q.forward(x);
         let wq1 = Self::quantised_weight(&self.conv1.weight, p[0]);
@@ -156,7 +171,7 @@ impl QatCnn {
     }
 
     /// Backward pass with straight-through weight gradients.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let wq4 = self.cached_wq[3].clone().expect("backward before forward");
         let g = self.fc2.backward_with_weight(grad_out, &wq4);
         let g = self.act_q4.backward(&g);
@@ -177,7 +192,7 @@ impl QatCnn {
     }
 
     /// Resets all gradients.
-    pub fn zero_grad(&mut self) {
+    fn zero_grad(&mut self) {
         self.conv1.zero_grad();
         self.conv2.zero_grad();
         self.fc1.zero_grad();
@@ -190,7 +205,7 @@ impl QatCnn {
 
     /// `(parameter, gradient)` pairs: layer weights/biases followed by the
     /// four activation clipping thresholds.
-    pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         let mut out = Vec::new();
         out.extend(self.conv1.params_and_grads());
         out.extend(self.conv2.params_and_grads());
@@ -202,37 +217,17 @@ impl QatCnn {
         out.push((&mut self.act_q4.alpha, &mut self.act_q4.alpha_grad));
         out
     }
-
-    /// Predicted class per sample in eval mode.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x, Mode::Eval).argmax_rows()
-    }
-
-    /// Balanced accuracy of the fake-quantised network.
-    pub fn evaluate(&mut self, x: &Tensor, y: &[usize], num_classes: usize) -> f64 {
-        let n = x.shape()[0];
-        let mut preds = Vec::with_capacity(n);
-        let mut start = 0;
-        while start < n {
-            let end = (start + 256).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let xb = batch_select(x, &idx);
-            preds.extend(self.predict(&xb));
-            start = end;
-        }
-        balanced_accuracy(&preds, y, num_classes)
-    }
-
-    /// Model weight memory in bytes under this precision assignment
-    /// (packed sub-byte weights, 32-bit biases).
-    pub fn memory_bytes(&self) -> usize {
-        self.assignment.memory_bytes(&self.config)
-    }
 }
 
-/// Calibrates and fine-tunes a [`QatCnn`] with Adam and cross-entropy.
+/// Calibrates a [`QatCnn`] on the first 256 training samples, then
+/// fine-tunes it in [`fit`] without weight decay.
 ///
 /// Returns the per-epoch mean loss.
+///
+/// # Panics
+///
+/// Panics if `x` and `y` disagree on the number of samples or if there
+/// are none.
 pub fn qat_finetune<R: Rng>(
     qat: &mut QatCnn,
     x: &Tensor,
@@ -240,40 +235,15 @@ pub fn qat_finetune<R: Rng>(
     cfg: &QatConfig,
     rng: &mut R,
 ) -> Vec<f32> {
-    let n = x.shape()[0];
-    assert_eq!(n, y.len(), "sample count mismatch");
-    // Calibrate activation ranges on a prefix of the training data.
-    let calib_n = n.min(256);
-    let calib_idx: Vec<usize> = (0..calib_n).collect();
+    let calib_idx: Vec<usize> = (0..x.shape()[0].min(256)).collect();
     qat.calibrate(&batch_select(x, &calib_idx));
-
-    let mut opt = Adam::new(cfg.learning_rate, 0.0);
-    let mut loss_fn = CrossEntropyLoss::new();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        order.shuffle(rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let xb = batch_select(x, chunk);
-            let yb: Vec<usize> = chunk.iter().map(|&i| y[i]).collect();
-            qat.zero_grad();
-            let logits = qat.forward(&xb, Mode::Train);
-            let loss = loss_fn.forward(&logits, &yb);
-            let grad = loss_fn.backward();
-            qat.backward(&grad);
-            opt.step(qat.params_and_grads());
-            epoch_loss += loss;
-            batches += 1;
-        }
-        let mean = epoch_loss / batches.max(1) as f32;
-        history.push(mean);
-        if cfg.verbose {
-            eprintln!("qat {} epoch {epoch:3} loss {mean:.4}", qat.assignment);
-        }
-    }
-    history
+    let train = TrainConfig {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        learning_rate: cfg.learning_rate,
+        weight_decay: 0.0,
+    };
+    fit(qat, x, y, &train, rng, |_, _| {})
 }
 
 #[cfg(test)]
@@ -281,6 +251,7 @@ mod tests {
     use super::*;
     use crate::fold::fold_sequential;
     use crate::Precision;
+    use pcount_nn::{balanced_accuracy, predict, PREDICT_BATCH};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -309,7 +280,6 @@ mod tests {
             batch_size: 32,
             learning_rate: 3e-3,
             weight_decay: 0.0,
-            verbose: false,
         };
         let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, rng);
         (fold_sequential(cfg, &net).expect("fold"), x, y)
@@ -348,7 +318,6 @@ mod tests {
             epochs: 4,
             batch_size: 32,
             learning_rate: 1e-3,
-            verbose: false,
         };
         let losses = qat_finetune(&mut qat, &x, &y, &cfg, &mut rng);
         assert_eq!(losses.len(), 4);
@@ -374,6 +343,24 @@ mod tests {
             "ratio {}",
             m8 as f64 / m4 as f64
         );
+    }
+
+    #[test]
+    fn batched_predict_equals_one_unbatched_forward() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let (folded, _x, _y) = trained_folded(&mut rng);
+        let assignment = PrecisionAssignment::new([
+            Precision::Int8,
+            Precision::Int4,
+            Precision::Int4,
+            Precision::Int8,
+        ]);
+        let mut qat = QatCnn::from_folded(&folded, assignment);
+        let x = Tensor::randn(&[PREDICT_BATCH + 45, 1, 8, 8], 1.5, &mut rng);
+        qat.calibrate(&x);
+        let whole = qat.forward(&x, Mode::Eval).argmax_rows();
+        assert!(whole.iter().any(|&c| c != whole[0]), "one class only");
+        assert_eq!(predict(&mut qat, &x), whole);
     }
 
     #[test]

@@ -35,10 +35,6 @@
 //! bit-identical with telemetry on and off (asserted by flow-level
 //! tripwire tests in `pcount-core`).
 //!
-//! The `off` cargo feature additionally compiles the gate to a constant
-//! `false`, letting the optimizer delete every call site outright for
-//! builds that must not carry the instrumentation at all.
-//!
 //! # Environment
 //!
 //! `PCOUNT_TRACE=<path>` (read by [`init_from_env`], which `run_flow`,
@@ -90,18 +86,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Whether telemetry is currently recording.
 ///
 /// This is the *only* cost a disabled call site pays: one relaxed atomic
-/// load. With the `off` cargo feature the function is a constant `false`
-/// and the optimizer removes the call sites entirely.
+/// load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns telemetry recording on or off.

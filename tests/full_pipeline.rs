@@ -18,7 +18,6 @@ fn quick_train_cfg() -> TrainConfig {
         batch_size: 64,
         learning_rate: 2e-3,
         weight_decay: 0.0,
-        verbose: false,
     }
 }
 
@@ -40,7 +39,6 @@ fn full_stack_produces_a_working_sensor_model() {
         warmup_epochs: 1,
         batch_size: 64,
         learning_rate: 2e-3,
-        verbose: false,
     };
     let mut outcome = search(seed, &x_train, &y_train, &nas_cfg, &mut rng);
     assert!(outcome.config.num_params() <= seed.num_params());
@@ -76,7 +74,6 @@ fn full_stack_produces_a_working_sensor_model() {
             epochs: 2,
             batch_size: 64,
             learning_rate: 5e-4,
-            verbose: false,
         },
         &mut rng,
     );
