@@ -17,19 +17,32 @@
 //! `target/bench-smoke/BENCH_isa.json` instead — the bit-identity checks
 //! across engines, memory models, fusion and thread counts and the
 //! read-back checks still run, so engine regressions fail fast without
-//! timing noise.
+//! timing noise. Smoke mode simulates the same model and frame as full
+//! mode, so it also requires the simulated-cycle columns to equal the
+//! committed `BENCH_isa.json`: a change that moves a simulated cycle
+//! fails until the ledger is re-recorded.
 
 use pcount_bench::{
     calls_per_s, demo_int8_model, host_threads, smoke_mode, write_bench_json, Rate,
 };
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
-use pcount_telemetry::JsonValue;
+use pcount_telemetry::{parse_json, JsonValue};
 use pcount_tensor::Tensor;
 use std::hint::black_box;
+use std::path::Path;
 
 /// Worker threads used for the parallel-batch measurement.
 const PARALLEL_THREADS: usize = 4;
+
+/// The deterministic columns of `BENCH_isa.json`: simulated cycles and
+/// stall cycles of one inference, independent of host speed.
+const CYCLE_COLUMNS: [&str; 4] = [
+    "cycles_per_inference_flat",
+    "cycles_per_inference_maupiti",
+    "maupiti_imem_stall_cycles",
+    "maupiti_dmem_stall_cycles",
+];
 
 fn deployment_with_mode(model: &QuantizedCnn, mode: ExecMode) -> Deployment {
     deployment_with(model, mode, MemoryModel::Flat)
@@ -187,6 +200,27 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
+/// Asserts that `bench`'s [`CYCLE_COLUMNS`] equal those of the committed
+/// full-mode `BENCH_isa.json` at the workspace root.
+fn check_cycles_match_ledger(bench: &JsonValue) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_isa.json");
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let ledger = parse_json(&text).unwrap_or_else(|e| panic!("BENCH_isa.json: {e}"));
+    for column in CYCLE_COLUMNS {
+        let committed = ledger
+            .get(column)
+            .unwrap_or_else(|| panic!("committed BENCH_isa.json lacks {column}"));
+        assert_eq!(
+            bench.get(column),
+            Some(committed),
+            "{column} differs from the committed BENCH_isa.json: a change that \
+             moves simulated cycles must re-record the ledger"
+        );
+    }
+    println!("simulated-cycle columns match the committed BENCH_isa.json");
+}
+
 fn main() {
     let smoke = smoke_mode();
     let (model, x) = demo_int8_model(7);
@@ -313,6 +347,7 @@ fn main() {
     validate_bench_json(&bench);
 
     if smoke {
+        check_cycles_match_ledger(&bench);
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }

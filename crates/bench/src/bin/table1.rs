@@ -1,7 +1,7 @@
 //! Table I: deployment of the Top / −5 % / Mini models on the STM32,
 //! vanilla IBEX and MAUPITI targets (code size, data size, latency and
-//! energy per inference), plus the SDOTP instruction-mix detail from the
-//! simulator trace.
+//! energy per inference), plus the simulator's instruction, cycle and
+//! SDOTP counts per inference.
 //!
 //! `PCOUNT_QUICK=1 cargo run --release -p pcount-bench --bin table1`
 

@@ -842,25 +842,6 @@ pub fn select_table1_models(
 mod tests {
     use super::*;
     use crate::pareto::pareto_front_by;
-    use pcount_nn::Network;
-    use pcount_tensor::Tensor;
-
-    /// Snapshot of all trainable parameters of a network.
-    fn snapshot_params(net: &mut Sequential) -> Vec<Tensor> {
-        net.params_and_grads()
-            .into_iter()
-            .map(|(p, _)| p.clone())
-            .collect()
-    }
-
-    /// Restores a parameter snapshot taken with [`snapshot_params`].
-    fn restore_params(net: &mut Sequential, snapshot: &[Tensor]) {
-        let params = net.params_and_grads();
-        assert_eq!(params.len(), snapshot.len(), "parameter count changed");
-        for ((p, _), saved) in params.into_iter().zip(snapshot.iter()) {
-            *p = saved.clone();
-        }
-    }
 
     #[test]
     fn quick_flow_produces_consistent_results() {
@@ -1103,23 +1084,6 @@ mod tests {
         }
         assert!(parsed.get("counters").is_some());
         assert!(parsed.get("histograms").is_some());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_parameters() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let cfg = CnnConfig::seed().with_channels(2, 2, 4);
-        let mut net = cfg.build(&mut rng);
-        let snapshot = snapshot_params(&mut net);
-        // Perturb all parameters, then restore.
-        for (p, _) in net.params_and_grads() {
-            p.map_inplace(|v| v + 1.0);
-        }
-        restore_params(&mut net, &snapshot);
-        let now = snapshot_params(&mut net);
-        for (a, b) in now.iter().zip(snapshot.iter()) {
-            assert!(a.approx_eq(b, 0.0));
-        }
     }
 
     #[test]

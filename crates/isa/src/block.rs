@@ -22,10 +22,9 @@
 //! interpreter.
 //!
 //! Every possible way out of a trace (each side exit plus "ran to the
-//! end") has an [`exit`](Block::exits) entry carrying the pre-aggregated
-//! per-mnemonic counts of the instructions retired on that path, so the
-//! engine can account a whole trace execution with a single counter
-//! increment.
+//! end") has an [`exit`](Block::exits) entry carrying the numbers of
+//! instructions and SDOTPs retired on that path, so the engine can
+//! account a whole trace execution with a single counter increment.
 
 use crate::instr::{decode, Decoded, Op};
 use crate::memory::Memory;
@@ -60,15 +59,15 @@ pub(crate) enum BlockEnd {
     },
 }
 
-/// One way out of a trace, with the trace-prefix instruction counts
-/// retired when leaving through it.
-#[derive(Debug, Clone)]
+/// One way out of a trace, with the trace-prefix counts retired when
+/// leaving through it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ExitPoint {
     /// Number of instructions retired when exiting here (`idx + 1` for a
     /// side exit at instruction `idx`; `instrs.len()` for the end exit).
     pub retired: usize,
-    /// Per-mnemonic counts of those `retired` instructions.
-    pub counts: Vec<(&'static str, u64)>,
+    /// SDOTP instructions among those `retired` instructions.
+    pub sdotp: u64,
 }
 
 /// A decoded superblock of the program.
@@ -105,23 +104,6 @@ pub(crate) struct Block {
     /// the engine may execute as one bulk host loop per entry. `None`
     /// when the trace matches no pattern.
     pub fused: Option<crate::fusion::FusedOp>,
-    /// When [`Block::fused`] is a convolution nest, the nest's embedded
-    /// channel loop as a standalone plain MAC op; the engine substitutes
-    /// it under the Maupiti memory model, whose order-sensitive charges
-    /// the nest executor does not reproduce.
-    pub fused_inner: Option<crate::fusion::FusedOp>,
-}
-
-fn prefix_counts(instrs: &[Decoded]) -> Vec<(&'static str, u64)> {
-    let mut counts: Vec<(&'static str, u64)> = Vec::new();
-    for d in instrs {
-        let mnemonic = d.mnemonic();
-        match counts.iter_mut().find(|(m, _)| *m == mnemonic) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((mnemonic, 1)),
-        }
-    }
-    counts
 }
 
 /// Decodes the superblock starting at `entry_pc`.
@@ -129,6 +111,7 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
     let mut instrs: Vec<Decoded> = Vec::new();
     let mut exits: Vec<ExitPoint> = Vec::new();
     let mut visited: HashSet<u32> = HashSet::new();
+    let mut sdotp = 0u64;
     let mut pc = entry_pc;
     let end = loop {
         if instrs.len() >= MAX_BLOCK_LEN {
@@ -142,6 +125,7 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         };
         let mut d = Decoded::new(instr, pc);
         visited.insert(pc);
+        sdotp += d.is_sdotp() as u64;
         match d.op {
             // Conditional branch: side exit, keep decoding the
             // fall-through path.
@@ -154,7 +138,7 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
                 d.exit_ordinal = exits.len() as u16;
                 exits.push(ExitPoint {
                     retired: instrs.len() + 1,
-                    counts: Vec::new(), // filled below
+                    sdotp,
                 });
                 instrs.push(d);
                 pc = pc.wrapping_add(4);
@@ -186,13 +170,10 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
             }
         }
     };
-    for exit in &mut exits {
-        exit.counts = prefix_counts(&instrs[..exit.retired]);
-    }
     // The end exit: ran through every instruction of the trace.
     exits.push(ExitPoint {
         retired: instrs.len(),
-        counts: prefix_counts(&instrs),
+        sdotp,
     });
     let mut mem_prefix = Vec::with_capacity(instrs.len() + 1);
     mem_prefix.push(0u32);
@@ -206,7 +187,7 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
             redirects.push(i as u32);
         }
     }
-    let (fused, fused_inner) = crate::fusion::recognize(&instrs);
+    let fused = crate::fusion::recognize(&instrs);
     Block {
         entry_pc,
         instrs,
@@ -216,7 +197,6 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         mem_prefix,
         redirects,
         fused,
-        fused_inner,
     }
 }
 
@@ -314,10 +294,10 @@ mod tests {
         load(
             &mut mem,
             &[
-                Instr::Addi {
-                    rd: reg::A0,
-                    rs1: reg::ZERO,
-                    imm: 1,
+                Instr::Sdotp8 {
+                    rd: reg::A2,
+                    rs1: reg::A0,
+                    rs2: reg::A1,
                 },
                 Instr::Branch {
                     op: BranchOp::Beq,
@@ -325,27 +305,21 @@ mod tests {
                     rs2: reg::ZERO,
                     offset: 8,
                 },
-                Instr::Addi {
-                    rd: reg::A1,
-                    rs1: reg::ZERO,
-                    imm: 2,
+                Instr::Sdotp4 {
+                    rd: reg::A2,
+                    rs1: reg::A0,
+                    rs2: reg::A1,
                 },
                 Instr::Ebreak,
             ],
         );
         let b = build_block(&mem, IMEM_BASE);
         assert_eq!(b.instrs.len(), 4, "trace continues past the branch");
-        assert_eq!(b.exits.len(), 2, "one side exit plus the end exit");
         assert_eq!(b.instrs[1].exit_ordinal, 0);
-        assert_eq!(b.exits[0].retired, 2);
-        let end = b.exits.last().unwrap();
-        assert_eq!(end.retired, 4);
-        let get =
-            |counts: &[(&str, u64)], m: &str| counts.iter().find(|(k, _)| *k == m).map(|&(_, n)| n);
-        assert_eq!(get(&b.exits[0].counts, "alu-imm"), Some(1));
-        assert_eq!(get(&b.exits[0].counts, "branch"), Some(1));
-        assert_eq!(get(&end.counts, "alu-imm"), Some(2));
-        assert_eq!(get(&end.counts, "ebreak"), Some(1));
+        // One side exit plus the end exit, each with the instructions and
+        // SDOTPs retired when leaving through it.
+        let exits: Vec<(usize, u64)> = b.exits.iter().map(|e| (e.retired, e.sdotp)).collect();
+        assert_eq!(exits, [(2, 1), (4, 2)]);
     }
 
     #[test]

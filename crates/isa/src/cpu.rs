@@ -15,7 +15,6 @@ use crate::memory::{Memory, IMEM_BASE};
 use crate::pipeline::{
     Pipeline, PipelineStats, CYCLES_BRANCH_TAKEN, CYCLES_DIV, CYCLES_JUMP, CYCLES_MEM,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Simulation error.
@@ -80,37 +79,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Per-mnemonic instruction counts collected during execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl Trace {
-    /// Number of executed instructions with the given mnemonic class.
-    pub fn count(&self, mnemonic: &str) -> u64 {
-        self.counts.get(mnemonic).copied().unwrap_or(0)
-    }
-
-    /// All (mnemonic, count) pairs in alphabetical order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Total SDOTP instructions (both widths).
-    pub fn sdotp_count(&self) -> u64 {
-        self.count("sdotp8") + self.count("sdotp4")
-    }
-
-    pub(crate) fn record(&mut self, mnemonic: &'static str) {
-        *self.counts.entry(mnemonic).or_insert(0) += 1;
-    }
-
-    pub(crate) fn record_many(&mut self, mnemonic: &'static str, count: u64) {
-        *self.counts.entry(mnemonic).or_insert(0) += count;
-    }
-}
-
 /// Summary of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
@@ -118,6 +86,8 @@ pub struct RunSummary {
     pub instructions: u64,
     /// Consumed clock cycles under the IBEX-style timing model.
     pub cycles: u64,
+    /// Retired SDOTP instructions (both lane widths).
+    pub sdotp: u64,
 }
 
 /// A single-hart RV32IM + SDOTP processor model.
@@ -138,8 +108,8 @@ pub struct Cpu {
     pub cycles: u64,
     /// Total instructions retired so far.
     pub instret: u64,
-    /// Per-mnemonic execution counts.
-    pub trace: Trace,
+    /// Total SDOTP instructions (both lane widths) retired so far.
+    pub sdotp: u64,
     pub(crate) halted: bool,
     mode: ExecMode,
     pub(crate) cache: BlockCache,
@@ -163,7 +133,7 @@ pub struct Cpu {
 }
 
 /// The block-cached engine's counters for one block-cache slot. The
-/// per-run fields (`exit_counts`, `touched`, `fused_bulk`) are drained by
+/// per-run fields (`exit_counts`, `touched`) are drained by
 /// `engine::fold_exec_counts` when a run returns; the rest accumulate
 /// across runs until [`Cpu::load_program`].
 #[derive(Debug, Clone, Default)]
@@ -187,9 +157,6 @@ pub(crate) struct BlockProfile {
     pub fused_cycles: u64,
     /// The fused pattern recognised at this slot, once it ran fused.
     pub fused_kind: Option<FusedKind>,
-    /// Bulk-executed fused iterations not yet folded into the
-    /// per-mnemonic trace, so the hot loop never touches the trace map.
-    pub fused_bulk: FusedBulk,
 }
 
 impl BlockProfile {
@@ -201,26 +168,6 @@ impl BlockProfile {
         self.fused_cycles += cycles;
         self.fused_kind = Some(kind);
     }
-}
-
-/// Per-slot bulk iteration counters a fused loop accumulates during a
-/// run, folded into the per-mnemonic trace by `engine::fold_exec_counts`
-/// once the run ends. Plain counted loops use `plain` (taken back-edge
-/// iterations); convolution nests count each architectural path
-/// separately so the fold can reconstruct the exact per-mnemonic
-/// multiset.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FusedBulk {
-    /// Taken back-edge iterations of a plain fused loop.
-    pub plain: u64,
-    /// Nest iterations skipped through the left-padding guard.
-    pub nest_skip_lo: u64,
-    /// Nest iterations skipped through the right-padding guard.
-    pub nest_skip_hi: u64,
-    /// Full nest iterations.
-    pub nest_full: u64,
-    /// Extra channel-loop passes inside full nest iterations.
-    pub nest_extra: u64,
 }
 
 /// One entry of the [`Cpu::hottest_blocks`] trace-cache profile.
@@ -272,7 +219,7 @@ impl Cpu {
             mem: Memory::new(imem_size, dmem_size),
             cycles: 0,
             instret: 0,
-            trace: Trace::default(),
+            sdotp: 0,
             halted: false,
             mode: ExecMode::Simple,
             cache: BlockCache::new(imem_size),
@@ -380,8 +327,8 @@ impl Cpu {
     }
 
     /// Enables or disables macro-op fusion. Architectural results —
-    /// registers, memory, instret, cycles, stall breakdowns, traces and
-    /// faults — are bit-identical either way; fusion only replaces
+    /// registers, memory, instret, SDOTP counts, cycles, stall
+    /// breakdowns and faults — are bit-identical either way; fusion only replaces
     /// per-instruction dispatch of recognised loops with one bulk host
     /// loop per trace entry. The throughput bench flips this to measure
     /// the fusion speedup.
@@ -486,9 +433,9 @@ impl Cpu {
     }
 
     /// Restores this CPU's architectural and accounting state from a
-    /// pristine `base`: registers, PC, halt flag, cycle/instret counters,
-    /// the per-mnemonic trace, both memory images, the pipeline model and
-    /// the memory-hierarchy model state all become `base`'s, in place —
+    /// pristine `base`: registers, PC, halt flag, the cycle, instret and
+    /// SDOTP counters, both memory images, the pipeline model and the
+    /// memory-hierarchy model state all become `base`'s, in place —
     /// the large buffers are overwritten rather than reallocated, so this
     /// is cheaper than `*self = base.clone()` on a hot streaming path.
     ///
@@ -512,7 +459,7 @@ impl Cpu {
         self.halted = base.halted;
         self.cycles = base.cycles;
         self.instret = base.instret;
-        self.trace = base.trace.clone();
+        self.sdotp = base.sdotp;
         self.mode = base.mode;
         self.fusion_enabled = base.fusion_enabled;
         self.mem_model = base.mem_model;
@@ -536,8 +483,8 @@ impl Cpu {
         let pc = self.pc;
         let word = self.mem.fetch(pc).ok_or(SimError::BadFetch { pc })?;
         let instr = decode(word).map_err(|word| SimError::IllegalInstruction { pc, word })?;
-        self.trace.record(instr.mnemonic());
         self.instret += 1;
+        self.sdotp += matches!(instr, Instr::Sdotp8 { .. } | Instr::Sdotp4 { .. }) as u64;
         let out = self.exec_instr(instr, pc)?;
         self.pc = out.next_pc;
         self.cycles += out.cycles;
@@ -551,7 +498,7 @@ impl Cpu {
     }
 
     /// Executes the semantics of one instruction located at `pc`, without
-    /// touching the PC, the retired-instruction counter, the trace or the
+    /// touching the PC, the retired-instruction and SDOTP counters or the
     /// cycle counter — bookkeeping differs between the two engines and is
     /// done by the caller from the returned [`ExecOutcome`].
     #[inline]
@@ -775,6 +722,7 @@ impl Cpu {
     fn run_simple(&mut self, max_instructions: u64) -> Result<RunSummary, SimError> {
         let start_instret = self.instret;
         let start_cycles = self.cycles;
+        let start_sdotp = self.sdotp;
         while !self.halted {
             if self.instret - start_instret >= max_instructions {
                 return Err(SimError::Timeout { max_instructions });
@@ -784,6 +732,7 @@ impl Cpu {
         Ok(RunSummary {
             instructions: self.instret - start_instret,
             cycles: self.cycles - start_cycles,
+            sdotp: self.sdotp - start_sdotp,
         })
     }
 }
@@ -1054,7 +1003,7 @@ mod tests {
         cpu.set_reg(reg::A2, 100);
         cpu.run(10).unwrap();
         assert_eq!(cpu.reg(reg::A2) as i32, 100 + 2 * sdotp8(a, b));
-        assert_eq!(cpu.trace.sdotp_count(), 2);
+        assert_eq!(cpu.sdotp, 2);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! Every other trace transition is one dispatch: a single bounds-checked
 //! probe of the block table, which borrows the cached block.
 //!
-//! Instruction-mix accounting is O(1) per trace execution: every exit
-//! carries its pre-aggregated per-mnemonic prefix counts and the CPU
-//! counts (slot, exit) pairs; the counters are folded into the
-//! [`crate::Trace`] when [`run`] returns (on success *and* on error), so
-//! observable state is indistinguishable from the reference interpreter.
+//! SDOTP accounting is O(1) per trace execution: every exit carries the
+//! number of SDOTPs on its retired prefix and the CPU counts (slot, exit)
+//! pairs, which are folded into [`Cpu::sdotp`] when [`run`] returns (on
+//! success *and* on error); fused loops add their SDOTPs per iteration.
+//! Observable state is indistinguishable from the reference interpreter.
 //!
 //! The cache is one write-once table per program image, shared through
 //! an `Arc` by every clone of a `Cpu`, including clones running on other
@@ -35,12 +35,13 @@
 //! image assigns a fresh table, so clones diverging by program never see
 //! each other's blocks.
 //!
-//! Architectural results (registers, memory, instruction counts, trace,
-//! faults) are identical to [`ExecMode::Simple`] — the differential tests
-//! below and the deployment tests in `pcount-kernels` hold both engines to
-//! bit-exactness; only the cycle model is finer-grained (it adds load-use
-//! interlock stalls the flat model cannot see). When touching instruction
-//! semantics, change BOTH [`Cpu::exec_instr`] and [`run_inner`] here.
+//! Architectural results (registers, memory, instruction and SDOTP
+//! counts, faults) are identical to [`ExecMode::Simple`] — the
+//! differential tests below and the deployment tests in `pcount-kernels`
+//! hold both engines to bit-exactness; only the cycle model is
+//! finer-grained (it adds load-use interlock stalls the flat model cannot
+//! see). When touching instruction semantics, change BOTH
+//! [`Cpu::exec_instr`] and [`run_inner`] here.
 
 use crate::block::{build_block, Block, BlockEnd};
 use crate::cpu::{sdotp4, sdotp8, BlockProfile, Cpu, RunSummary, SimError};
@@ -107,6 +108,7 @@ impl BlockCache {
 pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, SimError> {
     let start_instret = cpu.instret;
     let start_cycles = cpu.cycles;
+    let start_sdotp = cpu.sdotp;
     // One handle on the table for the whole run: dispatch and the fold
     // borrow blocks from it while `cpu` stays mutable.
     let cache = cpu.cache.clone();
@@ -116,6 +118,7 @@ pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, Si
     Ok(RunSummary {
         instructions: cpu.instret - start_instret,
         cycles: cpu.cycles - start_cycles,
+        sdotp: cpu.sdotp - start_sdotp,
     })
 }
 
@@ -124,6 +127,9 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
     // is committed to the CPU exactly once on exit (including error exits),
     // so the dispatch loop does no redundant memory traffic.
     let mut executed = 0u64;
+    // SDOTPs retired outside counted exits (fused iterations, cut-off
+    // prefixes); the exits' static counts fold in `fold_exec_counts`.
+    let mut sdotp = 0u64;
     let mut cycles = 0u64;
     let mut load_dest = cpu.pipeline.load_dest;
     let mut stalls = 0u64;
@@ -216,22 +222,7 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
         // (or, on a declined/partial run, from) the loop head.
         let mut start = 0usize;
         mem_base = 0;
-        // The fused op this trace execution may run: the recognised op,
-        // except that a convolution nest is swapped for its embedded
-        // channel loop under the Maupiti model — the nest's bulk
-        // accounting cannot reproduce the model's order-sensitive
-        // per-iteration charges, while the plain loop's `charge_loop`
-        // path can.
-        let active_fused: Option<&crate::fusion::FusedOp> = match &block.fused {
-            Some(f) if fusion => {
-                if f.kind == crate::fusion::FusedKind::ConvNest && maupiti.is_some() {
-                    block.fused_inner.as_ref()
-                } else {
-                    Some(f)
-                }
-            }
-            _ => None,
-        };
+        let active_fused = block.fused.as_ref().filter(|_| fusion);
         // Macro-op fusion gets one shot per trace execution: the pass
         // pauses when it reaches the recognised loop head, the fused
         // executor runs the whole loop, and the pass resumes past it.
@@ -480,9 +471,7 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                 // a faulting access never reaches the SRAM port.
                 charge_mem!(block, slot, i, false);
                 executed += i as u64 + 1;
-                for d in &block.instrs[..=i] {
-                    cpu.trace.record(d.mnemonic());
-                }
+                sdotp += sdotp_in(&block.instrs[..=i]);
                 let pc = block.instrs[i].pc;
                 cpu.pc = pc;
                 fault = Some(SimError::BadMemoryAccess { pc, addr });
@@ -512,15 +501,15 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
             // the whole loop as one host loop and bulk-charge every cost
             // stream. The fused executor advances registers and memory
             // for `iters` iterations; taken back-edges (`taken`) are
-            // accounted directly here — instret, per-mnemonic trace,
-            // per-block attribution, pipeline and memory-model costs —
-            // while the final fall-through iteration only has its
-            // *cycles* charged here: its instret/trace/memory accounting
-            // flows through the ordinary segment-convention handlers when
-            // the pass resumes past the back edge. A `None` from
-            // `execute` (an access would leave data memory, or no budget
-            // for even one iteration) falls back to the per-instruction
-            // path, which reproduces the exact fault or timeout.
+            // accounted directly here — instret, SDOTPs, per-block
+            // attribution, pipeline and memory-model costs — while the
+            // final fall-through iteration only has its *cycles* charged
+            // here: its instret/SDOTP/memory accounting flows through the
+            // ordinary segment-convention handlers when the pass resumes
+            // past the back edge. A `None` from `execute` (an access
+            // would leave data memory, or no budget for even one
+            // iteration) falls back to the per-instruction path, which
+            // reproduces the exact fault or timeout.
             if stop < n {
                 fused_armed = false;
                 let f = active_fused.expect("paused only at a fused loop");
@@ -530,48 +519,43 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                 // budget share (`f.start` instructions) reserved, so the
                 // per-instruction pass resumed at the head reproduces the
                 // final guard exit, a mid-iteration timeout or a faulting
-                // access exactly. Never reached under Maupiti (the nest
-                // is swapped for its inner loop there).
-                if f.kind == crate::fusion::FusedKind::ConvNest {
+                // access exactly.
+                if let crate::fusion::FusedDetail::ConvNest(nd) = &f.detail {
                     let budget = (max_instructions - executed).saturating_sub(f.start as u64);
                     let out = f.execute_nest(&mut cpu.regs, &cpu.mem, budget);
                     let iters = out.iters();
                     if iters > 0 {
-                        let crate::fusion::FusedDetail::ConvNest(nd) = &f.detail else {
-                            unreachable!("nest kind implies nest detail");
-                        };
-                        let instret = nd.skip_lo.instret * out.skip_lo
-                            + nd.skip_hi.instret * out.skip_hi
-                            + nd.full1.instret * out.full
-                            + nd.extra.instret * out.inner_extra;
-                        let arch_cycles = nd.skip_lo.cycles * out.skip_lo
-                            + nd.skip_hi.cycles * out.skip_hi
-                            + nd.full1.cycles * out.full
-                            + nd.extra.cycles * out.inner_extra;
-                        let stall = nd.skip_lo.stalls * out.skip_lo
-                            + nd.skip_hi.stalls * out.skip_hi
-                            + nd.full1.stalls * out.full
-                            + nd.extra.stalls * out.inner_extra;
-                        let flush = nd.skip_lo.flushes * out.skip_lo
-                            + nd.skip_hi.flushes * out.skip_hi
-                            + nd.full1.flushes * out.full
-                            + nd.extra.flushes * out.inner_extra;
-                        cycles += arch_cycles;
-                        stalls += stall;
-                        flushes += flush;
-                        executed += instret;
+                        let cost = nd.cost(&out);
+                        cycles += cost.cycles;
+                        stalls += cost.stalls;
+                        flushes += cost.flushes;
+                        executed += cost.instret;
+                        sdotp += cost.sdotp;
                         // Every iteration ends in the closing jump, which
                         // clears the pending-load hazard state.
                         load_dest = 0;
+                        if let Some(cfg) = &maupiti {
+                            // Arch order: the setup segment before the
+                            // nest head, then the iterations. The first
+                            // enters with the live refill window; the
+                            // closing jump leaves a full one.
+                            charge_mem!(block, slot, f.start, false);
+                            let contended =
+                                nd.contended(&out, mem_state.window_left, cfg.prefetch_entries);
+                            let mstall = mem_state.charge_counts(
+                                cfg,
+                                cost.misses,
+                                contended,
+                                &mut mem_stats,
+                            );
+                            cycles += mstall;
+                            cpu.profile[slot].mem_stall_cycles += mstall;
+                        }
+                        mem_base = f.start;
                         let profile = &mut cpu.profile[slot];
-                        profile.instructions += instret;
+                        profile.instructions += cost.instret;
                         profile.executions += iters;
-                        let bulk = &mut profile.fused_bulk;
-                        bulk.nest_skip_lo += out.skip_lo;
-                        bulk.nest_skip_hi += out.skip_hi;
-                        bulk.nest_full += out.full;
-                        bulk.nest_extra += out.inner_extra;
-                        profile.fused_entry(f.kind, iters, arch_cycles);
+                        profile.fused_entry(f.kind, iters, cost.cycles);
                     }
                     start = f.start;
                     continue;
@@ -600,6 +584,8 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                         load_dest = 0;
                         if taken > 0 {
                             executed += taken * f.body_len as u64;
+                            // One SDOTP per MAC iteration.
+                            sdotp += taken;
                             let profile = &mut cpu.profile[slot];
                             profile.instructions += taken * f.body_len as u64;
                             if f.start == 0 {
@@ -609,10 +595,6 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                                 // counts them.
                                 profile.executions += taken;
                             }
-                            // Per-mnemonic trace counts fold lazily in
-                            // `fold_exec_counts`, keeping the map out of
-                            // the hot loop.
-                            profile.fused_bulk.plain += taken;
                             if let Some(cfg) = &maupiti {
                                 // Arch order: the setup segment before the
                                 // loop head, then the taken iterations. The
@@ -645,13 +627,11 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
 
             if !full {
                 // Budget-capped mid-trace: the next dispatch iteration
-                // raises the timeout. The retired prefix is traced directly
-                // (it is not a counted exit).
+                // raises the timeout. The retired prefix is counted
+                // directly (it is not a counted exit).
                 charge_mem!(block, slot, n, false);
                 executed += n as u64;
-                for d in &block.instrs[..n] {
-                    cpu.trace.record(d.mnemonic());
-                }
+                sdotp += sdotp_in(&block.instrs[..n]);
                 cpu.pc = block.instrs[n].pc;
                 continue 'dispatch;
             }
@@ -693,6 +673,7 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
     }
 
     cpu.instret += executed;
+    cpu.sdotp += sdotp;
     cpu.pipeline.stats.instructions += executed;
     cpu.cycles += cycles;
     cpu.pipeline.load_dest = load_dest;
@@ -706,7 +687,13 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
     }
 }
 
-/// Folds per-slot, per-exit execution counts into the trace and the
+/// SDOTPs among `instrs`, for a retired prefix that is not a counted
+/// exit.
+fn sdotp_in(instrs: &[crate::instr::Decoded]) -> u64 {
+    instrs.iter().filter(|d| d.is_sdotp()).count() as u64
+}
+
+/// Folds per-slot, per-exit execution counts into [`Cpu::sdotp`] and the
 /// persistent per-block profiling totals behind [`Cpu::hottest_blocks`].
 fn fold_exec_counts(cpu: &mut Cpu, cache: &BlockCache) {
     while let Some(slot) = cpu.touched_slots.pop() {
@@ -719,50 +706,8 @@ fn fold_exec_counts(cpu: &mut Cpu, cache: &BlockCache) {
             if *count > 0 {
                 profile.executions += *count;
                 profile.instructions += *count * exit.retired as u64;
-                for &(mnemonic, per_exec) in &exit.counts {
-                    cpu.trace.record_many(mnemonic, per_exec * *count);
-                }
+                cpu.sdotp += *count * exit.sdotp;
                 *count = 0;
-            }
-        }
-        let bulk = std::mem::take(&mut profile.fused_bulk);
-        if bulk.plain > 0 {
-            // The plain op is either the recognised op itself or, on
-            // a nest block that ran under Maupiti, the nest's
-            // embedded channel loop.
-            let f = block
-                .fused
-                .as_ref()
-                .filter(|f| f.kind != crate::fusion::FusedKind::ConvNest)
-                .or(block.fused_inner.as_ref())
-                .expect("bulk iterations imply a fused loop");
-            for d in &block.instrs[f.start..f.start + f.body_len] {
-                cpu.trace.record_many(d.mnemonic(), bulk.plain);
-            }
-        }
-        let iters = bulk.nest_skip_lo + bulk.nest_skip_hi + bulk.nest_full;
-        if iters > 0 {
-            let f = block.fused.as_ref().expect("nest counts imply a nest");
-            let s = f.start;
-            for (j, d) in block.instrs[s..s + crate::fusion::NEST_LEN]
-                .iter()
-                .enumerate()
-            {
-                // Per-position multiset of the executed paths: guards
-                // and tail run every iteration, the right guard also
-                // on full and right-skip paths, pointer setup only on
-                // full iterations, the channel loop once per full
-                // iteration plus the extra passes.
-                let count = match j {
-                    0..=4 => iters,
-                    5 => bulk.nest_skip_hi + bulk.nest_full,
-                    6..=15 => bulk.nest_full,
-                    16..=22 => bulk.nest_full + bulk.nest_extra,
-                    _ => iters,
-                };
-                if count > 0 {
-                    cpu.trace.record_many(d.mnemonic(), count);
-                }
             }
         }
     }
@@ -790,7 +735,7 @@ mod tests {
         }
         assert_eq!(simple.pc, cached.pc, "pc diverged");
         assert_eq!(simple.instret, cached.instret, "instret diverged");
-        assert_eq!(simple.trace, cached.trace, "trace diverged");
+        assert_eq!(simple.sdotp, cached.sdotp, "SDOTP count diverged");
         assert_eq!(simple.halted(), cached.halted(), "halt state diverged");
     }
 
@@ -1592,7 +1537,7 @@ mod tests {
     }
 
     /// Nested loops over several traces: inner blocks execute thousands
-    /// of times, so the fold-based trace accounting is exercised hard.
+    /// of times, so the fold-based exit accounting is exercised hard.
     fn nested_loops() -> [Instr; 8] {
         [
             Instr::Addi {
@@ -1661,7 +1606,23 @@ mod tests {
 
     // ---- macro-op fusion differential tests -------------------------
 
-    use crate::mem_model::MemoryModel;
+    use crate::mem_model::{MaupitiMemConfig, MemoryModel};
+
+    /// Flat, the silicon-default Maupiti hierarchy, and a Maupiti
+    /// prefetch buffer deeper than the 16 instructions ahead of the
+    /// nest's channel-loop loads, so a window entering a nest iteration
+    /// reaches the first of them.
+    fn memory_models() -> [MemoryModel; 3] {
+        [
+            MemoryModel::Flat,
+            MemoryModel::maupiti(),
+            MemoryModel::Maupiti(MaupitiMemConfig {
+                prefetch_entries: 17,
+                refill_cycles: 3,
+                contention_cycles: 2,
+            }),
+        ]
+    }
 
     /// Runs `program` on three CPUs — the Simple reference, BlockCached
     /// with fusion off and BlockCached with fusion on — under the same
@@ -1711,7 +1672,7 @@ mod tests {
         assert_eq!(unfused.pc, fused.pc, "pc diverged");
         assert_eq!(unfused.instret, fused.instret, "instret diverged");
         assert_eq!(unfused.cycles, fused.cycles, "cycles diverged");
-        assert_eq!(unfused.trace, fused.trace, "trace diverged");
+        assert_eq!(unfused.sdotp, fused.sdotp, "SDOTP count diverged");
         assert_eq!(unfused.halted(), fused.halted());
         assert_eq!(
             unfused.pipeline.stats, fused.pipeline.stats,
@@ -2165,43 +2126,35 @@ mod tests {
     fn fused_conv_nest_matches_unfused_and_simple_bit_for_bit() {
         // W = 6, ch = 8 bytes (trip 2): ox = 0 takes the left-padding
         // guard, ox = 5 the right-padding guard, everything else runs
-        // three full kernel taps. A full budget sweep crosses every
-        // phase: prologue, guard skips, mid-channel-loop expiry and the
-        // iteration boundaries of the fused nest.
+        // three full kernel taps. A full budget sweep under every memory
+        // model crosses every phase: prologue, guard skips,
+        // mid-channel-loop expiry and the iteration boundaries of the
+        // fused nest.
         let p = conv_nest_program(6, 8);
-        for budget in 1..=600u64 {
-            assert_fusion_parity(&p, budget, MemoryModel::Flat, &fill_dmem);
-        }
-        let (_, fused) = assert_fusion_parity(&p, 100_000, MemoryModel::Flat, &fill_dmem);
-        let profile = fused.fusion_profile();
-        assert!(
-            profile.iter().any(|(name, entries, iters)| {
-                *name == "conv3x3_nest" && *entries >= 6 && *iters >= 18
-            }),
-            "nest should dominate the profile, got {profile:?}"
-        );
-        assert!(fused
-            .hottest_blocks(16)
-            .iter()
-            .any(|b| b.fused_kind == Some("conv3x3_nest")));
-
         // trip 1 (ch = 4): the channel loop collapses to a single pass.
         let p1 = conv_nest_program(6, 4);
-        for budget in [1, 17, 40, 41, 42, 100, 253, 254, 255, 100_000] {
-            assert_fusion_parity(&p1, budget, MemoryModel::Flat, &fill_dmem);
-        }
-
-        // Maupiti declines the nest and substitutes the embedded channel
-        // loop; spot-check budgets including expiry inside that loop.
-        for budget in [50, 137, 290, 421, 579, 100_000] {
-            let (_, fused) = assert_fusion_parity(&p, budget, MemoryModel::maupiti(), &fill_dmem);
+        for model in memory_models() {
+            for budget in 1..=600u64 {
+                assert_fusion_parity(&p, budget, model, &fill_dmem);
+            }
+            let (_, fused) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
+            let profile = fused.fusion_profile();
             assert!(
-                fused
-                    .fusion_profile()
-                    .iter()
-                    .all(|(name, ..)| *name != "conv3x3_nest"),
-                "the nest must not run under Maupiti"
+                profile.iter().any(|(name, entries, iters)| {
+                    *name == "conv3x3_nest" && *entries >= 6 && *iters >= 18
+                }),
+                "{model:?}: nest should dominate the profile, got {profile:?}"
             );
+            let hot = fused.hottest_blocks(usize::MAX);
+            assert!(hot.iter().any(|b| b.fused_kind == Some("conv3x3_nest")));
+            // Every memory-model stall cycle, bulk-charged nest
+            // iterations included, is attributed to a trace.
+            let attributed: u64 = hot.iter().map(|b| b.mem_stall_cycles).sum();
+            assert_eq!(attributed, fused.mem_stats().stall_cycles(), "{model:?}");
+
+            for budget in [1, 17, 40, 41, 42, 100, 253, 254, 255, 100_000] {
+                assert_fusion_parity(&p1, budget, model, &fill_dmem);
+            }
         }
     }
 
@@ -2212,8 +2165,10 @@ mod tests {
         // decline at the iteration boundary and both engines time out on
         // the same instruction with identical partial state.
         let p = conv_nest_program(6, 2);
-        for budget in [40, 41, 50, 100, 200] {
-            assert_fusion_parity(&p, budget, MemoryModel::Flat, &fill_dmem);
+        for model in memory_models() {
+            for budget in [40, 41, 50, 100, 200] {
+                assert_fusion_parity(&p, budget, model, &fill_dmem);
+            }
         }
     }
 

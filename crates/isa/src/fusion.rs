@@ -78,9 +78,11 @@ pub(crate) enum FusedDetail {
     ConvNest(Box<NestDetail>),
 }
 
-/// Pipeline summary of one architectural path through the nest: what the
+/// Summary of one architectural path through the nest: what the
 /// per-instruction engine would have charged for exactly that
-/// instruction sequence.
+/// instruction sequence. The memory-model fields are independent of
+/// [`crate::MaupitiMemConfig`], since CPUs with different configs share
+/// one block table.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PathCost {
     /// Instructions retired on the path.
@@ -93,6 +95,26 @@ pub(crate) struct PathCost {
     pub stalls: u64,
     /// Flush cycles (taken branches and unconditional jumps).
     pub flushes: u64,
+    /// SDOTP instructions retired on the path.
+    pub sdotp: u64,
+    /// PC redirects (taken branches and jumps), each a prefetch-buffer
+    /// miss under the Maupiti memory model.
+    pub misses: u64,
+    /// One bit per data access, at its offset from the path's first
+    /// instruction. Every access precedes the path's first redirect, so
+    /// the access at offset `k` contends for the SRAM port exactly when
+    /// the path is entered with more than `k` instructions left in the
+    /// refill window.
+    pub accesses: u32,
+}
+
+impl PathCost {
+    /// Data accesses that contend with a prefetch refill when the path
+    /// is entered with `window` instructions left in the refill window.
+    pub fn contended(&self, window: u32) -> u64 {
+        let covered = 1u32.checked_shl(window).map_or(u32::MAX, |bit| bit - 1);
+        (self.accesses & covered).count_ones() as u64
+    }
 }
 
 /// Operands and per-path costs of a fused convolution kernel-x loop —
@@ -166,10 +188,10 @@ pub(crate) struct NestDetail {
 }
 
 /// What one fused nest execution did, counted per architectural path so
-/// the engine can bulk-charge instret, cycles, stalls, flushes and the
-/// per-mnemonic trace exactly.
+/// the engine can bulk-charge instret, cycles, stalls, flushes, SDOTPs
+/// and memory-model stalls exactly.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NestOutcome {
+pub(crate) struct NestOutcome<'a> {
     /// Iterations skipped through the left-padding (`blt`) guard.
     pub skip_lo: u64,
     /// Iterations skipped through the right-padding (`bge`) guard.
@@ -179,12 +201,57 @@ pub(crate) struct NestOutcome {
     /// Extra channel-loop passes beyond the first, summed over all full
     /// iterations.
     pub inner_extra: u64,
+    /// The path of the first iteration: the only one not entered right
+    /// after the closing jump. `None` when no iteration ran.
+    pub first: Option<&'a PathCost>,
 }
 
-impl NestOutcome {
+impl NestOutcome<'_> {
     /// Kernel-x iterations executed.
     pub fn iters(&self) -> u64 {
         self.skip_lo + self.skip_hi + self.full
+    }
+}
+
+impl NestDetail {
+    /// Each path's summary with the number of times `out` ran it.
+    fn paths(&self, out: &NestOutcome) -> [(&PathCost, u64); 4] {
+        [
+            (&self.skip_lo, out.skip_lo),
+            (&self.skip_hi, out.skip_hi),
+            (&self.full1, out.full),
+            (&self.extra, out.inner_extra),
+        ]
+    }
+
+    /// The summed costs of the paths `out` ran (`accesses` left empty).
+    pub(crate) fn cost(&self, out: &NestOutcome) -> PathCost {
+        let mut sum = PathCost::default();
+        for (p, n) in self.paths(out) {
+            sum.instret += p.instret * n;
+            sum.cycles += p.cycles * n;
+            sum.stalls += p.stalls * n;
+            sum.flushes += p.flushes * n;
+            sum.sdotp += p.sdotp * n;
+            sum.misses += p.misses * n;
+        }
+        sum
+    }
+
+    /// Data accesses of the iterations `out` ran that contend with a
+    /// prefetch refill, for a prefetch buffer of `entries` words. The
+    /// first iteration enters with `window` instructions left in the
+    /// live refill window; every later iteration starts right after the
+    /// closing `jal`, and every extra channel pass right after the taken
+    /// back-edge, both with a full window.
+    pub(crate) fn contended(&self, out: &NestOutcome, window: u32, entries: u32) -> u64 {
+        let first = out.first.expect("contended() after at least one iteration");
+        let steady: u64 = self
+            .paths(out)
+            .iter()
+            .map(|(p, n)| p.contended(entries) * n)
+            .sum();
+        steady - first.contended(entries) + first.contended(window)
     }
 }
 
@@ -280,37 +347,19 @@ fn body_costs(instrs: &[Decoded], body_len: usize) -> (u64, u64, u64) {
 /// traces, where pointer arithmetic precedes each channel loop. The
 /// first (earliest) match wins; the convolution nest is preferred over
 /// the plain MAC loop because it subsumes the channel loop it embeds.
-///
-/// Returns `(primary, inner)`: when the primary is a
-/// [`FusedKind::ConvNest`], `inner` carries the nest's embedded channel
-/// loop as a standalone plain MAC op, which the engine uses instead of
-/// the nest under the Maupiti memory model (whose order-sensitive
-/// per-iteration charges the nest does not reproduce).
-pub(crate) fn recognize(instrs: &[Decoded]) -> (Option<FusedOp>, Option<FusedOp>) {
-    for start in 0..instrs.len() {
+pub(crate) fn recognize(instrs: &[Decoded]) -> Option<FusedOp> {
+    (0..instrs.len()).find_map(|start| {
         let w = &instrs[start..];
-        let head_pc = w[0].pc;
-        if let Some(mut f) = try_nest(w) {
-            f.start = start;
-            let mut inner = match &f.detail {
-                FusedDetail::ConvNest(n) => n.inner.clone(),
-                _ => unreachable!("try_nest yields a ConvNest detail"),
-            };
-            inner.start = start + NEST_INNER_OFF;
-            return (Some(f), Some(inner));
-        }
-        if let Some(mut f) = try_mac(head_pc, w) {
-            f.start = start;
-            return (Some(f), None);
-        }
-    }
-    (None, None)
+        let mut f = try_nest(w).or_else(|| try_mac(w[0].pc, w))?;
+        f.start = start;
+        Some(f)
+    })
 }
 
 /// Length of the nest window in instructions.
-pub(crate) const NEST_LEN: usize = 25;
+const NEST_LEN: usize = 25;
 /// Offset of the embedded channel loop inside the nest window.
-pub(crate) const NEST_INNER_OFF: usize = 16;
+const NEST_INNER_OFF: usize = 16;
 /// Offset of the `addi kx, kx, 1` tail the padding guards skip to.
 const NEST_SKIP_OFF: usize = 23;
 
@@ -325,19 +374,21 @@ fn other_operand(d: &Decoded, r: u8) -> Option<u8> {
     }
 }
 
-/// Pipeline costs of one architectural path through the nest window
-/// `w`, mirroring the engine's per-instruction rules exactly: base
-/// cycles, load-use interlocks (the path is always entered with no
-/// pending load — every path starts at the `li`, which reads only x0),
-/// flush cycles added to `cycles` for taken conditional branches, and
-/// flush cycles tracked in `flushes` only for unconditional jumps.
+/// Costs of one architectural path through the nest window `w`,
+/// mirroring the engine's per-instruction rules exactly: base cycles,
+/// load-use interlocks (the path is always entered with no pending load
+/// — every path starts at the `li`, which reads only x0), flush cycles
+/// added to `cycles` for taken conditional branches, and flush cycles
+/// tracked in `flushes` only for unconditional jumps. The nest's only
+/// data accesses are the channel loop's two loads, which every path
+/// reaches before its first redirect, as [`PathCost::accesses`] requires.
 fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
     let mut c = PathCost {
         instret: path.len() as u64,
         ..PathCost::default()
     };
     let mut load_dest = 0u8;
-    for &(i, taken) in path {
+    for (offset, &(i, taken)) in path.iter().enumerate() {
         let d = &w[i];
         let mut cost = d.base_cycles as u64;
         if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
@@ -345,6 +396,11 @@ fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
             c.stalls += LOAD_USE_STALL;
         }
         load_dest = if d.is_load { d.rd } else { 0 };
+        if d.is_load || d.is_store {
+            debug_assert_eq!(c.misses, 0, "data access after a redirect");
+            c.accesses |= 1 << offset;
+        }
+        c.sdotp += d.is_sdotp() as u64;
         match d.op {
             Op::Beq { .. }
             | Op::Bne { .. }
@@ -356,9 +412,11 @@ fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
             {
                 cost += d.flush_on_take as u64;
                 c.flushes += d.flush_on_take as u64;
+                c.misses += 1;
             }
             Op::Jal { .. } | Op::JalFollowed { .. } => {
                 c.flushes += d.flush_on_take as u64;
+                c.misses += 1;
             }
             _ => {}
         }
@@ -732,7 +790,7 @@ impl FusedOp {
         regs: &mut [u32; 32],
         mem: &Memory,
         budget: u64,
-    ) -> NestOutcome {
+    ) -> NestOutcome<'_> {
         let FusedDetail::ConvNest(d) = &self.detail else {
             unreachable!("execute_nest on a non-nest op");
         };
@@ -772,8 +830,10 @@ impl FusedOp {
                 regs[d.kx as usize] = kx.wrapping_add(1);
                 if skip_lo {
                     out.skip_lo += 1;
+                    out.first.get_or_insert(&d.skip_lo);
                 } else {
                     out.skip_hi += 1;
+                    out.first.get_or_insert(&d.skip_hi);
                 }
                 continue;
             }
@@ -821,6 +881,7 @@ impl FusedOp {
             regs[d.kx as usize] = kx.wrapping_add(1);
             out.full += 1;
             out.inner_extra += trip - 1;
+            out.first.get_or_insert(&d.full1);
         }
         out
     }
@@ -896,15 +957,10 @@ mod tests {
         ]
     }
 
-    /// The primary recognised op, as most tests only care about it.
-    fn recognize1(instrs: &[Decoded]) -> Option<FusedOp> {
-        recognize(instrs).0
-    }
-
     #[test]
     fn recognizes_the_kernel_mac_loops() {
         for (four_bit, kind) in [(false, FusedKind::MacSdotp8), (true, FusedKind::MacSdotp4)] {
-            let f = recognize1(&dec(&mac_loop(four_bit))).expect("mac loop should fuse");
+            let f = recognize(&dec(&mac_loop(four_bit))).expect("mac loop should fuse");
             assert_eq!(f.kind, kind);
             assert_eq!(f.body_len, 7);
             assert_eq!(f.cnt, reg::T3);
@@ -927,32 +983,32 @@ mod tests {
         if let Instr::Branch { rs1, .. } = &mut p[6] {
             *rs1 = reg::T1;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // Back edge to somewhere other than the trace entry.
         let p = mac_loop(false);
-        assert!(recognize1(&dec(&p)[1..]).is_none());
+        assert!(recognize(&dec(&p)[1..]).is_none());
 
         // Decrement by something other than -1.
         let mut p = mac_loop(false);
         if let Instr::Addi { imm, .. } = &mut p[5] {
             *imm = -2;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // `bne` against a non-zero register is not a counted loop.
         let mut p = mac_loop(false);
         if let Instr::Branch { rs2, .. } = &mut p[6] {
             *rs2 = reg::A0;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // `beq` back edges never fuse.
         let mut p = mac_loop(false);
         if let Instr::Branch { op, .. } = &mut p[6] {
             *op = BranchOp::Beq;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
     }
 
     /// A 1 KiB data memory holding a deterministic byte pattern.
@@ -976,7 +1032,7 @@ mod tests {
 
     #[test]
     fn executor_runs_a_mac_loop_and_writes_back_loop_registers() {
-        let f = recognize1(&dec(&mac_loop(false))).unwrap();
+        let f = recognize(&dec(&mac_loop(false))).unwrap();
         let mem = patterned_mem();
         let mut regs = [0u32; 32];
         regs[reg::T1 as usize] = DMEM_BASE;
@@ -1006,7 +1062,7 @@ mod tests {
 
     #[test]
     fn executor_caps_iterations_at_the_budget() {
-        let f = recognize1(&dec(&mac_loop(false))).unwrap();
+        let f = recognize(&dec(&mac_loop(false))).unwrap();
         let mem = patterned_mem();
         let mut regs = [0u32; 32];
         regs[reg::T1 as usize] = DMEM_BASE;
@@ -1025,7 +1081,7 @@ mod tests {
 
     #[test]
     fn executor_declines_out_of_bounds_streams_and_zero_budgets() {
-        let f = recognize1(&dec(&mac_loop(false))).unwrap();
+        let f = recognize(&dec(&mac_loop(false))).unwrap();
         let mem = patterned_mem();
         let mut regs = [0u32; 32];
         // Five words from 16 bytes before the end of the 1 KiB data
@@ -1048,7 +1104,7 @@ mod tests {
 
     #[test]
     fn executor_treats_zero_counter_as_a_full_wrap() {
-        let f = recognize1(&dec(&mac_loop(false))).unwrap();
+        let f = recognize(&dec(&mac_loop(false))).unwrap();
         let mem = patterned_mem();
         let mut regs = [0u32; 32];
         regs[reg::T1 as usize] = DMEM_BASE;
@@ -1168,8 +1224,7 @@ mod tests {
 
     #[test]
     fn recognizes_the_conv_kx_nest() {
-        let (primary, inner) = recognize(&dec(&nest_loop()));
-        let f = primary.expect("nest should fuse");
+        let f = recognize(&dec(&nest_loop())).expect("nest should fuse");
         assert_eq!(f.kind, FusedKind::ConvNest);
         assert_eq!(f.start, 0);
         assert_eq!(f.body_len, NEST_LEN);
@@ -1213,10 +1268,21 @@ mod tests {
         assert_eq!(d.extra.stalls, LOAD_USE_STALL);
         // Every path flushes at least once (guard or jump).
         assert!(d.skip_lo.flushes > 0 && d.full1.flushes > 0 && d.extra.flushes > 0);
-        // The embedded channel loop rides along for the Maupiti fallback.
-        let inner = inner.expect("nest carries its inner loop");
-        assert_eq!(inner.kind, FusedKind::MacSdotp8);
-        assert_eq!(inner.start, NEST_INNER_OFF);
+        // Memory-model summaries: a skip redirects at its guard and its
+        // jump, a full iteration at its jump, an extra channel pass at
+        // its back-edge; only the channel loop's two loads touch data
+        // memory, and each channel pass retires one SDOTP.
+        let paths = [d.skip_lo, d.skip_hi, d.full1, d.extra];
+        assert_eq!(paths.map(|p| p.misses), [2, 2, 1, 1]);
+        assert_eq!(paths.map(|p| p.accesses), [0, 0, 0b11 << 16, 0b11]);
+        assert_eq!(paths.map(|p| p.sdotp), [0, 0, 1, 1]);
+        // The loads at offsets 16 and 17 contend only once the window
+        // entering the iteration reaches past them.
+        assert_eq!(
+            [0, 4, 16, 17, 18, 32, u32::MAX].map(|w| d.full1.contended(w)),
+            [0, 0, 0, 1, 2, 2, 2]
+        );
+        assert_eq!([0, 1, 2, 4].map(|w| d.extra.contended(w)), [0, 1, 2, 2]);
     }
 
     #[test]
@@ -1225,12 +1291,12 @@ mod tests {
         // channel loop at offset 16 still fuses on its own.
         let mut p = nest_loop();
         p.pop();
-        let (f, inner) = recognize(&dec(&p));
         assert_eq!(
-            f.expect("inner mac should still fuse").kind,
+            recognize(&dec(&p))
+                .expect("inner mac should still fuse")
+                .kind,
             FusedKind::MacSdotp8
         );
-        assert!(inner.is_none());
 
         // Guards skipping anywhere but the `addi kx` tail are not a nest
         // (the channel loop may still fuse on its own).
@@ -1238,23 +1304,19 @@ mod tests {
         if let Instr::Branch { offset, .. } = &mut p[4] {
             *offset += 4;
         }
-        assert!(recognize(&dec(&p))
-            .0
-            .is_none_or(|f| f.kind != FusedKind::ConvNest));
+        assert!(recognize(&dec(&p)).is_none_or(|f| f.kind != FusedKind::ConvNest));
 
         // A counter register aliasing the kernel-x register is rejected.
         let mut p = nest_loop();
         if let Instr::Srli { rd, .. } = &mut p[15] {
             *rd = reg::T6;
         }
-        assert!(recognize(&dec(&p))
-            .0
-            .is_none_or(|f| f.kind != FusedKind::ConvNest));
+        assert!(recognize(&dec(&p)).is_none_or(|f| f.kind != FusedKind::ConvNest));
     }
 
     #[test]
     fn nest_executor_walks_guards_and_full_iterations() {
-        let f = recognize(&dec(&nest_loop())).0.unwrap();
+        let f = recognize(&dec(&nest_loop())).unwrap();
         let mut mem = Memory::new(1024, 4096);
         let bytes: Vec<u8> = (0..2048u32)
             .map(|i| (i.wrapping_mul(23) >> 3) as u8)

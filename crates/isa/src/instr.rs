@@ -401,45 +401,6 @@ impl Instr {
         debug_assert_eq!(decode(word), Ok(self), "{self:?} does not fit its encoding");
         word
     }
-
-    /// Short mnemonic for tracing.
-    pub fn mnemonic(self) -> &'static str {
-        use Instr::*;
-        match self {
-            Lui { .. } => "lui",
-            Auipc { .. } => "auipc",
-            Jal { .. } => "jal",
-            Jalr { .. } => "jalr",
-            Branch { .. } => "branch",
-            Load { .. } => "load",
-            Store { .. } => "store",
-            Addi { .. }
-            | Slti { .. }
-            | Sltiu { .. }
-            | Xori { .. }
-            | Ori { .. }
-            | Andi { .. }
-            | Slli { .. }
-            | Srli { .. }
-            | Srai { .. } => "alu-imm",
-            Add { .. }
-            | Sub { .. }
-            | Sll { .. }
-            | Slt { .. }
-            | Sltu { .. }
-            | Xor { .. }
-            | Srl { .. }
-            | Sra { .. }
-            | Or { .. }
-            | And { .. } => "alu",
-            Mul { .. } | Mulh { .. } | Mulhsu { .. } | Mulhu { .. } => "mul",
-            Div { .. } | Divu { .. } | Rem { .. } | Remu { .. } => "div",
-            Sdotp8 { .. } => "sdotp8",
-            Sdotp4 { .. } => "sdotp4",
-            Ecall => "ecall",
-            Ebreak => "ebreak",
-        }
-    }
 }
 
 /// A fully lowered micro-operation: instruction semantics with every
@@ -721,9 +682,9 @@ impl Decoded {
         }
     }
 
-    /// Trace mnemonic of the underlying instruction.
-    pub fn mnemonic(&self) -> &'static str {
-        self.instr.mnemonic()
+    /// Whether the instruction is an SDOTP (either lane width).
+    pub(crate) fn is_sdotp(&self) -> bool {
+        matches!(self.op, Op::Sdotp8 | Op::Sdotp4)
     }
 
     /// Whether the instruction reads register `r` (always false for x0).
@@ -998,7 +959,14 @@ mod tests {
             rs2: 7,
         }
         .encode();
-        assert_eq!(decode(w4).unwrap().mnemonic(), "sdotp4");
+        assert_eq!(
+            decode(w4),
+            Ok(Instr::Sdotp4 {
+                rd: 5,
+                rs1: 6,
+                rs2: 7
+            })
+        );
     }
 
     #[test]
@@ -1231,8 +1199,8 @@ mod tests {
     fn encode_decode_is_identity_for_every_variant() {
         let all = every_variant();
         // Defensive: adding an `Instr` variant must extend `every_variant`.
-        let distinct: std::collections::HashSet<&'static str> =
-            all.iter().map(|i| i.mnemonic()).collect();
+        let distinct: std::collections::HashSet<_> =
+            all.iter().map(std::mem::discriminant).collect();
         assert!(distinct.len() >= 8, "variant exemplar list looks truncated");
         for instr in all {
             assert_eq!(decode(instr.encode()), Ok(instr), "{instr:?}");

@@ -12,9 +12,9 @@
 //! * the [`Instr`] enum with RISC-V binary [`Instr::encode`]/[`decode`]
 //!   support (the SDOTP instructions use the `custom-0` opcode), plus the
 //!   pre-decoded [`Decoded`] IR consumed by the block-cached engine;
-//! * a [`Cpu`] executing from byte-addressed instruction/data memories
-//!   with an instruction [`Trace`] and two engines selected by
-//!   [`ExecMode`]: the `Simple` reference interpreter with flat IBEX
+//! * a [`Cpu`] executing from byte-addressed instruction/data memories,
+//!   counting retired instructions and SDOTPs, with two engines selected
+//!   by [`ExecMode`]: the `Simple` reference interpreter with flat IBEX
 //!   cycle costs, and the `BlockCached` superblock-trace engine with a
 //!   pipelined IBEX timing model (load-use interlock and branch-flush
 //!   stall accounting via [`PipelineStats`])
@@ -60,7 +60,7 @@ mod mem_model;
 mod memory;
 mod pipeline;
 
-pub use cpu::{Cpu, HotBlock, RunSummary, SimError, Trace};
+pub use cpu::{Cpu, HotBlock, RunSummary, SimError};
 pub use engine::ExecMode;
 pub use instr::{decode, BranchOp, Decoded, Instr, LoadOp, StoreOp};
 pub use mem_model::{MaupitiMemConfig, MemStats, MemoryModel};

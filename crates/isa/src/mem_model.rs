@@ -31,8 +31,10 @@
 //! engine charges a whole trace execution in one call to
 //! [`MemModelState::charge_prefix`] using the per-trace access summaries
 //! precomputed on each decoded block (`Block::mem_prefix` /
-//! `Block::redirects`). The two bookkeeping paths are held to identical
-//! stall counters by the differential tests in this crate.
+//! `Block::redirects`), and a fused convolution nest in one call to
+//! [`MemModelState::charge_counts`] from its per-path summaries. The
+//! bookkeeping paths are held to identical stall counters by the
+//! differential tests in this crate.
 //!
 //! Stalls are broken out by cause in [`MemStats`], which downstream
 //! consumers (`pcount-platform`, `pcount-core`) use to split per-inference
@@ -239,13 +241,22 @@ impl MemModelState {
             w = cfg.prefetch_entries as usize;
         }
         self.window_left = w as u32;
-        let imem = misses * cfg.refill_cycles as u64;
-        let dmem = contended * cfg.contention_cycles as u64;
-        stats.fetch_misses += misses;
-        stats.imem_stall_cycles += imem;
-        stats.contended_accesses += contended;
-        stats.dmem_stall_cycles += dmem;
-        imem + dmem
+        charge(cfg, misses, contended, stats)
+    }
+
+    /// Charges `misses` prefetch-buffer misses and `contended` port
+    /// collisions counted over instructions whose last one redirected the
+    /// PC, so the refill window is left full. Returns the extra stall
+    /// cycles.
+    pub(crate) fn charge_counts(
+        &mut self,
+        cfg: &MaupitiMemConfig,
+        misses: u64,
+        contended: u64,
+        stats: &mut MemStats,
+    ) -> u64 {
+        self.window_left = cfg.prefetch_entries;
+        charge(cfg, misses, contended, stats)
     }
 
     /// Charges `iters` back-to-back taken-back-edge executions of the
@@ -274,16 +285,29 @@ impl MemModelState {
         let mut total = self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, stats);
         if iters > 1 {
             let mut steady = MemStats::default();
-            let per = self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, &mut steady);
+            self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, &mut steady);
             let k = iters - 1;
-            total += per * k;
-            stats.fetch_misses += steady.fetch_misses * k;
-            stats.imem_stall_cycles += steady.imem_stall_cycles * k;
-            stats.contended_accesses += steady.contended_accesses * k;
-            stats.dmem_stall_cycles += steady.dmem_stall_cycles * k;
+            total += charge(
+                cfg,
+                steady.fetch_misses * k,
+                steady.contended_accesses * k,
+                stats,
+            );
         }
         total
     }
+}
+
+/// Adds `misses` prefetch-buffer misses and `contended` port collisions
+/// to `stats` and returns their stall cycles.
+fn charge(cfg: &MaupitiMemConfig, misses: u64, contended: u64, stats: &mut MemStats) -> u64 {
+    let imem = misses * cfg.refill_cycles as u64;
+    let dmem = contended * cfg.contention_cycles as u64;
+    stats.fetch_misses += misses;
+    stats.imem_stall_cycles += imem;
+    stats.contended_accesses += contended;
+    stats.dmem_stall_cycles += dmem;
+    imem + dmem
 }
 
 #[cfg(test)]

@@ -344,7 +344,7 @@ impl Deployment {
             prediction,
             cycles: summary.cycles,
             instructions: summary.instructions,
-            sdotp: cpu.trace.sdotp_count(),
+            sdotp: summary.sdotp,
             pipeline: cpu.pipeline_stats(),
             mem: cpu.mem_stats(),
         })

@@ -566,7 +566,7 @@ mod tests {
             }
         }
         // SDOTP instructions appear exactly when SIMD is requested.
-        assert_eq!(variant.simd, cpu.trace.sdotp_count() > 0);
+        assert_eq!(variant.simd, cpu.sdotp > 0);
     }
 
     #[test]

@@ -136,50 +136,49 @@ fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
         let (model, x) = deployed_model(33, assignment);
         let frame = &x.data()[..64];
         for target in [Target::Maupiti, Target::Ibex] {
-            let d = deployment(
-                &model,
-                target,
-                ExecMode::BlockCached,
-                MemoryModel::Flat,
-                true,
-            );
-            let run = d.run_frame(frame).expect("run");
-            let profile = d.fusion_profile(frame).expect("fusion profile");
-            let hot = d.hottest_blocks(frame, usize::MAX).expect("profile");
-            // Attribution invariant: per-block retired instructions
-            // still sum to the whole inference.
-            let attributed: u64 = hot.iter().map(|b| b.instructions).sum();
-            assert_eq!(attributed, run.instructions, "{assignment} {target}");
-            let fused_blocks: Vec<_> = hot.iter().filter(|b| b.fused_kind.is_some()).collect();
-            if target == Target::Ibex {
-                // The scalar channel loops match no idiom.
-                assert!(profile.is_empty(), "{assignment} {target}: {profile:?}");
-                assert!(fused_blocks.is_empty(), "{assignment} {target}");
-                continue;
+            for mem in [MemoryModel::Flat, MemoryModel::maupiti()] {
+                let at = format!("{assignment} {target} {mem:?}");
+                let d = deployment(&model, target, ExecMode::BlockCached, mem, true);
+                let run = d.run_frame(frame).expect("run");
+                let profile = d.fusion_profile(frame).expect("fusion profile");
+                let hot = d.hottest_blocks(frame, usize::MAX).expect("profile");
+                // Attribution invariant: per-block retired instructions and
+                // memory-model stall cycles still sum to the whole inference.
+                let attributed: u64 = hot.iter().map(|b| b.instructions).sum();
+                assert_eq!(attributed, run.instructions, "{at}");
+                let stalls: u64 = hot.iter().map(|b| b.mem_stall_cycles).sum();
+                assert_eq!(stalls, run.mem.stall_cycles(), "{at}");
+                let fused_blocks: Vec<_> = hot.iter().filter(|b| b.fused_kind.is_some()).collect();
+                if target == Target::Ibex {
+                    // The scalar channel loops match no idiom.
+                    assert!(profile.is_empty(), "{at}: {profile:?}");
+                    assert!(fused_blocks.is_empty(), "{at}");
+                    continue;
+                }
+                assert!(
+                    profile.iter().any(|(name, ..)| *name == "conv3x3_nest"),
+                    "{at}: the conv3x3 guard nest must fuse: {profile:?}"
+                );
+                assert!(
+                    profile
+                        .iter()
+                        .any(|(name, ..)| name.starts_with("mac_sdotp")),
+                    "{at}: the SDOTP channel loop must fuse: {profile:?}"
+                );
+                assert!(
+                    profile.iter().all(|(name, ..)| DEPLOYED.contains(name)),
+                    "{at}: unexpected idiom in {profile:?}"
+                );
+                let fused_iters: u64 = fused_blocks.iter().map(|b| b.fused_iterations).sum();
+                assert!(
+                    fused_iters > 100,
+                    "{at}: fusion barely fired: {fused_iters}"
+                );
+                // Fused cycles stay within the run.
+                let fused_cycles: u64 = fused_blocks.iter().map(|b| b.fused_cycles).sum();
+                assert!(fused_cycles > 0, "{at}");
+                assert!(fused_cycles < run.cycles, "{at}");
             }
-            assert!(
-                profile.iter().any(|(name, ..)| *name == "conv3x3_nest"),
-                "{assignment} {target}: the conv3x3 guard nest must fuse: {profile:?}"
-            );
-            assert!(
-                profile
-                    .iter()
-                    .any(|(name, ..)| name.starts_with("mac_sdotp")),
-                "{assignment} {target}: the SDOTP channel loop must fuse: {profile:?}"
-            );
-            assert!(
-                profile.iter().all(|(name, ..)| DEPLOYED.contains(name)),
-                "{assignment} {target}: unexpected idiom in {profile:?}"
-            );
-            let fused_iters: u64 = fused_blocks.iter().map(|b| b.fused_iterations).sum();
-            assert!(
-                fused_iters > 100,
-                "{assignment} {target}: fusion barely fired: {fused_iters}"
-            );
-            // Fused cycles stay within the run.
-            let fused_cycles: u64 = fused_blocks.iter().map(|b| b.fused_cycles).sum();
-            assert!(fused_cycles > 0, "{assignment} {target}");
-            assert!(fused_cycles < run.cycles, "{assignment} {target}");
         }
     }
 }
@@ -188,66 +187,59 @@ fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
 fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
     let (model, x) = deployed_model(34, PrecisionAssignment::uniform(Precision::Int8));
     let frame = &x.data()[..64];
-    let full = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        MemoryModel::Flat,
-        true,
-    )
-    .run_frame(frame)
-    .expect("full run");
-    // Budgets landing all over the inference, including deep inside the
-    // conv MAC loops.
-    for budget in [500u64, 2_000, full.instructions / 2, full.instructions - 1] {
-        let mut cpus: Vec<_> = (0..2)
-            .map(|fusion| {
-                let d = deployment(
-                    &model,
-                    Target::Maupiti,
-                    ExecMode::BlockCached,
-                    MemoryModel::Flat,
-                    fusion == 1,
-                );
-                let mut cpu = d.make_pool(1).expect("pool").base().clone();
-                let err = d
-                    .run_frame_with_budget(&mut cpu, frame, budget)
-                    .expect_err("reduced budget must time out");
-                assert_eq!(
-                    err,
-                    SimError::Timeout {
-                        max_instructions: budget
-                    }
-                );
-                cpu
-            })
-            .collect();
-        let (unfused, fused) = (cpus.remove(0), cpus.remove(0));
-        for r in 0..32 {
-            assert_eq!(unfused.reg(r), fused.reg(r), "budget {budget}: x{r}");
+    for mem in [MemoryModel::Flat, MemoryModel::maupiti()] {
+        let full = deployment(&model, Target::Maupiti, ExecMode::BlockCached, mem, true)
+            .run_frame(frame)
+            .expect("full run");
+        // Budgets landing all over the inference, including deep inside
+        // the conv MAC loops.
+        for budget in [500u64, 2_000, full.instructions / 2, full.instructions - 1] {
+            let mut cpus: Vec<_> = (0..2)
+                .map(|fusion| {
+                    let d = deployment(
+                        &model,
+                        Target::Maupiti,
+                        ExecMode::BlockCached,
+                        mem,
+                        fusion == 1,
+                    );
+                    let mut cpu = d.make_pool(1).expect("pool").base().clone();
+                    let err = d
+                        .run_frame_with_budget(&mut cpu, frame, budget)
+                        .expect_err("reduced budget must time out");
+                    assert_eq!(
+                        err,
+                        SimError::Timeout {
+                            max_instructions: budget
+                        }
+                    );
+                    cpu
+                })
+                .collect();
+            let (unfused, fused) = (cpus.remove(0), cpus.remove(0));
+            let at = format!("{mem:?} budget {budget}");
+            for r in 0..32 {
+                assert_eq!(unfused.reg(r), fused.reg(r), "{at}: x{r}");
+            }
+            assert_eq!(unfused.pc, fused.pc, "{at}: pc diverged");
+            assert_eq!(unfused.instret, fused.instret, "{at}");
+            assert_eq!(unfused.cycles, fused.cycles, "{at}");
+            assert_eq!(unfused.sdotp, fused.sdotp, "{at}");
+            assert_eq!(unfused.pipeline_stats(), fused.pipeline_stats(), "{at}");
+            assert_eq!(unfused.mem_stats(), fused.mem_stats(), "{at}");
+            let len = fused.mem.dmem_size();
+            assert_eq!(
+                unfused.mem.read_dmem(pcount_isa::DMEM_BASE, len),
+                fused.mem.read_dmem(pcount_isa::DMEM_BASE, len),
+                "{at}: torn memory images diverged"
+            );
         }
-        assert_eq!(unfused.pc, fused.pc, "budget {budget}: pc diverged");
-        assert_eq!(unfused.instret, fused.instret, "budget {budget}");
-        assert_eq!(unfused.cycles, fused.cycles, "budget {budget}");
-        assert_eq!(unfused.trace, fused.trace, "budget {budget}");
-        let len = fused.mem.dmem_size();
-        assert_eq!(
-            unfused.mem.read_dmem(pcount_isa::DMEM_BASE, len),
-            fused.mem.read_dmem(pcount_isa::DMEM_BASE, len),
-            "budget {budget}: torn memory images diverged"
-        );
+        // Sanity: the default budget finishes.
+        let d = deployment(&model, Target::Maupiti, ExecMode::BlockCached, mem, true);
+        let mut cpu = d.make_pool(1).expect("pool").base().clone();
+        let ok = d
+            .run_frame_with_budget(&mut cpu, frame, INSTRUCTION_BUDGET)
+            .expect("default budget");
+        assert_eq!(ok, full);
     }
-    // Sanity: the default budget finishes.
-    let d = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        MemoryModel::Flat,
-        true,
-    );
-    let mut cpu = d.make_pool(1).expect("pool").base().clone();
-    let ok = d
-        .run_frame_with_budget(&mut cpu, frame, INSTRUCTION_BUDGET)
-        .expect("default budget");
-    assert_eq!(ok, full);
 }

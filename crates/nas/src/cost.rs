@@ -62,14 +62,6 @@ impl MaskedCost {
         )
     }
 
-    /// Normalised cost (`1.0` for the unmasked seed) given the three masks.
-    pub fn cost(&self, m1: &ChannelMask, m2: &ChannelMask, m3: &ChannelMask) -> f64 {
-        let a1 = m1.alive_count() as f64;
-        let a2 = m2.alive_count() as f64;
-        let a3 = m3.alive_count() as f64;
-        self.absolute_cost(a1, a2, a3) / self.seed_cost()
-    }
-
     /// Gradient of the normalised cost w.r.t. each mask's `θ` (one value per
     /// mask, identical for all channels under the straight-through
     /// estimator `dH/dθ ≈ 1`).
@@ -121,26 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn full_masks_give_unit_normalised_cost() {
-        let cfg = CnnConfig::seed();
-        let cost = MaskedCost::new(cfg, CostTarget::Params);
-        let m1 = ChannelMask::new(cfg.conv1_out);
-        let m2 = ChannelMask::new(cfg.conv2_out);
-        let m3 = ChannelMask::new(cfg.fc1_out);
-        assert!((cost.cost(&m1, &m2, &m3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn pruning_channels_reduces_cost_monotonically() {
         let cfg = CnnConfig::seed();
         for target in [CostTarget::Params, CostTarget::Macs] {
             let cost = MaskedCost::new(cfg, target);
-            let m3 = mask_with_alive(cfg.fc1_out, 32);
             let mut prev = f64::INFINITY;
             for alive in (8..=64).rev().step_by(8) {
-                let m1 = mask_with_alive(cfg.conv1_out, alive);
-                let m2 = mask_with_alive(cfg.conv2_out, alive);
-                let c = cost.cost(&m1, &m2, &m3);
+                let c = cost.absolute_cost(alive as f64, alive as f64, 32.0);
                 assert!(c < prev, "cost should strictly decrease");
                 prev = c;
             }

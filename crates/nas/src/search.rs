@@ -42,8 +42,6 @@ impl Default for NasConfig {
 /// Result of one DNAS run: the discovered architecture plus an extracted,
 /// weight-copied sub-network ready for fine-tuning.
 pub struct SearchOutcome {
-    /// The λ used for this run.
-    pub lambda: f64,
     /// The discovered architecture.
     pub config: CnnConfig,
     /// Mean task loss after every epoch.
@@ -55,7 +53,6 @@ pub struct SearchOutcome {
 impl std::fmt::Debug for SearchOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchOutcome")
-            .field("lambda", &self.lambda)
             .field("config", &self.config)
             .finish()
     }
@@ -93,7 +90,6 @@ pub fn search<R: Rng>(
     });
     let (config, network) = extract_subnetwork(&model);
     SearchOutcome {
-        lambda: cfg.lambda,
         config,
         loss_history,
         network,
