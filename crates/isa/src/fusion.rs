@@ -714,6 +714,41 @@ impl FusedOp {
     ) -> Option<FusedOutcome> {
         // The nest has its own executor with per-path accounting.
         let FusedDetail::Mac {
+            p1,
+            off1,
+            s1,
+            p2,
+            off2,
+            s2,
+            ..
+        } = self.detail
+        else {
+            return None;
+        };
+        let cnt0 = regs[self.cnt as usize];
+        let total = if cnt0 == 0 { 1u64 << 32 } else { cnt0 as u64 };
+        let iters = total.min(max_iters);
+        if iters == 0 {
+            return None;
+        }
+        let dmem = mem.dmem();
+        if !stream_ok(dmem.len(), regs[p1 as usize], off1, s1, iters)
+            || !stream_ok(dmem.len(), regs[p2 as usize], off2, s2, iters)
+        {
+            return None;
+        }
+        self.run_mac(regs, dmem, iters);
+        Some(FusedOutcome {
+            iters,
+            fell_through: iters == total,
+        })
+    }
+
+    /// Runs `iters` iterations of a fused MAC loop whose loads the caller
+    /// has checked to stay inside `dmem`, and writes back every
+    /// loop-carried register.
+    fn run_mac(&self, regs: &mut [u32; 32], dmem: &[u8], iters: u64) {
+        let FusedDetail::Mac {
             four_bit,
             p1,
             off1,
@@ -727,22 +762,10 @@ impl FusedOp {
             swap,
         } = self.detail
         else {
-            return None;
+            unreachable!("run_mac on a non-MAC op");
         };
-        let cnt0 = regs[self.cnt as usize];
-        let total = if cnt0 == 0 { 1u64 << 32 } else { cnt0 as u64 };
-        let iters = total.min(max_iters);
-        if iters == 0 {
-            return None;
-        }
         let b1 = regs[p1 as usize];
         let b2 = regs[p2 as usize];
-        let dmem = mem.dmem();
-        if !stream_ok(dmem.len(), b1, off1, s1, iters)
-            || !stream_ok(dmem.len(), b2, off2, s2, iters)
-        {
-            return None;
-        }
         let mut a1 = b1.wrapping_add(off1).wrapping_sub(DMEM_BASE) as usize;
         let mut a2 = b2.wrapping_add(off2).wrapping_sub(DMEM_BASE) as usize;
         let s1i = s1 as i32 as isize;
@@ -764,11 +787,7 @@ impl FusedOp {
         regs[acc as usize] = accv as u32;
         regs[p1 as usize] = b1.wrapping_add((iters as u32).wrapping_mul(s1));
         regs[p2 as usize] = b2.wrapping_add((iters as u32).wrapping_mul(s2));
-        regs[self.cnt as usize] = cnt0.wrapping_sub(iters as u32);
-        Some(FusedOutcome {
-            iters,
-            fell_through: iters == total,
-        })
+        regs[self.cnt as usize] = regs[self.cnt as usize].wrapping_sub(iters as u32);
     }
 
     /// Executes whole kernel-x iterations of a [`FusedKind::ConvNest`]
@@ -806,6 +825,7 @@ impl FusedOp {
             unreachable!("nest inner is always a MAC loop");
         };
         let swap_ptrs = p1 != d.xptr;
+        let dmem = mem.dmem();
         let mut out = NestOutcome::default();
         let mut budget = budget;
         loop {
@@ -866,7 +886,7 @@ impl FusedOp {
             } else {
                 (xptr, wptr)
             };
-            let dlen = mem.dmem().len();
+            let dlen = dmem.len();
             if !stream_ok(dlen, b1, off1, s1, trip) || !stream_ok(dlen, b2, off2, s2, trip) {
                 break;
             }
@@ -875,9 +895,7 @@ impl FusedOp {
             regs[d.xptr as usize] = xptr;
             regs[d.wptr as usize] = wptr;
             regs[d.inner.cnt as usize] = trip0;
-            d.inner
-                .execute(regs, mem, trip)
-                .expect("pre-validated channel-loop streams");
+            d.inner.run_mac(regs, dmem, trip);
             regs[d.kx as usize] = kx.wrapping_add(1);
             out.full += 1;
             out.inner_extra += trip - 1;
