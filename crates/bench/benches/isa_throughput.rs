@@ -351,9 +351,9 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads 9.6x from the medians:
-    // block-cached 3.4e8 instructions/s (slowest window 2.8e8) vs simple
-    // 3.5e7 (2.7e7). The hard guard sits far lower because both operands
+    // The committed record (2-core host) reads 6.3x from the medians:
+    // block-cached 3.4e8 instructions/s (slowest window 3.1e8) vs simple
+    // 5.4e7 (5.3e7). The hard guard sits lower because both operands
     // are independent wall-clock measurements and a loaded machine can
     // perturb them by tens of percent.
     assert!(
@@ -370,9 +370,9 @@ fn main() {
     );
     // Macro-op fusion exists to be a perf win: the fused conv3x3 guard
     // nests and SDOTP channel loops must beat per-instruction dispatch by
-    // a clear margin on the deployed CNN. The committed record reads 1.52x
-    // from the medians (unfused 2.2e8 instructions/s, slowest window
-    // 1.9e8); the floor sits at 1.2x to absorb wall-clock noise on loaded
+    // a clear margin on the deployed CNN. The committed record reads 1.95x
+    // from the medians (unfused 1.7e8 instructions/s, slowest window
+    // 1.7e8); the floor sits at 1.2x to absorb wall-clock noise on loaded
     // machines.
     assert!(
         fusion_speedup >= 1.2,
@@ -380,7 +380,7 @@ fn main() {
     );
     // Batch scaling needs real cores; on a >= 4-thread host the pooled
     // path must deliver the acceptance target. The committed record comes
-    // from a 2-thread host (1.73x), so it does not exercise this floor.
+    // from a 2-thread host (1.93x), so it does not exercise this floor.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             scaling >= 2.5,
