@@ -23,7 +23,7 @@
 //! fails until the ledger is re-recorded.
 
 use pcount_bench::{
-    calls_per_s, demo_int8_model, host_threads, smoke_mode, write_bench_json, Rate,
+    demo_int8_model, host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json,
 };
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
@@ -55,32 +55,16 @@ fn deployment_with(model: &QuantizedCnn, mode: ExecMode, mem: MemoryModel) -> De
     deployment
 }
 
-/// Measures sustained simulated instructions/second of the serial
-/// per-frame path.
-fn measure_ips(deployment: &Deployment, frame: &[f32]) -> Rate {
-    let per_frame = deployment.run_frame(frame).expect("run").instructions;
-    calls_per_s(|| deployment.run_frame(black_box(frame)).expect("run")).scaled(per_frame as f64)
+/// One serial per-frame run, the call the per-frame rates time.
+fn frame_step<'a>(deployment: &'a Deployment, frame: &'a [f32]) -> impl FnMut() + 'a {
+    move || {
+        black_box(deployment.run_frame(black_box(frame)).expect("run"));
+    }
 }
 
-/// Measures sustained simulated instructions/second of the pooled batch
-/// path at the given thread count.
-fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) -> Rate {
-    let pool = deployment.make_pool(threads).expect("pool");
-    // Retired instruction counts are data-dependent (requant clamps,
-    // pooling comparisons), so sum the real per-frame counts of the
-    // warmup batch instead of extrapolating from one frame.
-    let per_batch: u64 = deployment
-        .run_batch(batch, &pool)
-        .expect("batch")
-        .iter()
-        .map(|r| r.instructions)
-        .sum();
-    calls_per_s(|| {
-        deployment
-            .run_batch(black_box(batch), &pool)
-            .expect("batch")
-    })
-    .scaled(per_batch as f64)
+/// Simulated instructions of one serial per-frame run.
+fn instructions_per_frame(deployment: &Deployment, frame: &[f32]) -> f64 {
+    deployment.run_frame(frame).expect("run").instructions as f64
 }
 
 /// Asserts bit-identical logits/instret across every execution strategy;
@@ -236,12 +220,37 @@ fn main() {
     nofusion.set_macro_fusion(false);
     let maupiti_simple = deployment_with(&model, ExecMode::Simple, MemoryModel::maupiti());
     let maupiti_cached = deployment_with(&model, ExecMode::BlockCached, MemoryModel::maupiti());
-    let ips_simple = measure_ips(&simple, &frame);
-    let ips_cached = measure_ips(&cached, &frame);
-    let ips_nofusion = measure_ips(&nofusion, &frame);
-    let ips_maupiti_simple = measure_ips(&maupiti_simple, &frame);
-    let ips_maupiti_cached = measure_ips(&maupiti_cached, &frame);
-    let ips_parallel = measure_batch_ips(&cached, &batch, PARALLEL_THREADS);
+    let pool = cached.make_pool(PARALLEL_THREADS).expect("pool");
+    // Retired instruction counts are data-dependent (requant clamps,
+    // pooling comparisons), so sum the real per-frame counts of the
+    // warmup batch instead of extrapolating from one frame.
+    let per_batch: u64 = cached
+        .run_batch(&batch, &pool)
+        .expect("batch")
+        .iter()
+        .map(|r| r.instructions)
+        .sum();
+    // Every rate one of the speedups below divides is timed in one set of
+    // interleaved windows, so host-speed drift cancels out of the ratios.
+    let rates = interleaved_calls_per_s([
+        &mut frame_step(&simple, &frame),
+        &mut frame_step(&cached, &frame),
+        &mut frame_step(&nofusion, &frame),
+        &mut frame_step(&maupiti_simple, &frame),
+        &mut frame_step(&maupiti_cached, &frame),
+        &mut || {
+            black_box(cached.run_batch(black_box(&batch), &pool).expect("batch"));
+        },
+    ]);
+    let [ips_simple, ips_cached, ips_nofusion, ips_maupiti_simple, ips_maupiti_cached] = [
+        (rates[0], &simple),
+        (rates[1], &cached),
+        (rates[2], &nofusion),
+        (rates[3], &maupiti_simple),
+        (rates[4], &maupiti_cached),
+    ]
+    .map(|(rate, deployment)| rate.scaled(instructions_per_frame(deployment, &frame)));
+    let ips_parallel = rates[5].scaled(per_batch as f64);
     let speedup = ips_cached.median / ips_simple.median;
     let speedup_maupiti = ips_maupiti_cached.median / ips_maupiti_simple.median;
     let fusion_speedup = ips_cached.median / ips_nofusion.median;

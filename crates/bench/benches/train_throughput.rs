@@ -17,10 +17,10 @@
 //! equivalence check and the thread-count determinism check still run in
 //! full, so training engine regressions fail fast without timing noise.
 
-use pcount_bench::{calls_per_s, host_threads, smoke_mode, write_bench_json, Rate};
+use pcount_bench::{host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json};
 use pcount_core::FoldTrainJob;
 use pcount_dataset::{DatasetConfig, IrDataset};
-use pcount_nn::{CnnConfig, Conv2d, Layer, TrainConfig};
+use pcount_nn::{CnnConfig, Conv2d, Layer, Mode, TrainConfig};
 use pcount_quant::{Precision, PrecisionAssignment, QatConfig};
 use pcount_runtime::{install, Pool};
 use pcount_tensor::Tensor;
@@ -58,7 +58,9 @@ impl ConvWorkload {
     /// One GEMM-path training step (forward + backward).
     fn step_gemm(&mut self) {
         self.conv.zero_grad();
-        let y = self.conv.forward_with_weight(&self.x, &self.weight);
+        let y = self
+            .conv
+            .forward_with_weight(&self.x, &self.weight, Mode::Train);
         black_box(self.conv.backward_with_weight(&y, &self.weight));
     }
 
@@ -66,7 +68,10 @@ impl ConvWorkload {
     fn step_naive(&mut self) {
         self.conv.zero_grad();
         let y = self.conv.forward_naive_with_weight(&self.x, &self.weight);
-        black_box(self.conv.backward_naive_with_weight(&y, &self.weight));
+        black_box(
+            self.conv
+                .backward_naive_with_weight(&self.x, &y, &self.weight),
+        );
     }
 }
 
@@ -76,12 +81,12 @@ impl ConvWorkload {
 fn check_conv_equivalence() {
     let mut w = ConvWorkload::new(11);
     w.conv.zero_grad();
-    let y_gemm = w.conv.forward_with_weight(&w.x, &w.weight);
+    let y_gemm = w.conv.forward_with_weight(&w.x, &w.weight, Mode::Train);
     let gx_gemm = w.conv.backward_with_weight(&y_gemm, &w.weight);
     let wg_gemm = w.conv.weight_grad.clone();
     w.conv.zero_grad();
     let y_naive = w.conv.forward_naive_with_weight(&w.x, &w.weight);
-    let gx_naive = w.conv.backward_naive_with_weight(&y_naive, &w.weight);
+    let gx_naive = w.conv.backward_naive_with_weight(&w.x, &y_naive, &w.weight);
     for (what, got, want) in [
         ("forward", &y_gemm, &y_naive),
         ("input grad", &gx_gemm, &gx_naive),
@@ -95,15 +100,6 @@ fn check_conv_equivalence() {
             );
         }
     }
-}
-
-/// Sustained GEMM-path conv training steps of `w` under a pool of `width`
-/// workers, in images/second.
-fn measure_conv_images_per_s(w: &mut ConvWorkload, width: usize) -> Rate {
-    let pool = Pool::new(width);
-    let batch = w.batch as f64;
-    // The warm-up call spins the workers up.
-    install(&pool, || calls_per_s(|| w.step_gemm())).scaled(batch)
 }
 
 /// The per-fold training workload measured for scaling: the quick-flow
@@ -200,11 +196,17 @@ fn main() {
     check_fold_determinism();
 
     // --- GEMM vs naive conv images/s, serial and pooled -------------------
-    let mut w = ConvWorkload::new(3);
+    // The three operands of the two conv ratios are timed in one set of
+    // interleaved windows, each on its own copy of the workload.
+    let [mut naive, mut serial, mut w] = [3, 3, 3].map(ConvWorkload::new);
     let batch = w.batch;
-    let ips_naive = calls_per_s(|| w.step_naive()).scaled(batch as f64);
-    let ips_gemm_serial = measure_conv_images_per_s(&mut w, 1);
-    let ips_gemm_parallel = measure_conv_images_per_s(&mut w, PARALLEL_THREADS);
+    let (pool_serial, pool_parallel) = (Pool::new(1), Pool::new(PARALLEL_THREADS));
+    let [ips_naive, ips_gemm_serial, ips_gemm_parallel] = interleaved_calls_per_s([
+        &mut || naive.step_naive(),
+        &mut || install(&pool_serial, || serial.step_gemm()),
+        &mut || install(&pool_parallel, || w.step_gemm()),
+    ])
+    .map(|rate| rate.scaled(batch as f64));
     let conv_speedup = ips_gemm_serial.median / ips_naive.median;
     let conv_parallel_speedup = ips_gemm_parallel.median / ips_gemm_serial.median;
 
@@ -218,8 +220,14 @@ fn main() {
     };
     let job = workload.job(&folds);
     let fold_workers = PARALLEL_THREADS.min(folds.len());
-    let fold_serial = calls_per_s(|| job.run(1));
-    let fold_parallel = calls_per_s(|| job.run(PARALLEL_THREADS));
+    let [fold_serial, fold_parallel] = interleaved_calls_per_s([
+        &mut || {
+            black_box(job.run(1));
+        },
+        &mut || {
+            black_box(job.run(PARALLEL_THREADS));
+        },
+    ]);
     let fold_scaling = fold_parallel.median / fold_serial.median;
     let fold_efficiency = fold_scaling / fold_workers as f64;
     let host_threads = host_threads();

@@ -170,28 +170,50 @@ impl From<Rate> for JsonValue {
 /// of at least one call. Every result passes through
 /// [`std::hint::black_box`].
 pub fn calls_per_s<R>(mut step: impl FnMut() -> R) -> Rate {
-    std::hint::black_box(step());
+    let [rate] = interleaved_calls_per_s([&mut || {
+        std::hint::black_box(step());
+    }]);
+    rate
+}
+
+/// [`calls_per_s`] of several steps at once, with their windows
+/// interleaved: one warm-up call of each step, then [`REPEATS`] rounds in
+/// which every step runs one window, the step that opens a round moving
+/// on by one each round. Host-speed drift then lands on every step alike,
+/// so a ratio of two of the rates — a bench's speedup — does not carry
+/// it. Each step gets the same total time as under [`calls_per_s`].
+/// Steps pass their own results through [`std::hint::black_box`].
+pub fn interleaved_calls_per_s<const N: usize>(mut steps: [&mut dyn FnMut(); N]) -> [Rate; N] {
+    for step in steps.iter_mut() {
+        step();
+    }
     let window = if smoke_mode() { 0.02 } else { 1.0 } / REPEATS as f64;
-    let mut rates: Vec<f64> = (0..REPEATS)
-        .map(|_| {
+    // rounds[r][s]: the rate of step `s` in round `r`.
+    let mut rounds = [[0.0f64; N]; REPEATS];
+    for (round, rates) in rounds.iter_mut().enumerate() {
+        for i in 0..N {
+            let s = (round + i) % N;
             let start = Instant::now();
             let mut calls = 0u64;
-            loop {
-                std::hint::black_box(step());
+            rates[s] = loop {
+                steps[s]();
                 calls += 1;
                 let elapsed = start.elapsed().as_secs_f64();
                 if elapsed >= window {
-                    return calls as f64 / elapsed;
+                    break calls as f64 / elapsed;
                 }
-            }
-        })
-        .collect();
-    rates.sort_by(f64::total_cmp);
-    Rate {
-        median: rates[REPEATS / 2],
-        min: rates[0],
-        repeats: REPEATS,
+            };
+        }
     }
+    std::array::from_fn(|s| {
+        let mut rates = rounds.map(|rates| rates[s]);
+        rates.sort_by(f64::total_cmp);
+        Rate {
+            median: rates[REPEATS / 2],
+            min: rates[0],
+            repeats: REPEATS,
+        }
+    })
 }
 
 /// Writes a bench's numbers to `file`: the `bench`, `mode` and `host`
@@ -266,6 +288,22 @@ mod tests {
         let rate = calls_per_s(|| (0..1_000u64).map(std::hint::black_box).sum::<u64>());
         assert_eq!(rate.repeats, REPEATS);
         assert!(0.0 < rate.min && rate.min <= rate.median, "{rate:?}");
+    }
+
+    #[test]
+    fn interleaved_steps_each_get_every_window() {
+        let (mut fast, mut slow) = (0u64, 0u64);
+        let [a, b] = interleaved_calls_per_s([&mut || fast += 1, &mut || {
+            slow += 1;
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }]);
+        for rate in [a, b] {
+            assert_eq!(rate.repeats, REPEATS);
+            assert!(0.0 < rate.min && rate.min <= rate.median, "{rate:?}");
+        }
+        assert!(a.median > b.median, "{a:?} vs {b:?}");
+        // One warm-up call, then at least one call per window.
+        assert!(slow > REPEATS as u64 && fast > slow, "{fast} vs {slow}");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 
 use crate::block::{build_block, Block, BlockEnd};
 use crate::cpu::{sdotp4, sdotp8, BlockProfile, Cpu, RunSummary, SimError};
+use crate::fusion::{FusedDetail, MAC_LEN};
 use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
@@ -520,74 +521,77 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                 // per-instruction pass resumed at the head reproduces the
                 // final guard exit, a mid-iteration timeout or a faulting
                 // access exactly.
-                if let crate::fusion::FusedDetail::ConvNest(nd) = &f.detail {
-                    let budget = (max_instructions - executed).saturating_sub(f.start as u64);
-                    let out = f.execute_nest(&mut cpu.regs, &cpu.mem, budget);
-                    let iters = out.iters();
-                    if iters > 0 {
-                        let cost = nd.cost(&out);
-                        cycles += cost.cycles;
-                        stalls += cost.stalls;
-                        flushes += cost.flushes;
-                        executed += cost.instret;
-                        sdotp += cost.sdotp;
-                        // Every iteration ends in the closing jump, which
-                        // clears the pending-load hazard state.
-                        load_dest = 0;
-                        if let Some(cfg) = &maupiti {
-                            // Arch order: the setup segment before the
-                            // nest head, then the iterations. The first
-                            // enters with the live refill window; the
-                            // closing jump leaves a full one.
-                            charge_mem!(block, slot, f.start, false);
-                            let contended =
-                                nd.contended(&out, mem_state.window_left, cfg.prefetch_entries);
-                            let mstall = mem_state.charge_counts(
-                                cfg,
-                                cost.misses,
-                                contended,
-                                &mut mem_stats,
-                            );
-                            cycles += mstall;
-                            cpu.profile[slot].mem_stall_cycles += mstall;
+                let mac = match &f.detail {
+                    FusedDetail::Mac(mac) => mac,
+                    FusedDetail::ConvNest(nd) => {
+                        let budget = (max_instructions - executed).saturating_sub(f.start as u64);
+                        let out = nd.execute(&mut cpu.regs, &cpu.mem, budget);
+                        let iters = out.iters();
+                        if iters > 0 {
+                            let cost = nd.cost(&out);
+                            cycles += cost.cycles;
+                            stalls += cost.stalls;
+                            flushes += cost.flushes;
+                            executed += cost.instret;
+                            sdotp += cost.sdotp;
+                            // Every iteration ends in the closing jump, which
+                            // clears the pending-load hazard state.
+                            load_dest = 0;
+                            if let Some(cfg) = &maupiti {
+                                // Arch order: the setup segment before the
+                                // nest head, then the iterations. The first
+                                // enters with the live refill window; the
+                                // closing jump leaves a full one.
+                                charge_mem!(block, slot, f.start, false);
+                                let contended =
+                                    nd.contended(&out, mem_state.window_left, cfg.prefetch_entries);
+                                let mstall = mem_state.charge_counts(
+                                    cfg,
+                                    cost.misses,
+                                    contended,
+                                    &mut mem_stats,
+                                );
+                                cycles += mstall;
+                                cpu.profile[slot].mem_stall_cycles += mstall;
+                            }
+                            mem_base = f.start;
+                            let profile = &mut cpu.profile[slot];
+                            profile.instructions += cost.instret;
+                            profile.executions += iters;
+                            profile.fused_entry(f.kind, iters, cost.cycles);
                         }
-                        mem_base = f.start;
-                        let profile = &mut cpu.profile[slot];
-                        profile.instructions += cost.instret;
-                        profile.executions += iters;
-                        profile.fused_entry(f.kind, iters, cost.cycles);
+                        start = f.start;
+                        continue;
                     }
-                    start = f.start;
-                    continue;
-                }
+                };
                 let avail = (max_instructions - executed).saturating_sub(f.start as u64);
-                let max_iters = avail / f.body_len as u64;
+                let max_iters = avail / MAC_LEN as u64;
                 let mut resume = f.start;
                 if max_iters > 0 {
-                    if let Some(out) = f.execute(&mut cpu.regs, &cpu.mem, max_iters) {
+                    if let Some(out) = mac.execute(&mut cpu.regs, &cpu.mem, max_iters) {
                         let taken = if out.fell_through {
                             out.iters - 1
                         } else {
                             out.iters
                         };
-                        let mut stall = f.steady_stalls * out.iters;
-                        if load_dest != 0 && (f.entry_reads_mask >> load_dest) & 1 != 0 {
+                        let mut stall = mac.steady_stalls * out.iters;
+                        if load_dest != 0 && (mac.entry_reads_mask >> load_dest) & 1 != 0 {
                             stall += LOAD_USE_STALL;
                         }
                         let arch_cycles =
-                            f.base_cycles * out.iters + f.flush_on_take * taken + stall;
+                            mac.base_cycles * out.iters + mac.flush_on_take * taken + stall;
                         cycles += arch_cycles;
                         stalls += stall;
-                        flushes += f.flush_on_take * taken;
+                        flushes += mac.flush_on_take * taken;
                         // The body ends in a branch, which clears the
                         // pending-load hazard state.
                         load_dest = 0;
                         if taken > 0 {
-                            executed += taken * f.body_len as u64;
+                            executed += taken * MAC_LEN as u64;
                             // One SDOTP per MAC iteration.
                             sdotp += taken;
                             let profile = &mut cpu.profile[slot];
-                            profile.instructions += taken * f.body_len as u64;
+                            profile.instructions += taken * MAC_LEN as u64;
                             if f.start == 0 {
                                 // Whole-trace self-loop: every taken back
                                 // edge is one completed execution of this
@@ -606,7 +610,7 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                                     &block.mem_prefix,
                                     &block.redirects,
                                     f.start,
-                                    f.start + f.body_len,
+                                    f.start + MAC_LEN,
                                     taken,
                                     &mut mem_stats,
                                 );
@@ -617,7 +621,7 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
                         }
                         cpu.profile[slot].fused_entry(f.kind, out.iters, arch_cycles);
                         if out.fell_through {
-                            resume = f.start + f.body_len;
+                            resume = f.start + MAC_LEN;
                         }
                     }
                 }

@@ -52,30 +52,62 @@ impl FusedKind {
     }
 }
 
-/// Pattern-specific operands of a fused loop, registers by index and
-/// immediates pre-extracted from the decoded body.
+/// Pattern-specific half of a fused loop: what the engine needs to run
+/// and charge it.
 #[derive(Debug, Clone)]
 pub(crate) enum FusedDetail {
-    /// `lw ld1, off1(p1); lw ld2, off2(p2); sdotp acc, ld1, ld2;
-    /// addi p1, p1, s1; addi p2, p2, s2; addi cnt, cnt, -1; bne`.
-    Mac {
-        four_bit: bool,
-        p1: u8,
-        off1: u32,
-        s1: u32,
-        p2: u8,
-        off2: u32,
-        s2: u32,
-        ld1: u8,
-        ld2: u8,
-        acc: u8,
-        /// The SDOTP reads `(ld2, ld1)` instead of `(ld1, ld2)`.
-        swap: bool,
-    },
+    /// The SDOTP channel loop (see [`MacLoop`]).
+    Mac(MacLoop),
     /// The 25-instruction convolution kernel-x guard loop (see
     /// [`NestDetail`]), boxed to keep `FusedOp` small for the plain MAC
     /// loop.
     ConvNest(Box<NestDetail>),
+}
+
+/// Instructions per MAC-loop iteration, back-edge branch included.
+pub(crate) const MAC_LEN: usize = 7;
+
+/// A fused SDOTP channel loop, `lw ld1, off1(p1); lw ld2, off2(p2);
+/// sdotp acc, ld1, ld2; addi p1, p1, s1; addi p2, p2, s2;
+/// addi cnt, cnt, -1; bne cnt, x0, entry`: its registers by index, its
+/// immediates, and the pipeline costs of one iteration.
+#[derive(Debug, Clone)]
+pub(crate) struct MacLoop {
+    /// Loop counter register (`addi cnt, cnt, -1; bne cnt, x0, entry`).
+    pub cnt: u8,
+    /// Pipeline base cycles of one iteration, branch flush excluded.
+    pub base_cycles: u64,
+    /// Flush cycles charged per taken back-edge.
+    pub flush_on_take: u64,
+    /// Load-use interlock stalls inside one steady-state iteration
+    /// (entered with no pending load, as after the back-edge branch).
+    pub steady_stalls: u64,
+    /// Read mask of the body's first instruction, for the incoming
+    /// load-use hazard of the very first iteration.
+    pub entry_reads_mask: u32,
+    four_bit: bool,
+    p1: u8,
+    off1: u32,
+    s1: u32,
+    p2: u8,
+    off2: u32,
+    s2: u32,
+    ld1: u8,
+    ld2: u8,
+    acc: u8,
+    /// The SDOTP reads `(ld2, ld1)` instead of `(ld1, ld2)`.
+    swap: bool,
+}
+
+impl MacLoop {
+    /// The fused kind of this loop.
+    fn kind(&self) -> FusedKind {
+        if self.four_bit {
+            FusedKind::MacSdotp4
+        } else {
+            FusedKind::MacSdotp8
+        }
+    }
 }
 
 /// Summary of one architectural path through the nest: what the
@@ -172,9 +204,8 @@ pub(crate) struct NestDetail {
     pub wptr: u8,
     /// Shift turning the byte count into the channel-loop trip count.
     pub trip_sh: u32,
-    /// The embedded channel loop (always a `Mac` pattern), with `start`
-    /// relative to its own head.
-    pub inner: FusedOp,
+    /// The embedded channel loop.
+    pub inner: MacLoop,
     /// Costs of a left-padding skip iteration (7 instructions).
     pub skip_lo: PathCost,
     /// Costs of a right-padding skip iteration (8 instructions).
@@ -261,28 +292,13 @@ impl NestDetail {
 pub(crate) struct FusedOp {
     /// Which idiom this is.
     pub kind: FusedKind,
-    /// Trace position of the loop head: the body occupies
-    /// `instrs[start..start + body_len]` and its back-edge branch
-    /// targets `instrs[start]`. Zero when the whole trace is the loop
-    /// (a self-loop block); nonzero when the loop sits behind setup
-    /// code inside a longer trace, which the engine executes
+    /// Trace position of the loop head: the body starts at
+    /// `instrs[start]` and its back edge targets it. Zero when the whole
+    /// trace is the loop (a self-loop block); nonzero when the loop sits
+    /// behind setup code inside a longer trace, which the engine executes
     /// per-instruction before entering the fused loop.
     pub start: usize,
-    /// Instructions per iteration, back-edge branch included.
-    pub body_len: usize,
-    /// Loop counter register (`addi cnt, cnt, -1; bne cnt, x0, entry`).
-    pub cnt: u8,
-    /// Pipeline base cycles of one iteration, branch flush excluded.
-    pub base_cycles: u64,
-    /// Flush cycles charged per taken back-edge.
-    pub flush_on_take: u64,
-    /// Load-use interlock stalls inside one steady-state iteration
-    /// (entered with no pending load, as after the back-edge branch).
-    pub steady_stalls: u64,
-    /// Read mask of the body's first instruction, for the incoming
-    /// load-use hazard of the very first iteration.
-    pub entry_reads_mask: u32,
-    /// The idiom's operands.
+    /// The idiom's operands and costs.
     pub detail: FusedDetail,
 }
 
@@ -350,9 +366,18 @@ fn body_costs(instrs: &[Decoded], body_len: usize) -> (u64, u64, u64) {
 pub(crate) fn recognize(instrs: &[Decoded]) -> Option<FusedOp> {
     (0..instrs.len()).find_map(|start| {
         let w = &instrs[start..];
-        let mut f = try_nest(w).or_else(|| try_mac(w[0].pc, w))?;
-        f.start = start;
-        Some(f)
+        let (kind, detail) = match try_nest(w) {
+            Some(nest) => (FusedKind::ConvNest, FusedDetail::ConvNest(Box::new(nest))),
+            None => {
+                let mac = try_mac(w[0].pc, w)?;
+                (mac.kind(), FusedDetail::Mac(mac))
+            }
+        };
+        Some(FusedOp {
+            kind,
+            start,
+            detail,
+        })
     })
 }
 
@@ -430,7 +455,7 @@ fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
 /// end the trace: its closing `jal` targets the window head, which the
 /// trace builder never follows (the head is already in the trace), so a
 /// matching window is always a trace suffix.
-fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
+fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
     if w.len() != NEST_LEN {
         return None;
     }
@@ -513,17 +538,14 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
     if inner.cnt != cnt {
         return None;
     }
-    let FusedDetail::Mac {
+    let MacLoop {
         p1,
         p2,
         ld1,
         ld2,
         acc,
         ..
-    } = inner.detail
-    else {
-        unreachable!("try_mac yields a Mac detail");
-    };
+    } = inner;
     if (p1, p2) != (xptr, wptr) && (p1, p2) != (wptr, xptr) {
         return None;
     }
@@ -570,7 +592,7 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
         .map(|i| (i, i == NEST_SKIP_OFF - 1))
         .collect();
     let extra = nest_path_cost(w, &extra_path);
-    let detail = NestDetail {
+    Some(NestDetail {
         kx,
         kmax,
         scratch,
@@ -591,24 +613,13 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
         skip_hi,
         full1,
         extra,
-    };
-    Some(FusedOp {
-        kind: FusedKind::ConvNest,
-        start: 0,
-        body_len: NEST_LEN,
-        cnt: kx,
-        base_cycles: detail.full1.cycles,
-        flush_on_take: w[24].flush_on_take as u64,
-        steady_stalls: detail.full1.stalls,
-        entry_reads_mask: w[0].reads_mask,
-        detail: FusedDetail::ConvNest(Box::new(detail)),
     })
 }
 
 /// Matches the 7-instruction SDOTP channel loop `lw ld1, off1(p1);
 /// lw ld2, off2(p2); sdotp acc, ld1, ld2; addi p1, p1, s1;
 /// addi p2, p2, s2; addi cnt, cnt, -1; bne cnt, x0, entry`.
-fn try_mac(entry_pc: u32, instrs: &[Decoded]) -> Option<FusedOp> {
+fn try_mac(entry_pc: u32, instrs: &[Decoded]) -> Option<MacLoop> {
     let back = instrs.get(6)?;
     let cnt = match back.op {
         Op::Bne { target } if target == entry_pc && back.rs2 == 0 && back.rs1 != 0 => back.rs1,
@@ -650,34 +661,24 @@ fn try_mac(entry_pc: u32, instrs: &[Decoded]) -> Option<FusedOp> {
     if !distinct_nonzero(&[p1, p2, ld1, ld2, acc, cnt]) {
         return None;
     }
-    let kind = if four_bit {
-        FusedKind::MacSdotp4
-    } else {
-        FusedKind::MacSdotp8
-    };
-    let (base_cycles, flush_on_take, steady_stalls) = body_costs(instrs, 7);
-    Some(FusedOp {
-        kind,
-        start: 0,
-        body_len: 7,
+    let (base_cycles, flush_on_take, steady_stalls) = body_costs(instrs, MAC_LEN);
+    Some(MacLoop {
         cnt,
         base_cycles,
         flush_on_take,
         steady_stalls,
         entry_reads_mask: instrs[0].reads_mask,
-        detail: FusedDetail::Mac {
-            four_bit,
-            p1,
-            off1,
-            s1,
-            p2,
-            off2,
-            s2,
-            ld1,
-            ld2,
-            acc,
-            swap,
-        },
+        four_bit,
+        p1,
+        off1,
+        s1,
+        p2,
+        off2,
+        s2,
+        ld1,
+        ld2,
+        acc,
+        swap,
     })
 }
 
@@ -694,9 +695,9 @@ fn stream_ok(dmem_len: usize, base: u32, off: u32, stride: u32, iters: u64) -> b
     lo >= DMEM_BASE as i128 && hi + 4 <= DMEM_BASE as i128 + dmem_len as i128
 }
 
-impl FusedOp {
-    /// Executes up to `max_iters` iterations of a fused MAC loop
-    /// directly against the register file and data memory.
+impl MacLoop {
+    /// Executes up to `max_iters` iterations of the loop directly
+    /// against the register file and data memory.
     ///
     /// Reads the live trip count from the counter register (a zero
     /// counter wraps: these are do-while loops, so it means 2^32
@@ -712,8 +713,7 @@ impl FusedOp {
         mem: &Memory,
         max_iters: u64,
     ) -> Option<FusedOutcome> {
-        // The nest has its own executor with per-path accounting.
-        let FusedDetail::Mac {
+        let MacLoop {
             p1,
             off1,
             s1,
@@ -721,10 +721,7 @@ impl FusedOp {
             off2,
             s2,
             ..
-        } = self.detail
-        else {
-            return None;
-        };
+        } = *self;
         let cnt0 = regs[self.cnt as usize];
         let total = if cnt0 == 0 { 1u64 << 32 } else { cnt0 as u64 };
         let iters = total.min(max_iters);
@@ -737,18 +734,18 @@ impl FusedOp {
         {
             return None;
         }
-        self.run_mac(regs, dmem, iters);
+        self.run(regs, dmem, iters);
         Some(FusedOutcome {
             iters,
             fell_through: iters == total,
         })
     }
 
-    /// Runs `iters` iterations of a fused MAC loop whose loads the caller
-    /// has checked to stay inside `dmem`, and writes back every
-    /// loop-carried register.
-    fn run_mac(&self, regs: &mut [u32; 32], dmem: &[u8], iters: u64) {
-        let FusedDetail::Mac {
+    /// Runs `iters` iterations of the loop, whose loads the caller has
+    /// checked to stay inside `dmem`, and writes back every loop-carried
+    /// register.
+    fn run(&self, regs: &mut [u32; 32], dmem: &[u8], iters: u64) {
+        let MacLoop {
             four_bit,
             p1,
             off1,
@@ -760,10 +757,8 @@ impl FusedOp {
             ld2,
             acc,
             swap,
-        } = self.detail
-        else {
-            unreachable!("run_mac on a non-MAC op");
-        };
+            ..
+        } = *self;
         let b1 = regs[p1 as usize];
         let b2 = regs[p2 as usize];
         let mut a1 = b1.wrapping_add(off1).wrapping_sub(DMEM_BASE) as usize;
@@ -789,9 +784,11 @@ impl FusedOp {
         regs[p2 as usize] = b2.wrapping_add((iters as u32).wrapping_mul(s2));
         regs[self.cnt as usize] = regs[self.cnt as usize].wrapping_sub(iters as u32);
     }
+}
 
-    /// Executes whole kernel-x iterations of a [`FusedKind::ConvNest`]
-    /// loop, stopping only at iteration boundaries.
+impl NestDetail {
+    /// Executes whole kernel-x iterations of the nest, stopping only at
+    /// iteration boundaries.
     ///
     /// Each iteration replays the exact register effects of its
     /// architectural path: the guards are evaluated on the live
@@ -804,80 +801,76 @@ impl FusedOp {
     /// the next iteration in full, when the channel-loop trip count is
     /// zero (the do-while underflow pathology) or when a channel-loop
     /// access would leave data memory.
-    pub(crate) fn execute_nest(
+    pub(crate) fn execute(
         &self,
         regs: &mut [u32; 32],
         mem: &Memory,
         budget: u64,
     ) -> NestOutcome<'_> {
-        let FusedDetail::ConvNest(d) = &self.detail else {
-            unreachable!("execute_nest on a non-nest op");
-        };
-        let FusedDetail::Mac {
+        let MacLoop {
             p1,
             off1,
             s1,
             off2,
             s2,
             ..
-        } = d.inner.detail
-        else {
-            unreachable!("nest inner is always a MAC loop");
-        };
-        let swap_ptrs = p1 != d.xptr;
+        } = self.inner;
+        let swap_ptrs = p1 != self.xptr;
         let dmem = mem.dmem();
         let mut out = NestOutcome::default();
         let mut budget = budget;
         loop {
-            let kx = regs[d.kx as usize];
-            if (kx as i32) >= (d.kmax as i32) {
+            let kx = regs[self.kx as usize];
+            if (kx as i32) >= (self.kmax as i32) {
                 break;
             }
-            let ix = regs[d.ox as usize].wrapping_add(kx).wrapping_add(d.ix_bias);
+            let ix = regs[self.ox as usize]
+                .wrapping_add(kx)
+                .wrapping_add(self.ix_bias);
             let skip_lo = (ix as i32) < 0;
-            let skip_hi = !skip_lo && (ix as i32) >= (regs[d.w as usize] as i32);
+            let skip_hi = !skip_lo && (ix as i32) >= (regs[self.w as usize] as i32);
             if skip_lo || skip_hi {
                 let cost = if skip_lo {
-                    d.skip_lo.instret
+                    self.skip_lo.instret
                 } else {
-                    d.skip_hi.instret
+                    self.skip_hi.instret
                 };
                 if budget < cost {
                     break;
                 }
                 budget -= cost;
-                regs[d.scratch as usize] = ix;
-                regs[d.kx as usize] = kx.wrapping_add(1);
+                regs[self.scratch as usize] = ix;
+                regs[self.kx as usize] = kx.wrapping_add(1);
                 if skip_lo {
                     out.skip_lo += 1;
-                    out.first.get_or_insert(&d.skip_lo);
+                    out.first.get_or_insert(&self.skip_lo);
                 } else {
                     out.skip_hi += 1;
-                    out.first.get_or_insert(&d.skip_hi);
+                    out.first.get_or_insert(&self.skip_hi);
                 }
                 continue;
             }
-            let ch = regs[d.ch as usize];
-            let trip0 = ch >> d.trip_sh;
+            let ch = regs[self.ch as usize];
+            let trip0 = ch >> self.trip_sh;
             if trip0 == 0 {
                 break;
             }
             let trip = trip0 as u64;
-            let cost = d.full1.instret + (trip - 1) * d.extra.instret;
+            let cost = self.full1.instret + (trip - 1) * self.extra.instret;
             if budget < cost {
                 break;
             }
-            let xptr = regs[d.iy as usize]
-                .wrapping_mul(regs[d.w as usize])
+            let xptr = regs[self.iy as usize]
+                .wrapping_mul(regs[self.w as usize])
                 .wrapping_add(ix)
                 .wrapping_mul(ch)
-                .wrapping_add(regs[d.xbase as usize]);
-            let wptr = d
+                .wrapping_add(regs[self.xbase as usize]);
+            let wptr = self
                 .ky_mul
-                .wrapping_mul(regs[d.ky as usize])
+                .wrapping_mul(regs[self.ky as usize])
                 .wrapping_add(kx)
                 .wrapping_mul(ch)
-                .wrapping_add(regs[d.wbase as usize]);
+                .wrapping_add(regs[self.wbase as usize]);
             // Validate both channel-loop streams *before* touching any
             // register, so a declined iteration leaves the boundary
             // state untouched.
@@ -891,15 +884,15 @@ impl FusedOp {
                 break;
             }
             budget -= cost;
-            regs[d.scratch as usize] = ix;
-            regs[d.xptr as usize] = xptr;
-            regs[d.wptr as usize] = wptr;
-            regs[d.inner.cnt as usize] = trip0;
-            d.inner.run_mac(regs, dmem, trip);
-            regs[d.kx as usize] = kx.wrapping_add(1);
+            regs[self.scratch as usize] = ix;
+            regs[self.xptr as usize] = xptr;
+            regs[self.wptr as usize] = wptr;
+            regs[self.inner.cnt as usize] = trip0;
+            self.inner.run(regs, dmem, trip);
+            regs[self.kx as usize] = kx.wrapping_add(1);
             out.full += 1;
             out.inner_extra += trip - 1;
-            out.first.get_or_insert(&d.full1);
+            out.first.get_or_insert(&self.full1);
         }
         out
     }
@@ -912,6 +905,22 @@ mod tests {
     use crate::reg;
 
     const ENTRY: u32 = 0x40;
+
+    /// The MAC loop of a fused op.
+    fn mac(f: &FusedOp) -> &MacLoop {
+        match &f.detail {
+            FusedDetail::Mac(m) => m,
+            FusedDetail::ConvNest(_) => panic!("{:?} is not a MAC loop", f.kind),
+        }
+    }
+
+    /// The nest of a fused op.
+    fn nest(f: &FusedOp) -> &NestDetail {
+        match &f.detail {
+            FusedDetail::ConvNest(d) => d,
+            FusedDetail::Mac(_) => panic!("{:?} is not a nest", f.kind),
+        }
+    }
 
     fn dec(program: &[Instr]) -> Vec<Decoded> {
         program
@@ -980,12 +989,12 @@ mod tests {
         for (four_bit, kind) in [(false, FusedKind::MacSdotp8), (true, FusedKind::MacSdotp4)] {
             let f = recognize(&dec(&mac_loop(four_bit))).expect("mac loop should fuse");
             assert_eq!(f.kind, kind);
-            assert_eq!(f.body_len, 7);
-            assert_eq!(f.cnt, reg::T3);
+            let m = mac(&f);
+            assert_eq!(m.cnt, reg::T3);
             // The sdotp reads t5 one instruction after its lw: exactly one
             // steady-state load-use stall per iteration.
-            assert_eq!(f.steady_stalls, LOAD_USE_STALL);
-            assert!(f.flush_on_take > 0);
+            assert_eq!(m.steady_stalls, LOAD_USE_STALL);
+            assert!(m.flush_on_take > 0);
         }
     }
 
@@ -1057,7 +1066,7 @@ mod tests {
         regs[reg::T2 as usize] = DMEM_BASE + 512;
         regs[reg::T3 as usize] = 16;
         regs[reg::S7 as usize] = 7;
-        let out = f.execute(&mut regs, &mem, u64::MAX).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, u64::MAX).unwrap();
         assert_eq!(out.iters, 16);
         assert!(out.fell_through);
         assert_eq!(
@@ -1086,7 +1095,7 @@ mod tests {
         regs[reg::T1 as usize] = DMEM_BASE;
         regs[reg::T2 as usize] = DMEM_BASE + 512;
         regs[reg::T3 as usize] = 100;
-        let out = f.execute(&mut regs, &mem, 40).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, 40).unwrap();
         assert_eq!(out.iters, 40);
         assert!(!out.fell_through);
         assert_eq!(regs[reg::T3 as usize], 60);
@@ -1108,16 +1117,16 @@ mod tests {
         regs[reg::T2 as usize] = DMEM_BASE;
         regs[reg::T3 as usize] = 5;
         let saved = regs;
-        assert!(f.execute(&mut regs, &mem, u64::MAX).is_none());
+        assert!(mac(&f).execute(&mut regs, &mem, u64::MAX).is_none());
         assert_eq!(regs, saved, "a declined execute must not touch state");
         // An address below data memory declines too, on either stream.
         regs[reg::T1 as usize] = DMEM_BASE;
         regs[reg::T2 as usize] = DMEM_BASE - 4;
         regs[reg::T3 as usize] = 2;
-        assert!(f.execute(&mut regs, &mem, u64::MAX).is_none());
+        assert!(mac(&f).execute(&mut regs, &mem, u64::MAX).is_none());
         // Zero budget declines regardless of the counter.
         regs[reg::T2 as usize] = DMEM_BASE;
-        assert!(f.execute(&mut regs, &mem, 0).is_none());
+        assert!(mac(&f).execute(&mut regs, &mem, 0).is_none());
     }
 
     #[test]
@@ -1130,7 +1139,7 @@ mod tests {
         regs[reg::T3 as usize] = 0;
         // A do-while loop entered with cnt == 0 runs 2^32 iterations; a
         // 10-iteration budget caps it and leaves the counter wrapped.
-        let out = f.execute(&mut regs, &mem, 10).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, 10).unwrap();
         assert_eq!(out.iters, 10);
         assert!(!out.fell_through);
         assert_eq!(regs[reg::T3 as usize], 0u32.wrapping_sub(10));
@@ -1245,10 +1254,7 @@ mod tests {
         let f = recognize(&dec(&nest_loop())).expect("nest should fuse");
         assert_eq!(f.kind, FusedKind::ConvNest);
         assert_eq!(f.start, 0);
-        assert_eq!(f.body_len, NEST_LEN);
-        let FusedDetail::ConvNest(d) = &f.detail else {
-            panic!("nest kind without nest detail");
-        };
+        let d = nest(&f);
         assert_eq!(
             (d.kx, d.scratch, d.ox, d.w, d.iy, d.ch, d.xbase),
             (
@@ -1350,7 +1356,7 @@ mod tests {
         regs[reg::A0 as usize] = DMEM_BASE;
         regs[reg::S10 as usize] = DMEM_BASE + 512;
         let mut full_budget = regs;
-        let out = f.execute_nest(&mut full_budget, &mem, u64::MAX);
+        let out = nest(&f).execute(&mut full_budget, &mem, u64::MAX);
         assert_eq!(
             (out.skip_lo, out.skip_hi, out.full, out.inner_extra),
             (1, 0, 2, 0)
@@ -1361,20 +1367,20 @@ mod tests {
         // A budget covering only the skip and one full iteration stops at
         // the iteration boundary.
         let mut capped = regs;
-        let out = f.execute_nest(&mut capped, &mem, 7 + 25);
+        let out = nest(&f).execute(&mut capped, &mem, 7 + 25);
         assert_eq!((out.skip_lo, out.full), (1, 1));
         assert_eq!(capped[reg::T6 as usize], 2);
         // ox = W - 1 exercises the right-padding guard on the last kx.
         let mut right = regs;
         right[reg::S6 as usize] = 3;
-        let out = f.execute_nest(&mut right, &mem, u64::MAX);
+        let out = nest(&f).execute(&mut right, &mem, u64::MAX);
         assert_eq!((out.skip_lo, out.skip_hi, out.full), (0, 1, 2));
         // An out-of-bounds channel stream declines at the iteration
         // boundary without touching the counter.
         let mut oob = regs;
         oob[reg::S11 as usize] = 100_000;
         let before = oob;
-        let out = f.execute_nest(&mut oob, &mem, u64::MAX);
+        let out = nest(&f).execute(&mut oob, &mem, u64::MAX);
         assert_eq!(
             (out.iters(), out.skip_lo),
             (1, 1),

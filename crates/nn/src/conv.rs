@@ -13,12 +13,18 @@ use std::cell::RefCell;
 /// `KC`/`NC`: it never changes a result.
 const GROUP_COLS: usize = 256;
 
+/// Width of one strip of the weight gradient's `Ci*k*k` columns: the
+/// backward pass fans the weight gradient out over the pool one strip per
+/// task. A multiple of the GEMM's 16-column register tile; like
+/// [`GROUP_COLS`] it never changes a result.
+const STRIP_COLS: usize = 64;
+
 thread_local! {
     /// Per-thread pool of staging buffers for the convolution passes
-    /// (im2col matrices, column gradients, GEMM outputs and gradient
-    /// partials). The `pcount-runtime` pool threads are persistent, so
-    /// each thread's buffers warm up once and are reused for the rest of
-    /// the process.
+    /// (eval-mode column matrices, column gradients, GEMM outputs and
+    /// weight-gradient strips). The `pcount-runtime` pool threads are
+    /// persistent, so each thread's buffers warm up once and are reused
+    /// for the rest of the process.
     static STAGING: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -70,6 +76,10 @@ impl ConvGeom {
     fn group(&self) -> usize {
         (GROUP_COLS / self.plane()).max(1)
     }
+    /// Elements of one full group's column matrix.
+    fn group_cols(&self) -> usize {
+        self.group() * self.plane() * self.ckk()
+    }
     /// Packs image `g` of a group into the group's column matrix, whose
     /// rows hold `ld` columns.
     fn im2col(&self, img: &[f32], col: &mut [f32], g: usize, ld: usize) {
@@ -86,15 +96,22 @@ impl ConvGeom {
     }
 }
 
-/// One group of images of the GEMM-lowered forward pass:
+/// One group of images of the GEMM-lowered forward pass: packs the
+/// group's images into `col`, its `[Ci*k*k, G*Ho*Wo]` column matrix, then
 /// `Y[Co, G*Ho*Wo] = W · [col(img_0) … col(img_G-1)]`, scattered back to
 /// the group's NCHW output planes with the bias added.
-fn forward_group(geom: ConvGeom, imgs: &[f32], wd: &[f32], bd: &[f32], dst: &mut [f32]) {
+fn forward_group(
+    geom: ConvGeom,
+    imgs: &[f32],
+    wd: &[f32],
+    bd: &[f32],
+    dst: &mut [f32],
+    col: &mut [f32],
+) {
     let plane = geom.plane();
     let cols = dst.len() / geom.out_len() * plane;
-    let mut col = take_buffer(geom.ckk() * cols);
     for (g, img) in imgs.chunks_exact(geom.chw()).take(cols / plane).enumerate() {
-        geom.im2col(img, &mut col, g, cols);
+        geom.im2col(img, col, g, cols);
     }
     let mut y = take_buffer(geom.co * cols);
     gemm(
@@ -104,7 +121,8 @@ fn forward_group(geom: ConvGeom, imgs: &[f32], wd: &[f32], bd: &[f32], dst: &mut
         cols,
         geom.ckk(),
         wd,
-        &col,
+        col,
+        cols,
         &mut y,
         false,
     );
@@ -116,7 +134,6 @@ fn forward_group(geom: ConvGeom, imgs: &[f32], wd: &[f32], bd: &[f32], dst: &mut
         }
     }
     give_buffer(y);
-    give_buffer(col);
 }
 
 /// Input gradient of one group of images:
@@ -144,6 +161,7 @@ fn input_grad_group(geom: ConvGeom, gy: &[f32], wd: &[f32], grad_imgs: &mut [f32
         geom.co,
         wd,
         &dy,
+        cols,
         &mut dcol,
         false,
     );
@@ -154,25 +172,22 @@ fn input_grad_group(geom: ConvGeom, gy: &[f32], wd: &[f32], grad_imgs: &mut [f32
     give_buffer(dy);
 }
 
-/// Weight- and bias-gradient partials of a run of images, one per image:
-/// `dW_n = dY_n · col_nᵀ` and `db_n[co] = Σ dY_n[co, :]`, written to
-/// consecutive `[dW_n | db_n]` records of `partials`.
-fn param_grad_images(geom: ConvGeom, imgs: &[f32], gy: &[f32], partials: &mut [f32]) {
+/// One strip of the weight gradient: `strip` is columns
+/// `j0..j0 + width` of `dW[Co, Ci*k*k]`, row-major, and comes in holding
+/// those columns of the gradient so far. Adds `dY_n · col_nᵀ` for every
+/// image `n` in image order, reading each image's columns out of the
+/// training forward's group matrices `cols`.
+fn weight_grad_strip(geom: ConvGeom, cols: &[f32], gy: &[f32], j0: usize, strip: &mut [f32]) {
     let (plane, ckk) = (geom.plane(), geom.ckk());
-    let wsize = geom.co * ckk;
-    let mut col = take_buffer(ckk * plane);
-    let images = imgs
-        .chunks_exact(geom.chw())
-        .zip(gy.chunks_exact(geom.out_len()));
-    for (part, (img, gy_n)) in partials.chunks_exact_mut(wsize + geom.co).zip(images) {
-        geom.im2col(img, &mut col, 0, plane);
-        let (dw_n, db_n) = part.split_at_mut(wsize);
-        gemm(false, true, geom.co, ckk, plane, gy_n, &col, dw_n, false);
-        for (b, row) in db_n.iter_mut().zip(gy_n.chunks_exact(plane)) {
-            *b = row.iter().sum::<f32>();
+    let width = strip.len() / geom.co;
+    let mut images = gy.chunks_exact(geom.out_len());
+    for group_cols in cols.chunks(geom.group_cols()) {
+        let ld = group_cols.len() / ckk;
+        for (g, gy_n) in images.by_ref().take(ld / plane).enumerate() {
+            let b = &group_cols[j0 * ld + g * plane..];
+            gemm(false, true, geom.co, width, plane, gy_n, b, ld, strip, true);
         }
     }
-    give_buffer(col);
 }
 
 /// A 2-D convolution layer with square kernels, zero padding and bias.
@@ -181,12 +196,15 @@ fn param_grad_images(geom: ConvGeom, imgs: &[f32], gy: &[f32], partials: &mut [f
 /// are NCHW. Forward and backward lower to cache-blocked GEMMs over
 /// im2col-packed buffers (`pcount-tensor`'s [`gemm`] engine). The forward
 /// product and the input-gradient product each run as one GEMM per group
-/// of about `256 / (Ho*Wo)` images; the weight and bias gradients keep one
-/// partial per image, summed in image order. The original 7-deep nested
-/// loops are kept as
+/// of about `256 / (Ho*Wo)` images. A training-mode forward keeps its
+/// groups' column matrices, `Ci*k*k · N·Ho·Wo` floats, and the backward
+/// builds the weight and bias gradients from them, adding each image's
+/// product onto the gradient in image order; an eval-mode forward keeps
+/// nothing, and the backward needs a training-mode forward before it. The
+/// original 7-deep nested loops are kept as
 /// [`Conv2d::forward_naive_with_weight`] /
-/// [`Conv2d::backward_naive_with_weight`] — the bit-for-bit reference the
-/// equivalence tests and the training-throughput bench compare against.
+/// [`Conv2d::backward_naive_with_weight`] — the reference the equivalence
+/// tests and the training-throughput bench compare against.
 ///
 /// # Example
 ///
@@ -220,7 +238,12 @@ pub struct Conv2d {
     pub weight_grad: Tensor,
     /// Accumulated bias gradient.
     pub bias_grad: Tensor,
-    cached_input: Option<Tensor>,
+    /// The last training-mode forward's group column matrices, one after
+    /// another. Kept between steps so its allocation is reused.
+    train_cols: Vec<f32>,
+    /// The `[n, c, h, w]` input shape whose columns `train_cols` holds,
+    /// until an eval-mode forward or a backward consumes it.
+    train_input: Option<[usize; 4]>,
 }
 
 impl Conv2d {
@@ -250,7 +273,8 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             weight_grad: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
             bias_grad: Tensor::zeros(&[out_channels]),
-            cached_input: None,
+            train_cols: Vec::new(),
+            train_input: None,
         }
     }
 
@@ -276,7 +300,8 @@ impl Conv2d {
             bias_grad: Tensor::zeros(&[out_channels]),
             weight,
             bias,
-            cached_input: None,
+            train_cols: Vec::new(),
+            train_input: None,
         }
     }
 
@@ -318,7 +343,7 @@ impl Conv2d {
 
     /// Forward pass using an externally supplied effective weight tensor
     /// (used by the QAT fake-quantised weights and the NAS masked-layer
-    /// path); caches the input for backward.
+    /// path). `mode` is [`Mode::Train`] when a backward pass follows.
     ///
     /// Lowered to one GEMM per group of `G` images, with `G·Ho·Wo` about
     /// 256 columns: `Y[Co, G*Ho*Wo] = W[Co, Ci*k*k] · col[Ci*k*k, G*Ho*Wo]`,
@@ -327,16 +352,19 @@ impl Conv2d {
     /// column depends only on its own image, so grouping never changes a
     /// result. Groups fan out over the persistent `pcount-runtime` pool
     /// (inline on a width-1 pool), and each group's GEMM runs serially on
-    /// the thread that took the group, staging its matrices in that
-    /// thread's warm buffers. Steady-state training allocates only the
-    /// output tensor, and results are bit-identical for any pool size.
+    /// the thread that took the group. In training mode each group packs
+    /// its columns into the layer's own buffer and the layer keeps them
+    /// for [`Conv2d::backward_with_weight`]; in eval mode they go to the
+    /// thread's warm staging buffers and nothing is kept. Steady-state
+    /// training allocates only the output tensor, and results are
+    /// bit-identical for any pool size.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not NCHW with `in_channels` channels, if `weight`
     /// is not `[out_channels, in_channels, kernel, kernel]`, or if the
     /// kernel is larger than the padded input.
-    pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
+    pub fn forward_with_weight(&mut self, x: &Tensor, weight: &Tensor, mode: Mode) -> Tensor {
         let _span = pcount_telemetry::span("conv_fwd");
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "conv expects NCHW input");
@@ -349,23 +377,42 @@ impl Conv2d {
         let wd = weight.data();
         let bd = self.bias.data();
         let group = geom.group();
-        pcount_runtime::current().par_chunks_mut(
-            out.data_mut(),
-            group * geom.out_len(),
-            0,
-            |t, dst| {
-                let imgs = &xd[t * group * geom.chw()..];
-                forward_group(geom, imgs, wd, bd, dst);
-            },
-        );
-        self.cached_input = Some(x.clone());
+        let run = |t: usize, dst: &mut [f32], col: &mut [f32]| {
+            let imgs = &xd[t * group * geom.chw()..];
+            forward_group(geom, imgs, wd, bd, dst, col);
+        };
+        let pool = pcount_runtime::current();
+        let group_out = group * geom.out_len();
+        self.train_input = match mode {
+            Mode::Train => {
+                self.train_cols.resize(n * geom.plane() * geom.ckk(), 0.0);
+                let mut groups: Vec<_> = out
+                    .data_mut()
+                    .chunks_mut(group_out)
+                    .zip(self.train_cols.chunks_mut(geom.group_cols()))
+                    .collect();
+                pool.par_chunks_mut(&mut groups, 1, 0, |t, one| {
+                    let (dst, col) = &mut one[0];
+                    run(t, dst, col);
+                });
+                Some([n, c, h, w])
+            }
+            Mode::Eval => {
+                pool.par_chunks_mut(out.data_mut(), group_out, 0, |t, dst| {
+                    let mut col = take_buffer(dst.len() / geom.co * geom.ckk());
+                    run(t, dst, &mut col);
+                    give_buffer(col);
+                });
+                None
+            }
+        };
         out
     }
 
     /// Reference forward pass: the original 7-deep nested loops. Kept for
     /// the GEMM-equivalence tests and the `train_throughput` bench; not
-    /// used by the training stack.
-    pub fn forward_naive_with_weight(&mut self, x: &Tensor, weight: &Tensor) -> Tensor {
+    /// used by the training stack. Keeps nothing for a backward pass.
+    pub fn forward_naive_with_weight(&self, x: &Tensor, weight: &Tensor) -> Tensor {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "conv expects NCHW input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -411,39 +458,43 @@ impl Conv2d {
                 }
             }
         }
-        self.cached_input = Some(x.clone());
         out
     }
 
     /// Backward pass using an externally supplied effective weight tensor;
     /// accumulates into `weight_grad`/`bias_grad` and returns the input
-    /// gradient.
+    /// gradient. Consumes the columns of the training-mode forward before
+    /// it.
     ///
     /// The input gradient is one GEMM per group of images, as in the
     /// forward pass: `dcol = Wᵀ · dY` over the group's columns, followed by
-    /// a [`col2im`] scatter-add per image. The weight and bias gradients
-    /// are per-image partials, `dW_n = dY_n · col_nᵀ` and
-    /// `db_n[co] = Σ dY_n[co, :]`, computed in parallel and reduced into
-    /// `weight_grad`/`bias_grad` in image order on the calling thread —
-    /// the reduction order is a function of the batch alone, so results
-    /// are bit-identical for any pool size and equal those of one
-    /// single-image call per image. All staging buffers, the partials
-    /// included, come from per-thread pools, so the grad path performs no
-    /// steady-state allocation besides the returned gradient.
+    /// a [`col2im`] scatter-add per image. The weight gradient adds
+    /// `dY_n · col_nᵀ` onto `weight_grad` for each image `n` in image
+    /// order, reading image `n`'s columns out of the forward's group
+    /// matrices; the work fans out over the pool by strips of 64 of the
+    /// gradient's `Ci*k*k` columns, and every strip keeps image order.
+    /// The bias gradient adds each image's `Σ dY_n[co, :]` in image order
+    /// on the calling thread. So results are bit-identical for any pool
+    /// size and equal those of one single-image call per image.
+    ///
+    /// When `Ho*Wo` is at most the GEMM's k block (256; every layer of the
+    /// paper's networks), each image's product is summed from zero and then
+    /// added onto the gradient, exactly as a separate per-image product
+    /// reduced in image order would be. Above it, each image adds its k
+    /// blocks onto the gradient one after another, in k order.
     ///
     /// # Panics
     ///
-    /// Panics if no forward pass preceded this call, if `grad_out` does not
-    /// have the forward output's shape, or if `weight` is not
+    /// Panics if no training-mode forward pass preceded this call (an
+    /// eval-mode forward keeps nothing to differentiate), if `grad_out`
+    /// does not have the forward output's shape, or if `weight` is not
     /// `[out_channels, in_channels, kernel, kernel]`.
     pub fn backward_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
         let _span = pcount_telemetry::span("conv_bwd");
-        let x = self
-            .cached_input
+        let [n, c, h, w] = self
+            .train_input
             .take()
-            .expect("backward called before forward");
-        let xs = x.shape();
-        let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
+            .expect("conv backward needs a training-mode forward before it");
         let geom = self.geom(c, h, w);
         assert_eq!(
             grad_out.shape(),
@@ -452,7 +503,6 @@ impl Conv2d {
         );
         self.check_weight(weight);
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let xd = x.data();
         let wd = weight.data();
         let gd = grad_out.data();
         let group = geom.group();
@@ -461,47 +511,52 @@ impl Conv2d {
             let gy = &gd[t * group * geom.out_len()..];
             input_grad_group(geom, gy, wd, grad_imgs);
         });
-        let wsize = geom.co * geom.ckk();
-        let record = wsize + geom.co;
-        let mut partials = take_buffer(n * record);
-        pool.par_chunks_mut(&mut partials, group * record, 0, |t, parts| {
-            let imgs = &xd[t * group * geom.chw()..];
-            let gy = &gd[t * group * geom.out_len()..];
-            param_grad_images(geom, imgs, gy, parts);
-        });
-        // Canonical-order reduction: image partials land in batch order
-        // regardless of which worker computed them, matching the
-        // historical serial accumulation exactly for the k-blocking in
-        // use (`Ho*Wo <= KC`, one k block per image).
-        let wg = self.weight_grad.data_mut();
-        let bg = self.bias_grad.data_mut();
-        for part in partials.chunks_exact(record) {
-            let (dw_n, db_n) = part.split_at(wsize);
-            for (acc, &v) in wg.iter_mut().zip(dw_n) {
-                *acc += v;
+        // Strip `s` holds columns `s * STRIP_COLS..` of every row of dW.
+        let (co, ckk) = (geom.co, geom.ckk());
+        let mut strips = take_buffer(co * ckk);
+        let (cols, wg) = (&self.train_cols, self.weight_grad.data());
+        pool.par_chunks_mut(&mut strips, co * STRIP_COLS, 0, |s, strip| {
+            let j0 = s * STRIP_COLS;
+            let width = strip.len() / co;
+            for (row, acc) in strip.chunks_exact_mut(width).enumerate() {
+                acc.copy_from_slice(&wg[row * ckk + j0..][..width]);
             }
-            for (acc, &v) in bg.iter_mut().zip(db_n) {
-                *acc += v;
+            weight_grad_strip(geom, cols, gd, j0, strip);
+        });
+        let wg = self.weight_grad.data_mut();
+        for (s, strip) in strips.chunks(co * STRIP_COLS).enumerate() {
+            let (j0, width) = (s * STRIP_COLS, strip.len() / co);
+            for (row, acc) in strip.chunks_exact(width).enumerate() {
+                wg[row * ckk + j0..][..width].copy_from_slice(acc);
             }
         }
-        give_buffer(partials);
+        give_buffer(strips);
+        let bg = self.bias_grad.data_mut();
+        for gy_n in gd.chunks_exact(geom.out_len()) {
+            for (b, row) in bg.iter_mut().zip(gy_n.chunks_exact(geom.plane())) {
+                *b += row.iter().sum::<f32>();
+            }
+        }
         grad_in
     }
 
     /// Reference backward pass mirroring
-    /// [`Conv2d::forward_naive_with_weight`]; accumulates into
-    /// `weight_grad`/`bias_grad` and returns the input gradient.
+    /// [`Conv2d::forward_naive_with_weight`] on the forward input `x`;
+    /// accumulates into `weight_grad`/`bias_grad` and returns the input
+    /// gradient.
     ///
     /// # Panics
     ///
-    /// Panics as [`Conv2d::backward_with_weight`] does.
-    pub fn backward_naive_with_weight(&mut self, grad_out: &Tensor, weight: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward")
-            .clone();
+    /// Panics if `x` is not NCHW, or as [`Conv2d::backward_with_weight`]
+    /// does on a mismatched gradient or weight.
+    pub fn backward_naive_with_weight(
+        &mut self,
+        x: &Tensor,
+        grad_out: &Tensor,
+        weight: &Tensor,
+    ) -> Tensor {
         let xs = x.shape();
+        assert_eq!(xs.len(), 4, "conv expects NCHW input");
         let (n, c, h, w) = (xs[0], xs[1], xs[2], xs[3]);
         let geom = self.geom(c, h, w);
         let (ho, wo) = (geom.ho, geom.wo);
@@ -564,9 +619,9 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let weight = self.weight.clone();
-        self.forward_with_weight(x, &weight)
+        self.forward_with_weight(x, &weight, mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -707,7 +762,7 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         // Same element count as the [3, 2, 3, 3] weight.
         let weight = Tensor::ones(&[2, 3, 3, 3]);
-        let _ = conv.forward_with_weight(&Tensor::ones(&[1, 2, 4, 4]), &weight);
+        let _ = conv.forward_with_weight(&Tensor::ones(&[1, 2, 4, 4]), &weight, Mode::Eval);
     }
 
     #[test]
@@ -725,8 +780,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let weight = conv.weight.clone();
-        let _ = conv.forward_naive_with_weight(&Tensor::ones(&[1, 2, 4, 4]), &weight);
-        let _ = conv.backward_naive_with_weight(&Tensor::ones(&[1, 3, 2, 2]), &weight);
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let _ = conv.forward_naive_with_weight(&x, &weight);
+        let _ = conv.backward_naive_with_weight(&x, &Tensor::ones(&[1, 3, 2, 2]), &weight);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv backward needs a training-mode forward before it")]
+    fn backward_after_an_eval_forward_is_rejected() {
+        // An eval-mode forward keeps no columns, so even after a training
+        // forward it leaves nothing to differentiate.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let _ = conv.forward(&x, Mode::Train);
+        let y = conv.forward(&x, Mode::Eval);
+        let _ = conv.backward(&y);
     }
 
     #[test]

@@ -114,6 +114,7 @@ impl Linear {
             self.in_features,
             x.data(),
             weight.data(),
+            self.in_features,
             out.data_mut(),
             false,
         );
@@ -153,6 +154,7 @@ impl Linear {
             n,
             grad_out.data(),
             x.data(),
+            self.in_features,
             self.weight_grad.data_mut(),
             true,
         );
@@ -173,6 +175,7 @@ impl Linear {
             self.out_features,
             grad_out.data(),
             weight.data(),
+            self.in_features,
             grad_in.data_mut(),
             false,
         );

@@ -60,7 +60,7 @@ fn check_conv(
     }
 
     conv.zero_grad();
-    let y_gemm = conv.forward_with_weight(&x, &weight);
+    let y_gemm = conv.forward_with_weight(&x, &weight, Mode::Train);
     let gy = y_gemm.scale(0.5); // arbitrary non-trivial upstream gradient
     let gx_gemm = conv.backward_with_weight(&gy, &weight);
     let wg_gemm = conv.weight_grad.clone();
@@ -68,7 +68,7 @@ fn check_conv(
 
     conv.zero_grad();
     let y_naive = conv.forward_naive_with_weight(&x, &weight);
-    let gx_naive = conv.backward_naive_with_weight(&gy, &weight);
+    let gx_naive = conv.backward_naive_with_weight(&x, &gy, &weight);
     let wg_naive = conv.weight_grad.clone();
     let bg_naive = conv.bias_grad.clone();
 
@@ -152,7 +152,7 @@ fn conv_1x1_single_channel_is_bit_exact() {
     let mut conv = Conv2d::new(1, 3, 1, 1, 0, &mut rng);
     let x = Tensor::randn(&[2, 1, 8, 8], 1.0, &mut rng);
     let weight = conv.weight.clone();
-    let y_gemm = conv.forward_with_weight(&x, &weight);
+    let y_gemm = conv.forward_with_weight(&x, &weight, Mode::Eval);
     let y_naive = conv.forward_naive_with_weight(&x, &weight);
     assert_eq!(y_gemm.data(), y_naive.data(), "1x1 conv must be bit-exact");
 }
@@ -167,6 +167,6 @@ fn layer_trait_path_rides_the_gemm_implementation() {
     let x = Tensor::randn(&[3, 2, 8, 8], 1.0, &mut rng);
     let weight = conv.weight.clone();
     let via_trait = conv.forward(&x, Mode::Train);
-    let via_gemm = conv.forward_with_weight(&x, &weight);
+    let via_gemm = conv.forward_with_weight(&x, &weight, Mode::Train);
     assert_eq!(via_trait.data(), via_gemm.data());
 }

@@ -3,12 +3,13 @@
 //!
 //! Forward and the input gradient run one GEMM per group of images, the
 //! groups fanned out over the `pcount-runtime` pool with disjoint output
-//! planes; the weight and bias gradients are per-image partials reduced
-//! in image order on the caller. Each group's GEMM runs serially on the
-//! thread that took the group, so these groups are the layer's only
-//! parallelism. Both must be **bit-identical** for any pool width — this
-//! is what makes `POOL_THREADS` a pure performance knob for the whole
-//! training stack — and equal to one call per image.
+//! planes; the weight gradient fans out by strips of its columns, each
+//! strip adding the images' products in image order, and the bias
+//! gradient is summed in image order on the caller. Each GEMM runs
+//! serially on the thread that took its group or strip, so these are the
+//! layer's only parallelism. All of it must be **bit-identical** for any
+//! pool width — this is what makes `POOL_THREADS` a pure performance knob
+//! for the whole training stack — and equal to one call per image.
 
 use pcount_nn::{Conv2d, Layer, Mode};
 use pcount_runtime::{install, Pool};
@@ -74,8 +75,8 @@ fn conv_batches_are_bit_identical_for_any_pool_width() {
 #[test]
 fn repeated_backward_accumulates_identically_under_a_pool() {
     // Gradient accumulation across steps (without zero_grad) must also be
-    // pool-size independent: the per-image partial reduction adds onto
-    // whatever is already in the grad tensors.
+    // pool-size independent: every strip adds onto whatever is already in
+    // the grad tensors.
     let mut rng = StdRng::seed_from_u64(7);
     let conv = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
     let x = Tensor::randn(&[5, 2, 8, 8], 1.0, &mut rng);
@@ -101,18 +102,22 @@ fn batched_conv_equals_single_image_calls_bit_for_bit() {
     // A batch is cut into GEMM groups of 256 / (Ho*Wo) images: 4 on the
     // 8x8 outputs, 16 on the 4x4 ones. Every batch below ends in a ragged
     // group, and the 32-channel case runs the forward product over more
-    // than one k block (Ci*k*k = 288).
+    // than one k block (Ci*k*k = 288). The weight gradient is cut into
+    // strips of 64 of its Ci*k*k columns: the 24 -> 24 case (216 columns,
+    // as conv2 of the default experiment) has three full strips and a
+    // ragged one of 24, and the 32-channel case four and a ragged 32.
     let mut rng = StdRng::seed_from_u64(11);
     for &(in_c, out_c, k, stride, padding, size, batch) in &[
         (3usize, 8usize, 3usize, 1usize, 1usize, 8usize, 7usize),
         (2, 5, 3, 2, 1, 8, 18),
         (4, 6, 1, 1, 0, 8, 9),
         (32, 6, 3, 1, 1, 4, 17),
+        (24, 24, 3, 1, 1, 4, 37),
     ] {
         let conv = Conv2d::new(in_c, out_c, k, stride, padding, &mut rng);
         let x = Tensor::randn(&[batch, in_c, size, size], 1.0, &mut rng);
         let chw = in_c * size * size;
-        for width in [1, 2] {
+        for width in [1, 2, 4] {
             let pool = Pool::new(width);
             let (y, gx, wg, bg) = run_under_pool(&conv, &x, 0.5, &pool);
             let out_len = y.data().len() / batch;

@@ -148,13 +148,13 @@ impl Network for QatCnn {
         let p = self.assignment.layers();
         let x = self.input_q.forward(x);
         let wq1 = Self::quantised_weight(&self.conv1.weight, p[0]);
-        let x = self.conv1.forward_with_weight(&x, &wq1);
+        let x = self.conv1.forward_with_weight(&x, &wq1, mode);
         self.cached_wq[0] = Some(wq1);
         let x = self.relu1.forward(&x, mode);
         let x = self.pool.forward(&x, mode);
         let x = self.act_q2.forward(&x);
         let wq2 = Self::quantised_weight(&self.conv2.weight, p[1]);
-        let x = self.conv2.forward_with_weight(&x, &wq2);
+        let x = self.conv2.forward_with_weight(&x, &wq2, mode);
         self.cached_wq[1] = Some(wq2);
         let x = self.relu2.forward(&x, mode);
         let x = self.act_q3.forward(&x);

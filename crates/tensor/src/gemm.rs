@@ -18,7 +18,10 @@
 //!   lane identically and the choice never changes a result;
 //! * operands are **packed** into panel-major buffers once per cache
 //!   block, which makes transposed operands free (packing reads through
-//!   strides) and keeps the micro-kernel's memory traffic unit-stride;
+//!   strides) and keeps the micro-kernel's memory traffic unit-stride.
+//!   For the same reason B takes a BLAS-style leading dimension `ldb` at
+//!   no cost: `Conv2d`'s weight gradient reads each image's columns
+//!   straight out of a forward group's column matrix;
 //! * the packed panels live in one private **per-thread arena** that grows
 //!   to the largest block the thread has packed and is never shrunk, so a
 //!   training loop that issues thousands of small GEMMs per epoch performs
@@ -34,8 +37,17 @@
 //! innermost), so results are deterministic across runs and threads —
 //! parallel fold training in `pcount-core` relies on this. An output
 //! element's value depends only on its row of A and its column of B, never
-//! on how many columns sit beside it, which is what lets `Conv2d` put
-//! several images side by side in one product.
+//! on how many columns sit beside it or where they are read from, which is
+//! what lets `Conv2d` put several images side by side in one product and
+//! split its weight gradient into column strips. With `accumulate` and
+//! `k <= KC`, an element becomes `c + Σ a·b`, the sum taken from zero in k
+//! order and added last: the same bits as a separate product added on.
+//!
+//! [`im2col`] and [`col2im`] lower a convolution to these products. A
+//! 3×3 kernel at stride 1 and padding 1 on an 8×8 or 4×4 plane, the
+//! geometry of every convolution the paper's networks run, takes a path
+//! whose plane side is a compile-time constant; every other geometry goes
+//! through a staged, zero-bordered plane. Both paths give the same bits.
 
 use std::cell::RefCell;
 
@@ -77,6 +89,14 @@ thread_local! {
 /// always row-major `[m, n]` and is overwritten unless `accumulate` asks
 /// for `C += A·B` (used to accumulate weight gradients in place).
 ///
+/// `ldb` is B's leading dimension, as in BLAS: the distance between
+/// consecutive rows of the stored matrix (`[k, n]`, or `[n, k]` when
+/// `trans_b`), at least its row length. With `ldb` equal to the row
+/// length B is contiguous; a wider `ldb` reads a block of columns out of
+/// a wider matrix, as `Conv2d` reads one image's columns out of a group's
+/// column matrix. Only the packing reads through `ldb`, so a result never
+/// depends on it.
+///
 /// Runs serially on the calling thread, packing into that thread's arena.
 ///
 /// # Example
@@ -86,13 +106,14 @@ thread_local! {
 /// let (a, b) = (vec![1.0f32; 6], vec![1.0f32; 6]);
 /// let mut c = vec![0.0f32; 4];
 /// // C[2x2] = A[2x3] * B[3x2]
-/// gemm(false, false, 2, 2, 3, &a, &b, &mut c, false);
+/// gemm(false, false, 2, 2, 3, &a, &b, 2, &mut c, false);
 /// assert_eq!(c, vec![3.0; 4]);
 /// ```
 ///
 /// # Panics
 ///
-/// Panics if any slice is shorter than its shape implies.
+/// Panics if `ldb` is shorter than B's rows or if any slice is shorter
+/// than its shape implies.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     trans_a: bool,
@@ -102,6 +123,7 @@ pub fn gemm(
     k: usize,
     a: &[f32],
     b: &[f32],
+    ldb: usize,
     c: &mut [f32],
     accumulate: bool,
 ) {
@@ -114,6 +136,7 @@ pub fn gemm(
         k,
         a,
         b,
+        ldb,
         c,
         accumulate,
     );
@@ -131,11 +154,21 @@ fn gemm_with_kernel(
     k: usize,
     a: &[f32],
     b: &[f32],
+    ldb: usize,
     c: &mut [f32],
     accumulate: bool,
 ) {
+    // The stored B: `rows` rows of `cols` elements, `ldb` apart.
+    let (rows, cols) = if trans_b { (n, k) } else { (k, n) };
+    assert!(
+        ldb >= cols,
+        "gemm: ldb {ldb} is shorter than B's rows ({cols})"
+    );
     assert!(a.len() >= m * k, "gemm: A too short for {m}x{k}");
-    assert!(b.len() >= k * n, "gemm: B too short for {k}x{n}");
+    assert!(
+        rows == 0 || b.len() >= (rows - 1) * ldb + cols,
+        "gemm: B too short for {k}x{n} at ldb {ldb}"
+    );
     assert!(c.len() >= m * n, "gemm: C too short for {m}x{n}");
     if m == 0 || n == 0 {
         return;
@@ -149,8 +182,9 @@ fn gemm_with_kernel(
     // Observability only: one relaxed atomic load while telemetry is
     // disabled, a scoped "gemm" span otherwise. Results are unaffected.
     let _span = pcount_telemetry::span("gemm");
-    let (rs_a, cs_a) = operand_strides(trans_a, m, k);
-    let (rs_b, cs_b) = operand_strides(trans_b, k, n);
+    let lda = if trans_a { m } else { k };
+    let (rs_a, cs_a) = operand_strides(trans_a, lda);
+    let (rs_b, cs_b) = operand_strides(trans_b, ldb);
     PANELS.with(|panels| {
         let panels = &mut *panels.borrow_mut();
         for pc in (0..k).step_by(KC) {
@@ -180,14 +214,14 @@ fn gemm_with_kernel(
     });
 }
 
-/// `(row stride, column stride)` of an effective `rows x cols` operand
-/// stored row-major, or stored as the row-major transpose when `trans`:
-/// element `(r, c)` lives at `r * rs + c * cs`.
-fn operand_strides(trans: bool, rows: usize, cols: usize) -> (usize, usize) {
+/// `(row stride, column stride)` of an effective operand stored
+/// row-major with leading dimension `ld`, or stored as the row-major
+/// transpose when `trans`: element `(r, c)` lives at `r * rs + c * cs`.
+fn operand_strides(trans: bool, ld: usize) -> (usize, usize) {
     if trans {
-        (1, rows)
+        (1, ld)
     } else {
-        (cols, 1)
+        (ld, 1)
     }
 }
 
@@ -403,11 +437,15 @@ pub fn conv_output_size(input: usize, k: usize, stride: usize, padding: usize) -
 }
 
 thread_local! {
-    /// Per-thread zero-bordered copy of one input plane, shared by
-    /// [`im2col`] and [`col2im`] (each call re-zeroes it, so neither
-    /// depends on what the other left behind).
+    /// Per-thread zero-bordered copy of one input plane, shared by the
+    /// staged paths of [`im2col`] and [`col2im`] (each call re-zeroes it,
+    /// so neither depends on what the other left behind).
     static PADDED_PLANE: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
+
+/// Side of the stack plane the 3×3 kernels stage one channel in: the
+/// largest compile-time plane side (8) plus its one-pixel zero border.
+const PADDED_3X3: usize = 10;
 
 /// Lowers one `[c, h, w]` image into the `c*k*k` rows of a column matrix
 /// for a `k x k` convolution with the given stride and zero padding.
@@ -424,7 +462,11 @@ thread_local! {
 ///
 /// Each input plane is first copied into a zero-bordered plane, so every
 /// output line is a plain copy (stride 1) or a strided gather with no
-/// bounds tests.
+/// bounds tests. A 3×3 kernel at stride 1 and padding 1 on an 8×8 or 4×4
+/// plane, every convolution the paper's networks run, takes a second
+/// path whose plane side is a compile-time constant: the bordered plane
+/// lives on the stack and each line is a fixed 8- or 4-float copy. Both
+/// paths write the same values.
 ///
 /// Returns `(ho, wo)`.
 ///
@@ -452,6 +494,30 @@ pub fn im2col(
         ld >= plane && col.len() >= (c * k * k).saturating_sub(1) * ld + plane,
         "im2col: column matrix too short"
     );
+    match (k, stride, padding, h, w) {
+        (3, 1, 1, 8, 8) => im2col_3x3::<8>(src, c, col, ld),
+        (3, 1, 1, 4, 4) => im2col_3x3::<4>(src, c, col, ld),
+        _ => im2col_staged(src, c, h, w, k, stride, padding, col, ld),
+    }
+    (ho, wo)
+}
+
+/// [`im2col`] on any geometry, through the per-thread bordered plane.
+#[allow(clippy::too_many_arguments)]
+fn im2col_staged(
+    src: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    col: &mut [f32],
+    ld: usize,
+) {
+    let ho = conv_output_size(h, k, stride, padding);
+    let wo = conv_output_size(w, k, stride, padding);
+    let plane = ho * wo;
     let wp = w + 2 * padding;
     PADDED_PLANE.with(|staging| {
         let mut staging = staging.borrow_mut();
@@ -486,7 +552,28 @@ pub fn im2col(
             }
         }
     });
-    (ho, wo)
+}
+
+/// [`im2col`] for a 3×3 kernel at stride 1 and padding 1 on `W x W`
+/// planes: each channel is staged in a zero-bordered stack plane and
+/// every line of a tap's row is a `W`-float copy out of it.
+fn im2col_3x3<const W: usize>(src: &[f32], c: usize, col: &mut [f32], ld: usize) {
+    // Only the interior is ever written, so the border stays zero.
+    let mut padded = [[0.0f32; PADDED_3X3]; PADDED_3X3];
+    for (ci, img) in src.chunks_exact(W * W).take(c).enumerate() {
+        for (y, line) in img.chunks_exact(W).enumerate() {
+            padded[y + 1][1..=W].copy_from_slice(line);
+        }
+        for ky in 0..3 {
+            for kx in 0..3 {
+                let row = (ci * 3 + ky) * 3 + kx;
+                let dst = &mut col[row * ld..][..W * W];
+                for (oy, line) in dst.chunks_exact_mut(W).enumerate() {
+                    line.copy_from_slice(&padded[oy + ky][kx..kx + W]);
+                }
+            }
+        }
+    }
 }
 
 /// Scatter-adds the `c*k*k` rows of a column-matrix gradient back onto the
@@ -497,7 +584,9 @@ pub fn im2col(
 /// Each plane of `dst` is staged in a zero-bordered plane, so taps that
 /// land in the padding add into the border instead of being tested for;
 /// every pixel still receives its taps in `(ky, kx)` order, on top of the
-/// value it came in with.
+/// value it came in with. The 3×3 geometries of [`im2col`] take its
+/// compile-time path here too, and add the same taps in the same order,
+/// so both paths give the same bits.
 ///
 /// # Panics
 ///
@@ -523,6 +612,29 @@ pub fn col2im(
         ld >= plane && col.len() >= (c * k * k).saturating_sub(1) * ld + plane,
         "col2im: column matrix too short"
     );
+    match (k, stride, padding, h, w) {
+        (3, 1, 1, 8, 8) => col2im_3x3::<8>(col, ld, c, dst),
+        (3, 1, 1, 4, 4) => col2im_3x3::<4>(col, ld, c, dst),
+        _ => col2im_staged(col, ld, c, h, w, k, stride, padding, dst),
+    }
+}
+
+/// [`col2im`] on any geometry, through the per-thread bordered plane.
+#[allow(clippy::too_many_arguments)]
+fn col2im_staged(
+    col: &[f32],
+    ld: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    dst: &mut [f32],
+) {
+    let ho = conv_output_size(h, k, stride, padding);
+    let wo = conv_output_size(w, k, stride, padding);
+    let plane = ho * wo;
     let wp = w + 2 * padding;
     PADDED_PLANE.with(|staging| {
         let mut staging = staging.borrow_mut();
@@ -567,6 +679,33 @@ pub fn col2im(
             }
         }
     });
+}
+
+/// [`col2im`] for a 3×3 kernel at stride 1 and padding 1 on `W x W`
+/// planes: each channel of `dst` is staged in a bordered stack plane,
+/// every line of a tap's row adds onto it as `W` floats, and the interior
+/// is copied back. Taps landing in the border are never read.
+fn col2im_3x3<const W: usize>(col: &[f32], ld: usize, c: usize, dst: &mut [f32]) {
+    let mut padded = [[0.0f32; PADDED_3X3]; PADDED_3X3];
+    for (ci, img) in dst.chunks_exact_mut(W * W).take(c).enumerate() {
+        for (y, line) in img.chunks_exact(W).enumerate() {
+            padded[y + 1][1..=W].copy_from_slice(line);
+        }
+        for ky in 0..3 {
+            for kx in 0..3 {
+                let row = (ci * 3 + ky) * 3 + kx;
+                let src = &col[row * ld..][..W * W];
+                for (oy, line) in src.chunks_exact(W).enumerate() {
+                    for (slot, &v) in padded[oy + ky][kx..kx + W].iter_mut().zip(line) {
+                        *slot += v;
+                    }
+                }
+            }
+        }
+        for (y, line) in img.chunks_exact_mut(W).enumerate() {
+            line.copy_from_slice(&padded[y + 1][1..=W]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -651,7 +790,8 @@ mod tests {
                 let a = random_vec(m * k, &mut rng);
                 let b = random_vec(k * n, &mut rng);
                 let mut c = vec![f32::NAN; m * n];
-                gemm(ta, tb, m, n, k, &a, &b, &mut c, false);
+                let ldb = if tb { k } else { n };
+                gemm(ta, tb, m, n, k, &a, &b, ldb, &mut c, false);
                 let want = reference(ta, tb, m, n, k, &a, &b);
                 assert_close(&c, &want, 1e-5);
             }
@@ -666,7 +806,7 @@ mod tests {
         let b = random_vec(k * n, &mut rng);
         let init = random_vec(m * n, &mut rng);
         let mut c = init.clone();
-        gemm(false, false, m, n, k, &a, &b, &mut c, true);
+        gemm(false, false, m, n, k, &a, &b, n, &mut c, true);
         let mut want = reference(false, false, m, n, k, &a, &b);
         for (w, &i) in want.iter_mut().zip(init.iter()) {
             *w += i;
@@ -677,10 +817,10 @@ mod tests {
     #[test]
     fn gemm_with_zero_k_clears_or_preserves_c() {
         let mut c = vec![3.0f32; 4];
-        gemm(false, false, 2, 2, 0, &[], &[], &mut c, false);
+        gemm(false, false, 2, 2, 0, &[], &[], 2, &mut c, false);
         assert_eq!(c, vec![0.0; 4]);
         let mut c = vec![3.0f32; 4];
-        gemm(false, false, 2, 2, 0, &[], &[], &mut c, true);
+        gemm(false, false, 2, 2, 0, &[], &[], 2, &mut c, true);
         assert_eq!(c, vec![3.0; 4]);
     }
 
@@ -692,7 +832,7 @@ mod tests {
         let b = random_vec(k * n, &mut rng);
         let run = || {
             let mut c = vec![0.0f32; m * n];
-            gemm(false, false, m, n, k, &a, &b, &mut c, false);
+            gemm(false, false, m, n, k, &a, &b, n, &mut c, false);
             c
         };
         // A fresh thread packs into a fresh arena.
@@ -704,7 +844,7 @@ mod tests {
         let big_b = random_vec(big_k * big_n, &mut rng);
         let mut big_c = vec![0.0f32; big_m * big_n];
         gemm(
-            true, true, big_m, big_n, big_k, &big_a, &big_b, &mut big_c, false,
+            true, true, big_m, big_n, big_k, &big_a, &big_b, big_k, &mut big_c, false,
         );
         let (c1, c2) = (run(), run());
         assert_eq!(c1, c2, "arena reuse must not change results");
@@ -774,6 +914,7 @@ mod tests {
                 c * k * k,
                 &weight,
                 &col,
+                ho * wo,
                 &mut out,
                 false,
             );
@@ -841,6 +982,7 @@ mod tests {
             c * k * k,
             &weight,
             &col,
+            ho * wo,
             &mut out,
             false,
         );
@@ -924,8 +1066,99 @@ mod tests {
                     &mut strided,
                 );
                 col2im(&own_dy, plane, c, h, w, k, stride, padding, &mut own_grad);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&strided), bits(&own_grad), "col2im of image {g}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gemm_reads_b_through_its_leading_dimension() {
+        // B read out of a wider matrix at `ldb` gives the same bits as the
+        // same block copied out contiguously.
+        let mut rng = SplitMix64::new(8);
+        for &(m, n, k) in &[
+            (3, 5, 7),
+            (24, 64, 16),
+            (24, 9, 64),
+            (MR + 1, NR + 1, KC + 1),
+        ] {
+            for trans_b in [false, true] {
+                let (rows, cols) = if trans_b { (n, k) } else { (k, n) };
+                let (ldb, offset) = (cols + 13, 5);
+                let wide = random_vec(offset + rows * ldb, &mut rng);
+                let block: Vec<f32> = (0..rows)
+                    .flat_map(|r| wide[offset + r * ldb..][..cols].to_vec())
+                    .collect();
+                for trans_a in [false, true] {
+                    for accumulate in [false, true] {
+                        let a = random_vec(m * k, &mut rng);
+                        let init = random_vec(m * n, &mut rng);
+                        let (mut strided, mut contiguous) = (init.clone(), init);
+                        let b = &wide[offset..];
+                        gemm(
+                            trans_a,
+                            trans_b,
+                            m,
+                            n,
+                            k,
+                            &a,
+                            b,
+                            ldb,
+                            &mut strided,
+                            accumulate,
+                        );
+                        let c = &mut contiguous;
+                        gemm(trans_a, trans_b, m, n, k, &a, &block, cols, c, accumulate);
+                        assert_eq!(
+                            bits(&strided),
+                            bits(&contiguous),
+                            "{m}x{n}x{k} trans ({trans_a}, {trans_b}) accumulate {accumulate}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_3x3_kernels_equal_the_staged_path_bit_for_bit() {
+        // Three images side by side in a matrix whose rows are wider than
+        // the three planes, as in a `Conv2d` group; col2im adds onto a
+        // random destination.
+        let mut rng = SplitMix64::new(9);
+        for w in [4, 8] {
+            let plane = w * w;
+            let im2col_fixed = |src: &[f32], c: usize, col: &mut [f32], ld: usize| match w {
+                4 => im2col_3x3::<4>(src, c, col, ld),
+                _ => im2col_3x3::<8>(src, c, col, ld),
+            };
+            let col2im_fixed = |col: &[f32], ld: usize, c: usize, dst: &mut [f32]| match w {
+                4 => col2im_3x3::<4>(col, ld, c, dst),
+                _ => col2im_3x3::<8>(col, ld, c, dst),
+            };
+            for c in 1..=33 {
+                let (images, rows) = (3, c * 9);
+                let ld = images * plane + 7;
+                let x = random_vec(images * c * plane, &mut rng);
+                let mut fixed = vec![f32::NAN; rows * ld];
+                let mut staged = fixed.clone();
+                for (g, img) in x.chunks_exact(c * plane).enumerate() {
+                    im2col_fixed(img, c, &mut fixed[g * plane..], ld);
+                    im2col_staged(img, c, w, w, 3, 1, 1, &mut staged[g * plane..], ld);
+                }
+                assert_eq!(bits(&fixed), bits(&staged), "im2col W={w} c={c}");
+                let dy = random_vec(rows * ld, &mut rng);
+                for g in 0..images {
+                    let init = random_vec(c * plane, &mut rng);
+                    let (mut fixed, mut staged) = (init.clone(), init);
+                    col2im_fixed(&dy[g * plane..], ld, c, &mut fixed);
+                    col2im_staged(&dy[g * plane..], ld, c, w, w, 3, 1, 1, &mut staged);
+                    assert_eq!(bits(&fixed), bits(&staged), "col2im W={w} c={c} image {g}");
+                }
             }
         }
     }
@@ -962,8 +1195,9 @@ mod tests {
                         for (kernel, c) in
                             [(Kernel::Portable, &mut portable), (Kernel::Avx2, &mut avx2)]
                         {
+                            let ldb = if trans.1 { k } else { n };
                             gemm_with_kernel(
-                                kernel, trans.0, trans.1, m, n, k, &a, &b, c, accumulate,
+                                kernel, trans.0, trans.1, m, n, k, &a, &b, ldb, c, accumulate,
                             );
                         }
                         for (i, (p, v)) in portable.iter().zip(&avx2).enumerate() {
