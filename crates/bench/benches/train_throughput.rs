@@ -1,9 +1,11 @@
 //! Training-engine throughput: GEMM-backed vs naive nested-loop
 //! convolution in images/second (forward + backward, the QAT/NAS hot
 //! path), the GEMM-backed convolution on `pcount-runtime` pools of width 1
-//! and 4 (its image groups are the training engine's parallelism; every
-//! GEMM runs serially inside one group), and serial vs parallel per-fold
-//! NAS training wall-clock through `pcount_core::FoldTrainJob`.
+//! and 4 (its image groups and weight-gradient strips are the training
+//! engine's parallelism; every GEMM runs serially inside one task), and
+//! serial vs parallel per-fold NAS training wall-clock through
+//! `pcount_core::FoldTrainJob`. The operands of each ratio are timed in
+//! interleaved windows (`pcount_bench::interleaved_calls_per_s`).
 //!
 //! The bench prints a summary (conv speedup vs the 3x acceptance
 //! target, conv parallel scaling vs the 1.7x 4-thread floor, fold-scaling
@@ -291,22 +293,22 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads 19.3x from the medians:
-    // GEMM at 1 worker 8.51e3 images/s (slowest window 8.44e3) vs naive
-    // 441 (438). The
-    // hard guard sits lower because both operands are wall-clock
-    // measurements on a possibly loaded machine. A reading under the 3x
-    // acceptance target on a quiet machine is a real regression.
+    // The committed record (2-core host) reads 27.9x from the medians:
+    // GEMM at 1 worker 1.62e4 images/s (slowest window 1.34e4) vs naive
+    // 580 (523). The hard guard sits lower because both operands are
+    // wall-clock measurements on a possibly loaded machine. A reading
+    // under the 3x acceptance target on a quiet machine is a real
+    // regression.
     assert!(
         conv_speedup >= 2.0,
         "GEMM conv regressed to {conv_speedup:.2}x the naive reference"
     );
-    // The conv image groups are the training engine's parallelism (each
-    // group's GEMM runs serially on its worker): on a >= 4-core host a
-    // 4-worker pool must deliver at least 1.7x over one worker. The
-    // committed 2-core record, where the floor does not apply, reads 1.66x
-    // from the medians: 1.41e4 images/s (slowest window 1.29e4) vs 8.51e3
-    // (8.44e3).
+    // The conv image groups and weight-gradient strips are the training
+    // engine's parallelism (each GEMM runs serially on its worker): on a
+    // >= 4-core host a 4-worker pool must deliver at least 1.7x over one
+    // worker. The committed 2-core record, where the floor does not
+    // apply, reads 1.59x from the medians: 2.56e4 images/s (slowest
+    // window 2.31e4) vs 1.62e4 (1.34e4).
     if host_threads >= PARALLEL_THREADS {
         assert!(
             conv_parallel_speedup >= 1.7,
@@ -317,8 +319,8 @@ fn main() {
     // Fold scaling needs real cores: on a >= 4-core host the parallel fold
     // loop must deliver most of the linear speedup (0.7 efficiency
     // acceptance target, floor below for wall-clock noise). The committed
-    // 2-core record reads 0.33 from the medians: 3.73 jobs/s (slowest
-    // window 3.09) at 4 workers vs 2.86 (2.80) serial.
+    // 2-core record reads 0.47 from the medians: 6.76 jobs/s (slowest
+    // window 6.57) at 4 workers vs 3.62 (3.53) serial.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             fold_efficiency >= 0.5,
