@@ -356,7 +356,8 @@ impl Conv2d {
     /// its columns into the layer's own buffer and the layer keeps them
     /// for [`Conv2d::backward_with_weight`]; in eval mode they go to the
     /// thread's warm staging buffers and nothing is kept. Steady-state
-    /// training allocates only the output tensor, and results are
+    /// training allocates only the output tensor and the short list
+    /// pairing each group's output with its columns, and results are
     /// bit-identical for any pool size.
     ///
     /// # Panics
