@@ -20,9 +20,10 @@
 //! across engines, memory models, fusion and thread counts and the
 //! read-back checks still run, so engine regressions fail fast without
 //! timing noise. Smoke mode simulates the same model and frame as full
-//! mode, so it also requires the simulated-cycle columns to equal the
-//! committed `BENCH_isa.json`: a change that moves a simulated cycle
-//! fails until the ledger is re-recorded.
+//! mode, so it also requires the deterministic columns — simulated cycle
+//! and stall cycles, `fusion_hits` and `hot_blocks` — to equal the
+//! committed `BENCH_isa.json`: a change that moves a simulated cycle or
+//! the fused-loop profile fails until the ledger is re-recorded.
 
 use pcount_bench::{
     demo_int8_model, host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json,
@@ -37,13 +38,18 @@ use std::path::Path;
 /// Worker threads used for the parallel-batch measurement.
 const PARALLEL_THREADS: usize = 4;
 
-/// The deterministic columns of `BENCH_isa.json`: simulated cycles and
-/// stall cycles of one inference, independent of host speed.
-const CYCLE_COLUMNS: [&str; 4] = [
+/// The deterministic columns of `BENCH_isa.json`, independent of host
+/// speed: simulated cycles and stall cycles of one inference, and the
+/// fused-loop profile of one inference (per-pattern hits, and per-block
+/// executions, instructions, memory stalls and fused iterations and
+/// cycles).
+const DETERMINISTIC_COLUMNS: [&str; 6] = [
     "cycles_per_inference_flat",
     "cycles_per_inference_maupiti",
     "maupiti_imem_stall_cycles",
     "maupiti_dmem_stall_cycles",
+    "fusion_hits",
+    "hot_blocks",
 ];
 
 fn deployment_with_mode(model: &QuantizedCnn, mode: ExecMode) -> Deployment {
@@ -186,14 +192,14 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-/// Asserts that `bench`'s [`CYCLE_COLUMNS`] equal those of the committed
-/// full-mode `BENCH_isa.json` at the workspace root.
-fn check_cycles_match_ledger(bench: &JsonValue) {
+/// Asserts that `bench`'s [`DETERMINISTIC_COLUMNS`] equal those of the
+/// committed full-mode `BENCH_isa.json` at the workspace root.
+fn check_columns_match_ledger(bench: &JsonValue) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_isa.json");
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let ledger = parse_json(&text).unwrap_or_else(|e| panic!("BENCH_isa.json: {e}"));
-    for column in CYCLE_COLUMNS {
+    for column in DETERMINISTIC_COLUMNS {
         let committed = ledger
             .get(column)
             .unwrap_or_else(|| panic!("committed BENCH_isa.json lacks {column}"));
@@ -201,10 +207,11 @@ fn check_cycles_match_ledger(bench: &JsonValue) {
             bench.get(column),
             Some(committed),
             "{column} differs from the committed BENCH_isa.json: a change that \
-             moves simulated cycles must re-record the ledger"
+             moves simulated cycles or the fused-loop profile must re-record \
+             the ledger"
         );
     }
-    println!("simulated-cycle columns match the committed BENCH_isa.json");
+    println!("deterministic columns match the committed BENCH_isa.json");
 }
 
 fn main() {
@@ -358,7 +365,7 @@ fn main() {
     validate_bench_json(&bench);
 
     if smoke {
-        check_cycles_match_ledger(&bench);
+        check_columns_match_ledger(&bench);
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }

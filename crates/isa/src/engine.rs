@@ -1612,14 +1612,21 @@ mod tests {
 
     use crate::mem_model::{MaupitiMemConfig, MemoryModel};
 
-    /// Flat, the silicon-default Maupiti hierarchy, and a Maupiti
-    /// prefetch buffer deeper than the 16 instructions ahead of the
-    /// nest's channel-loop loads, so a window entering a nest iteration
-    /// reaches the first of them.
-    fn memory_models() -> [MemoryModel; 3] {
+    /// Flat, the silicon-default Maupiti hierarchy, a 1-entry Maupiti
+    /// prefetch buffer (only the first load of a MAC pass entered right
+    /// after a redirect contends; with the default 4 entries both do),
+    /// and a Maupiti prefetch buffer deeper than the 16 instructions
+    /// ahead of the nest's channel-loop loads, so a window entering a
+    /// nest iteration reaches the first of them.
+    fn memory_models() -> [MemoryModel; 4] {
         [
             MemoryModel::Flat,
             MemoryModel::maupiti(),
+            MemoryModel::Maupiti(MaupitiMemConfig {
+                prefetch_entries: 1,
+                refill_cycles: 2,
+                contention_cycles: 1,
+            }),
             MemoryModel::Maupiti(MaupitiMemConfig {
                 prefetch_entries: 17,
                 refill_cycles: 3,
@@ -1841,30 +1848,65 @@ mod tests {
     #[test]
     fn budget_expiry_mid_fused_loop_matches() {
         // 60 MAC iterations * 7 instructions after a 6-instruction
-        // prologue; sweep budgets across iteration boundaries.
-        for budget in [
-            6,
-            7,
-            12,
-            13,
-            14,
-            6 + 7 * 30,
-            6 + 7 * 30 + 3,
-            6 + 7 * 60,
-            6 + 7 * 60 + 1,
-        ] {
-            assert_fusion_parity(
-                &mac_program(false, 60),
-                budget,
-                MemoryModel::Flat,
-                &fill_dmem,
+        // prologue; every budget up to past the final ebreak crosses each
+        // iteration boundary and each position inside an iteration.
+        let p = mac_program(false, 60);
+        for model in memory_models() {
+            for budget in 1..=500u64 {
+                assert_fusion_parity(&p, budget, model, &fill_dmem);
+            }
+        }
+    }
+
+    /// `mac_program` whose last setup instruction loads the loop's first
+    /// pointer from data memory (`lw t1, 0(t6)`), so the loop head's
+    /// `lw t4, 0(t1)` enters the fused loop with a pending load and pays
+    /// one load-use stall.
+    fn mac_program_loaded_pointer(count: i32) -> Vec<Instr> {
+        let mut p = Vec::new();
+        p.extend(li_addr(reg::T6, false, 1536));
+        p.extend(li_addr(reg::T1, false, 0));
+        p.push(Instr::Store {
+            op: StoreOp::Sw,
+            rs1: reg::T6,
+            rs2: reg::T1,
+            offset: 0,
+        });
+        p.push(Instr::Addi {
+            rd: reg::T1,
+            rs1: reg::ZERO,
+            imm: 0,
+        });
+        let mac = mac_program(false, count);
+        // `mac_program` is four setup instructions for t1/t2, then t3 and
+        // s7, then the loop; keep all but t1's setup and load t1 last.
+        p.extend_from_slice(&mac[2..6]);
+        p.push(Instr::Load {
+            op: LoadOp::Lw,
+            rd: reg::T1,
+            rs1: reg::T6,
+            offset: 0,
+        });
+        p.extend_from_slice(&mac[6..]);
+        p
+    }
+
+    #[test]
+    fn fused_mac_entered_with_a_pending_load_pays_the_head_stall() {
+        let count = 60;
+        let p = mac_program_loaded_pointer(count);
+        for model in memory_models() {
+            let (unfused, fused) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
+            // One lw -> sdotp interlock per iteration plus the head's.
+            assert_eq!(
+                unfused.pipeline_stats().load_use_stalls,
+                count as u64 + 1,
+                "{model:?}"
             );
-            assert_fusion_parity(
-                &mac_program(false, 60),
-                budget,
-                MemoryModel::maupiti(),
-                &fill_dmem,
-            );
+            assert_eq!(fused.fusion_profile(), [("mac_sdotp8", 1, count as u64)]);
+            for budget in 1..=500u64 {
+                assert_fusion_parity(&p, budget, model, &fill_dmem);
+            }
         }
     }
 
@@ -2248,8 +2290,9 @@ mod tests {
                     Instr::Branch { op: BranchOp::Bne, rs1: reg::T3, rs2: reg::ZERO, offset: -24 },
                     Instr::Ebreak,
                 ]);
-                assert_fusion_parity(&p, budget, MemoryModel::Flat, &seeded_fill(seed));
-                assert_fusion_parity(&p, budget, MemoryModel::maupiti(), &seeded_fill(seed));
+                for model in memory_models() {
+                    assert_fusion_parity(&p, budget, model, &seeded_fill(seed));
+                }
             }
         }
     }
