@@ -45,7 +45,6 @@
 
 use crate::block::{build_block, Block, BlockEnd};
 use crate::cpu::{sdotp4, sdotp8, BlockProfile, Cpu, RunSummary, SimError};
-use crate::fusion::{FusedDetail, MAC_LEN};
 use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
@@ -500,132 +499,65 @@ fn run_inner(cpu: &mut Cpu, cache: &BlockCache, max_instructions: u64) -> Result
 
             // The pass paused at the head of the recognised loop: execute
             // the whole loop as one host loop and bulk-charge every cost
-            // stream. The fused executor advances registers and memory
-            // for `iters` iterations; taken back-edges (`taken`) are
-            // accounted directly here — instret, SDOTPs, per-block
-            // attribution, pipeline and memory-model costs — while the
-            // final fall-through iteration only has its *cycles* charged
-            // here: its instret/SDOTP/memory accounting flows through the
-            // ordinary segment-convention handlers when the pass resumes
-            // past the back edge. A `None` from `execute` (an access
-            // would leave data memory, or no budget for even one
-            // iteration) falls back to the per-instruction path, which
-            // reproduces the exact fault or timeout.
+            // stream from the paths it ran, whichever idiom it is. The
+            // executor stops at an iteration boundary with the head's
+            // budget share (`f.start` instructions) reserved and advances
+            // registers for every iteration it reports; the per-instruction
+            // pass then resumes at the head (a final guard exit, a
+            // mid-iteration timeout or a faulting access, reproduced
+            // exactly) or, after a MAC loop's fall-through pass, past the
+            // back edge. That final MAC pass's instret, SDOTP and memory
+            // accounting flows through the trace's exit over
+            // [mem_base, ·); its pipeline cycles are charged here.
             if stop < n {
                 fused_armed = false;
                 let f = active_fused.expect("paused only at a fused loop");
-                // The convolution nest runs whole kernel-x iterations and
-                // bulk-charges each one's precomputed path costs. Stopping
-                // is always at an iteration boundary with the head's
-                // budget share (`f.start` instructions) reserved, so the
-                // per-instruction pass resumed at the head reproduces the
-                // final guard exit, a mid-iteration timeout or a faulting
-                // access exactly.
-                let mac = match &f.detail {
-                    FusedDetail::Mac(mac) => mac,
-                    FusedDetail::ConvNest(nd) => {
-                        let budget = (max_instructions - executed).saturating_sub(f.start as u64);
-                        let out = nd.execute(&mut cpu.regs, &cpu.mem, budget);
-                        let iters = out.iters();
-                        if iters > 0 {
-                            let cost = nd.cost(&out);
-                            cycles += cost.cycles;
-                            stalls += cost.stalls;
-                            flushes += cost.flushes;
-                            executed += cost.instret;
-                            sdotp += cost.sdotp;
-                            // Every iteration ends in the closing jump, which
-                            // clears the pending-load hazard state.
-                            load_dest = 0;
-                            if let Some(cfg) = &maupiti {
-                                // Arch order: the setup segment before the
-                                // nest head, then the iterations. The first
-                                // enters with the live refill window; the
-                                // closing jump leaves a full one.
-                                charge_mem!(block, slot, f.start, false);
-                                let contended =
-                                    nd.contended(&out, mem_state.window_left, cfg.prefetch_entries);
-                                let mstall = mem_state.charge_counts(
-                                    cfg,
-                                    cost.misses,
-                                    contended,
-                                    &mut mem_stats,
-                                );
-                                cycles += mstall;
-                                cpu.profile[slot].mem_stall_cycles += mstall;
-                            }
-                            mem_base = f.start;
-                            let profile = &mut cpu.profile[slot];
-                            profile.instructions += cost.instret;
-                            profile.executions += iters;
-                            profile.fused_entry(f.kind, iters, cost.cycles);
+                let budget = (max_instructions - executed).saturating_sub(f.start as u64);
+                let out = f.execute(&mut cpu.regs, &cpu.mem, budget);
+                if out.iters > 0 {
+                    // Only the first iteration can enter with a pending
+                    // load; every later one starts after a redirect.
+                    let head = &block.instrs[f.start];
+                    let head_stall = if load_dest != 0 && (head.reads_mask >> load_dest) & 1 != 0 {
+                        LOAD_USE_STALL
+                    } else {
+                        0
+                    };
+                    let cost = out.cost();
+                    cycles += cost.cycles + head_stall;
+                    stalls += cost.stalls + head_stall;
+                    flushes += cost.flushes;
+                    executed += cost.instret;
+                    sdotp += cost.sdotp;
+                    // Every path ends in a branch or jump, which clears the
+                    // pending-load hazard state.
+                    load_dest = 0;
+                    if cost.instret > 0 {
+                        if let Some(cfg) = &maupiti {
+                            // Arch order: the setup segment before the loop
+                            // head, then the iterations. The first enters
+                            // with the live refill window; every retired
+                            // path ends in a redirect, leaving a full one.
+                            charge_mem!(block, slot, f.start, false);
+                            let contended =
+                                out.contended(mem_state.window_left, cfg.prefetch_entries);
+                            let mstall = mem_state.charge_counts(
+                                cfg,
+                                cost.misses,
+                                contended,
+                                &mut mem_stats,
+                            );
+                            cycles += mstall;
+                            cpu.profile[slot].mem_stall_cycles += mstall;
                         }
-                        start = f.start;
-                        continue;
+                        mem_base = f.start;
                     }
-                };
-                let avail = (max_instructions - executed).saturating_sub(f.start as u64);
-                let max_iters = avail / MAC_LEN as u64;
-                let mut resume = f.start;
-                if max_iters > 0 {
-                    if let Some(out) = mac.execute(&mut cpu.regs, &cpu.mem, max_iters) {
-                        let taken = if out.fell_through {
-                            out.iters - 1
-                        } else {
-                            out.iters
-                        };
-                        let mut stall = mac.steady_stalls * out.iters;
-                        if load_dest != 0 && (mac.entry_reads_mask >> load_dest) & 1 != 0 {
-                            stall += LOAD_USE_STALL;
-                        }
-                        let arch_cycles =
-                            mac.base_cycles * out.iters + mac.flush_on_take * taken + stall;
-                        cycles += arch_cycles;
-                        stalls += stall;
-                        flushes += mac.flush_on_take * taken;
-                        // The body ends in a branch, which clears the
-                        // pending-load hazard state.
-                        load_dest = 0;
-                        if taken > 0 {
-                            executed += taken * MAC_LEN as u64;
-                            // One SDOTP per MAC iteration.
-                            sdotp += taken;
-                            let profile = &mut cpu.profile[slot];
-                            profile.instructions += taken * MAC_LEN as u64;
-                            if f.start == 0 {
-                                // Whole-trace self-loop: every taken back
-                                // edge is one completed execution of this
-                                // trace, exactly as the unfused engine
-                                // counts them.
-                                profile.executions += taken;
-                            }
-                            if let Some(cfg) = &maupiti {
-                                // Arch order: the setup segment before the
-                                // loop head, then the taken iterations. The
-                                // final iteration and the tail are charged
-                                // by the eventual exit over [mem_base, ·).
-                                charge_mem!(block, slot, f.start, false);
-                                let mstall = mem_state.charge_loop(
-                                    cfg,
-                                    &block.mem_prefix,
-                                    &block.redirects,
-                                    f.start,
-                                    f.start + MAC_LEN,
-                                    taken,
-                                    &mut mem_stats,
-                                );
-                                cycles += mstall;
-                                cpu.profile[slot].mem_stall_cycles += mstall;
-                            }
-                            mem_base = f.start;
-                        }
-                        cpu.profile[slot].fused_entry(f.kind, out.iters, arch_cycles);
-                        if out.fell_through {
-                            resume = f.start + MAC_LEN;
-                        }
-                    }
+                    let profile = &mut cpu.profile[slot];
+                    profile.instructions += cost.instret;
+                    profile.executions += out.executions;
+                    profile.fused_entry(f.kind, out.iters, cost.cycles + head_stall);
                 }
-                start = resume;
+                start = f.start + out.resume;
                 continue;
             }
 

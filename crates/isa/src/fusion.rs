@@ -9,8 +9,13 @@
 //! the trip count comes from the live loop-carried registers, the body
 //! reads data memory through direct slice access on [`Memory`], and
 //! cycles / instret / pipeline stalls / memory-model costs are
-//! bulk-charged from the per-iteration summaries precomputed here —
-//! bit-identical to per-instruction dispatch.
+//! bulk-charged from per-path [`PathCost`] summaries precomputed here by
+//! one function for both idioms (the channel loop's taken pass is the
+//! nest's extra channel pass) — bit-identical to per-instruction
+//! dispatch. Both executors return a [`FusedOutcome`], which the engine
+//! charges in one place: pipeline counters from [`FusedOutcome::cost`],
+//! memory-model stalls from [`FusedOutcome::contended`] through
+//! `MemModelState::charge_counts`.
 //!
 //! The channel loop is a do-while counted loop ending in
 //! `addi cnt, cnt, -1; bne cnt, x0, entry`. Recognition is conservative:
@@ -70,21 +75,18 @@ pub(crate) const MAC_LEN: usize = 7;
 /// A fused SDOTP channel loop, `lw ld1, off1(p1); lw ld2, off2(p2);
 /// sdotp acc, ld1, ld2; addi p1, p1, s1; addi p2, p2, s2;
 /// addi cnt, cnt, -1; bne cnt, x0, entry`: its registers by index, its
-/// immediates, and the pipeline costs of one iteration.
+/// immediates, and the costs of one pass.
 #[derive(Debug, Clone)]
 pub(crate) struct MacLoop {
     /// Loop counter register (`addi cnt, cnt, -1; bne cnt, x0, entry`).
     pub cnt: u8,
-    /// Pipeline base cycles of one iteration, branch flush excluded.
-    pub base_cycles: u64,
-    /// Flush cycles charged per taken back-edge.
-    pub flush_on_take: u64,
-    /// Load-use interlock stalls inside one steady-state iteration
-    /// (entered with no pending load, as after the back-edge branch).
-    pub steady_stalls: u64,
-    /// Read mask of the body's first instruction, for the incoming
-    /// load-use hazard of the very first iteration.
-    pub entry_reads_mask: u32,
+    /// Costs of one pass that takes the back edge, entered with no
+    /// pending load (as after the back edge itself).
+    pub pass: PathCost,
+    /// Pipeline cycles and stalls of the final pass, which falls through
+    /// the back edge. Its instructions, SDOTP and memory accesses retire
+    /// through the trace's exit, so they are left at zero here.
+    pub last: PathCost,
     four_bit: bool,
     p1: u8,
     off1: u32,
@@ -211,54 +213,53 @@ pub(crate) struct NestDetail {
     /// Costs of a right-padding skip iteration (8 instructions).
     pub skip_hi: PathCost,
     /// Costs of a full iteration with a single channel-loop pass
-    /// (25 instructions).
+    /// (25 instructions). Each extra channel-loop pass costs the embedded
+    /// loop's taken pass, [`MacLoop::pass`].
     pub full1: PathCost,
-    /// Costs of each extra channel-loop pass (7 instructions, taken
-    /// back-edge).
-    pub extra: PathCost,
 }
 
-/// What one fused nest execution did, counted per architectural path so
-/// the engine can bulk-charge instret, cycles, stalls, flushes, SDOTPs
-/// and memory-model stalls exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NestOutcome<'a> {
-    /// Iterations skipped through the left-padding (`blt`) guard.
-    pub skip_lo: u64,
-    /// Iterations skipped through the right-padding (`bge`) guard.
-    pub skip_hi: u64,
-    /// Full iterations (pointer setup plus the whole channel loop).
-    pub full: u64,
-    /// Extra channel-loop passes beyond the first, summed over all full
-    /// iterations.
-    pub inner_extra: u64,
+/// What one fused execution did, counted per architectural path so the
+/// engine can bulk-charge instret, cycles, stalls, flushes, SDOTPs and
+/// memory-model stalls exactly, whichever idiom ran.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FusedOutcome<'a> {
+    /// Loop iterations executed (registers are advanced past all of
+    /// them).
+    pub iters: u64,
+    /// Each path of the idiom with the number of times it ran: the MAC
+    /// loop's taken and final passes, or the nest's left skip, right
+    /// skip, full iteration and extra channel pass. Unused slots run
+    /// zero times.
+    pub runs: [(&'a PathCost, u64); 4],
     /// The path of the first iteration: the only one not entered right
-    /// after the closing jump. `None` when no iteration ran.
+    /// after a redirect. `None` when no iteration ran.
     pub first: Option<&'a PathCost>,
+    /// Trace positions past the loop head at which the per-instruction
+    /// pass resumes: [`MAC_LEN`] after a MAC loop's final pass fell
+    /// through its back edge, otherwise 0 (the pass re-runs the head).
+    pub resume: usize,
+    /// Completed executions of the loop's trace the iterations stand for,
+    /// as `Cpu::hottest_blocks` counts them.
+    pub executions: u64,
 }
 
-impl NestOutcome<'_> {
-    /// Kernel-x iterations executed.
-    pub fn iters(&self) -> u64 {
-        self.skip_lo + self.skip_hi + self.full
-    }
-}
-
-impl NestDetail {
-    /// Each path's summary with the number of times `out` ran it.
-    fn paths(&self, out: &NestOutcome) -> [(&PathCost, u64); 4] {
-        [
-            (&self.skip_lo, out.skip_lo),
-            (&self.skip_hi, out.skip_hi),
-            (&self.full1, out.full),
-            (&self.extra, out.inner_extra),
-        ]
+impl FusedOutcome<'_> {
+    /// Nothing ran yet over the idiom's `paths`; the per-instruction pass
+    /// would resume at the head.
+    fn new(paths: [&PathCost; 4]) -> FusedOutcome<'_> {
+        FusedOutcome {
+            iters: 0,
+            runs: paths.map(|p| (p, 0)),
+            first: None,
+            resume: 0,
+            executions: 0,
+        }
     }
 
-    /// The summed costs of the paths `out` ran (`accesses` left empty).
-    pub(crate) fn cost(&self, out: &NestOutcome) -> PathCost {
+    /// The summed costs of the paths that ran (`accesses` left empty).
+    pub(crate) fn cost(&self) -> PathCost {
         let mut sum = PathCost::default();
-        for (p, n) in self.paths(out) {
+        for &(p, n) in &self.runs {
             sum.instret += p.instret * n;
             sum.cycles += p.cycles * n;
             sum.stalls += p.stalls * n;
@@ -269,16 +270,17 @@ impl NestDetail {
         sum
     }
 
-    /// Data accesses of the iterations `out` ran that contend with a
-    /// prefetch refill, for a prefetch buffer of `entries` words. The
-    /// first iteration enters with `window` instructions left in the
-    /// live refill window; every later iteration starts right after the
-    /// closing `jal`, and every extra channel pass right after the taken
-    /// back-edge, both with a full window.
-    pub(crate) fn contended(&self, out: &NestOutcome, window: u32, entries: u32) -> u64 {
-        let first = out.first.expect("contended() after at least one iteration");
+    /// Data accesses of the paths that ran that contend with a prefetch
+    /// refill, for a prefetch buffer of `entries` words. The first
+    /// iteration enters with `window` instructions left in the live
+    /// refill window; every later path starts right after a redirect (a
+    /// taken back edge or the nest's closing `jal`) with a full window.
+    pub(crate) fn contended(&self, window: u32, entries: u32) -> u64 {
+        let first = self
+            .first
+            .expect("contended() after at least one iteration");
         let steady: u64 = self
-            .paths(out)
+            .runs
             .iter()
             .map(|(p, n)| p.contended(entries) * n)
             .sum();
@@ -302,15 +304,29 @@ pub(crate) struct FusedOp {
     pub detail: FusedDetail,
 }
 
-/// What one fused execution did.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FusedOutcome {
-    /// Iterations executed architecturally (registers are advanced past
-    /// all of them).
-    pub iters: u64,
-    /// The last iteration did not take the back-edge: the counter
-    /// reached zero and execution continues past the branch.
-    pub fell_through: bool,
+impl FusedOp {
+    /// Executes the loop from its head against the register file and
+    /// data memory within `budget` instructions, and says what ran. See
+    /// [`MacLoop::execute`] and [`NestDetail::execute`].
+    pub(crate) fn execute(
+        &self,
+        regs: &mut [u32; 32],
+        mem: &Memory,
+        budget: u64,
+    ) -> FusedOutcome<'_> {
+        match &self.detail {
+            FusedDetail::Mac(mac) => {
+                let mut out = mac.execute(regs, mem, budget / MAC_LEN as u64);
+                // A taken back edge completes an execution of the trace
+                // only when the loop is the whole trace.
+                if self.start > 0 {
+                    out.executions = 0;
+                }
+                out
+            }
+            FusedDetail::ConvNest(nest) => nest.execute(regs, mem, budget),
+        }
+    }
 }
 
 /// `addi rd, rd, imm` with `rd != x0`, the loop-carried update shape.
@@ -332,24 +348,6 @@ fn distinct_nonzero(regs: &[u8]) -> bool {
         mask |= bit;
     }
     true
-}
-
-/// Per-iteration pipeline summary of `instrs[..body_len]`: base cycles
-/// without the branch flush, the flush charged per taken back-edge, and
-/// the steady-state load-use stalls (simulated with no incoming load).
-fn body_costs(instrs: &[Decoded], body_len: usize) -> (u64, u64, u64) {
-    let body = &instrs[..body_len];
-    let base: u64 = body.iter().map(|d| d.base_cycles as u64).sum();
-    let flush = body[body_len - 1].flush_on_take as u64;
-    let mut load_dest = 0u8;
-    let mut stalls = 0u64;
-    for d in body {
-        if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
-            stalls += LOAD_USE_STALL;
-        }
-        load_dest = if d.is_load { d.rd } else { 0 };
-    }
-    (base, flush, stalls)
 }
 
 /// Recognises a fusible loop idiom anywhere inside a freshly decoded
@@ -399,15 +397,16 @@ fn other_operand(d: &Decoded, r: u8) -> Option<u8> {
     }
 }
 
-/// Costs of one architectural path through the nest window `w`,
-/// mirroring the engine's per-instruction rules exactly: base cycles,
-/// load-use interlocks (the path is always entered with no pending load
-/// — every path starts at the `li`, which reads only x0), flush cycles
-/// added to `cycles` for taken conditional branches, and flush cycles
-/// tracked in `flushes` only for unconditional jumps. The nest's only
-/// data accesses are the channel loop's two loads, which every path
+/// Costs of one architectural path through the loop window `w`, given
+/// as `(position, branch taken)` pairs, mirroring the engine's
+/// per-instruction rules exactly: base cycles, load-use interlocks
+/// (the path is entered with no pending load; the engine charges a
+/// first iteration's incoming load-use stall at the loop head), flush
+/// cycles added to `cycles` for taken conditional branches, and flush
+/// cycles tracked in `flushes` only for unconditional jumps. Both idioms'
+/// only data accesses are the channel loop's two loads, which every path
 /// reaches before its first redirect, as [`PathCost::accesses`] requires.
-fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
+fn path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
     let mut c = PathCost {
         instret: path.len() as u64,
         ..PathCost::default()
@@ -561,7 +560,7 @@ fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
     ]) {
         return None;
     }
-    let skip_lo = nest_path_cost(
+    let skip_lo = path_cost(
         w,
         &[
             (0, false),
@@ -573,7 +572,7 @@ fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
             (24, false),
         ],
     );
-    let skip_hi = nest_path_cost(
+    let skip_hi = path_cost(
         w,
         &[
             (0, false),
@@ -587,11 +586,7 @@ fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
         ],
     );
     let full_path: Vec<(usize, bool)> = (0..NEST_LEN).map(|i| (i, false)).collect();
-    let full1 = nest_path_cost(w, &full_path);
-    let extra_path: Vec<(usize, bool)> = (NEST_INNER_OFF..NEST_SKIP_OFF)
-        .map(|i| (i, i == NEST_SKIP_OFF - 1))
-        .collect();
-    let extra = nest_path_cost(w, &extra_path);
+    let full1 = path_cost(w, &full_path);
     Some(NestDetail {
         kx,
         kmax,
@@ -612,7 +607,6 @@ fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
         skip_lo,
         skip_hi,
         full1,
-        extra,
     })
 }
 
@@ -661,13 +655,17 @@ fn try_mac(entry_pc: u32, instrs: &[Decoded]) -> Option<MacLoop> {
     if !distinct_nonzero(&[p1, p2, ld1, ld2, acc, cnt]) {
         return None;
     }
-    let (base_cycles, flush_on_take, steady_stalls) = body_costs(instrs, MAC_LEN);
+    let taken: Vec<(usize, bool)> = (0..MAC_LEN).map(|i| (i, i == MAC_LEN - 1)).collect();
+    let fall: Vec<(usize, bool)> = (0..MAC_LEN).map(|i| (i, false)).collect();
+    let fall = path_cost(instrs, &fall);
     Some(MacLoop {
         cnt,
-        base_cycles,
-        flush_on_take,
-        steady_stalls,
-        entry_reads_mask: instrs[0].reads_mask,
+        pass: path_cost(instrs, &taken),
+        last: PathCost {
+            cycles: fall.cycles,
+            stalls: fall.stalls,
+            ..PathCost::default()
+        },
         four_bit,
         p1,
         off1,
@@ -703,16 +701,22 @@ impl MacLoop {
     /// counter wraps: these are do-while loops, so it means 2^32
     /// iterations), executes `min(trip, max_iters)` iterations and
     /// writes back every loop-carried register exactly as the unfused
-    /// body would have left it. Returns `None` — with **no** state
-    /// touched — when any planned access would leave data memory, so the
-    /// caller falls back to per-instruction dispatch and reproduces the
-    /// exact fault.
+    /// body would have left it. Runs no iteration — with **no** state
+    /// touched — when `max_iters` is zero or any planned access would
+    /// leave data memory, so the caller falls back to per-instruction
+    /// dispatch and reproduces the exact fault.
+    ///
+    /// Every iteration but a final one that falls through the back edge
+    /// is a taken [`MacLoop::pass`]; that final one runs here but
+    /// retires through the trace's exit, so only its pipeline costs
+    /// ([`MacLoop::last`]) are charged with the fused loop and the
+    /// per-instruction pass resumes past it.
     pub(crate) fn execute(
         &self,
         regs: &mut [u32; 32],
         mem: &Memory,
         max_iters: u64,
-    ) -> Option<FusedOutcome> {
+    ) -> FusedOutcome<'_> {
         let MacLoop {
             p1,
             off1,
@@ -725,20 +729,30 @@ impl MacLoop {
         let cnt0 = regs[self.cnt as usize];
         let total = if cnt0 == 0 { 1u64 << 32 } else { cnt0 as u64 };
         let iters = total.min(max_iters);
-        if iters == 0 {
-            return None;
-        }
         let dmem = mem.dmem();
-        if !stream_ok(dmem.len(), regs[p1 as usize], off1, s1, iters)
+        if iters == 0
+            || !stream_ok(dmem.len(), regs[p1 as usize], off1, s1, iters)
             || !stream_ok(dmem.len(), regs[p2 as usize], off2, s2, iters)
         {
-            return None;
+            return FusedOutcome::new([&self.pass, &self.last, &self.pass, &self.last]);
         }
         self.run(regs, dmem, iters);
-        Some(FusedOutcome {
+        let fell_through = iters == total;
+        let taken = iters - fell_through as u64;
+        FusedOutcome {
             iters,
-            fell_through: iters == total,
-        })
+            runs: [
+                (&self.pass, taken),
+                (&self.last, fell_through as u64),
+                (&self.pass, 0),
+                (&self.last, 0),
+            ],
+            first: Some(if taken > 0 { &self.pass } else { &self.last }),
+            resume: if fell_through { MAC_LEN } else { 0 },
+            // Each taken back edge completes one execution of the loop's
+            // own trace, exactly as the unfused engine counts them.
+            executions: taken,
+        }
     }
 
     /// Runs `iters` iterations of the loop, whose loads the caller has
@@ -801,12 +815,15 @@ impl NestDetail {
     /// the next iteration in full, when the channel-loop trip count is
     /// zero (the do-while underflow pathology) or when a channel-loop
     /// access would leave data memory.
+    ///
+    /// Every iteration ends in the closing jump back to the nest head and
+    /// counts as one execution of the trace holding the nest.
     pub(crate) fn execute(
         &self,
         regs: &mut [u32; 32],
         mem: &Memory,
         budget: u64,
-    ) -> NestOutcome<'_> {
+    ) -> FusedOutcome<'_> {
         let MacLoop {
             p1,
             off1,
@@ -817,7 +834,8 @@ impl NestDetail {
         } = self.inner;
         let swap_ptrs = p1 != self.xptr;
         let dmem = mem.dmem();
-        let mut out = NestOutcome::default();
+        let mut out =
+            FusedOutcome::new([&self.skip_lo, &self.skip_hi, &self.full1, &self.inner.pass]);
         let mut budget = budget;
         loop {
             let kx = regs[self.kx as usize];
@@ -841,13 +859,10 @@ impl NestDetail {
                 budget -= cost;
                 regs[self.scratch as usize] = ix;
                 regs[self.kx as usize] = kx.wrapping_add(1);
-                if skip_lo {
-                    out.skip_lo += 1;
-                    out.first.get_or_insert(&self.skip_lo);
-                } else {
-                    out.skip_hi += 1;
-                    out.first.get_or_insert(&self.skip_hi);
-                }
+                let path = &mut out.runs[if skip_lo { 0 } else { 1 }];
+                path.1 += 1;
+                out.first.get_or_insert(path.0);
+                out.iters += 1;
                 continue;
             }
             let ch = regs[self.ch as usize];
@@ -856,7 +871,7 @@ impl NestDetail {
                 break;
             }
             let trip = trip0 as u64;
-            let cost = self.full1.instret + (trip - 1) * self.extra.instret;
+            let cost = self.full1.instret + (trip - 1) * self.inner.pass.instret;
             if budget < cost {
                 break;
             }
@@ -890,10 +905,12 @@ impl NestDetail {
             regs[self.inner.cnt as usize] = trip0;
             self.inner.run(regs, dmem, trip);
             regs[self.kx as usize] = kx.wrapping_add(1);
-            out.full += 1;
-            out.inner_extra += trip - 1;
+            out.runs[2].1 += 1;
+            out.runs[3].1 += trip - 1;
             out.first.get_or_insert(&self.full1);
+            out.iters += 1;
         }
+        out.executions = out.iters;
         out
     }
 }
@@ -993,8 +1010,8 @@ mod tests {
             assert_eq!(m.cnt, reg::T3);
             // The sdotp reads t5 one instruction after its lw: exactly one
             // steady-state load-use stall per iteration.
-            assert_eq!(m.steady_stalls, LOAD_USE_STALL);
-            assert!(m.flush_on_take > 0);
+            assert_eq!(m.pass.stalls, LOAD_USE_STALL);
+            assert!(m.pass.flushes > 0);
         }
     }
 
@@ -1066,9 +1083,9 @@ mod tests {
         regs[reg::T2 as usize] = DMEM_BASE + 512;
         regs[reg::T3 as usize] = 16;
         regs[reg::S7 as usize] = 7;
-        let out = mac(&f).execute(&mut regs, &mem, u64::MAX).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, u64::MAX);
         assert_eq!(out.iters, 16);
-        assert!(out.fell_through);
+        assert_eq!(out.resume, MAC_LEN, "the final pass fell through");
         assert_eq!(
             regs[reg::S7 as usize],
             mac_reference(&mem, DMEM_BASE, DMEM_BASE + 512, 16, 7)
@@ -1095,9 +1112,9 @@ mod tests {
         regs[reg::T1 as usize] = DMEM_BASE;
         regs[reg::T2 as usize] = DMEM_BASE + 512;
         regs[reg::T3 as usize] = 100;
-        let out = mac(&f).execute(&mut regs, &mem, 40).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, 40);
         assert_eq!(out.iters, 40);
-        assert!(!out.fell_through);
+        assert_eq!(out.resume, 0, "every pass took the back edge");
         assert_eq!(regs[reg::T3 as usize], 60);
         assert_eq!(regs[reg::T1 as usize], DMEM_BASE + 160);
         assert_eq!(
@@ -1117,16 +1134,16 @@ mod tests {
         regs[reg::T2 as usize] = DMEM_BASE;
         regs[reg::T3 as usize] = 5;
         let saved = regs;
-        assert!(mac(&f).execute(&mut regs, &mem, u64::MAX).is_none());
+        assert_eq!(mac(&f).execute(&mut regs, &mem, u64::MAX).iters, 0);
         assert_eq!(regs, saved, "a declined execute must not touch state");
         // An address below data memory declines too, on either stream.
         regs[reg::T1 as usize] = DMEM_BASE;
         regs[reg::T2 as usize] = DMEM_BASE - 4;
         regs[reg::T3 as usize] = 2;
-        assert!(mac(&f).execute(&mut regs, &mem, u64::MAX).is_none());
+        assert_eq!(mac(&f).execute(&mut regs, &mem, u64::MAX).iters, 0);
         // Zero budget declines regardless of the counter.
         regs[reg::T2 as usize] = DMEM_BASE;
-        assert!(mac(&f).execute(&mut regs, &mem, 0).is_none());
+        assert_eq!(mac(&f).execute(&mut regs, &mem, 0).iters, 0);
     }
 
     #[test]
@@ -1139,9 +1156,9 @@ mod tests {
         regs[reg::T3 as usize] = 0;
         // A do-while loop entered with cnt == 0 runs 2^32 iterations; a
         // 10-iteration budget caps it and leaves the counter wrapped.
-        let out = mac(&f).execute(&mut regs, &mem, 10).unwrap();
+        let out = mac(&f).execute(&mut regs, &mem, 10);
         assert_eq!(out.iters, 10);
-        assert!(!out.fell_through);
+        assert_eq!(out.resume, 0);
         assert_eq!(regs[reg::T3 as usize], 0u32.wrapping_sub(10));
         assert_eq!(regs[reg::T1 as usize], DMEM_BASE + 40);
     }
@@ -1277,26 +1294,27 @@ mod tests {
         );
         // Path shapes: 7-instruction left skip, 8-instruction right skip,
         // 25-instruction full iteration, 7-instruction extra channel pass.
+        let extra = d.inner.pass;
         assert_eq!(
             [
                 d.skip_lo.instret,
                 d.skip_hi.instret,
                 d.full1.instret,
-                d.extra.instret
+                extra.instret
             ],
             [7, 8, 25, 7]
         );
         // Only the channel loop has the lw->sdotp interlock.
         assert_eq!(d.skip_lo.stalls, 0);
         assert_eq!(d.full1.stalls, LOAD_USE_STALL);
-        assert_eq!(d.extra.stalls, LOAD_USE_STALL);
+        assert_eq!(extra.stalls, LOAD_USE_STALL);
         // Every path flushes at least once (guard or jump).
-        assert!(d.skip_lo.flushes > 0 && d.full1.flushes > 0 && d.extra.flushes > 0);
+        assert!(d.skip_lo.flushes > 0 && d.full1.flushes > 0 && extra.flushes > 0);
         // Memory-model summaries: a skip redirects at its guard and its
         // jump, a full iteration at its jump, an extra channel pass at
         // its back-edge; only the channel loop's two loads touch data
         // memory, and each channel pass retires one SDOTP.
-        let paths = [d.skip_lo, d.skip_hi, d.full1, d.extra];
+        let paths = [d.skip_lo, d.skip_hi, d.full1, extra];
         assert_eq!(paths.map(|p| p.misses), [2, 2, 1, 1]);
         assert_eq!(paths.map(|p| p.accesses), [0, 0, 0b11 << 16, 0b11]);
         assert_eq!(paths.map(|p| p.sdotp), [0, 0, 1, 1]);
@@ -1306,7 +1324,7 @@ mod tests {
             [0, 4, 16, 17, 18, 32, u32::MAX].map(|w| d.full1.contended(w)),
             [0, 0, 0, 1, 2, 2, 2]
         );
-        assert_eq!([0, 1, 2, 4].map(|w| d.extra.contended(w)), [0, 1, 2, 2]);
+        assert_eq!([0, 1, 2, 4].map(|w| extra.contended(w)), [0, 1, 2, 2]);
     }
 
     #[test]
@@ -1357,24 +1375,23 @@ mod tests {
         regs[reg::S10 as usize] = DMEM_BASE + 512;
         let mut full_budget = regs;
         let out = nest(&f).execute(&mut full_budget, &mem, u64::MAX);
-        assert_eq!(
-            (out.skip_lo, out.skip_hi, out.full, out.inner_extra),
-            (1, 0, 2, 0)
-        );
-        assert_eq!(out.iters(), 3);
+        // Runs per path: left skip, right skip, full, extra channel pass.
+        let runs = |out: &FusedOutcome| out.runs.map(|(_, n)| n);
+        assert_eq!(runs(&out), [1, 0, 2, 0]);
+        assert_eq!(out.iters, 3);
         assert_eq!(full_budget[reg::T6 as usize], 3, "kx ran to the bound");
         assert_eq!(full_budget[reg::T3 as usize], 0, "channel counter spent");
         // A budget covering only the skip and one full iteration stops at
         // the iteration boundary.
         let mut capped = regs;
         let out = nest(&f).execute(&mut capped, &mem, 7 + 25);
-        assert_eq!((out.skip_lo, out.full), (1, 1));
+        assert_eq!(runs(&out), [1, 0, 1, 0]);
         assert_eq!(capped[reg::T6 as usize], 2);
         // ox = W - 1 exercises the right-padding guard on the last kx.
         let mut right = regs;
         right[reg::S6 as usize] = 3;
         let out = nest(&f).execute(&mut right, &mem, u64::MAX);
-        assert_eq!((out.skip_lo, out.skip_hi, out.full), (0, 1, 2));
+        assert_eq!(runs(&out), [0, 1, 2, 0]);
         // An out-of-bounds channel stream declines at the iteration
         // boundary without touching the counter.
         let mut oob = regs;
@@ -1382,7 +1399,7 @@ mod tests {
         let before = oob;
         let out = nest(&f).execute(&mut oob, &mem, u64::MAX);
         assert_eq!(
-            (out.iters(), out.skip_lo),
+            (out.iters, runs(&out)[0]),
             (1, 1),
             "only the guard skip ran"
         );

@@ -31,10 +31,12 @@
 //! engine charges a whole trace execution in one call to
 //! [`MemModelState::charge_prefix`] using the per-trace access summaries
 //! precomputed on each decoded block (`Block::mem_prefix` /
-//! `Block::redirects`), and a fused convolution nest in one call to
-//! [`MemModelState::charge_counts`] from its per-path summaries. The
-//! bookkeeping paths are held to identical stall counters by the
-//! differential tests in this crate.
+//! `Block::redirects`), and a fused loop — the SDOTP channel loop and the
+//! convolution nest alike — in one call to
+//! [`MemModelState::charge_counts`] from the per-path summaries
+//! (`fusion::PathCost`) of the paths it ran. The bookkeeping paths are
+//! held to identical stall counters by the differential tests in this
+//! crate.
 //!
 //! Stalls are broken out by cause in [`MemStats`], which downstream
 //! consumers (`pcount-platform`, `pcount-core`) use to split per-inference
@@ -258,44 +260,6 @@ impl MemModelState {
         self.window_left = cfg.prefetch_entries;
         charge(cfg, misses, contended, stats)
     }
-
-    /// Charges `iters` back-to-back taken-back-edge executions of the
-    /// same loop body occupying trace positions `[start, n)` (a fused
-    /// loop), equivalent to calling [`MemModelState::charge_prefix`]
-    /// over that segment with `exit_redirect = true` that many times.
-    /// The first iteration is charged from the live carry-in window;
-    /// every taken exit then resets the window to
-    /// [`MaupitiMemConfig::prefetch_entries`], so all later iterations
-    /// charge identically and can be costed once and multiplied. Returns
-    /// the total extra stall cycles.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn charge_loop(
-        &mut self,
-        cfg: &MaupitiMemConfig,
-        mem_prefix: &[u32],
-        redirects: &[u32],
-        start: usize,
-        n: usize,
-        iters: u64,
-        stats: &mut MemStats,
-    ) -> u64 {
-        if iters == 0 {
-            return 0;
-        }
-        let mut total = self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, stats);
-        if iters > 1 {
-            let mut steady = MemStats::default();
-            self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, &mut steady);
-            let k = iters - 1;
-            total += charge(
-                cfg,
-                steady.fetch_misses * k,
-                steady.contended_accesses * k,
-                stats,
-            );
-        }
-        total
-    }
 }
 
 /// Adds `misses` prefetch-buffer misses and `contended` port collisions
@@ -313,6 +277,7 @@ fn charge(cfg: &MaupitiMemConfig, misses: u64, contended: u64, stats: &mut MemSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusion::PathCost;
 
     /// Replays `charge_prefix`'s inputs through the per-instruction
     /// `step` machine and checks both paths agree exactly.
@@ -402,8 +367,12 @@ mod tests {
         );
     }
 
-    /// `charge_loop` must equal `iters` sequential taken-exit
-    /// `charge_prefix` calls — cycles, counters and carry state.
+    /// `iters` taken passes over the loop body at trace positions
+    /// `[seg_start, n)`, charged the way the engine charges a fused loop
+    /// (the first pass from the live window, the rest from a full one,
+    /// through `PathCost::contended` and `charge_counts`), must equal
+    /// `iters` sequential taken-exit `charge_prefix` calls — cycles,
+    /// counters and carry state.
     fn assert_loop_agrees(
         cfg: &MaupitiMemConfig,
         is_mem: &[bool],
@@ -418,20 +387,28 @@ mod tests {
             mem_prefix[i + 1] = mem_prefix[i] + is_mem[i] as u32;
         }
         let redirects: Vec<u32> = redirect_at.iter().map(|&r| r as u32).collect();
+        // The pass's summary: one redirect (its taken back edge) and its
+        // data accesses at their offsets from the loop head.
+        let pass = PathCost {
+            misses: 1,
+            accesses: (seg_start..n)
+                .filter(|&i| is_mem[i])
+                .map(|i| 1 << (i - seg_start))
+                .sum(),
+            ..PathCost::default()
+        };
 
         let mut fast = MemModelState {
             window_left: start_window,
         };
         let mut fast_stats = MemStats::default();
-        let fast_cycles = fast.charge_loop(
-            cfg,
-            &mem_prefix,
-            &redirects,
-            seg_start,
-            n,
-            iters,
-            &mut fast_stats,
-        );
+        let mut fast_cycles = 0;
+        // The engine charges a fused loop only once an iteration retired.
+        if iters > 0 {
+            let contended =
+                pass.contended(start_window) + pass.contended(cfg.prefetch_entries) * (iters - 1);
+            fast_cycles = fast.charge_counts(cfg, pass.misses * iters, contended, &mut fast_stats);
+        }
 
         let mut slow = MemModelState {
             window_left: start_window,
