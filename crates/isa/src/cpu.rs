@@ -2,10 +2,10 @@
 //! flat IBEX-style cycle model.
 //!
 //! The faster block-cached engine lives in [`crate::engine`]; its
-//! micro-op dispatch loop mirrors the semantics of [`Cpu::exec_instr`]
-//! exactly, and the differential tests in `crate::engine` plus the
-//! bit-exact deployment tests in `pcount-kernels` hold the two to the
-//! same architectural results.
+//! per-instruction pass over pre-lowered micro-ops mirrors the semantics
+//! of [`Cpu::exec_instr`] exactly, and the differential tests in
+//! `crate::engine` plus the bit-exact deployment tests in
+//! `pcount-kernels` hold the two to the same architectural results.
 
 use crate::engine::{self, BlockCache, ExecMode};
 use crate::fusion::FusedKind;
@@ -499,8 +499,11 @@ impl Cpu {
 
     /// Executes the semantics of one instruction located at `pc`, without
     /// touching the PC, the retired-instruction and SDOTP counters or the
-    /// cycle counter — bookkeeping differs between the two engines and is
-    /// done by the caller from the returned [`ExecOutcome`].
+    /// cycle counter: its one caller, [`Cpu::step`] (the reference
+    /// interpreter), does that bookkeeping from the returned
+    /// [`ExecOutcome`]. The block-cached engine does not call it; its
+    /// per-instruction pass executes pre-lowered micro-ops with the same
+    /// semantics.
     #[inline]
     pub(crate) fn exec_instr(&mut self, instr: Instr, pc: u32) -> Result<ExecOutcome, SimError> {
         let mut next_pc = pc.wrapping_add(4);

@@ -406,14 +406,12 @@ fn other_operand(d: &Decoded, r: u8) -> Option<u8> {
 /// cycles tracked in `flushes` only for unconditional jumps. Both idioms'
 /// only data accesses are the channel loop's two loads, which every path
 /// reaches before its first redirect, as [`PathCost::accesses`] requires.
-fn path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
-    let mut c = PathCost {
-        instret: path.len() as u64,
-        ..PathCost::default()
-    };
+fn path_cost(w: &[Decoded], path: impl IntoIterator<Item = (usize, bool)>) -> PathCost {
+    let mut c = PathCost::default();
     let mut load_dest = 0u8;
-    for (offset, &(i, taken)) in path.iter().enumerate() {
+    for (offset, (i, taken)) in path.into_iter().enumerate() {
         let d = &w[i];
+        c.instret += 1;
         let mut cost = d.base_cycles as u64;
         if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
             cost += LOAD_USE_STALL;
@@ -560,33 +558,15 @@ fn try_nest(w: &[Decoded]) -> Option<NestDetail> {
     ]) {
         return None;
     }
-    let skip_lo = path_cost(
-        w,
-        &[
-            (0, false),
-            (1, false),
-            (2, false),
-            (3, false),
-            (4, true),
-            (23, false),
-            (24, false),
-        ],
-    );
-    let skip_hi = path_cost(
-        w,
-        &[
-            (0, false),
-            (1, false),
-            (2, false),
-            (3, false),
-            (4, false),
-            (5, true),
-            (23, false),
-            (24, false),
-        ],
-    );
-    let full_path: Vec<(usize, bool)> = (0..NEST_LEN).map(|i| (i, false)).collect();
-    let full1 = path_cost(w, &full_path);
+    // A guard skip runs the head up to its taken guard, then the
+    // `addi kx` tail and the closing `jal`.
+    let skip = |guard: usize| {
+        let tail = [NEST_SKIP_OFF, NEST_LEN - 1];
+        path_cost(w, (0..=guard).chain(tail).map(|i| (i, i == guard)))
+    };
+    let skip_lo = skip(4);
+    let skip_hi = skip(5);
+    let full1 = path_cost(w, (0..NEST_LEN).map(|i| (i, false)));
     Some(NestDetail {
         kx,
         kmax,
@@ -655,12 +635,10 @@ fn try_mac(entry_pc: u32, instrs: &[Decoded]) -> Option<MacLoop> {
     if !distinct_nonzero(&[p1, p2, ld1, ld2, acc, cnt]) {
         return None;
     }
-    let taken: Vec<(usize, bool)> = (0..MAC_LEN).map(|i| (i, i == MAC_LEN - 1)).collect();
-    let fall: Vec<(usize, bool)> = (0..MAC_LEN).map(|i| (i, false)).collect();
-    let fall = path_cost(instrs, &fall);
+    let fall = path_cost(instrs, (0..MAC_LEN).map(|i| (i, false)));
     Some(MacLoop {
         cnt,
-        pass: path_cost(instrs, &taken),
+        pass: path_cost(instrs, (0..MAC_LEN).map(|i| (i, i == MAC_LEN - 1))),
         last: PathCost {
             cycles: fall.cycles,
             stalls: fall.stalls,
