@@ -14,6 +14,15 @@
 //! machine-readable across PRs. It then reads the file back and checks
 //! that the fusion columns are populated.
 //!
+//! Only the ratios (`engine_speedup`, `engine_speedup_maupiti_mem`,
+//! `fusion_speedup`, `parallel_scaling`) compare across records. The
+//! absolute `ips_*` rates follow the load of the shared host: one step's
+//! rate swung 2.5e8-6.0e8 instructions/s between consecutive one-second
+//! measurements in one process on the 2-core host. Timing a rate inside
+//! the six-way interleaved set does not lower it: `ips_block_cached`
+//! timed alone and inside the set, alternated 20 times, read a median
+//! set/alone ratio of 0.96 (quartiles 0.91-1.04).
+//!
 //! `BENCH_SMOKE=1` (used by CI) shrinks every measurement window to a
 //! few milliseconds, skips the wall-clock assertions and writes
 //! `target/bench-smoke/BENCH_isa.json` instead — the bit-identity checks
@@ -369,9 +378,9 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads 6.18x from the medians:
-    // block-cached 3.3e8 instructions/s (slowest window 3.1e8) vs simple
-    // 5.3e7 (5.1e7); five full-mode runs read 5.97-6.41x. The hard guard
+    // The committed record (2-core host) reads 6.27x from the medians:
+    // block-cached 3.9e8 instructions/s (slowest window 3.6e8) vs simple
+    // 6.2e7 (5.6e7); five full-mode runs read 5.62-6.91x. The hard guard
     // sits lower because a loaded machine can still slow one operand's
     // windows more than the other's.
     assert!(
@@ -388,9 +397,9 @@ fn main() {
     );
     // Macro-op fusion exists to be a perf win: the fused conv3x3 guard
     // nests and SDOTP channel loops must beat per-instruction dispatch by
-    // a clear margin on the deployed CNN. The committed record reads 1.80x
-    // from the medians (unfused 1.8e8 instructions/s, slowest window
-    // 1.7e8; five full-mode runs read 1.79-2.06x); the floor sits at 1.2x
+    // a clear margin on the deployed CNN. The committed record reads 1.71x
+    // from the medians (unfused 2.3e8 instructions/s, slowest window
+    // 2.1e8; five full-mode runs read 1.61-2.10x); the floor sits at 1.2x
     // to absorb wall-clock noise on loaded machines.
     assert!(
         fusion_speedup >= 1.2,
@@ -398,7 +407,8 @@ fn main() {
     );
     // Batch scaling needs real cores; on a >= 4-thread host the pooled
     // path must deliver the acceptance target. The committed record comes
-    // from a 2-thread host (1.92x), so it does not exercise this floor.
+    // from a 2-thread host (1.15x while other load shared it; 1.92x at an
+    // earlier record), so it does not exercise this floor.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             scaling >= 2.5,
