@@ -2,7 +2,8 @@
 //! convolution in images/second (forward + backward, the QAT/NAS hot
 //! path), the GEMM-backed convolution on `pcount-runtime` pools of width 1
 //! and 4 (its image groups and weight-gradient strips are the training
-//! engine's parallelism; every GEMM runs serially inside one task), and
+//! engine's parallelism; every GEMM runs serially inside one task), one
+//! whole training step of the flow's seed network in images/second, and
 //! serial vs parallel per-fold NAS training wall-clock through
 //! `pcount_core::FoldTrainJob`. The operands of each ratio are timed in
 //! interleaved windows (`pcount_bench::interleaved_calls_per_s`).
@@ -19,15 +20,19 @@
 //! equivalence check and the thread-count determinism check still run in
 //! full, so training engine regressions fail fast without timing noise.
 
-use pcount_bench::{host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json};
+use pcount_bench::{
+    calls_per_s, host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json,
+};
 use pcount_core::FoldTrainJob;
 use pcount_dataset::{DatasetConfig, IrDataset};
-use pcount_nn::{CnnConfig, Conv2d, Layer, Mode, TrainConfig};
+use pcount_nn::{
+    Adam, CnnConfig, Conv2d, CrossEntropyLoss, Layer, Mode, Network, Sequential, TrainConfig,
+};
 use pcount_quant::{Precision, PrecisionAssignment, QatConfig};
 use pcount_runtime::{install, Pool};
 use pcount_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 /// Worker threads used for the parallel conv and fold measurements.
@@ -77,6 +82,47 @@ impl ConvWorkload {
     }
 }
 
+/// One training step of the default flow's seed network, exactly as `fit`
+/// runs it: `zero_grad`, a training-mode forward, cross-entropy,
+/// `backward` and one Adam step, on a fixed batch.
+struct SeedStep {
+    net: Sequential,
+    x: Tensor,
+    y: Vec<usize>,
+    opt: Adam,
+    loss: CrossEntropyLoss,
+}
+
+impl SeedStep {
+    /// Images per step: the flow's training batch size.
+    const BATCH: usize = 128;
+
+    fn new(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arch = CnnConfig::seed().with_channels(24, 24, 32);
+        let x = Tensor::randn(&[Self::BATCH, 1, 8, 8], 1.0, &mut rng);
+        let y = (0..Self::BATCH)
+            .map(|_| rng.gen_range(0..arch.num_classes))
+            .collect();
+        Self {
+            net: arch.build(&mut rng),
+            x,
+            y,
+            opt: Adam::new(1e-3, 1e-4),
+            loss: CrossEntropyLoss::new(),
+        }
+    }
+
+    fn step(&mut self) -> f32 {
+        self.net.zero_grad();
+        let logits = self.net.forward(&self.x, Mode::Train);
+        let loss = self.loss.forward(&logits, &self.y);
+        self.net.backward(&self.loss.backward());
+        self.opt.step(self.net.params_and_grads());
+        loss
+    }
+}
+
 /// Holds the GEMM conv path to the naive reference on the bench workload;
 /// this is the timing-independent engine-regression tripwire that also
 /// runs in smoke mode.
@@ -109,7 +155,7 @@ fn check_conv_equivalence() {
 /// dataset.
 struct FoldWorkload {
     dataset: IrDataset,
-    network: pcount_nn::Sequential,
+    network: Sequential,
     arch: CnnConfig,
     train: TrainConfig,
     qat: QatConfig,
@@ -212,6 +258,11 @@ fn main() {
     let conv_speedup = ips_gemm_serial.median / ips_naive.median;
     let conv_parallel_speedup = ips_gemm_parallel.median / ips_gemm_serial.median;
 
+    // --- One seed-network training step on one worker ------------------
+    let mut seed_step = SeedStep::new(3);
+    let seed_step_ips =
+        install(&pool_serial, || calls_per_s(|| seed_step.step())).scaled(SeedStep::BATCH as f64);
+
     // --- Serial vs parallel fold jobs/s ---------------------------------
     let workload = FoldWorkload::new(if smoke { 1 } else { 8 });
     let folds = workload.dataset.leave_one_session_out();
@@ -241,6 +292,11 @@ fn main() {
     println!("  conv GEMM, 1 worker:   {serial_ips:>10.2e} images/s");
     println!("  conv GEMM, {PARALLEL_THREADS} workers:  {parallel_ips:>10.2e} images/s");
     println!("  conv speedup:          {conv_speedup:.2}x serial over naive (target: >= 3x)");
+    println!(
+        "  seed training step:    {:>10.2e} images/s (24-24-32 seed, batch {}, 1 worker)",
+        seed_step_ips.median,
+        SeedStep::BATCH
+    );
     println!(
         "  conv parallel scaling: {conv_parallel_speedup:.2}x at {PARALLEL_THREADS} workers \
          (floor >= 1.7x on >= 4-core hosts)"
@@ -279,6 +335,8 @@ fn main() {
             ("conv_speedup", conv_speedup.into()),
             ("conv_threads", PARALLEL_THREADS.into()),
             ("conv_parallel_speedup", conv_parallel_speedup.into()),
+            ("seed_step_batch", SeedStep::BATCH.into()),
+            ("seed_step_images_per_s", seed_step_ips.into()),
             ("fold_count", folds.len().into()),
             ("fold_workers", fold_workers.into()),
             ("fold_jobs_per_s_serial", fold_serial.into()),

@@ -1,5 +1,6 @@
 //! Trainable channel masks with straight-through Heaviside binarisation.
 
+use pcount_nn::{channel_sums, SumOrder};
 use pcount_tensor::Tensor;
 
 /// A vector of trainable mask parameters `θ`, one per output channel or
@@ -134,21 +135,16 @@ impl ChannelMask {
         let inner: usize = shape[2..].iter().product();
         let gd = grad_out.data();
         let xd = x.data();
-        // STE: dL/dθ_c = Σ_{batch, positions} dL/dy * x   (dH/dθ ≈ 1).
-        {
-            let tg = self.theta_grad.data_mut();
-            for ni in 0..n {
-                #[allow(clippy::needless_range_loop)]
-                for ci in 0..c {
-                    let base = (ni * c + ci) * inner;
-                    let mut acc = 0.0f32;
-                    for i in 0..inner {
-                        acc += gd[base + i] * xd[base + i];
-                    }
-                    tg[ci] += acc;
-                }
-            }
-        }
+        // STE: dL/dθ_c = Σ_{batch, positions} dL/dy * x   (dH/dθ ≈ 1),
+        // each image's partial summed from 0.0 and added in image order.
+        let tg = self.theta_grad.data_mut();
+        channel_sums(
+            [gd, xd],
+            [n, c, inner],
+            tg,
+            SumOrder::PerImage(0.0),
+            |_, [g, x]| g * x,
+        );
         // dL/dx = dL/dy * H(θ).
         let mut grad_in = grad_out.clone();
         {
@@ -232,6 +228,64 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let y = mask.forward(&x);
         assert_eq!(y.data(), &[0.0, 2.0, 3.0, 0.0, 5.0, 6.0]);
+    }
+
+    /// The θ gradient equals a serial reference loop bit for bit: each
+    /// image's partial summed from 0.0, then added in image order. Shapes
+    /// cover every lane width, planes with and without a four-pixel
+    /// remainder, `[N, F]` features, NaN, ±inf and −0.0 inputs, and an
+    /// all-(−0.0) product row; a NaN matches any NaN.
+    #[test]
+    fn theta_gradient_matches_serial_reference_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut rng = StdRng::seed_from_u64(26);
+        for n in [1, 5, 128] {
+            for c in [1, 3, 7, 8, 9, 24, 33] {
+                for inner in [&[][..], &[1, 1], &[2, 3], &[4, 4], &[8, 8]] {
+                    let shape = [&[n, c][..], inner].concat();
+                    let plane: usize = inner.iter().product();
+                    for salted in [false, true] {
+                        let mut draw = || {
+                            let mut t = Tensor::randn(&shape, 1.5, &mut rng);
+                            for v in t.data_mut().iter_mut().filter(|_| salted) {
+                                if rng.gen_range(0..40) == 0 {
+                                    *v = specials[rng.gen_range(0..specials.len())];
+                                }
+                            }
+                            t
+                        };
+                        let x = draw();
+                        let mut gy = draw();
+                        gy.data_mut()[..plane].fill(-0.0);
+                        let mut mask = ChannelMask::new(c);
+                        // Starting from −0.0 makes the −0.0 row's sign visible.
+                        mask.theta_grad.fill(-0.0);
+                        let _ = mask.forward(&x);
+                        let _ = mask.backward(&gy);
+                        let (gd, xd) = (gy.data(), x.data());
+                        let mut want = vec![-0.0f32; c];
+                        for ni in 0..n {
+                            for (ci, w) in want.iter_mut().enumerate() {
+                                let base = (ni * c + ci) * plane;
+                                let mut acc = 0.0f32;
+                                for i in 0..plane {
+                                    acc += gd[base + i] * xd[base + i];
+                                }
+                                *w += acc;
+                            }
+                        }
+                        for (ci, (g, w)) in mask.theta_grad.data().iter().zip(&want).enumerate() {
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "shape {shape:?} channel {ci}: {g:e} vs reference {w:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -1,6 +1,7 @@
 //! 2-D batch normalisation.
 
 use crate::layer::{Layer, Mode};
+use crate::sums::{channel_sums, SumOrder};
 use pcount_tensor::Tensor;
 
 /// Batch normalisation over the channel dimension of NCHW tensors.
@@ -39,14 +40,16 @@ pub struct BatchNorm2d {
     pub momentum: f32,
     /// Numerical stabiliser added to the variance.
     pub eps: f32,
-    cache: Option<BnCache>,
+    cache: BnCache,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct BnCache {
-    x_hat: Tensor,
+    /// The normalised input of the last training-mode forward; its
+    /// allocation is reused by the next one.
+    x_hat: Vec<f32>,
     std_inv: Vec<f32>,
-    input_shape: Vec<usize>,
+    input_shape: Option<[usize; 4]>,
 }
 
 impl BatchNorm2d {
@@ -67,51 +70,49 @@ impl BatchNorm2d {
             running_var: Tensor::ones(&[channels]),
             momentum: 0.1,
             eps: 1e-5,
-            cache: None,
+            cache: BnCache::default(),
         }
     }
 }
 
 impl Layer for BatchNorm2d {
+    /// Normalises `x` per channel. In training mode the batch mean and
+    /// variance come from [`channel_sums`] (one chain per channel from 0.0
+    /// in (image, pixel) order) and the layer keeps `x̂` for the backward
+    /// pass; in evaluation mode it uses the running statistics and keeps
+    /// nothing.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "batchnorm expects NCHW input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.channels, "batchnorm channel mismatch");
+        let dims = [n, c, h * w];
         let m = (n * h * w) as f32;
         let xd = x.data();
 
         let (mean, var) = match mode {
             Mode::Train => {
                 let mut mean = vec![0.0f32; c];
+                channel_sums([xd], dims, &mut mean, SumOrder::Running, |_, [v]| v);
+                for s in &mut mean {
+                    *s /= m;
+                }
                 let mut var = vec![0.0f32; c];
-                for ci in 0..c {
-                    let mut sum = 0.0;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * h * w;
-                        for i in 0..h * w {
-                            sum += xd[base + i];
-                        }
-                    }
-                    mean[ci] = sum / m;
-                    let mut sq = 0.0;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * h * w;
-                        for i in 0..h * w {
-                            let d = xd[base + i] - mean[ci];
-                            sq += d * d;
-                        }
-                    }
-                    var[ci] = sq / m;
+                channel_sums([xd], dims, &mut var, SumOrder::Running, |ci, [v]| {
+                    let d = v - mean[ci];
+                    d * d
+                });
+                for s in &mut var {
+                    *s /= m;
                 }
                 // Update running statistics.
-                for ci in 0..c {
-                    let rm = self.running_mean.data_mut();
-                    rm[ci] = (1.0 - self.momentum) * rm[ci] + self.momentum * mean[ci];
+                let rm = self.running_mean.data_mut();
+                for (r, &mu) in rm.iter_mut().zip(&mean) {
+                    *r = (1.0 - self.momentum) * *r + self.momentum * mu;
                 }
-                for ci in 0..c {
-                    let rv = self.running_var.data_mut();
-                    rv[ci] = (1.0 - self.momentum) * rv[ci] + self.momentum * var[ci];
+                let rv = self.running_var.data_mut();
+                for (r, &v) in rv.iter_mut().zip(&var) {
+                    *r = (1.0 - self.momentum) * *r + self.momentum * v;
                 }
                 (mean, var)
             }
@@ -122,74 +123,83 @@ impl Layer for BatchNorm2d {
         };
 
         let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut x_hat = Tensor::zeros(shape);
-        let mut out = Tensor::zeros(shape);
-        {
-            let xh = x_hat.data_mut();
-            let od = out.data_mut();
-            let g = self.gamma.data();
-            let b = self.beta.data();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for i in 0..h * w {
-                        let v = (xd[base + i] - mean[ci]) * std_inv[ci];
-                        xh[base + i] = v;
-                        od[base + i] = g[ci] * v + b[ci];
-                    }
-                }
+        let (g, b) = (self.gamma.data(), self.beta.data());
+        let mut out = Vec::with_capacity(xd.len());
+        if mode == Mode::Train {
+            let cache = &mut self.cache;
+            cache.x_hat.resize(xd.len(), 0.0);
+            let planes = xd
+                .chunks_exact(h * w)
+                .zip(cache.x_hat.chunks_exact_mut(h * w));
+            for (p, (xp, hp)) in planes.enumerate() {
+                let ci = p % c;
+                let (mu, si, gc, bc) = (mean[ci], std_inv[ci], g[ci], b[ci]);
+                out.extend(xp.iter().zip(hp).map(|(&v, xh)| {
+                    let v = (v - mu) * si;
+                    *xh = v;
+                    gc * v + bc
+                }));
+            }
+            cache.std_inv = std_inv;
+            cache.input_shape = Some([n, c, h, w]);
+        } else {
+            for (p, xp) in xd.chunks_exact(h * w).enumerate() {
+                let ci = p % c;
+                let (mu, si, gc, bc) = (mean[ci], std_inv[ci], g[ci], b[ci]);
+                out.extend(xp.iter().map(|&v| gc * ((v - mu) * si) + bc));
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some(BnCache {
-                x_hat,
-                std_inv,
-                input_shape: shape.to_vec(),
-            });
-        }
-        out
+        Tensor::from_vec(out, shape)
     }
 
+    /// Back-propagates through the last training-mode forward. `Σ dy` and
+    /// `Σ dy·x̂` per channel come from [`channel_sums`] (one chain per
+    /// channel from 0.0 in (image, pixel) order) and are added onto the
+    /// β and γ gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before train forward");
-        let shape = &cache.input_shape;
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        let cache = &self.cache;
+        let [n, c, h, w] = cache.input_shape.expect("backward before train forward");
+        assert_eq!(
+            grad_out.shape(),
+            &[n, c, h, w],
+            "batchnorm gradient shape mismatch"
+        );
+        let dims = [n, c, h * w];
         let m = (n * h * w) as f32;
         let gd = grad_out.data();
-        let xh = cache.x_hat.data();
-        let mut grad_in = Tensor::zeros(shape);
+        let xh = &cache.x_hat[..];
 
         // Per-channel reductions.
         let mut sum_dy = vec![0.0f32; c];
+        channel_sums([gd], dims, &mut sum_dy, SumOrder::Running, |_, [dy]| dy);
         let mut sum_dy_xhat = vec![0.0f32; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for i in 0..h * w {
-                    sum_dy[ci] += gd[base + i];
-                    sum_dy_xhat[ci] += gd[base + i] * xh[base + i];
-                }
-            }
+        channel_sums(
+            [gd, xh],
+            dims,
+            &mut sum_dy_xhat,
+            SumOrder::Running,
+            |_, [dy, v]| dy * v,
+        );
+        for (bg, s) in self.beta_grad.data_mut().iter_mut().zip(&sum_dy) {
+            *bg += s;
         }
-        for ci in 0..c {
-            self.beta_grad.data_mut()[ci] += sum_dy[ci];
-            self.gamma_grad.data_mut()[ci] += sum_dy_xhat[ci];
+        for (gg, s) in self.gamma_grad.data_mut().iter_mut().zip(&sum_dy_xhat) {
+            *gg += s;
         }
         let g = self.gamma.data();
-        {
-            let gi = grad_in.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    let k = g[ci] * cache.std_inv[ci] / m;
-                    for i in 0..h * w {
-                        gi[base + i] =
-                            k * (m * gd[base + i] - sum_dy[ci] - xh[base + i] * sum_dy_xhat[ci]);
-                    }
-                }
-            }
+        let mut grad_in = Vec::with_capacity(gd.len());
+        let planes = gd.chunks_exact(h * w).zip(xh.chunks_exact(h * w));
+        for (p, (gp, hp)) in planes.enumerate() {
+            let ci = p % c;
+            let k = g[ci] * cache.std_inv[ci] / m;
+            let (sdy, sdx) = (sum_dy[ci], sum_dy_xhat[ci]);
+            grad_in.extend(
+                gp.iter()
+                    .zip(hp)
+                    .map(|(&dy, &v)| k * (m * dy - sdy - v * sdx)),
+            );
         }
-        grad_in
+        Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
     fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {

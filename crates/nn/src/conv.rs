@@ -1,6 +1,7 @@
 //! 2-D convolution over NCHW tensors.
 
 use crate::layer::{Layer, Mode};
+use crate::sums::{channel_sums, SumOrder};
 use pcount_tensor::{col2im, conv_output_size, gemm, im2col, Tensor};
 use rand::Rng;
 use std::cell::RefCell;
@@ -475,7 +476,7 @@ impl Conv2d {
     /// matrices; the work fans out over the pool by strips of 64 of the
     /// gradient's `Ci*k*k` columns, and every strip keeps image order.
     /// The bias gradient adds each image's `Σ dY_n[co, :]` in image order
-    /// on the calling thread. So results are bit-identical for any pool
+    /// on the calling thread, through [`channel_sums`]. So results are bit-identical for any pool
     /// size and equal those of one single-image call per image.
     ///
     /// When `Ho*Wo` is at most the GEMM's k block (256; every layer of the
@@ -532,12 +533,11 @@ impl Conv2d {
             }
         }
         give_buffer(strips);
+        // Each image's row sums from -0.0, the start of `Iterator::sum`,
+        // so an all-(-0.0) row adds -0.0.
+        let dims = [n, co, geom.plane()];
         let bg = self.bias_grad.data_mut();
-        for gy_n in gd.chunks_exact(geom.out_len()) {
-            for (b, row) in bg.iter_mut().zip(gy_n.chunks_exact(geom.plane())) {
-                *b += row.iter().sum::<f32>();
-            }
-        }
+        channel_sums([gd], dims, bg, SumOrder::PerImage(-0.0), |_, [g]| g);
         grad_in
     }
 

@@ -119,8 +119,12 @@ impl Relu {
 }
 
 impl Layer for Relu {
+    /// Keeps the mask of positive inputs in the previous forward's
+    /// allocation.
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.clear();
+        mask.extend(x.data().iter().map(|&v| v > 0.0));
         x.map(|v| v.max(0.0))
     }
 

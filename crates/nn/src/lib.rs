@@ -33,6 +33,7 @@ mod loss;
 mod metrics;
 mod model;
 mod optim;
+mod sums;
 mod train;
 
 pub use batchnorm::BatchNorm2d;
@@ -43,6 +44,7 @@ pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, balanced_accuracy, confusion_matrix};
 pub use model::{CnnConfig, LayerDims};
 pub use optim::Adam;
+pub use sums::{channel_sums, SumOrder};
 pub use train::{
     batch_select, evaluate, fit, predict, train_classifier, TrainConfig, TrainStats, PREDICT_BATCH,
 };

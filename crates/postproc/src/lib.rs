@@ -155,13 +155,6 @@ pub fn apply_majority(predictions: &[usize], window: usize) -> Vec<usize> {
     predictions.iter().map(|&p| voter.push(p)).collect()
 }
 
-/// Detection delay (in frames) of a majority filter of length `window`
-/// after a step change, assuming the classifier is perfect: the filter
-/// needs a strict majority of new-class frames.
-pub fn step_change_delay(window: usize) -> usize {
-    window / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +173,9 @@ mod tests {
         let mut preds = vec![1usize; 10];
         preds.extend(vec![3usize; 10]);
         let out = apply_majority(&preds, 5);
-        let delay = step_change_delay(5);
+        // A perfect classifier's step change surfaces once the window
+        // holds a strict majority of new-class frames: window / 2 later.
+        let delay = 5 / 2;
         // Before the change: always 1. After change + delay: always 3.
         assert!(out[..10].iter().all(|&p| p == 1));
         assert!(out[10 + delay..].iter().all(|&p| p == 3));

@@ -64,19 +64,6 @@ impl PrecisionAssignment {
             .map(|(dims, p)| p.storage_bytes(dims.weight_count()) + dims.out_features * 4)
             .sum()
     }
-
-    /// Mean bit-width across layers, weighted by weight count (useful for
-    /// reporting).
-    pub fn mean_weight_bits(&self, config: &CnnConfig) -> f64 {
-        let dims = config.layer_dims();
-        let total: usize = dims.iter().map(|d| d.weight_count()).sum();
-        let weighted: f64 = dims
-            .iter()
-            .zip(self.0.iter())
-            .map(|(d, p)| d.weight_count() as f64 * p.bits() as f64)
-            .sum();
-        weighted / total.max(1) as f64
-    }
 }
 
 impl std::fmt::Display for PrecisionAssignment {
@@ -148,26 +135,5 @@ mod tests {
                 .map(|d| d.weight_count() + d.out_features * 4)
                 .sum::<usize>()
         );
-    }
-
-    #[test]
-    fn mean_weight_bits_interpolates_between_4_and_8() {
-        let cfg = CnnConfig::seed();
-        assert_eq!(
-            PrecisionAssignment::uniform(Precision::Int8).mean_weight_bits(&cfg),
-            8.0
-        );
-        assert_eq!(
-            PrecisionAssignment::uniform(Precision::Int4).mean_weight_bits(&cfg),
-            4.0
-        );
-        let mixed = PrecisionAssignment::new([
-            Precision::Int8,
-            Precision::Int4,
-            Precision::Int8,
-            Precision::Int8,
-        ])
-        .mean_weight_bits(&cfg);
-        assert!(mixed > 4.0 && mixed < 8.0);
     }
 }

@@ -147,13 +147,6 @@ impl Tensor {
         Self::from_vec(self.data.iter().map(|&x| f(x)).collect(), &self.shape)
     }
 
-    /// Element-wise in-place map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise binary op with another tensor of identical shape.
     ///
     /// # Panics
