@@ -351,9 +351,10 @@ fn main() {
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }
-    // The committed record (2-core host) reads 27.9x from the medians:
-    // GEMM at 1 worker 1.62e4 images/s (slowest window 1.34e4) vs naive
-    // 580 (523). The hard guard sits lower because both operands are
+    // The committed record (2-core host) reads 25.8x from the medians:
+    // GEMM at 1 worker 1.30e4 images/s (slowest window 1.12e4) vs naive
+    // 505 (429); full runs of one build spread 19.1-26.4x on that host.
+    // The hard guard sits lower because both operands are
     // wall-clock measurements on a possibly loaded machine. A reading
     // under the 3x acceptance target on a quiet machine is a real
     // regression.
@@ -365,8 +366,8 @@ fn main() {
     // engine's parallelism (each GEMM runs serially on its worker): on a
     // >= 4-core host a 4-worker pool must deliver at least 1.7x over one
     // worker. The committed 2-core record, where the floor does not
-    // apply, reads 1.59x from the medians: 2.56e4 images/s (slowest
-    // window 2.31e4) vs 1.62e4 (1.34e4).
+    // apply, reads 1.89x from the medians: 2.45e4 images/s (slowest
+    // window 2.27e4) vs 1.30e4 (1.12e4).
     if host_threads >= PARALLEL_THREADS {
         assert!(
             conv_parallel_speedup >= 1.7,
@@ -377,8 +378,8 @@ fn main() {
     // Fold scaling needs real cores: on a >= 4-core host the parallel fold
     // loop must deliver most of the linear speedup (0.7 efficiency
     // acceptance target, floor below for wall-clock noise). The committed
-    // 2-core record reads 0.47 from the medians: 6.76 jobs/s (slowest
-    // window 6.57) at 4 workers vs 3.62 (3.53) serial.
+    // 2-core record reads 0.46 from the medians: 7.03 jobs/s (slowest
+    // window 6.87) at 4 workers vs 3.85 (3.76) serial.
     if host_threads >= PARALLEL_THREADS {
         assert!(
             fold_efficiency >= 0.5,
