@@ -293,13 +293,13 @@ fn main() {
     println!("  conv GEMM, {PARALLEL_THREADS} workers:  {parallel_ips:>10.2e} images/s");
     println!("  conv speedup:          {conv_speedup:.2}x serial over naive (target: >= 3x)");
     println!(
+        "  conv parallel scaling: {conv_parallel_speedup:.2}x at {PARALLEL_THREADS} workers \
+         (floor >= 1.7x on >= 4-core hosts)"
+    );
+    println!(
         "  seed training step:    {:>10.2e} images/s (24-24-32 seed, batch {}, 1 worker)",
         seed_step_ips.median,
         SeedStep::BATCH
-    );
-    println!(
-        "  conv parallel scaling: {conv_parallel_speedup:.2}x at {PARALLEL_THREADS} workers \
-         (floor >= 1.7x on >= 4-core hosts)"
     );
     let (serial_s, parallel_s) = (fold_serial.median.recip(), fold_parallel.median.recip());
     println!(

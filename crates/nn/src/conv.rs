@@ -476,8 +476,9 @@ impl Conv2d {
     /// matrices; the work fans out over the pool by strips of 64 of the
     /// gradient's `Ci*k*k` columns, and every strip keeps image order.
     /// The bias gradient adds each image's `Σ dY_n[co, :]` in image order
-    /// on the calling thread, through [`channel_sums`]. So results are bit-identical for any pool
-    /// size and equal those of one single-image call per image.
+    /// on the calling thread, through [`channel_sums`]. So results are
+    /// bit-identical for any pool size and equal those of one single-image
+    /// call per image.
     ///
     /// When `Ho*Wo` is at most the GEMM's k block (256; every layer of the
     /// paper's networks), each image's product is summed from zero and then
