@@ -78,6 +78,17 @@ pub fn crashy_cfg(policy: CrashPolicy) -> FleetConfig {
     }
 }
 
+/// `crashy_cfg(Reroute)` with a service clock fast enough that the
+/// survivor's queue has room at the crash: part of the crashed queue is
+/// re-routed live instead of all of it being lost.
+#[allow(dead_code)]
+pub fn live_reroute_cfg() -> FleetConfig {
+    FleetConfig {
+        service_clock_hz: 12_000_000,
+        ..crashy_cfg(CrashPolicy::Reroute)
+    }
+}
+
 /// A compact fleet: 24 nodes over 6 rooms on 2 shards, short windows.
 pub fn small_cfg() -> FleetConfig {
     FleetConfig {
