@@ -25,7 +25,13 @@
 //!   readers use.
 //!
 //! `BENCH_SMOKE=1` runs the shorter smoke fleet, shrinks the timing
-//! windows and writes `target/bench-smoke/BENCH_serve.json` instead.
+//! windows and writes `target/bench-smoke/BENCH_serve.json` instead. It
+//! also builds the full-mode `serve` block and checks it against the
+//! committed `BENCH_serve.json`: every number in that block is a pure
+//! function of the code and the seeds, so a change that moves one must
+//! re-record the ledger.
+
+use std::path::Path;
 
 use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
@@ -33,7 +39,7 @@ use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
 };
 use pcount_kernels::{Deployment, Target};
-use pcount_telemetry::JsonValue;
+use pcount_telemetry::{parse_json, JsonValue};
 
 /// Seed of the demo model and the dataset nodes replay.
 const SEED: u64 = 7;
@@ -190,14 +196,35 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-fn main() {
-    let smoke = smoke_mode();
-    let (deployment, data) = deployed();
+/// Checks a full-mode `serve` block against the committed
+/// `BENCH_serve.json`, naming the members that differ.
+fn check_matches_ledger(full: &JsonValue) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let ledger = parse_json(&text).unwrap_or_else(|e| panic!("BENCH_serve.json: {e}"));
+    let committed = member(&ledger, "serve");
+    // Compare parsed values, as the committed block was written and read.
+    let built = parse_json(&full.to_string()).expect("the serve block parses");
+    let JsonValue::Object(members) = &built else {
+        panic!("the serve block is not an object");
+    };
+    let differing: Vec<&String> = members
+        .iter()
+        .filter(|(key, value)| committed.get(key) != Some(value))
+        .map(|(key, _)| key)
+        .collect();
+    assert!(
+        built == *committed,
+        "serve members {differing:?} differ from the committed BENCH_serve.json: a change \
+         that moves a fleet result must re-record the ledger (a full-mode run)"
+    );
+    println!("full-mode serve block matches the committed BENCH_serve.json");
+}
 
-    // The reported runs record telemetry so the global fleet/* surface
-    // is exercised too; recording never changes any computed result.
-    pcount_telemetry::set_enabled(true);
-
+/// Runs every fleet scenario with its serve tripwires and returns the
+/// `serve` block of `BENCH_serve.json` for the smoke or the full fleet.
+fn serve_block(deployment: &Deployment, data: &IrDataset, smoke: bool) -> JsonValue {
     // Load ramp: sweep the sensor frame period down (offered load up)
     // at a fixed fleet. The hardest level oversubscribes the shards.
     let periods_ms: &[u32] = if smoke {
@@ -212,7 +239,7 @@ fn main() {
             ..base_cfg(smoke)
         };
         let queue_cap = cfg.queue_cap as u64;
-        let report = run_fleet(&deployment, &data, cfg);
+        let report = run_fleet(deployment, data, cfg);
         check_complete(&report, &format!("ramp period {period} ms"));
         assert!(
             report.queue_depth_peak <= queue_cap,
@@ -247,7 +274,7 @@ fn main() {
         storm: Some(StormConfig::default()),
         ..base_cfg(smoke)
     };
-    let storm_report = run_fleet(&deployment, &data, storm_cfg.clone());
+    let storm_report = run_fleet(deployment, data, storm_cfg.clone());
     check_complete(&storm_report, "fault storm");
     let storm_faults: u64 = storm_report
         .node_reports
@@ -280,7 +307,7 @@ fn main() {
         checkpoint_period_ms: 25,
         ..base_cfg(smoke)
     };
-    let crash_report = run_fleet(&deployment, &data, crash_cfg.clone());
+    let crash_report = run_fleet(deployment, data, crash_cfg.clone());
     check_complete(&crash_report, "crash storm");
     assert!(crash_report.totals.crashes > 0, "crash storm never fired");
     assert_eq!(
@@ -362,8 +389,8 @@ fn main() {
         adaptive: Some(AdaptiveConfig::default()),
         ..static_cfg.clone()
     };
-    let static_report = run_fleet(&deployment, &data, static_cfg);
-    let adaptive_report = run_fleet(&deployment, &data, adaptive_cfg);
+    let static_report = run_fleet(deployment, data, static_cfg);
+    let adaptive_report = run_fleet(deployment, data, adaptive_cfg);
     check_complete(&static_report, "static admission");
     check_complete(&adaptive_report, "adaptive admission");
     let tightens: u64 = adaptive_report
@@ -403,22 +430,10 @@ fn main() {
 
     // Always-on determinism tripwires (the CI serve-smoke gate): once
     // plain, once with the crash schedule in play.
-    let occupancy_hash = check_reproducible(&deployment, &data, &base_cfg(smoke));
-    let failover_hash = check_reproducible(&deployment, &data, &crash_cfg);
-    pcount_telemetry::set_enabled(false);
+    let occupancy_hash = check_reproducible(deployment, data, &base_cfg(smoke));
+    let failover_hash = check_reproducible(deployment, data, &crash_cfg);
 
-    // Frames/s of the base fleet's run; the service and its pool are
-    // built once, outside the timed calls.
-    let svc = FleetService::new(deployment.clone(), base_cfg(smoke), &data).expect("fleet");
-    let mut pool = svc.make_pool(POOL_THREADS).expect("pool");
-    let frames = svc.run(&mut pool).totals.requests;
-    let fleet_fps = calls_per_s(|| svc.run(&mut pool)).scaled(frames as f64);
-    println!(
-        "serve fleet run: {frames} frames, {:.0} frames/s (median)",
-        fleet_fps.median
-    );
-
-    let serve = JsonValue::object([
+    JsonValue::object([
         ("ramp", JsonValue::Array(ramp_entries)),
         ("storm", (&storm_report).into()),
         ("crash_storm", (&crash_report).into()),
@@ -438,7 +453,34 @@ fn main() {
                 ("bit_identical", true.into()),
             ]),
         ),
-    ]);
+    ])
+}
+
+fn main() {
+    let smoke = smoke_mode();
+    let (deployment, data) = deployed();
+
+    // The reported runs record telemetry so the global fleet/* surface
+    // is exercised too; recording never changes any computed result.
+    pcount_telemetry::set_enabled(true);
+    let serve = serve_block(&deployment, &data, smoke);
+    if smoke {
+        println!("full-mode serve block, checked against the committed ledger:");
+        check_matches_ledger(&serve_block(&deployment, &data, false));
+    }
+    pcount_telemetry::set_enabled(false);
+
+    // Frames/s of the base fleet's run; the service and its pool are
+    // built once, outside the timed calls.
+    let svc = FleetService::new(deployment.clone(), base_cfg(smoke), &data).expect("fleet");
+    let mut pool = svc.make_pool(POOL_THREADS).expect("pool");
+    let frames = svc.run(&mut pool).totals.requests;
+    let fleet_fps = calls_per_s(|| svc.run(&mut pool)).scaled(frames as f64);
+    println!(
+        "serve fleet run: {frames} frames, {:.0} frames/s (median)",
+        fleet_fps.median
+    );
+
     let bench = write_bench_json(
         "BENCH_serve.json",
         "serve",

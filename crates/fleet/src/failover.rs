@@ -1,6 +1,6 @@
 //! Shard failover: deterministic crash/restart scheduling, room
-//! migration, periodic shard checkpoints and the burn-driven adaptive
-//! admission controller.
+//! migration, the checkpointed admission posture and the burn-driven
+//! adaptive admission controller.
 //!
 //! Shards are the unit of failure that actually takes serving layers
 //! down: PR 8's fleet only injected *node*-level chaos, so every fusion
@@ -16,25 +16,23 @@
 //! * [`RouteTable`] migrates a crashed shard's rooms to surviving shards
 //!   (the ROADMAP's cross-shard rebalancing) and returns them home on
 //!   restart — all driven by the virtual-time schedule.
-//! * [`ShardCheckpoint`] is the periodic snapshot a restarting shard
-//!   recovers from: admission state (throttle flag, adaptive watermarks)
-//!   restored in the plan phase, per-node fusion/health state restored
-//!   in the fold phase, with hold-last-good fusion covering the gap
-//!   between the last checkpoint and the crash.
+//! * A periodic checkpoint records each live shard's admission
+//!   [`Posture`] (throttle flag, adaptive watermarks and stride), which
+//!   the shard restores on restart, and every node's fusion/health
+//!   estimator, which a crash rolls back to; only the newest checkpoint
+//!   is kept. Hold-last-good fusion covers the gap between the
+//!   checkpoint and the crash.
 //! * [`AdaptiveAdmission`] derives the effective watermarks and the
-//!   downsample aggressiveness from a live windowed
-//!   [`SloSnapshot`](pcount_telemetry::SloSnapshot) burn instead of the
-//!   static knobs, with hysteresis against the error budget — an
-//!   overloaded or degraded-by-failover shard trades latency for
-//!   coverage on its own.
+//!   downsample aggressiveness from the error-budget burn of a sliding
+//!   window of admission outcomes instead of the static knobs, with
+//!   hysteresis against the error budget — an overloaded or
+//!   degraded-by-failover shard trades latency for coverage on its own.
 //!
 //! [`StormConfig`]: crate::StormConfig
 
 use std::collections::VecDeque;
 
-use pcount_postproc::MajorityVoter;
-use pcount_telemetry::slo;
-use pcount_telemetry::{ErrorBudget, SloSnapshot};
+use pcount_telemetry::ErrorBudget;
 use pcount_tensor::SplitMix64;
 
 /// Salt of the per-shard crash-schedule seed (distinct from the node
@@ -267,19 +265,13 @@ impl RouteTable {
             .filter(|&(_, &s)| s == shard)
             .map(|(r, _)| r as u32)
             .collect();
-        let mut migrated = 0;
-        if let Some(target_hint) = self.next_live(shard) {
-            let _ = target_hint;
-            for r in 0..self.route.len() {
-                if self.route[r] == shard {
-                    if let Some(t) = self.next_live(self.route[r]) {
-                        self.route[r] = t;
-                        migrated += 1;
-                    }
-                }
-            }
+        let Some(target) = self.next_live(shard) else {
+            return (0, rooms_at_crash);
+        };
+        for &r in &rooms_at_crash {
+            self.route[r as usize] = target;
         }
-        (migrated, rooms_at_crash)
+        (rooms_at_crash.len() as u64, rooms_at_crash)
     }
 
     /// Marks `shard` live again, returns its homed rooms to it and
@@ -299,71 +291,11 @@ impl RouteTable {
     }
 }
 
-/// One node's fusion/health state inside a [`ShardCheckpoint`]: what a
-/// restarted (or failover) shard knows about the node. The emitted room
-/// contribution is deliberately *not* part of the checkpoint — the
-/// estimate holds last-good through the gap; only the estimator rolls
-/// back.
-#[derive(Debug, Clone)]
-pub struct NodeFusionCkpt {
-    /// Fleet-wide node id.
-    pub node: usize,
-    /// The node's majority voter at the checkpoint.
-    pub voter: MajorityVoter,
-    /// Last good estimate at the checkpoint.
-    pub last_good: Option<usize>,
-    /// Sliding health window at the checkpoint.
-    pub health: VecDeque<u8>,
-    /// Quarantine flag at the checkpoint.
-    pub quarantined: bool,
-    /// Readmission clean streak at the checkpoint.
-    pub clean_streak: u32,
-}
-
-/// A periodic snapshot of one shard's recoverable state, taken every
-/// [`FleetConfig::checkpoint_period_ms`] of virtual time while the
-/// shard is live. On restart the shard recovers its admission state
-/// (throttle flag, adaptive watermarks/stride) from the last checkpoint
-/// before the crash; on crash the fold rolls the shard's nodes' fusion
-/// and health state back to the same checkpoint (frames fused after it
-/// are lost from the estimator's memory — hold-last-good covers the
-/// gap).
-///
-/// [`FleetConfig::checkpoint_period_ms`]: crate::FleetConfig::checkpoint_period_ms
-#[derive(Debug, Clone)]
-pub struct ShardCheckpoint {
-    /// The shard this snapshot belongs to.
-    pub shard: usize,
-    /// Virtual instant the snapshot was taken.
-    pub taken_ns: i64,
-    /// Backpressure throttle flag at the snapshot.
-    pub throttled: bool,
-    /// Effective high watermark at the snapshot (adaptive admission).
-    pub eff_high: usize,
-    /// Effective low watermark at the snapshot (adaptive admission).
-    pub eff_low: usize,
-    /// Downsample stride at the snapshot (keep 1 frame in `stride`).
-    pub stride: u32,
-    /// Rooms routed to the shard at the snapshot (the fusion scope).
-    pub rooms: Vec<u32>,
-    /// Per-node fusion/health state, filled by the fold phase at the
-    /// same boundary the plan recorded.
-    pub nodes: Vec<NodeFusionCkpt>,
-}
-
-impl ShardCheckpoint {
-    /// The checkpointed fusion state of `node`, if the node was in the
-    /// shard's scope when the snapshot was taken.
-    pub fn node(&self, node: usize) -> Option<&NodeFusionCkpt> {
-        self.nodes.iter().find(|n| n.node == node)
-    }
-}
-
 /// Burn-driven adaptive admission for a [`FleetConfig`]: instead of the
 /// static `high_watermark`/`low_watermark`/every-other-frame knobs, the
 /// shard derives its effective watermarks and downsample stride from
-/// the error-budget burn of a live windowed [`SloSnapshot`] over its
-/// own admission outcomes.
+/// the error-budget burn of a sliding window over its own admission
+/// outcomes.
 ///
 /// [`FleetConfig`]: crate::FleetConfig
 #[derive(Debug, Clone, PartialEq)]
@@ -400,14 +332,25 @@ impl Default for AdaptiveConfig {
     }
 }
 
+/// A shard's admission posture: the backpressure throttle flag and the
+/// effective watermarks and stride. A checkpoint records it and a
+/// restart restores it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Posture {
+    throttled: bool,
+    eff_high: usize,
+    eff_low: usize,
+    stride: u32,
+}
+
 /// The per-shard adaptive admission controller (plan-phase state).
 ///
 /// Every offered frame reports whether admission degraded it (shed or
-/// downsampled); once the window fills, its [`SloSnapshot`] burn is
-/// judged against the hysteresis band and the effective watermarks and
-/// stride move one step. The controller state is part of the shard's
-/// [`ShardCheckpoint`], so a restarted shard resumes with the admission
-/// posture it had at the last checkpoint.
+/// downsampled); once the window fills, its error-budget burn is judged
+/// against the hysteresis band and the effective watermarks and stride
+/// move one step. A checkpoint records the controller's [`Posture`], so
+/// a restarted shard resumes with the admission posture it had at the
+/// last checkpoint.
 #[derive(Debug, Clone)]
 pub(crate) struct AdaptiveAdmission {
     cfg: Option<AdaptiveConfig>,
@@ -441,23 +384,26 @@ impl AdaptiveAdmission {
         }
     }
 
-    /// Resets to the configured (un-tightened) posture — the state a
-    /// shard boots with when it crashed before any checkpoint existed.
-    pub(crate) fn reset(&mut self) {
-        self.eff_high = self.base_high;
-        self.eff_low = self.base_low;
-        self.stride = 2;
-        self.window.clear();
+    /// The posture a checkpoint records, with the shard's `throttled`
+    /// flag.
+    pub(crate) fn posture(&self, throttled: bool) -> Posture {
+        Posture {
+            throttled,
+            eff_high: self.eff_high,
+            eff_low: self.eff_low,
+            stride: self.stride,
+        }
     }
 
-    /// Restores the posture recorded in a [`ShardCheckpoint`]. The
-    /// evaluation window restarts empty — pre-crash samples described a
-    /// queue that no longer exists.
-    pub(crate) fn restore(&mut self, ckpt: &ShardCheckpoint) {
-        self.eff_high = ckpt.eff_high;
-        self.eff_low = ckpt.eff_low;
-        self.stride = ckpt.stride;
+    /// Restores a checkpointed posture and returns its throttle flag.
+    /// The evaluation window restarts empty — pre-crash samples
+    /// described a queue that no longer exists.
+    pub(crate) fn restore(&mut self, posture: Posture) -> bool {
+        self.eff_high = posture.eff_high;
+        self.eff_low = posture.eff_low;
+        self.stride = posture.stride;
         self.window.clear();
+        posture.throttled
     }
 
     /// Derives `eff_low` from `eff_high`, preserving the configured
@@ -484,15 +430,7 @@ impl AdaptiveAdmission {
             return;
         }
         let bad = self.window.iter().filter(|&&d| d).count() as u64;
-        let total = self.window.len() as u64;
-        // The decision reads burn off the same SLO surface the reports
-        // export — a real windowed snapshot, not a private heuristic.
-        let snapshot = SloSnapshot {
-            counters: vec![(slo::FLEET_SHED, bad)],
-            error_budget_burn_milli: budget.burn_milli(bad, total),
-            ..SloSnapshot::default()
-        };
-        let burn = snapshot.error_budget_burn_milli;
+        let burn = budget.burn_milli(bad, self.window.len() as u64);
         if burn >= cfg.tighten_burn_milli {
             let can_tighten =
                 self.eff_high > cfg.min_high_watermark || self.stride < cfg.max_downsample_stride;
@@ -676,23 +614,17 @@ mod tests {
             adm.observe(true, &budget);
         }
         assert!(adm.eff_high < 48);
-        let ckpt = ShardCheckpoint {
-            shard: 0,
-            taken_ns: 0,
-            throttled: true,
-            eff_high: adm.eff_high,
-            eff_low: adm.eff_low,
-            stride: adm.stride,
-            rooms: vec![],
-            nodes: vec![],
-        };
         let mut fresh = AdaptiveAdmission::new(Some(AdaptiveConfig::default()), 48, 16);
-        fresh.restore(&ckpt);
+        let boot = fresh.posture(false);
+        assert!(
+            fresh.restore(adm.posture(true)),
+            "the throttle flag returns"
+        );
         assert_eq!(
             (fresh.eff_high, fresh.eff_low, fresh.stride),
             (adm.eff_high, adm.eff_low, adm.stride)
         );
-        fresh.reset();
+        assert!(!fresh.restore(boot));
         assert_eq!((fresh.eff_high, fresh.eff_low, fresh.stride), (48, 16, 2));
     }
 

@@ -22,14 +22,15 @@
 //!   those an injected stall cuts short, run on the instruction-set
 //!   simulator, which owns the watchdog and the wasted-cycle
 //!   accounting.
-//! * **SLO governance**: every node's health is judged from windowed
-//!   [`SloSnapshot`](pcount_telemetry::SloSnapshot)s against the error
-//!   budget; sick nodes are quarantined (their frames still execute but
-//!   never reach fusion) and readmitted only after a clean streak. Shard
-//!   reports fold node snapshots with `SloSnapshot::merge` and pool
-//!   error-budget burn with `ErrorBudget::burn_milli_total`.
+//! * **SLO governance**: every node's health is judged by the
+//!   error-budget burn of a sliding window of its outcomes; sick nodes
+//!   are quarantined (their frames still execute but never reach fusion)
+//!   and readmitted only after a clean streak. Shard reports fold their
+//!   nodes' [`SloSnapshot`](pcount_telemetry::SloSnapshot)s with
+//!   `SloSnapshot::merge` and pool error-budget burn with
+//!   `ErrorBudget::burn_milli_total`.
 //!
-//! * **Shard failover** ([`CrashConfig`], [`ShardCheckpoint`]): shards
+//! * **Shard failover** ([`CrashConfig`], [`CrashPolicy`]): shards
 //!   themselves can die on a seeded, virtual-time crash schedule. A
 //!   crashing shard's queue is disposed of per [`CrashPolicy`]
 //!   (re-routed to surviving shards, shed as lost-in-crash, or held
@@ -39,8 +40,8 @@
 //!   checkpoint is lost and hold-last-good covers the gap.
 //! * **Adaptive admission** ([`AdaptiveConfig`]): instead of the static
 //!   watermarks, each shard can derive its effective
-//!   watermarks/downsample stride from the error-budget burn of a live
-//!   windowed snapshot of its own admission outcomes, with hysteresis
+//!   watermarks/downsample stride from the error-budget burn of a
+//!   sliding window of its own admission outcomes, with hysteresis
 //!   against flapping.
 //!
 //! Scheduling is virtual-time: a serial event plan decides every
@@ -67,10 +68,7 @@ mod node;
 mod report;
 mod service;
 
-pub use failover::{
-    plan_crashes, AdaptiveConfig, CrashConfig, CrashEvent, CrashPolicy, NodeFusionCkpt,
-    ShardCheckpoint,
-};
+pub use failover::{plan_crashes, AdaptiveConfig, CrashConfig, CrashEvent, CrashPolicy};
 pub use msg::{Delivery, DeliveryStatus, FrameMsg};
 pub use node::SensorNode;
 pub use report::{

@@ -73,7 +73,7 @@ impl From<&ServeTotals> for JsonValue {
 }
 
 /// One node's folded accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeReport {
     /// Fleet-wide node id.
     pub node: usize,

@@ -33,8 +33,8 @@
 //!    Every result is a pure per-frame function, identical to running
 //!    every attempt on the simulator.
 //! 3. **Fold (serial).** Outcomes are replayed in arrival order through
-//!    the same failover timeline (checkpoint snapshots filled, crashed
-//!    shards' fusion state rolled back to the last checkpoint with
+//!    the same failover timeline (every node's estimator recorded at a
+//!    checkpoint, crashed shards' nodes rolled back to it with
 //!    hold-last-good covering the gap) and per-node health windows
 //!    (quarantine/readmission with hysteresis) and per-room fusion,
 //!    producing the occupancy trajectory, latency and recovery-time
@@ -48,8 +48,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::failover::{
-    plan_crashes, AdaptiveAdmission, AdaptiveConfig, CrashConfig, CrashEvent, CrashPolicy,
-    FailoverEvent, RouteTable, ShardCheckpoint,
+    failover_timeline, plan_crashes, AdaptiveAdmission, AdaptiveConfig, CrashConfig, CrashEvent,
+    CrashPolicy, FailoverEvent, Posture, RouteTable,
 };
 use crate::msg::{Delivery, DeliveryStatus, FrameMsg};
 use crate::node::SensorNode;
@@ -296,8 +296,8 @@ pub struct FleetConfig {
     /// schedule is configured.
     pub checkpoint_period_ms: u64,
     /// Optional burn-driven adaptive admission: effective watermarks and
-    /// downsample stride derived from each shard's live windowed
-    /// [`SloSnapshot`] burn. `None` keeps the static knobs.
+    /// downsample stride derived from the error-budget burn of each
+    /// shard's recent admission outcomes. `None` keeps the static knobs.
     pub adaptive: Option<AdaptiveConfig>,
     /// Maximum per-node constant clock skew (± milliseconds), drawn from
     /// the fleet seed.
@@ -526,6 +526,11 @@ struct ShardSim {
     crashes: u64,
     /// The shard's admission posture (static or burn-driven).
     adm: AdaptiveAdmission,
+    /// The posture at the last checkpoint (the boot posture before the
+    /// first): what a restart recovers.
+    ckpt: Posture,
+    /// Checkpoints this shard took during the run.
+    checkpoints: u64,
     /// Highest queue depth observed.
     peak_depth: usize,
     /// Queue depth sampled at every arrival.
@@ -540,7 +545,9 @@ impl ShardSim {
             throttled: false,
             down: false,
             crashes: 0,
+            ckpt: adm.posture(false),
             adm,
+            checkpoints: 0,
             peak_depth: 0,
             depth_counts: HistogramCounts::empty(),
         }
@@ -568,139 +575,83 @@ struct PlanOutput {
     exec_list: Vec<usize>,
     crash_events: Vec<CrashEvent>,
     timeline: Vec<(i64, FailoverEvent)>,
-    ckpts: Vec<ShardCheckpoint>,
     drafts: Vec<CrashDraft>,
     migrations: u64,
 }
 
-/// Serial fold state of one node: fusion estimator, health window and
-/// accounting.
-struct NodeState {
+/// A node's fusion and health estimator: what a checkpoint records and
+/// a crash rolls back. The node's room contribution is deliberately not
+/// part of it — the room holds last-good through the rolled-back gap.
+#[derive(Clone)]
+struct Estimator {
     voter: MajorityVoter,
     last_good: Option<usize>,
-    /// The node's current contribution to its room's occupancy.
-    contrib: usize,
-    /// Trailing node-caused outcomes: `0` good, `1` gap, `2` fallback.
-    window: VecDeque<u8>,
+    /// Trailing node-caused outcomes, `true` for a gap or a fallback.
+    window: VecDeque<bool>,
     quarantined: bool,
     clean_streak: u32,
-    deliveries: u64,
-    gaps: u64,
-    shed: u64,
-    downsampled: u64,
-    crash_lost: u64,
-    rerouted: u64,
-    ok: u64,
-    recovered: u64,
-    fallback: u64,
-    fused: u64,
-    quarantined_frames: u64,
-    retries: u64,
-    cpu_resets: u64,
-    trips: u64,
-    readmissions: u64,
-    recovery_counts: HistogramCounts,
+}
+
+/// Serial fold state of one node.
+struct NodeState {
+    est: Estimator,
+    /// The estimator at the last checkpoint (boot state before the
+    /// first).
+    ckpt: Estimator,
+    /// The node's current contribution to its room's occupancy.
+    contrib: usize,
+    /// The node's accounting, counted up as the fold replays it.
+    report: NodeReport,
 }
 
 impl NodeState {
-    fn new(voter_window: usize) -> Self {
-        Self {
+    fn new(node: &SensorNode, voter_window: usize) -> Self {
+        let est = Estimator {
             voter: MajorityVoter::new(voter_window.max(1)),
             last_good: None,
-            contrib: 0,
             window: VecDeque::new(),
             quarantined: false,
             clean_streak: 0,
-            deliveries: 0,
-            gaps: 0,
-            shed: 0,
-            downsampled: 0,
-            crash_lost: 0,
-            rerouted: 0,
-            ok: 0,
-            recovered: 0,
-            fallback: 0,
-            fused: 0,
-            quarantined_frames: 0,
-            retries: 0,
-            cpu_resets: 0,
-            trips: 0,
-            readmissions: 0,
-            recovery_counts: HistogramCounts::empty(),
+        };
+        Self {
+            ckpt: est.clone(),
+            est,
+            contrib: 0,
+            report: NodeReport {
+                node: node.id,
+                room: node.room,
+                shard: node.shard,
+                ..NodeReport::default()
+            },
         }
     }
 
-    /// Executed frames that produced any outcome (admitted work).
-    fn admitted(&self) -> u64 {
-        self.ok + self.recovered + self.fallback
-    }
-
-    /// Frames that produced no fresh fused prediction — what the node is
-    /// graded against its error budget on.
-    fn degraded(&self) -> u64 {
-        self.deliveries - self.fused
-    }
-
-    /// The windowed health snapshot the sick-node detector judges. This
-    /// is deliberately a real [`SloSnapshot`] — the quarantine decision
-    /// reads `error_budget_burn_milli` off the same SLO surface that
-    /// shard reports export, not a private heuristic.
-    fn window_snapshot(&self, budget: &ErrorBudget) -> SloSnapshot {
-        let gaps = self.window.iter().filter(|&&v| v == 1).count() as u64;
-        let fallbacks = self.window.iter().filter(|&&v| v == 2).count() as u64;
-        let total = self.window.len() as u64;
-        SloSnapshot {
-            counters: vec![(slo::FLEET_GAPS, gaps), (slo::FALLBACK_FRAMES, fallbacks)],
-            error_budget_burn_milli: budget.burn_milli(gaps + fallbacks, total),
-            ..SloSnapshot::default()
-        }
-    }
-
-    /// The node's whole-run SLO snapshot, in canonical counter order
-    /// (fixed so shard folds are order-independent by construction).
-    fn run_snapshot(&self, budget: &ErrorBudget) -> SloSnapshot {
-        SloSnapshot {
-            counters: vec![
-                (slo::FLEET_REQUESTS, self.deliveries - self.gaps),
-                (slo::FLEET_ADMITTED, self.admitted()),
-                (slo::FLEET_SHED, self.shed),
-                (slo::FLEET_DOWNSAMPLED, self.downsampled),
-                (slo::FLEET_GAPS, self.gaps),
-                (slo::FLEET_FUSED, self.fused),
-                (slo::FLEET_QUARANTINED_FRAMES, self.quarantined_frames),
-                (slo::FLEET_QUARANTINE_TRIPS, self.trips),
-                (slo::FLEET_READMISSIONS, self.readmissions),
-                (slo::FLEET_CRASH_LOST, self.crash_lost),
-                (slo::FLEET_REROUTED, self.rerouted),
-                (slo::RETRIES, self.retries),
-                (slo::FALLBACK_FRAMES, self.fallback),
-                (slo::QUARANTINES, self.cpu_resets),
-            ],
-            error_budget_burn_milli: budget.burn_milli(self.degraded(), self.deliveries),
-            recovery_latency: self.recovery_counts.summarize(),
-            recovery_counts: self.recovery_counts.clone(),
-        }
-    }
-
-    /// Restores the fusion/health estimator from a checkpointed node
-    /// record. The emitted room contribution is deliberately untouched —
-    /// hold-last-good covers the rolled-back gap.
-    fn restore(&mut self, ck: &crate::failover::NodeFusionCkpt) {
-        self.voter = ck.voter.clone();
-        self.last_good = ck.last_good;
-        self.window = ck.health.clone();
-        self.quarantined = ck.quarantined;
-        self.clean_streak = ck.clean_streak;
-    }
-
-    /// Resets the fusion/health estimator to boot state — what a shard
-    /// that crashed before any checkpoint existed recovers with.
-    fn reset_estimator(&mut self, voter_window: usize) {
-        self.voter = MajorityVoter::new(voter_window.max(1));
-        self.last_good = None;
-        self.window.clear();
-        self.quarantined = false;
-        self.clean_streak = 0;
+    /// The finished report: the whole-run burn, graded on the frames
+    /// that produced no fresh fused prediction, and the SLO snapshot in
+    /// canonical counter order (fixed so shard folds are
+    /// order-independent by construction).
+    fn finish(self, budget: &ErrorBudget) -> NodeReport {
+        let mut r = self.report;
+        r.burn_milli = budget.burn_milli(r.deliveries - r.fused, r.deliveries);
+        r.slo.counters = vec![
+            (slo::FLEET_REQUESTS, r.deliveries - r.gaps),
+            (slo::FLEET_ADMITTED, r.ok + r.recovered + r.fallback),
+            (slo::FLEET_SHED, r.shed),
+            (slo::FLEET_DOWNSAMPLED, r.downsampled),
+            (slo::FLEET_GAPS, r.gaps),
+            (slo::FLEET_FUSED, r.fused),
+            (slo::FLEET_QUARANTINED_FRAMES, r.quarantined_frames),
+            (slo::FLEET_QUARANTINE_TRIPS, r.quarantine_trips),
+            (slo::FLEET_READMISSIONS, r.readmissions),
+            (slo::FLEET_CRASH_LOST, r.crash_lost),
+            (slo::FLEET_REROUTED, r.rerouted),
+            (slo::RETRIES, r.retries),
+            (slo::FALLBACK_FRAMES, r.fallback),
+            (slo::QUARANTINES, r.cpu_resets),
+        ];
+        r.slo.error_budget_burn_milli = r.burn_milli;
+        r.slo.recovery_latency = r.slo.recovery_counts.summarize();
+        r
     }
 }
 
@@ -831,13 +782,9 @@ impl FleetService {
             None => Vec::new(),
         };
         let period_ns = (cfg.checkpoint_period_ms as i64).saturating_mul(1_000_000);
-        let timeline =
-            crate::failover::failover_timeline(&crash_events, start_ns, end_ns, period_ns);
+        let timeline = failover_timeline(&crash_events, start_ns, end_ns, period_ns);
         let mut route = RouteTable::new(cfg.rooms, cfg.shards);
-        let mut ckpts: Vec<ShardCheckpoint> = Vec::new();
-        let mut drafts: Vec<CrashDraft> = (0..crash_events.len())
-            .map(|_| CrashDraft::default())
-            .collect();
+        let mut drafts = vec![CrashDraft::default(); crash_events.len()];
         let mut migrations = 0u64;
         let mut planned: Vec<PlannedDelivery> = Vec::with_capacity(events.len());
         let mut sims: Vec<ShardSim> = (0..cfg.shards)
@@ -851,22 +798,25 @@ impl FleetService {
             .collect();
         let mut throttle_ctr = vec![0u64; self.nodes.len()];
         let mut exec_list: Vec<usize> = Vec::new();
-        let mut ti = 0usize;
-        for msg in events {
-            while ti < timeline.len() && timeline[ti].0 <= msg.arrival_ns {
+        let mut pending = timeline.iter().copied().peekable();
+        // The closing `None` applies the failover events after the last
+        // arrival (a late crash still disposes of its queue, a late
+        // restart still serves a held one) before the final drain.
+        for msg in events.into_iter().map(Some).chain([None]) {
+            let now = msg.map_or(i64::MAX, |m| m.arrival_ns);
+            while let Some(event) = pending.next_if(|&(t, _)| t <= now) {
                 self.apply_plan_event(
-                    timeline[ti],
+                    event,
                     &crash_events,
                     &mut planned,
                     &mut sims,
                     &mut exec_list,
                     &mut route,
-                    &mut ckpts,
                     &mut drafts,
                     &mut migrations,
                 );
-                ti += 1;
             }
+            let Some(msg) = msg else { break };
             let node = &self.nodes[msg.node];
             let room = node.room;
             let shard = route.shard_for(room);
@@ -928,20 +878,6 @@ impl FleetService {
                 }
             }
         }
-        while ti < timeline.len() {
-            self.apply_plan_event(
-                timeline[ti],
-                &crash_events,
-                &mut planned,
-                &mut sims,
-                &mut exec_list,
-                &mut route,
-                &mut ckpts,
-                &mut drafts,
-                &mut migrations,
-            );
-            ti += 1;
-        }
         for sim in &mut sims {
             Self::drain(
                 &mut planned,
@@ -959,16 +895,15 @@ impl FleetService {
             exec_list,
             crash_events,
             timeline,
-            ckpts,
             drafts,
             migrations,
         }
     }
 
     /// Applies one failover-timeline event to the plan state: checkpoint
-    /// boundaries snapshot every live shard's admission posture, crashes
+    /// boundaries record every live shard's admission posture, crashes
     /// dispose of the queue per policy and migrate rooms, restarts
-    /// recover admission state from the last pre-crash checkpoint.
+    /// recover the posture of the last checkpoint before the crash.
     #[allow(clippy::too_many_arguments)]
     fn apply_plan_event(
         &self,
@@ -978,32 +913,16 @@ impl FleetService {
         sims: &mut [ShardSim],
         exec_list: &mut Vec<usize>,
         route: &mut RouteTable,
-        ckpts: &mut Vec<ShardCheckpoint>,
         drafts: &mut [CrashDraft],
         migrations: &mut u64,
     ) {
         let cfg = &self.cfg;
         match ev {
             FailoverEvent::Checkpoint => {
-                for (shard, sim) in sims.iter_mut().enumerate() {
-                    if route.is_down(shard) {
-                        continue;
-                    }
+                for sim in sims.iter_mut().filter(|sim| !sim.down) {
                     Self::drain(planned, sim, t, exec_list, cfg, self.per_frame_ns);
-                    let sim = &*sim;
-                    ckpts.push(ShardCheckpoint {
-                        shard,
-                        taken_ns: t,
-                        throttled: sim.throttled,
-                        eff_high: sim.adm.eff_high,
-                        eff_low: sim.adm.eff_low,
-                        stride: sim.adm.stride,
-                        rooms: (0..cfg.rooms)
-                            .filter(|&r| route.shard_for(r) == shard)
-                            .map(|r| r as u32)
-                            .collect(),
-                        nodes: Vec::new(),
-                    });
+                    sim.ckpt = sim.adm.posture(sim.throttled);
+                    sim.checkpoints += 1;
                 }
             }
             FailoverEvent::Crash(k) => {
@@ -1072,23 +991,10 @@ impl FleetService {
                 let sim = &mut sims[shard];
                 sim.down = false;
                 sim.server_free_ns = sim.server_free_ns.max(e.restart_ns);
-                // Recover the admission posture from the last checkpoint
-                // that survived the crash; a shard that crashed before
-                // any checkpoint boots with the configured knobs.
-                match ckpts
-                    .iter()
-                    .rev()
-                    .find(|c| c.shard == shard && c.taken_ns <= e.crash_ns)
-                {
-                    Some(ck) => {
-                        sim.throttled = ck.throttled;
-                        sim.adm.restore(ck);
-                    }
-                    None => {
-                        sim.throttled = false;
-                        sim.adm.reset();
-                    }
-                }
+                // A down shard takes no checkpoint, so its last one
+                // precedes the crash; a shard that crashed before any
+                // checkpoint boots with the configured knobs.
+                sim.throttled = sim.adm.restore(sim.ckpt);
                 *migrations += route.restart(shard);
             }
         }
@@ -1154,7 +1060,7 @@ impl FleetService {
     }
 
     /// Phase 3 (serial): replay outcomes in arrival order through the
-    /// same failover timeline (checkpoint fills, crash rollbacks), node
+    /// same failover timeline (checkpoints, crash rollbacks), node
     /// health windows, quarantine hysteresis and room fusion, and fold
     /// everything into the report.
     fn fold(&self, plan: PlanOutput, execs: Vec<AttemptOutcome<usize>>) -> FleetReport {
@@ -1164,7 +1070,6 @@ impl FleetService {
             exec_list: _,
             crash_events,
             timeline,
-            mut ckpts,
             drafts,
             migrations,
         } = plan;
@@ -1172,8 +1077,10 @@ impl FleetService {
         let budget = &cfg.resilience.error_budget;
         let max_retries = cfg.resilience.retry.max_retries;
         let clock_hz = cfg.resilience.clock_hz.max(1);
-        let mut states: Vec<NodeState> = (0..self.nodes.len())
-            .map(|_| NodeState::new(cfg.resilience.voter_window))
+        let mut states: Vec<NodeState> = self
+            .nodes
+            .iter()
+            .map(|node| NodeState::new(node, cfg.resilience.voter_window))
             .collect();
         // Which nodes report into each room — the crash rollback scope.
         let mut room_nodes: Vec<Vec<usize>> = vec![Vec::new(); cfg.rooms];
@@ -1189,42 +1096,62 @@ impl FleetService {
         // Earliest fused completion each crashed shard managed after its
         // restart (the recovery-time metric).
         let mut recovery_min: Vec<Option<i64>> = vec![None; crash_events.len()];
-        let mut ti = 0usize;
-        let mut ci = 0usize;
+        let mut pending = timeline.into_iter().peekable();
+        let mut shards_down = 0;
+        // Failover events after the last arrival move no reported number,
+        // so the fold leaves them unapplied.
         for (i, p) in planned.iter().enumerate() {
-            while ti < timeline.len() && timeline[ti].0 <= p.msg.arrival_ns {
-                Self::apply_fold_event(
-                    timeline[ti],
-                    cfg,
-                    &crash_events,
-                    &drafts,
-                    &mut ckpts,
-                    &mut ci,
-                    &mut states,
-                    &room_nodes,
-                );
-                ti += 1;
+            while let Some((_, ev)) = pending.next_if(|&(t, _)| t <= p.msg.arrival_ns) {
+                match ev {
+                    // While any shard is up the route table leaves no room
+                    // on a down shard, so the live shards' checkpoints
+                    // cover every node.
+                    FailoverEvent::Checkpoint if shards_down < cfg.shards => {
+                        for ns in &mut states {
+                            ns.ckpt = ns.est.clone();
+                        }
+                    }
+                    FailoverEvent::Checkpoint => {}
+                    // The crashed shard's in-memory estimators since the
+                    // last checkpoint are gone; whoever serves its rooms
+                    // next resumes from the checkpoint.
+                    FailoverEvent::Crash(k) => {
+                        shards_down += 1;
+                        for &room in &drafts[k].rooms_at_crash {
+                            for &node in &room_nodes[room as usize] {
+                                let ns = &mut states[node];
+                                ns.est = ns.ckpt.clone();
+                            }
+                        }
+                    }
+                    FailoverEvent::Restart(_) => shards_down -= 1,
+                }
             }
-            let ns = &mut states[p.msg.node];
-            ns.deliveries += 1;
+            let NodeState {
+                est,
+                contrib,
+                report: r,
+                ..
+            } = &mut states[p.msg.node];
+            r.deliveries += 1;
             if p.rerouted {
-                ns.rerouted += 1;
+                r.rerouted += 1;
             }
             let (status, prediction, latency_ns) = match p.decision {
                 Decision::Gap => {
-                    ns.gaps += 1;
+                    r.gaps += 1;
                     (DeliveryStatus::Gap, None, None)
                 }
                 Decision::Shed => {
-                    ns.shed += 1;
+                    r.shed += 1;
                     (DeliveryStatus::Shed, None, None)
                 }
                 Decision::Downsampled => {
-                    ns.downsampled += 1;
+                    r.downsampled += 1;
                     (DeliveryStatus::Downsampled, None, None)
                 }
                 Decision::CrashLost => {
-                    ns.crash_lost += 1;
+                    r.crash_lost += 1;
                     (DeliveryStatus::CrashLost, None, None)
                 }
                 Decision::Queued => unreachable!("final drain resolves every queued frame"),
@@ -1235,8 +1162,8 @@ impl FleetService {
                     let exec = &execs[exec_idx];
                     let retries = exec.failed_attempts.min(max_retries);
                     let backoff_ms = self.supervised.total_backoff_ms(i, retries);
-                    ns.retries += retries as u64;
-                    ns.cpu_resets += exec.failed_attempts as u64;
+                    r.retries += retries as u64;
+                    r.cpu_resets += exec.failed_attempts as u64;
                     // Retry overhead is charged to the affected request
                     // alone (attributable tail latency) — it never shifts
                     // the planned schedule, which keeps the admission
@@ -1245,7 +1172,7 @@ impl FleetService {
                         let recovery_ns = exec.wasted_cycles.saturating_mul(1_000_000_000)
                             / clock_hz
                             + backoff_ms * 1_000_000;
-                        ns.recovery_counts.record(recovery_ns);
+                        r.slo.recovery_counts.record(recovery_ns);
                         recovery_ns
                     } else {
                         0
@@ -1255,10 +1182,10 @@ impl FleetService {
                     match exec.success {
                         Some(prediction) => {
                             if exec.failed_attempts == 0 {
-                                ns.ok += 1;
+                                r.ok += 1;
                                 (DeliveryStatus::Ok, Some(prediction), Some(latency))
                             } else {
-                                ns.recovered += 1;
+                                r.recovered += 1;
                                 (
                                     DeliveryStatus::Recovered {
                                         failed_attempts: exec.failed_attempts,
@@ -1269,7 +1196,7 @@ impl FleetService {
                             }
                         }
                         None => {
-                            ns.fallback += 1;
+                            r.fallback += 1;
                             (DeliveryStatus::Fallback, None, Some(latency))
                         }
                     }
@@ -1282,31 +1209,31 @@ impl FleetService {
             pcount_telemetry::histogram(slo::FLEET_QUEUE_DEPTH).record(p.depth_after as u64);
             // Fusion is judged against the quarantine state at delivery
             // time; the health update below only affects later frames.
-            let was_quarantined = ns.quarantined;
+            let was_quarantined = est.quarantined;
             let mut fused = false;
             let new_contrib = match prediction {
                 Some(pred) => {
-                    let est = ns.voter.push(pred);
-                    ns.last_good = Some(est);
+                    let vote = est.voter.push(pred);
+                    est.last_good = Some(vote);
                     if was_quarantined {
-                        ns.quarantined_frames += 1;
-                        ns.contrib
+                        r.quarantined_frames += 1;
+                        *contrib
                     } else {
                         fused = true;
-                        ns.fused += 1;
-                        est
+                        r.fused += 1;
+                        vote
                     }
                 }
                 None => {
-                    let est = ns.voter.push_missing().or(ns.last_good).unwrap_or(0);
+                    let vote = est.voter.push_missing().or(est.last_good).unwrap_or(0);
                     if status.executed() && was_quarantined {
-                        ns.quarantined_frames += 1;
+                        r.quarantined_frames += 1;
                     }
                     if was_quarantined {
                         // Quarantined rooms hold their last trusted value.
-                        ns.contrib
+                        *contrib
                     } else {
-                        est
+                        vote
                     }
                 }
             };
@@ -1323,10 +1250,10 @@ impl FleetService {
                     }
                 }
             }
-            if new_contrib != ns.contrib {
-                room_totals[p.room] = room_totals[p.room] - ns.contrib + new_contrib;
-                building = building - ns.contrib + new_contrib;
-                ns.contrib = new_contrib;
+            if new_contrib != *contrib {
+                room_totals[p.room] = room_totals[p.room] - *contrib + new_contrib;
+                building = building - *contrib + new_contrib;
+                *contrib = new_contrib;
                 changes.push(OccupancyChange {
                     seq: i as u64,
                     room: p.room as u32,
@@ -1338,38 +1265,38 @@ impl FleetService {
             // detector (shed/downsampled/crash-lost frames are the
             // service's doing).
             let health_sample = match status {
-                DeliveryStatus::Gap => Some(1u8),
-                DeliveryStatus::Fallback => Some(2u8),
-                DeliveryStatus::Ok | DeliveryStatus::Recovered { .. } => Some(0u8),
+                DeliveryStatus::Gap | DeliveryStatus::Fallback => Some(true),
+                DeliveryStatus::Ok | DeliveryStatus::Recovered { .. } => Some(false),
                 DeliveryStatus::Shed | DeliveryStatus::Downsampled | DeliveryStatus::CrashLost => {
                     None
                 }
             };
-            if let Some(sample) = health_sample {
-                if ns.quarantined {
-                    if sample == 0 {
-                        ns.clean_streak += 1;
-                        if ns.clean_streak >= cfg.readmit_after {
-                            ns.quarantined = false;
-                            ns.readmissions += 1;
-                            ns.clean_streak = 0;
-                            ns.window.clear();
-                        }
+            if let Some(bad) = health_sample {
+                if est.quarantined {
+                    if bad {
+                        est.clean_streak = 0;
                     } else {
-                        ns.clean_streak = 0;
+                        est.clean_streak += 1;
+                        if est.clean_streak >= cfg.readmit_after {
+                            est.quarantined = false;
+                            r.readmissions += 1;
+                            est.clean_streak = 0;
+                            est.window.clear();
+                        }
                     }
                 } else {
-                    ns.window.push_back(sample);
-                    if ns.window.len() > cfg.health_window {
-                        ns.window.pop_front();
+                    est.window.push_back(bad);
+                    if est.window.len() > cfg.health_window {
+                        est.window.pop_front();
                     }
-                    if ns.window.len() == cfg.health_window {
-                        let snapshot = ns.window_snapshot(budget);
-                        if snapshot.error_budget_burn_milli >= cfg.quarantine_burn_milli {
-                            ns.quarantined = true;
-                            ns.trips += 1;
-                            ns.clean_streak = 0;
-                            ns.window.clear();
+                    if est.window.len() == cfg.health_window {
+                        let bads = est.window.iter().filter(|&&b| b).count() as u64;
+                        let burn = budget.burn_milli(bads, est.window.len() as u64);
+                        if burn >= cfg.quarantine_burn_milli {
+                            est.quarantined = true;
+                            r.quarantine_trips += 1;
+                            est.clean_streak = 0;
+                            est.window.clear();
                         }
                     }
                 }
@@ -1385,19 +1312,6 @@ impl FleetService {
                 fused,
                 rerouted: p.rerouted,
             });
-        }
-        while ti < timeline.len() {
-            Self::apply_fold_event(
-                timeline[ti],
-                cfg,
-                &crash_events,
-                &drafts,
-                &mut ckpts,
-                &mut ci,
-                &mut states,
-                &room_nodes,
-            );
-            ti += 1;
         }
         // Finalise the recovery metric: first post-restart fused
         // completion, or the bare downtime when nothing arrived to prove
@@ -1436,70 +1350,8 @@ impl FleetService {
             room_totals,
             crash_reports,
             recovery_counts,
-            crash_events.len() as u64,
             migrations,
-            ckpts.len() as u64,
         )
-    }
-
-    /// Applies one failover-timeline event to the fold state: checkpoint
-    /// boundaries capture every in-scope node's fusion/health estimator
-    /// into the plan's [`ShardCheckpoint`]s, crashes roll the affected
-    /// nodes back to their last checkpointed estimator (hold-last-good
-    /// keeps the emitted contribution), restarts need nothing — the
-    /// recovered state already lives forward from the rollback.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fold_event(
-        (t, ev): (i64, FailoverEvent),
-        cfg: &FleetConfig,
-        crash_events: &[CrashEvent],
-        drafts: &[CrashDraft],
-        ckpts: &mut [ShardCheckpoint],
-        ci: &mut usize,
-        states: &mut [NodeState],
-        room_nodes: &[Vec<usize>],
-    ) {
-        match ev {
-            FailoverEvent::Checkpoint => {
-                while *ci < ckpts.len() && ckpts[*ci].taken_ns == t {
-                    let ckpt = &mut ckpts[*ci];
-                    for &room in &ckpt.rooms {
-                        for &node in &room_nodes[room as usize] {
-                            let ns = &states[node];
-                            ckpt.nodes.push(crate::failover::NodeFusionCkpt {
-                                node,
-                                voter: ns.voter.clone(),
-                                last_good: ns.last_good,
-                                health: ns.window.clone(),
-                                quarantined: ns.quarantined,
-                                clean_streak: ns.clean_streak,
-                            });
-                        }
-                    }
-                    *ci += 1;
-                }
-            }
-            FailoverEvent::Crash(k) => {
-                let crash_ns = crash_events[k].crash_ns;
-                for &room in &drafts[k].rooms_at_crash {
-                    for &node in &room_nodes[room as usize] {
-                        // The crashed shard's in-memory estimator since
-                        // the last checkpoint is gone; whoever serves the
-                        // room next resumes from the checkpoint store.
-                        let recovered = ckpts[..*ci]
-                            .iter()
-                            .rev()
-                            .filter(|c| c.taken_ns <= crash_ns)
-                            .find_map(|c| c.node(node).cloned());
-                        match recovered {
-                            Some(ck) => states[node].restore(&ck),
-                            None => states[node].reset_estimator(cfg.resilience.voter_window),
-                        }
-                    }
-                }
-            }
-            FailoverEvent::Restart(_) => {}
-        }
     }
 
     /// Assembles node/shard/fleet reports and mirrors the run's totals
@@ -1515,56 +1367,27 @@ impl FleetService {
         room_totals: Vec<usize>,
         crash_reports: Vec<CrashReport>,
         recovery_counts: HistogramCounts,
-        crashes: u64,
         migrations: u64,
-        checkpoints: u64,
     ) -> FleetReport {
         let cfg = &self.cfg;
         let budget = &cfg.resilience.error_budget;
-        let node_reports: Vec<NodeReport> = self
-            .nodes
-            .iter()
-            .zip(states.iter())
-            .map(|(node, ns)| NodeReport {
-                node: node.id,
-                room: node.room,
-                shard: node.shard,
-                deliveries: ns.deliveries,
-                gaps: ns.gaps,
-                shed: ns.shed,
-                downsampled: ns.downsampled,
-                crash_lost: ns.crash_lost,
-                rerouted: ns.rerouted,
-                ok: ns.ok,
-                recovered: ns.recovered,
-                fallback: ns.fallback,
-                fused: ns.fused,
-                quarantined_frames: ns.quarantined_frames,
-                quarantine_trips: ns.trips,
-                readmissions: ns.readmissions,
-                retries: ns.retries,
-                cpu_resets: ns.cpu_resets,
-                burn_milli: budget.burn_milli(ns.degraded(), ns.deliveries),
-                slo: ns.run_snapshot(budget),
-            })
-            .collect();
+        let node_reports: Vec<NodeReport> =
+            states.into_iter().map(|ns| ns.finish(budget)).collect();
         let shard_reports: Vec<ShardReport> = (0..cfg.shards)
             .map(|shard| {
-                let members: Vec<&NodeState> = self
-                    .nodes
-                    .iter()
-                    .zip(states.iter())
-                    .filter(|(n, _)| n.shard == shard)
-                    .map(|(_, s)| s)
-                    .collect();
+                let members: Vec<&NodeReport> =
+                    node_reports.iter().filter(|r| r.shard == shard).collect();
                 // The shard SLO is the associative fold of its nodes'
                 // snapshots; the burn pools every node's frames so a big
                 // healthy node cannot mask a small sick one.
-                let slo = members.iter().fold(SloSnapshot::default(), |acc, s| {
-                    acc.merge(&s.run_snapshot(budget))
-                });
-                let burn_milli =
-                    budget.burn_milli_total(members.iter().map(|s| (s.degraded(), s.deliveries)));
+                let slo = members
+                    .iter()
+                    .fold(SloSnapshot::default(), |acc, r| acc.merge(&r.slo));
+                let burn_milli = budget.burn_milli_total(
+                    members
+                        .iter()
+                        .map(|r| (r.deliveries - r.fused, r.deliveries)),
+                );
                 let sim = &sims[shard];
                 ShardReport {
                     shard,
@@ -1583,21 +1406,22 @@ impl FleetService {
                 }
             })
             .collect();
+        let sum = |count: fn(&NodeReport) -> u64| node_reports.iter().map(count).sum();
         let totals = ServeTotals {
-            requests: states.iter().map(|s| s.deliveries - s.gaps).sum(),
-            admitted: states.iter().map(|s| s.admitted()).sum(),
-            shed: states.iter().map(|s| s.shed).sum(),
-            downsampled: states.iter().map(|s| s.downsampled).sum(),
-            gaps: states.iter().map(|s| s.gaps).sum(),
-            fused: states.iter().map(|s| s.fused).sum(),
-            quarantined_frames: states.iter().map(|s| s.quarantined_frames).sum(),
-            quarantine_trips: states.iter().map(|s| s.trips).sum(),
-            readmissions: states.iter().map(|s| s.readmissions).sum(),
-            crash_lost: states.iter().map(|s| s.crash_lost).sum(),
-            rerouted: states.iter().map(|s| s.rerouted).sum(),
-            crashes,
+            requests: sum(|r| r.deliveries - r.gaps),
+            admitted: sum(|r| r.ok + r.recovered + r.fallback),
+            shed: sum(|r| r.shed),
+            downsampled: sum(|r| r.downsampled),
+            gaps: sum(|r| r.gaps),
+            fused: sum(|r| r.fused),
+            quarantined_frames: sum(|r| r.quarantined_frames),
+            quarantine_trips: sum(|r| r.quarantine_trips),
+            readmissions: sum(|r| r.readmissions),
+            crash_lost: sum(|r| r.crash_lost),
+            rerouted: sum(|r| r.rerouted),
+            crashes: crash_reports.len() as u64,
             migrations,
-            checkpoints,
+            checkpoints: sims.iter().map(|s| s.checkpoints).sum(),
         };
         for (name, value) in totals.as_counters() {
             if value > 0 {

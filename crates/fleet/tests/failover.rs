@@ -115,6 +115,41 @@ fn hold_policy_serves_the_queue_after_the_restart() {
 }
 
 #[test]
+fn reroute_moves_queued_frames_onto_the_survivor() {
+    // Under `crashy_cfg`'s slow clock the survivor's queue is full at the
+    // crash, so Reroute loses every queued frame exactly as Shed does; a
+    // faster clock leaves it room for part of the crashed queue.
+    let cfg = common::live_reroute_cfg();
+    let mut shed_cfg = cfg.clone();
+    shed_cfg.crash.as_mut().expect("crash schedule").policy = CrashPolicy::Shed;
+    let mut pool = service(cfg.clone()).make_pool(2).expect("pool");
+    let report = service(cfg).run(&mut pool);
+    let shed = service(shed_cfg).run(&mut pool);
+    assert!(report.conservation_holds());
+    let c = &report.crash_reports[0];
+    assert!(c.rerouted > 0, "no queued frame was re-routed: {c:?}");
+    // Before the crash every room is on its home shard, so the re-routed
+    // frames that arrived before it are the ones moved off the queue.
+    let moved: Vec<_> = report
+        .deliveries
+        .iter()
+        .filter(|d| d.rerouted && d.msg.arrival_ns < c.crash_ns)
+        .collect();
+    assert_eq!(moved.len() as u64, c.rerouted);
+    for d in moved {
+        assert!(
+            d.shard == 1 && d.status.executed(),
+            "a re-routed frame must execute on the survivor: {d:?}"
+        );
+    }
+    assert_ne!(
+        report.to_json(),
+        shed.to_json(),
+        "re-routing must change the run"
+    );
+}
+
+#[test]
 fn the_crash_schedule_is_a_pure_function_of_the_config() {
     let svc = service(common::crashy_cfg(CrashPolicy::Reroute));
     let schedule = svc.crash_schedule();
