@@ -17,14 +17,21 @@
 //!   and fault counters, and the written `BENCH_robust.json` parses back
 //!   with its `robustness.points` and `robustness.slo.counters` blocks.
 //!
+//! Telemetry stays off: every stream counts its own SLO snapshot.
+//!
 //! `BENCH_SMOKE=1` runs a shorter stream, shrinks the timing windows and
-//! writes `target/bench-smoke/BENCH_robust.json` instead.
+//! writes `target/bench-smoke/BENCH_robust.json` instead. It also builds
+//! the full-mode `robustness` block and checks it against the committed
+//! `BENCH_robust.json`: every number in that block is a pure function of
+//! the code and the seeds, so a change that moves one must re-record the
+//! ledger.
 
-use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
+use pcount_bench::{calls_per_s, check_matches_ledger, smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_kernels::{Deployment, Target};
 use pcount_resilience::{
-    evaluate_robustness, FaultConfig, FaultPlan, ResilienceConfig, ResilientDeployment, TickStatus,
+    evaluate_robustness, FaultConfig, FaultPlan, ResilienceConfig, ResilientDeployment,
+    RobustnessReport, TickStatus,
 };
 use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
@@ -38,6 +45,8 @@ const FAULT_SEED: u64 = 123;
 const POOL_THREADS: usize = 4;
 /// Intensity axis of the reported robustness curve.
 const INTENSITIES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
+/// Frames of the full-mode stream (the smoke stream takes 16).
+const FULL_FRAMES: usize = 48;
 
 /// The deployed demo model plus a labelled IR frame stream (the first
 /// `n` frames of a held-out session, in temporal order).
@@ -49,6 +58,25 @@ fn deployed_stream(n: usize) -> (Deployment, Tensor, Vec<usize>) {
     let n = n.min(y.len());
     let frames = Tensor::from_vec(x.data()[..n * 64].to_vec(), &[n, 1, 8, 8]);
     (deployment, frames, y[..n].to_vec())
+}
+
+/// The reported fault sweep over `frames` on `pool_threads` workers.
+fn sweep(
+    d: &Deployment,
+    frames: &Tensor,
+    labels: &[usize],
+    pool_threads: usize,
+) -> RobustnessReport {
+    evaluate_robustness(
+        d,
+        frames,
+        labels,
+        &ResilienceConfig::default(),
+        FAULT_SEED,
+        &INTENSITIES,
+        pool_threads,
+    )
+    .expect("sweep")
 }
 
 /// Zero-intensity supervision must add nothing: every tick is `Ok` and
@@ -95,25 +123,12 @@ fn validate_bench_json(bench: &JsonValue) {
 
 fn main() {
     let smoke = smoke_mode();
-    let n = if smoke { 16 } else { 48 };
+    let n = if smoke { 16 } else { FULL_FRAMES };
     let (deployment, frames, labels) = deployed_stream(n);
 
     check_transparent_when_healthy(&deployment, &frames);
 
-    // The reported sweep runs with telemetry on so the SLO counter block
-    // of `BENCH_robust.json` is populated; recording never changes any
-    // computed result.
-    pcount_telemetry::set_enabled(true);
-    let report = evaluate_robustness(
-        &deployment,
-        &frames,
-        &labels,
-        &ResilienceConfig::default(),
-        FAULT_SEED,
-        &INTENSITIES,
-        POOL_THREADS,
-    )
-    .expect("sweep");
+    let report = sweep(&deployment, &frames, &labels, POOL_THREADS);
     let json = JsonValue::from(&report);
 
     // Chaos-smoke gate (a): every stream completed — one outcome per
@@ -139,20 +154,9 @@ fn main() {
     );
     // Chaos-smoke gate (b): the seeded sweep is bit-reproducible, and
     // pool width does not leak into any reported number.
-    let again = evaluate_robustness(
-        &deployment,
-        &frames,
-        &labels,
-        &ResilienceConfig::default(),
-        FAULT_SEED,
-        &INTENSITIES,
-        1,
-    )
-    .expect("re-sweep");
-    pcount_telemetry::set_enabled(false);
     assert_eq!(
         json,
-        JsonValue::from(&again),
+        JsonValue::from(&sweep(&deployment, &frames, &labels, 1)),
         "sweep not reproducible across runs/pool widths"
     );
     // The SLO counter block is present and accounted; the written JSON
@@ -169,6 +173,12 @@ fn main() {
         );
     }
     assert!(report.slo.total_faults() > 0, "sweep recorded no faults");
+    if smoke {
+        println!("full-mode robustness block, checked against the committed ledger:");
+        let (deployment, frames, labels) = deployed_stream(FULL_FRAMES);
+        let full = sweep(&deployment, &frames, &labels, POOL_THREADS);
+        check_matches_ledger("BENCH_robust.json", "robustness", &JsonValue::from(&full));
+    }
 
     println!("resilience summary (demo INT8 model, seeded faults):");
     println!("  baseline accuracy: {:.3}", report.baseline_accuracy);

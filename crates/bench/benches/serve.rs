@@ -31,15 +31,13 @@
 //! function of the code and the seeds, so a change that moves one must
 //! re-record the ledger.
 
-use std::path::Path;
-
-use pcount_bench::{calls_per_s, smoke_mode, write_bench_json};
+use pcount_bench::{calls_per_s, check_matches_ledger, smoke_mode, write_bench_json};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
 };
 use pcount_kernels::{Deployment, Target};
-use pcount_telemetry::{parse_json, JsonValue};
+use pcount_telemetry::JsonValue;
 
 /// Seed of the demo model and the dataset nodes replay.
 const SEED: u64 = 7;
@@ -194,32 +192,6 @@ fn validate_bench_json(bench: &JsonValue) {
         reports.len(),
         events.len()
     );
-}
-
-/// Checks a full-mode `serve` block against the committed
-/// `BENCH_serve.json`, naming the members that differ.
-fn check_matches_ledger(full: &JsonValue) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let ledger = parse_json(&text).unwrap_or_else(|e| panic!("BENCH_serve.json: {e}"));
-    let committed = member(&ledger, "serve");
-    // Compare parsed values, as the committed block was written and read.
-    let built = parse_json(&full.to_string()).expect("the serve block parses");
-    let JsonValue::Object(members) = &built else {
-        panic!("the serve block is not an object");
-    };
-    let differing: Vec<&String> = members
-        .iter()
-        .filter(|(key, value)| committed.get(key) != Some(value))
-        .map(|(key, _)| key)
-        .collect();
-    assert!(
-        built == *committed,
-        "serve members {differing:?} differ from the committed BENCH_serve.json: a change \
-         that moves a fleet result must re-record the ledger (a full-mode run)"
-    );
-    println!("full-mode serve block matches the committed BENCH_serve.json");
 }
 
 /// Runs every fleet scenario with its serve tripwires and returns the
@@ -466,7 +438,11 @@ fn main() {
     let serve = serve_block(&deployment, &data, smoke);
     if smoke {
         println!("full-mode serve block, checked against the committed ledger:");
-        check_matches_ledger(&serve_block(&deployment, &data, false));
+        check_matches_ledger(
+            "BENCH_serve.json",
+            "serve",
+            &serve_block(&deployment, &data, false),
+        );
     }
     pcount_telemetry::set_enabled(false);
 

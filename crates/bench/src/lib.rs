@@ -257,6 +257,43 @@ pub fn write_bench_json(
     parse_json(&text).unwrap_or_else(|e| panic!("{file} does not parse: {e}"))
 }
 
+/// Checks a full-mode `key` block against the one in the committed
+/// ledger `file` at the workspace root, naming the members that differ.
+/// Every number in such a block is a pure function of the code and the
+/// seeds, so a change that moves one must re-record the ledger.
+///
+/// # Panics
+///
+/// Panics if the ledger cannot be read or lacks `key`, or if the blocks
+/// differ.
+pub fn check_matches_ledger(file: &str, key: &str, built: &JsonValue) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let ledger = parse_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let committed = ledger
+        .get(key)
+        .unwrap_or_else(|| panic!("{file} lacks {key}"));
+    // Compare parsed values, as the committed block was written and read.
+    let built = parse_json(&built.to_string()).expect("the built block parses");
+    let JsonValue::Object(members) = &built else {
+        panic!("the {key} block is not an object");
+    };
+    let differing: Vec<&String> = members
+        .iter()
+        .filter(|(name, value)| committed.get(name) != Some(value))
+        .map(|(name, _)| name)
+        .collect();
+    assert!(
+        built == *committed,
+        "{key} members {differing:?} differ from the committed {file}: a change that \
+         moves one must re-record the ledger (a full-mode run)"
+    );
+    println!("full-mode {key} block matches the committed {file}");
+}
+
 /// Formats a series of Pareto points as an aligned text table.
 pub fn format_points(title: &str, points: &[pcount_core::ParetoPoint]) -> String {
     let mut out = format!(

@@ -2,10 +2,7 @@
 
 use crate::pareto::ParetoPoint;
 use pcount_dataset::{CvFold, DatasetConfig, IrDataset};
-use pcount_kernels::{
-    hot_blocks_json, DeployError, Deployment, HotBlock, MemStats, MemoryModel, PipelineStats,
-    Target,
-};
+use pcount_kernels::{DeployError, Deployment, MemStats, MemoryModel, PipelineStats, Target};
 use pcount_nas::{search, CostTarget, NasConfig};
 use pcount_nn::{
     balanced_accuracy, evaluate, predict, train_classifier, CnnConfig, Sequential, TrainConfig,
@@ -15,7 +12,6 @@ use pcount_postproc::apply_majority;
 use pcount_quant::{
     fold_sequential, qat_finetune, Precision, PrecisionAssignment, QatCnn, QatConfig, QuantizedCnn,
 };
-use pcount_telemetry::{HistogramSummary, JsonValue, PoolUtilization, SloBaseline, SloSnapshot};
 use pcount_tensor::SplitMix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -276,99 +272,16 @@ impl CandidateModel {
     }
 }
 
-/// Unified observability report of one [`run_flow`] invocation, folding
-/// the phase wall times, the per-frame inference latency distribution,
-/// the worker-pool utilisation and the deployment-sweep cost breakdowns
-/// ([`MemStats`], [`PipelineStats`], [`EnergyBreakdown`], [`HotBlock`])
-/// into one exportable structure.
-///
-/// Phase wall times are always measured (two `Instant` reads per phase).
-/// The telemetry-backed sections — the latency histogram, the frame
-/// counters and the pool report — are only populated while
-/// `pcount-telemetry` recording is on (`PCOUNT_TRACE` or
-/// [`pcount_telemetry::set_enabled`]); with telemetry off they are zero
-/// and [`TelemetryReport::enabled`] is `false`. None of this ever
-/// changes the flow's computed results.
+/// Observability report of one [`run_flow`] invocation: the wall time of
+/// each flow phase, measured with two `Instant` reads per phase whether
+/// or not telemetry records. Purely observational — never feeds back
+/// into any computed result.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Whether telemetry recording was on when the flow finished.
-    pub enabled: bool,
     /// `(phase name, wall seconds)` for the flow's three phases, in
     /// execution order: `flow/seed_eval`, `flow/lambda_sweep`,
     /// `flow/deploy_sweep`.
     pub phases: Vec<(&'static str, f64)>,
-    /// Host-side per-frame inference latency over this flow run (the
-    /// window of `deploy/frame_latency_ns` recorded between flow start
-    /// and end), with p50/p90/p99 in nanoseconds.
-    pub inference_latency_ns: HistogramSummary,
-    /// Simulator frames run during this flow (windowed
-    /// `deploy/frames`).
-    pub frames: u64,
-    /// Simulator faults hit during this flow (windowed
-    /// `deploy/frame_faults`; 0 on a healthy run).
-    pub frame_faults: u64,
-    /// Worker-pool utilisation of the pool the flow ran on.
-    pub pool: PoolUtilization,
-    /// Memory-hierarchy stall breakdown summed over the deployed rows.
-    pub mem: MemStats,
-    /// Pipeline stall/flush counters summed over the deployed rows.
-    pub pipeline: PipelineStats,
-    /// Energy breakdown summed over the deployed rows (µJ).
-    pub energy: EnergyBreakdown,
-    /// Trace-cache profile of the first deployed candidate: its five
-    /// hottest superblocks by retired instructions. Empty when no
-    /// candidate fits on-chip.
-    pub hot_blocks: Vec<HotBlock>,
-    /// Windowed `resilience/*` SLO metrics (fault-class counters,
-    /// retries, fallbacks, error-budget burn, recovery latency). All
-    /// zero unless a `pcount-resilience` stream ran during this flow
-    /// with telemetry on.
-    pub slo: SloSnapshot,
-}
-
-/// The report as a JSON object, for the bench files and any external
-/// dashboard.
-impl From<&TelemetryReport> for JsonValue {
-    fn from(t: &TelemetryReport) -> Self {
-        JsonValue::object([
-            ("enabled", t.enabled.into()),
-            (
-                "phases",
-                JsonValue::object(t.phases.iter().map(|&(name, secs)| (name, secs.into()))),
-            ),
-            ("inference_latency_ns", (&t.inference_latency_ns).into()),
-            ("frames", t.frames.into()),
-            ("frame_faults", t.frame_faults.into()),
-            ("pool", (&t.pool).into()),
-            (
-                "mem",
-                JsonValue::object([
-                    ("fetch_misses", t.mem.fetch_misses.into()),
-                    ("imem_stall_cycles", t.mem.imem_stall_cycles.into()),
-                    ("contended_accesses", t.mem.contended_accesses.into()),
-                    ("dmem_stall_cycles", t.mem.dmem_stall_cycles.into()),
-                ]),
-            ),
-            (
-                "pipeline",
-                JsonValue::object([
-                    ("instructions", t.pipeline.instructions.into()),
-                    ("load_use_stalls", t.pipeline.load_use_stalls.into()),
-                    ("flush_cycles", t.pipeline.flush_cycles.into()),
-                ]),
-            ),
-            (
-                "energy_uj",
-                JsonValue::object([
-                    ("core", t.energy.core_uj.into()),
-                    ("imem", t.energy.imem_uj.into()),
-                    ("dmem", t.energy.dmem_uj.into()),
-                ]),
-            ),
-            ("hot_blocks", hot_blocks_json(&t.hot_blocks)),
-            ("slo", (&t.slo).into()),
-        ])
-    }
 }
 
 /// The output of [`run_flow`].
@@ -382,9 +295,7 @@ pub struct FlowResult {
     pub quantized: Vec<CandidateModel>,
     /// Majority-voting window used for the post-processed metrics.
     pub majority_window: usize,
-    /// Observability report of this run (phase wall times, inference
-    /// latency percentiles, pool utilisation, cost breakdowns). Purely
-    /// observational — never feeds back into any computed result.
+    /// Observability report of this run (phase wall times).
     pub telemetry: TelemetryReport,
 }
 
@@ -535,19 +446,12 @@ impl FoldTrainJob<'_> {
 /// Runs the complete optimisation flow.
 ///
 /// When the `PCOUNT_TRACE` environment variable names a file, telemetry
-/// recording is enabled for the run and the accumulated trace is flushed
-/// there on completion (chrome://tracing JSON, or JSONL for a `.jsonl`
-/// suffix). The returned [`FlowResult::telemetry`] report carries phase
-/// wall times, inference-latency percentiles and pool utilisation either
+/// recording is enabled for the run and the accumulated chrome://tracing
+/// JSON is flushed there on completion. The returned
+/// [`FlowResult::telemetry`] report carries the phase wall times either
 /// way; all computed results are bit-identical with telemetry on or off.
 pub fn run_flow(cfg: &FlowConfig) -> FlowResult {
     pcount_telemetry::init_from_env();
-    // Windowed baselines: the flow report subtracts these so a process
-    // running several flows attributes frames/latency to the right run.
-    let latency_baseline = pcount_telemetry::histogram("deploy/frame_latency_ns").counts();
-    let frames_baseline = pcount_telemetry::counter("deploy/frames").value();
-    let faults_baseline = pcount_telemetry::counter("deploy/frame_faults").value();
-    let slo_baseline = SloBaseline::capture();
     let mut phases: Vec<(&'static str, f64)> = Vec::with_capacity(3);
 
     let dataset = IrDataset::generate(&cfg.dataset, cfg.dataset_seed);
@@ -683,17 +587,6 @@ pub fn run_flow(cfg: &FlowConfig) -> FlowResult {
     drop(deploy_span);
     phases.push(("flow/deploy_sweep", phase_start.elapsed().as_secs_f64()));
 
-    let telemetry = assemble_telemetry(
-        phases,
-        &quantized,
-        sample_frame,
-        &TelemetryBaselines {
-            latency: latency_baseline,
-            frames: frames_baseline,
-            faults: faults_baseline,
-            slo: slo_baseline,
-        },
-    );
     if let Err(err) = pcount_telemetry::flush_env_trace() {
         eprintln!("warning: failed to write PCOUNT_TRACE file: {err}");
     }
@@ -703,69 +596,7 @@ pub fn run_flow(cfg: &FlowConfig) -> FlowResult {
         fp32_points,
         quantized,
         majority_window: cfg.majority_window,
-        telemetry,
-    }
-}
-
-/// Telemetry registry values sampled at flow start, so the flow report
-/// covers only this run's window.
-struct TelemetryBaselines {
-    latency: pcount_telemetry::HistogramCounts,
-    frames: u64,
-    faults: u64,
-    slo: SloBaseline,
-}
-
-/// Folds the run's telemetry window, the pool report and the deployment
-/// cost breakdowns into the [`TelemetryReport`] attached to the flow
-/// result.
-fn assemble_telemetry(
-    phases: Vec<(&'static str, f64)>,
-    quantized: &[CandidateModel],
-    sample_frame: &[f32],
-    baselines: &TelemetryBaselines,
-) -> TelemetryReport {
-    let mut mem = MemStats::default();
-    let mut pipeline = PipelineStats::default();
-    let mut energy = EnergyBreakdown::default();
-    for cost in quantized.iter().filter_map(|c| c.deployed.as_ref()) {
-        mem.fetch_misses += cost.mem.fetch_misses;
-        mem.imem_stall_cycles += cost.mem.imem_stall_cycles;
-        mem.contended_accesses += cost.mem.contended_accesses;
-        mem.dmem_stall_cycles += cost.mem.dmem_stall_cycles;
-        pipeline.instructions += cost.pipeline.instructions;
-        pipeline.load_use_stalls += cost.pipeline.load_use_stalls;
-        pipeline.flush_cycles += cost.pipeline.flush_cycles;
-        energy.core_uj += cost.energy.core_uj;
-        energy.imem_uj += cost.energy.imem_uj;
-        energy.dmem_uj += cost.energy.dmem_uj;
-    }
-    // Trace-cache profile of the first candidate that fits on-chip (one
-    // extra profiling inference; deterministic, so it never perturbs the
-    // flow's reported results).
-    let hot_blocks = quantized
-        .iter()
-        .find(|c| c.deployed.is_some())
-        .and_then(|c| c.deploy(Target::Maupiti).ok())
-        .and_then(|d| d.hottest_blocks(sample_frame, 5).ok())
-        .unwrap_or_default();
-    TelemetryReport {
-        enabled: pcount_telemetry::enabled(),
-        phases,
-        inference_latency_ns: pcount_telemetry::histogram("deploy/frame_latency_ns")
-            .summary_since(&baselines.latency),
-        frames: pcount_telemetry::counter("deploy/frames")
-            .value()
-            .saturating_sub(baselines.frames),
-        frame_faults: pcount_telemetry::counter("deploy/frame_faults")
-            .value()
-            .saturating_sub(baselines.faults),
-        pool: pcount_runtime::current().utilization(),
-        mem,
-        pipeline,
-        energy,
-        hot_blocks,
-        slo: SloSnapshot::capture_since(&baselines.slo),
+        telemetry: TelemetryReport { phases },
     }
 }
 
@@ -1036,27 +867,14 @@ mod tests {
         pcount_telemetry::set_enabled(false);
         assert_flow_results_identical(&baseline, &traced);
 
-        // The traced run's report is fully populated.
-        let t = &traced.telemetry;
-        assert!(t.enabled);
-        assert_eq!(
-            t.phases.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
-            ["flow/seed_eval", "flow/lambda_sweep", "flow/deploy_sweep"],
-        );
-        assert!(t.phases.iter().all(|&(_, secs)| secs >= 0.0));
-        assert!(t.inference_latency_ns.count > 0, "frames were timed");
-        assert!(t.frames > 0);
-        assert_eq!(t.frame_faults, 0, "healthy run has no simulator faults");
-        assert!(t.pool.width >= 1);
-        assert!(t.pool.total_tasks() > 0);
-        assert!(!t.hot_blocks.is_empty(), "a candidate fits on-chip");
-        assert!(t.pipeline.instructions > 0);
-        let json = JsonValue::from(t);
-        assert_eq!(
-            pcount_telemetry::parse_json(&json.to_string()),
-            Ok(json),
-            "flow telemetry report round-trips through its JSON text"
-        );
+        // Both runs time the three phases.
+        for t in [&baseline.telemetry, &traced.telemetry] {
+            assert_eq!(
+                t.phases.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
+                ["flow/seed_eval", "flow/lambda_sweep", "flow/deploy_sweep"],
+            );
+            assert!(t.phases.iter().all(|&(_, secs)| secs >= 0.0));
+        }
 
         // The accumulated chrome trace parses and covers every flow
         // phase plus the pool and kernel spans underneath.

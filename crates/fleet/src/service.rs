@@ -633,7 +633,7 @@ impl NodeState {
     fn finish(self, budget: &ErrorBudget) -> NodeReport {
         let mut r = self.report;
         r.burn_milli = budget.burn_milli(r.deliveries - r.fused, r.deliveries);
-        r.slo.counters = vec![
+        let counters = vec![
             (slo::FLEET_REQUESTS, r.deliveries - r.gaps),
             (slo::FLEET_ADMITTED, r.ok + r.recovered + r.fallback),
             (slo::FLEET_SHED, r.shed),
@@ -649,8 +649,8 @@ impl NodeState {
             (slo::FALLBACK_FRAMES, r.fallback),
             (slo::QUARANTINES, r.cpu_resets),
         ];
-        r.slo.error_budget_burn_milli = r.burn_milli;
-        r.slo.recovery_latency = r.slo.recovery_counts.summarize();
+        let recovery = std::mem::take(&mut r.slo.recovery_counts);
+        r.slo = SloSnapshot::new(counters, r.burn_milli, recovery);
         r
     }
 }

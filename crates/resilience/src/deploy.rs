@@ -34,7 +34,7 @@ use pcount_isa::Cpu;
 use pcount_kernels::{CpuPool, Deployment, InferenceRun, INSTRUCTION_BUDGET};
 use pcount_postproc::MajorityVoter;
 use pcount_telemetry::slo;
-use pcount_telemetry::{ErrorBudget, SloBaseline, SloSnapshot};
+use pcount_telemetry::{ErrorBudget, HistogramCounts, SloSnapshot};
 use pcount_tensor::SplitMix64;
 
 /// Bounded retry with exponential backoff and deterministic jitter.
@@ -208,8 +208,11 @@ pub struct StreamReport {
     pub stats: RecoveryStats,
     /// Error-budget burn of this stream, in milli-units.
     pub error_budget_burn_milli: i64,
-    /// The `resilience/*` telemetry window of this run (all zero when
-    /// telemetry is disabled).
+    /// The stream's SLO snapshot: per-fault-class counts, retries,
+    /// fallbacks, quarantines and breaker counts in
+    /// [`slo::slo_counter_names`] order, the burn and the recovery
+    /// latencies, counted by the stream itself whether or not telemetry
+    /// records.
     pub slo: SloSnapshot,
 }
 
@@ -270,10 +273,9 @@ impl ResilientDeployment {
     /// become fallbacks, breaker-shed ticks hold the last good
     /// prediction. Results are bit-identical for every pool width.
     pub fn run_stream(&self, stream: &FaultyStream, pool: &mut CpuPool) -> StreamReport {
-        let baseline = SloBaseline::capture();
         let (planned, planned_trips) = self.plan_breaker(&stream.ticks);
         let execs = self.execute(stream, &planned, pool);
-        self.fold(stream, &planned, execs, planned_trips, &baseline)
+        self.fold(stream, &planned, execs, planned_trips)
     }
 
     /// Serial pre-pass: decides which ticks the breaker sheds. Operates
@@ -440,15 +442,14 @@ impl ResilientDeployment {
     }
 
     /// Serial post-pass: folds raw executions into outcomes through the
-    /// gap-aware voter, computes backoff/recovery accounting and records
-    /// the SLO telemetry.
+    /// gap-aware voter, computes backoff/recovery accounting, builds the
+    /// stream's SLO snapshot and writes it to the telemetry registry.
     fn fold(
         &self,
         stream: &FaultyStream,
         planned: &[Planned],
         execs: Vec<Option<AttemptOutcome>>,
         planned_trips: usize,
-        baseline: &SloBaseline,
     ) -> StreamReport {
         let mut voter = MajorityVoter::new(self.cfg.voter_window.max(1));
         let mut last_good: Option<usize> = None;
@@ -457,11 +458,9 @@ impl ResilientDeployment {
             breaker_trips: planned_trips,
             ..Default::default()
         };
+        let mut recovery = HistogramCounts::empty();
         let mut outcomes = Vec::with_capacity(stream.ticks.len());
         for (i, (tick, exec)) in stream.ticks.iter().zip(execs).enumerate() {
-            for &class in &tick.faults {
-                pcount_telemetry::counter(class.counter_name()).add(1);
-            }
             let held = |voter: &mut MajorityVoter, last_good: Option<usize>| {
                 voter.push_missing().or(last_good).unwrap_or(0)
             };
@@ -472,7 +471,6 @@ impl ResilientDeployment {
                 }
                 Planned::Shed => {
                     stats.breaker_skips += 1;
-                    pcount_telemetry::counter(slo::BREAKER_SKIPS).add(1);
                     (
                         TickStatus::BreakerOpen,
                         None,
@@ -488,15 +486,11 @@ impl ResilientDeployment {
                     stats.quarantines += exec.failed_attempts as u64;
                     stats.total_backoff_ms += backoff_ms;
                     stats.wasted_cycles += exec.wasted_cycles;
-                    if retries > 0 {
-                        pcount_telemetry::counter(slo::RETRIES).add(retries as u64);
-                    }
                     if exec.failed_attempts > 0 {
-                        pcount_telemetry::counter(slo::QUARANTINES)
-                            .add(exec.failed_attempts as u64);
                         let recovery_ns = exec.wasted_cycles.saturating_mul(1_000_000_000)
                             / self.cfg.clock_hz.max(1)
                             + backoff_ms * 1_000_000;
+                        recovery.record(recovery_ns);
                         pcount_telemetry::histogram(slo::RECOVERY_LATENCY).record(recovery_ns);
                     }
                     match exec.success {
@@ -520,7 +514,6 @@ impl ResilientDeployment {
                         }
                         None => {
                             stats.fallback_ticks += 1;
-                            pcount_telemetry::counter(slo::FALLBACK_FRAMES).add(1);
                             (
                                 TickStatus::Fallback,
                                 None,
@@ -540,19 +533,33 @@ impl ResilientDeployment {
                 backoff_ms,
             });
         }
-        if planned_trips > 0 {
-            pcount_telemetry::counter(slo::BREAKER_TRIPS).add(planned_trips as u64);
-        }
         let burn = self
             .cfg
             .error_budget
             .burn_milli(stats.degraded_ticks() as u64, stats.ticks as u64);
+        let counts = stream.fault_counts().into_iter().chain([
+            stats.retries,
+            stats.fallback_ticks as u64,
+            stats.quarantines,
+            stats.breaker_trips as u64,
+            stats.breaker_skips as u64,
+        ]);
+        let slo = SloSnapshot::new(
+            slo::slo_counter_names().into_iter().zip(counts).collect(),
+            burn,
+            recovery,
+        );
+        if pcount_telemetry::enabled() {
+            for &(name, v) in &slo.counters {
+                pcount_telemetry::counter(name).add(v);
+            }
+        }
         pcount_telemetry::gauge(slo::ERROR_BUDGET_BURN).set(burn);
         StreamReport {
             outcomes,
             stats,
             error_budget_burn_milli: burn,
-            slo: SloSnapshot::capture_since(baseline),
+            slo,
         }
     }
 

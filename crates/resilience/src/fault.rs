@@ -62,11 +62,6 @@ impl FaultClass {
         }
     }
 
-    /// The telemetry counter this class increments per injected event.
-    pub fn counter_name(self) -> &'static str {
-        pcount_telemetry::slo::FAULT_CLASS_COUNTERS[self.index()]
-    }
-
     /// The class's position in [`FaultClass::ALL`].
     pub fn index(self) -> usize {
         FaultClass::ALL

@@ -19,9 +19,11 @@
 //!    never aborts, and with faults disabled its per-tick inferences are
 //!    bit-identical to the unwrapped deployment.
 //! 3. **Measurement** ([`evaluate_robustness`]): sweeps fault intensity
-//!    into accuracy-vs-fault-rate curves plus recovery statistics (the
-//!    `BENCH_robust.json` payload), recording the
-//!    `pcount_telemetry::slo` counters along the way.
+//!    into accuracy-vs-fault-rate curves plus recovery statistics and the
+//!    merged SLO snapshot of the swept streams (the `BENCH_robust.json`
+//!    payload). Every stream counts its own
+//!    [`SloSnapshot`](pcount_telemetry::SloSnapshot), so telemetry
+//!    recording changes no reported number.
 
 #![forbid(unsafe_code)]
 

@@ -11,7 +11,7 @@ use crate::deploy::{ResilienceConfig, ResilientDeployment};
 use crate::fault::{FaultConfig, FaultPlan};
 use pcount_isa::SimError;
 use pcount_kernels::Deployment;
-use pcount_telemetry::{JsonValue, SloBaseline, SloSnapshot};
+use pcount_telemetry::{JsonValue, SloSnapshot};
 use pcount_tensor::Tensor;
 
 /// One swept intensity point of a robustness curve.
@@ -66,7 +66,7 @@ impl From<&RobustnessPoint> for JsonValue {
 }
 
 /// A full robustness sweep: one point per intensity (reported along the
-/// monotone intensity axis) plus the SLO telemetry window of the sweep.
+/// monotone intensity axis) plus the merged SLO snapshot of its streams.
 #[derive(Debug, Clone)]
 pub struct RobustnessReport {
     /// Swept points, in strictly increasing intensity order.
@@ -74,7 +74,9 @@ pub struct RobustnessReport {
     /// Accuracy of the zero-fault supervised stream (the floor faults
     /// degrade from).
     pub baseline_accuracy: f64,
-    /// The `resilience/*` telemetry window over the whole sweep.
+    /// The reported points' stream snapshots merged with
+    /// [`SloSnapshot::merge`]: counters summed, the worst burn, the union
+    /// of the recovery latencies.
     pub slo: SloSnapshot,
 }
 
@@ -125,9 +127,8 @@ pub fn evaluate_robustness(
         intensities.windows(2).all(|w| w[0] < w[1]),
         "intensities must be strictly increasing"
     );
-    let sweep_baseline = SloBaseline::capture();
     let supervised = ResilientDeployment::new(deployment.clone(), cfg.clone());
-    let run_point = |intensity: f64| -> Result<RobustnessPoint, SimError> {
+    let run_point = |intensity: f64| -> Result<(RobustnessPoint, SloSnapshot), SimError> {
         let plan = FaultPlan::new(fault_seed, FaultConfig::uniform(intensity));
         let stream = plan.inject(frames);
         let mut pool = deployment.make_pool(pool_threads)?;
@@ -150,7 +151,7 @@ pub fn evaluate_robustness(
                 + report.stats.wasted_cycles as f64 / cfg.clock_hz.max(1) as f64 * 1_000.0)
                 / faulted as f64
         };
-        Ok(RobustnessPoint {
+        let point = RobustnessPoint {
             intensity,
             fault_rate: stream.fault_rate(),
             ticks: stream.ticks.len(),
@@ -163,23 +164,27 @@ pub fn evaluate_robustness(
             retries: report.stats.retries,
             error_budget_burn_milli: report.error_budget_burn_milli,
             mean_recovery_ms,
-        })
+        };
+        Ok((point, report.slo))
     };
     let baseline_accuracy = if intensities.first() == Some(&0.0) {
         // Reuse the first sweep point below; computed there.
         None
     } else {
-        Some(run_point(0.0)?.accuracy)
+        Some(run_point(0.0)?.0.accuracy)
     };
     let mut points = Vec::with_capacity(intensities.len());
+    let mut slo = SloSnapshot::default();
     for &intensity in intensities {
-        points.push(run_point(intensity)?);
+        let (point, stream_slo) = run_point(intensity)?;
+        points.push(point);
+        slo = slo.merge(&stream_slo);
     }
     let baseline_accuracy =
         baseline_accuracy.unwrap_or_else(|| points.first().map_or(0.0, |p| p.accuracy));
     Ok(RobustnessReport {
         points,
         baseline_accuracy,
-        slo: SloSnapshot::capture_since(&sweep_baseline),
+        slo,
     })
 }

@@ -4,8 +4,9 @@
 //! disabled the supervised stream is bit-identical to the plain
 //! [`Deployment`]; with faults at a fixed seed the results reproduce
 //! across pool widths 1 and 4; no injected fault class can abort the
-//! stream; and a faulted frame can never leak corrupted CPU state into a
-//! later frame's logits.
+//! stream; a faulted frame can never leak corrupted CPU state into a
+//! later frame's logits; and every SLO snapshot is counted by the stream
+//! itself, equal with telemetry recording or not.
 
 use pcount_kernels::{Deployment, Target, INSTRUCTION_BUDGET};
 use pcount_nn::{CnnConfig, TrainConfig};
@@ -14,7 +15,7 @@ use pcount_resilience::{
     evaluate_robustness, AttemptOutcome, FaultClass, FaultConfig, FaultPlan, ResilienceConfig,
     ResilientDeployment, StallFault, TickStatus,
 };
-use pcount_telemetry::JsonValue;
+use pcount_telemetry::{slo, JsonValue};
 use pcount_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,4 +355,81 @@ fn robustness_sweep_reports_monotone_intensities_and_bounded_degradation() {
     )
     .expect("sweep");
     assert_eq!(json, JsonValue::from(&again));
+}
+
+#[test]
+fn slo_snapshots_count_the_stream_with_telemetry_off_or_on() {
+    let (model, x, y) = deployed_model(39, 24);
+    let d = Deployment::new(&model, Target::Maupiti).expect("deploy");
+    let mut stream = FaultPlan::new(7, FaultConfig::uniform(0.3)).inject(&x);
+    // A run of unrecoverable stalls falls back and trips the breaker.
+    for tick in stream.ticks.iter_mut().skip(4).take(8) {
+        if tick.frame.is_some() {
+            tick.stall = Some(StallFault {
+                budget: 10_000,
+                persistence: u32::MAX,
+            });
+            tick.faults.push(FaultClass::Stall);
+        }
+    }
+    let supervised = ResilientDeployment::new(d.clone(), ResilienceConfig::default());
+    let run = || {
+        let mut pool = d.make_pool(2).expect("pool");
+        let stream_report = supervised.run_stream(&stream, &mut pool);
+        let cfg = ResilienceConfig::default();
+        let sweep = evaluate_robustness(&d, &x, &y, &cfg, 123, &[0.0, 0.2, 0.5], 2);
+        (stream_report, sweep.expect("sweep"))
+    };
+    let (quiet, quiet_sweep) = run();
+    pcount_telemetry::set_enabled(true);
+    let (traced, traced_sweep) = run();
+    pcount_telemetry::set_enabled(false);
+    assert_eq!(quiet.slo, traced.slo, "telemetry changed a stream's SLO");
+    assert_eq!(
+        quiet_sweep.slo, traced_sweep.slo,
+        "telemetry changed the sweep's SLO"
+    );
+
+    let stats = quiet.stats;
+    assert!(stats.recovered_ticks > 0 && stats.fallback_ticks > 0);
+    assert!(stats.breaker_trips > 0 && stats.breaker_skips > 0);
+    let get = |snapshot: &pcount_telemetry::SloSnapshot, name: &str| {
+        let found = snapshot.counters.iter().find(|(n, _)| *n == name);
+        found.map(|&(_, v)| v)
+    };
+    assert_eq!(quiet.slo.counters.len(), 12);
+    for (class, count) in FaultClass::ALL.into_iter().zip(stream.fault_counts()) {
+        let name = format!("resilience/fault/{}", class.name());
+        assert_eq!(get(&quiet.slo, &name), Some(count), "{name}");
+    }
+    for (name, count) in [
+        (slo::RETRIES, stats.retries),
+        (slo::FALLBACK_FRAMES, stats.fallback_ticks as u64),
+        (slo::QUARANTINES, stats.quarantines),
+        (slo::BREAKER_TRIPS, stats.breaker_trips as u64),
+        (slo::BREAKER_SKIPS, stats.breaker_skips as u64),
+    ] {
+        assert_eq!(get(&quiet.slo, name), Some(count), "{name}");
+    }
+    assert_eq!(
+        quiet.slo.recovery_latency.count,
+        (stats.recovered_ticks + stats.fallback_ticks) as u64
+    );
+    assert_eq!(
+        quiet.slo.error_budget_burn_milli,
+        quiet.error_budget_burn_milli
+    );
+
+    // The sweep's snapshot merges its reported points' streams.
+    let points = &quiet_sweep.points;
+    assert!(quiet_sweep.slo.total_faults() > 0);
+    let retries = points.iter().map(|p| p.retries).sum::<u64>();
+    assert_eq!(get(&quiet_sweep.slo, slo::RETRIES), Some(retries));
+    let recovered = points
+        .iter()
+        .map(|p| p.recovered + p.fallbacks)
+        .sum::<usize>();
+    assert_eq!(quiet_sweep.slo.recovery_latency.count, recovered as u64);
+    let worst_burn = points.iter().map(|p| p.error_budget_burn_milli).max();
+    assert_eq!(Some(quiet_sweep.slo.error_budget_burn_milli), worst_burn);
 }

@@ -1,4 +1,4 @@
-//! Trace and metrics exporters: chrome://tracing JSON, JSONL, and the
+//! The trace exporter (chrome://tracing JSON) and the
 //! [`PoolUtilization`] report assembled by `pcount-runtime`.
 
 use std::fmt::Write as _;
@@ -12,24 +12,24 @@ use crate::span::{collect_events, SpanEvent};
 /// from every thread's ring (sorted by start time), every registered
 /// counter, gauge and histogram summary, and per-thread overwrite counts
 /// for rings that wrapped.
-pub struct TraceSnapshot {
+struct TraceSnapshot {
     /// `(thread id, event)` pairs sorted by `(start_ns, tid)`.
-    pub spans: Vec<(usize, SpanEvent)>,
+    spans: Vec<(usize, SpanEvent)>,
     /// `(thread id, overwritten event count)` for rings that wrapped.
-    pub dropped: Vec<(usize, u64)>,
+    dropped: Vec<(usize, u64)>,
     /// Registered counters and their totals, sorted by name.
-    pub counters: Vec<(&'static str, u64)>,
+    counters: Vec<(&'static str, u64)>,
     /// Registered gauges and their values, sorted by name.
-    pub gauges: Vec<(&'static str, i64)>,
+    gauges: Vec<(&'static str, i64)>,
     /// Registered histograms and their summaries, sorted by name.
-    pub histograms: Vec<(&'static str, HistogramSummary)>,
+    histograms: Vec<(&'static str, HistogramSummary)>,
 }
 
 impl TraceSnapshot {
     /// Captures the current telemetry state. Cheap relative to a flow run
     /// (copies the rings under their locks); safe to call while other
     /// threads keep recording.
-    pub fn capture() -> Self {
+    fn capture() -> Self {
         let (spans, dropped) = collect_events();
         Self {
             spans,
@@ -132,72 +132,14 @@ pub fn write_chrome_trace(path: &str) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json())
 }
 
-/// Serialises the current telemetry state as JSONL: one JSON object per
-/// line, each with a `"kind"` discriminator (`span`, `counter`, `gauge`,
-/// `histogram`, `dropped_spans`). Easier to grep and stream-process than
-/// the chrome trace; selected by a `.jsonl` suffix on `PCOUNT_TRACE`.
-pub fn jsonl() -> String {
-    let snapshot = TraceSnapshot::capture();
-    let mut out = String::with_capacity(snapshot.spans.len() * 96 + 1024);
-    for &(tid, ev) in &snapshot.spans {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"span\",\"name\":{},\"tid\":{},\"start_ns\":{},\"dur_ns\":{}}}",
-            Quoted(ev.name),
-            tid,
-            ev.start_ns,
-            ev.dur_ns
-        );
-    }
-    for &(name, value) in &snapshot.counters {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}",
-            Quoted(name)
-        );
-    }
-    for &(name, value) in &snapshot.gauges {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"gauge\",\"name\":{},\"value\":{value}}}",
-            Quoted(name)
-        );
-    }
-    for (name, summary) in &snapshot.histograms {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"histogram\",\"name\":{},\"summary\":{}}}",
-            Quoted(name),
-            JsonValue::from(summary)
-        );
-    }
-    for &(tid, n) in &snapshot.dropped {
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"dropped_spans\",\"tid\":{tid},\"overwritten\":{n}}}"
-        );
-    }
-    out
-}
-
-/// Writes [`jsonl`] to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_jsonl(path: &str) -> io::Result<()> {
-    std::fs::write(path, jsonl())
-}
-
 /// Worker-pool utilisation report, assembled by `pcount-runtime` from its
 /// per-worker instrumentation. Slot 0 aggregates every *submitting*
 /// thread (callers that participate in their own groups); slots
 /// `1..width` are the persistent pool workers.
 ///
 /// The struct lives here (rather than in `pcount-runtime`) because the
-/// telemetry crate is the workspace's dependency root: the flow report
-/// and the benches consume it without depending on the runtime's
-/// internals.
+/// telemetry crate is the workspace's dependency root: the benches
+/// consume it without depending on the runtime's internals.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolUtilization {
     /// Pool width: 1 (submitter aggregate) + persistent worker count.
@@ -222,8 +164,7 @@ impl PoolUtilization {
     }
 }
 
-/// The report as a JSON object (used by the flow report and the bench
-/// files).
+/// The report as a JSON object (used by the bench files).
 impl From<&PoolUtilization> for JsonValue {
     fn from(u: &PoolUtilization) -> Self {
         JsonValue::object([

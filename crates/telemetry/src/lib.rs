@@ -14,13 +14,18 @@
 //!   (`flow/seed_eval`, `flow/lambda_sweep/fold_train`, `gemm`,
 //!   `conv_fwd`, `pool/task`, `deploy/run_batch`, …) recording into
 //!   per-thread ring buffers;
-//! * **exporters**: chrome://tracing-compatible JSON
-//!   ([`write_chrome_trace`]), JSONL ([`write_jsonl`]) and a
-//!   [`PoolUtilization`] report assembled by `pcount-runtime`;
+//! * **one trace exporter**, chrome://tracing-compatible JSON
+//!   ([`write_chrome_trace`]), plus a [`PoolUtilization`] report
+//!   assembled by `pcount-runtime`;
 //! * **[`JsonValue`]**, the one JSON writer of the workspace: every
 //!   report and `BENCH_*.json` file is built as a value and written by
-//!   its `Display`, and [`parse_json`] reads them back. Only the two
-//!   trace exporters stream their text directly, for speed.
+//!   its `Display`, and [`parse_json`] reads them back. Only the trace
+//!   exporter streams its text directly, for speed.
+//!
+//! Library code only writes to the registry. Every number a library
+//! call returns is counted by the code that produced it; only the trace
+//! exporter, `PoolRef::utilization` in `pcount-runtime` and the
+//! harnesses (benches, tests, perfbench) read the registry back.
 //!
 //! # Gating and disabled-mode cost
 //!
@@ -31,18 +36,17 @@
 //! fraction of a nanosecond on any modern host; the
 //! `disabled_span_cost_is_a_single_relaxed_load` test measures it and
 //! asserts a generous ceiling). Enabling telemetry never changes any
-//! computed result — logits, cycles, instret and accuracies are
-//! bit-identical with telemetry on and off (asserted by flow-level
-//! tripwire tests in `pcount-core`).
+//! computed result — logits, cycles, instret, accuracies and SLO
+//! snapshots are bit-identical with telemetry on and off (asserted by
+//! tripwire tests in `pcount-core` and `pcount-resilience`).
 //!
 //! # Environment
 //!
 //! `PCOUNT_TRACE=<path>` (read by [`init_from_env`], which `run_flow`,
 //! the examples and the benches call on entry) enables telemetry and
-//! selects the trace output path: a `.jsonl` suffix selects the JSONL
-//! exporter, anything else gets chrome://tracing JSON — open it at
-//! `chrome://tracing` or <https://ui.perfetto.dev>. [`flush_env_trace`]
-//! writes the file.
+//! selects the trace output path. [`flush_env_trace`] writes
+//! chrome://tracing JSON there — open it at `chrome://tracing` or
+//! <https://ui.perfetto.dev>.
 //!
 //! # Example
 //!
@@ -66,15 +70,12 @@ mod metrics;
 pub mod slo;
 mod span;
 
-pub use export::{
-    chrome_trace_json, jsonl, write_chrome_trace, write_jsonl, PoolUtilization, TraceSnapshot,
-};
+pub use export::{chrome_trace_json, write_chrome_trace, PoolUtilization};
 pub use json::{parse_json, JsonValue};
 pub use metrics::{
-    counter, counters_snapshot, gauge, gauges_snapshot, histogram, histograms_snapshot, Counter,
-    Gauge, Histogram, HistogramCounts, HistogramSummary,
+    counter, gauge, histogram, Counter, Gauge, Histogram, HistogramCounts, HistogramSummary,
 };
-pub use slo::{ErrorBudget, SloBaseline, SloSnapshot};
+pub use slo::{ErrorBudget, SloSnapshot};
 pub use span::{now_ns, span, SpanEvent, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,10 +120,9 @@ pub fn init_from_env() -> Option<&'static str> {
     }
 }
 
-/// Writes the accumulated trace to the `PCOUNT_TRACE` path captured by
-/// [`init_from_env`]: JSONL when the path ends in `.jsonl`, chrome trace
-/// JSON otherwise. Returns the path written, or `None` when `PCOUNT_TRACE`
-/// was never set. Call sites may flush repeatedly (e.g. once per flow run
+/// Writes the accumulated trace as chrome trace JSON to the
+/// `PCOUNT_TRACE` path captured by [`init_from_env`]. Returns the path
+/// written, or `None` when `PCOUNT_TRACE` was never set. Call sites may flush repeatedly (e.g. once per flow run
 /// and once at program exit); later flushes overwrite the file with a
 /// superset of the earlier events.
 ///
@@ -133,11 +133,7 @@ pub fn flush_env_trace() -> std::io::Result<Option<&'static str>> {
     let Some(Some(path)) = TRACE_PATH.get() else {
         return Ok(None);
     };
-    if path.ends_with(".jsonl") {
-        write_jsonl(path)?;
-    } else {
-        write_chrome_trace(path)?;
-    }
+    write_chrome_trace(path)?;
     Ok(Some(path.as_str()))
 }
 

@@ -289,11 +289,6 @@ impl HistogramCounts {
         self.max = self.max.max(v);
     }
 
-    /// Total recorded values.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
     /// The bucket-wise sum `self + other`: the distribution of the union
     /// of both windows. Associative and commutative (bucket counts and
     /// sums are plain integer additions, the max is a max), so folding any
@@ -377,8 +372,8 @@ pub struct HistogramSummary {
     pub max: u64,
 }
 
-/// The summary as a JSON object (used by the exporters, the flow report
-/// and the bench files).
+/// The summary as a JSON object (used by the exporter, the SLO
+/// snapshots and the bench files).
 impl From<&HistogramSummary> for JsonValue {
     fn from(s: &HistogramSummary) -> Self {
         JsonValue::object([
@@ -432,7 +427,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
 }
 
 /// Every registered counter and its current value, sorted by name.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
+pub(crate) fn counters_snapshot() -> Vec<(&'static str, u64)> {
     let reg = registry().lock().expect("metrics registry lock");
     reg.counters
         .iter()
@@ -441,7 +436,7 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
 }
 
 /// Every registered gauge and its current value, sorted by name.
-pub fn gauges_snapshot() -> Vec<(&'static str, i64)> {
+pub(crate) fn gauges_snapshot() -> Vec<(&'static str, i64)> {
     let reg = registry().lock().expect("metrics registry lock");
     reg.gauges
         .iter()
@@ -450,7 +445,7 @@ pub fn gauges_snapshot() -> Vec<(&'static str, i64)> {
 }
 
 /// Every registered histogram and its summary, sorted by name.
-pub fn histograms_snapshot() -> Vec<(&'static str, HistogramSummary)> {
+pub(crate) fn histograms_snapshot() -> Vec<(&'static str, HistogramSummary)> {
     let reg = registry().lock().expect("metrics registry lock");
     reg.histograms
         .iter()

@@ -1,18 +1,21 @@
 //! SLO primitives for the resilience layer: canonical metric names,
-//! error-budget accounting and a windowed snapshot of the
-//! `resilience/*` registry slice.
+//! error-budget accounting and the [`SloSnapshot`] a supervised stream
+//! reports.
 //!
 //! The fleet-scale north star (ROADMAP item 1) needs service-level
 //! indicators, not just raw counters: how many frames fell back to the
 //! hold-last-good path, how much of the per-stream *error budget* those
 //! fallbacks burned, and how long recovery took. This module pins down
-//! the metric names every producer and consumer agrees on (the
-//! `pcount-resilience` crate records them, the flow report and
-//! `BENCH_robust.json` export them) and folds them into one
-//! [`SloSnapshot`] with a deterministic JSON shape.
+//! the metric names every producer and consumer agrees on and the
+//! [`SloSnapshot`] that carries them with a deterministic JSON shape.
+//! Producers count their snapshots themselves (`pcount-resilience`'s
+//! stream fold, the fleet's node fold) and only write the same numbers
+//! to the registry, so a snapshot never depends on whether telemetry is
+//! recording. `StreamReport::slo`, `RobustnessReport::slo` and the
+//! `robustness.slo` block of `BENCH_robust.json` carry them.
 
 use crate::json::JsonValue;
-use crate::metrics::{counter, gauge, histogram, HistogramCounts, HistogramSummary};
+use crate::metrics::{HistogramCounts, HistogramSummary};
 
 /// Counter: retry attempts beyond the first try of a frame.
 pub const RETRIES: &str = "resilience/retries";
@@ -63,7 +66,7 @@ pub fn slo_counter_names() -> Vec<&'static str> {
 // queue instruments and the end-to-end request-latency histogram. The
 // fleet simulation keeps its authoritative (deterministic, per-shard)
 // accounting in its own report and mirrors these global instruments so
-// traces and flow reports see the serving layer next to everything else.
+// traces see the serving layer next to everything else.
 
 /// Counter: frames offered to the service front-end (requests).
 pub const FLEET_REQUESTS: &str = "fleet/requests";
@@ -179,41 +182,19 @@ impl Default for ErrorBudget {
     }
 }
 
-/// A point-in-time baseline of the SLO registry slice, taken before a
-/// measurement window (one flow run, one stream) so concurrently running
-/// streams don't leak into each other's snapshots.
-#[derive(Debug, Clone)]
-pub struct SloBaseline {
-    counters: Vec<(&'static str, u64)>,
-    recovery: HistogramCounts,
-}
-
-impl SloBaseline {
-    /// Snapshots the current SLO counter values and the recovery-latency
-    /// histogram counts.
-    pub fn capture() -> Self {
-        Self {
-            counters: slo_counter_names()
-                .into_iter()
-                .map(|name| (name, counter(name).value()))
-                .collect(),
-            recovery: histogram(RECOVERY_LATENCY).counts(),
-        }
-    }
-}
-
-/// The SLO metrics of one measurement window: per-counter deltas since a
-/// [`SloBaseline`], the current error-budget burn gauge and the windowed
-/// recovery-latency summary.
+/// The SLO metrics of one measurement window (a stream, a node, or a
+/// merge of several): per-counter totals, the error-budget burn and the
+/// recovery-latency distribution.
 ///
 /// The `Default` value is an empty window (no counters, zero burn), the
-/// shape a flow report carries when no resilience layer ran.
-#[derive(Debug, Clone, Default)]
+/// identity of [`SloSnapshot::merge`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloSnapshot {
-    /// `(name, delta)` for every SLO counter, in [`slo_counter_names`]
-    /// order.
+    /// `(name, total)` for every counter of the window, in the
+    /// producer's canonical order ([`slo_counter_names`] for a stream).
     pub counters: Vec<(&'static str, u64)>,
-    /// Current value of the [`ERROR_BUDGET_BURN`] gauge (milli-units).
+    /// Error-budget burn of the window (milli-units), the value its
+    /// producer writes to the [`ERROR_BUDGET_BURN`] gauge.
     pub error_budget_burn_milli: i64,
     /// Recovery-latency distribution of the window (simulated ns).
     pub recovery_latency: HistogramSummary,
@@ -225,18 +206,17 @@ pub struct SloSnapshot {
 }
 
 impl SloSnapshot {
-    /// Captures the window since `baseline`.
-    pub fn capture_since(baseline: &SloBaseline) -> Self {
-        let recovery_counts = histogram(RECOVERY_LATENCY)
-            .counts()
-            .diff(&baseline.recovery);
+    /// A window of `counters`, graded at `error_budget_burn_milli`, with
+    /// the recovery latencies in `recovery_counts` (the summary is
+    /// derived from them).
+    pub fn new(
+        counters: Vec<(&'static str, u64)>,
+        error_budget_burn_milli: i64,
+        recovery_counts: HistogramCounts,
+    ) -> Self {
         Self {
-            counters: baseline
-                .counters
-                .iter()
-                .map(|&(name, before)| (name, counter(name).value().saturating_sub(before)))
-                .collect(),
-            error_budget_burn_milli: gauge(ERROR_BUDGET_BURN).value(),
+            counters,
+            error_budget_burn_milli,
             recovery_latency: recovery_counts.summarize(),
             recovery_counts,
         }
@@ -265,18 +245,15 @@ impl SloSnapshot {
                 None => counters.push((name, v)),
             }
         }
-        let recovery_counts = self.recovery_counts.merge(&other.recovery_counts);
-        SloSnapshot {
+        SloSnapshot::new(
             counters,
-            error_budget_burn_milli: self
-                .error_budget_burn_milli
+            self.error_budget_burn_milli
                 .max(other.error_budget_burn_milli),
-            recovery_latency: recovery_counts.summarize(),
-            recovery_counts,
-        }
+            self.recovery_counts.merge(&other.recovery_counts),
+        )
     }
 
-    /// Sum of the per-fault-class counter deltas (injected fault events).
+    /// Sum of the per-fault-class counters (injected fault events).
     pub fn total_faults(&self) -> u64 {
         self.counters
             .iter()
@@ -286,8 +263,8 @@ impl SloSnapshot {
     }
 }
 
-/// The snapshot as a JSON object, the `"slo"` block of the flow
-/// telemetry report and of `BENCH_robust.json`.
+/// The snapshot as a JSON object, the `"slo"` block of
+/// `BENCH_robust.json` and of the fleet's shard reports.
 impl From<&SloSnapshot> for JsonValue {
     fn from(s: &SloSnapshot) -> Self {
         JsonValue::object([
@@ -326,29 +303,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_windows_the_slo_counters() {
-        let _guard = crate::test_guard();
-        crate::set_enabled(true);
-        counter(RETRIES).add(2);
-        let baseline = SloBaseline::capture();
-        counter(RETRIES).add(3);
-        counter(FAULT_CLASS_COUNTERS[0]).add(1);
-        histogram(RECOVERY_LATENCY).record(1_000);
-        gauge(ERROR_BUDGET_BURN).set(250);
-        let snap = SloSnapshot::capture_since(&baseline);
-        crate::set_enabled(false);
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, v)| v)
-                .expect("counter present")
-        };
-        assert_eq!(get(RETRIES), 3, "window excludes the baseline increments");
-        assert_eq!(get(FAULT_CLASS_COUNTERS[0]), 1);
-        assert_eq!(snap.total_faults(), 1);
-        assert_eq!(snap.error_budget_burn_milli, 250);
-        assert!(snap.recovery_latency.count >= 1);
+    fn new_snapshot_summarises_its_recovery_counts() {
+        let mut recovery = HistogramCounts::empty();
+        recovery.record(1_000);
+        recovery.record(3_000);
+        let counters = vec![(FAULT_CLASS_COUNTERS[0], 1), (RETRIES, 3)];
+        let snap = SloSnapshot::new(counters, 250, recovery.clone());
+        assert_eq!(snap.total_faults(), 1, "only fault classes count as faults");
+        assert_eq!(snap.recovery_latency, recovery.summarize());
+        assert_eq!(snap.recovery_latency.count, 2);
         let json = JsonValue::from(&snap).to_string();
         assert!(json.contains("\"resilience/retries\":3"));
         assert!(json.contains("\"error_budget_burn_milli\":250"));

@@ -1,11 +1,11 @@
 //! Integration tests of the telemetry crate's public contract: the
 //! disabled mode is a no-op with single-atomic-load cost, and the
-//! exporters emit well-formed, parseable traces.
+//! exporter emits well-formed, parseable traces.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pcount_telemetry::{
-    chrome_trace_json, counter, gauge, histogram, jsonl, parse_json, set_enabled, span, JsonValue,
+    chrome_trace_json, counter, gauge, histogram, parse_json, set_enabled, span, JsonValue,
     PoolUtilization,
 };
 
@@ -140,32 +140,6 @@ fn leaf_span_churn_cannot_evict_flow_phase_spans() {
         matches!(dropped, pcount_telemetry::JsonValue::Object(o) if !o.is_empty()),
         "overwrites must be reported"
     );
-}
-
-#[test]
-fn jsonl_export_parses_line_by_line() {
-    let _guard = guard();
-    set_enabled(true);
-    {
-        let _span = span("test/jsonl_span");
-        counter("test/jsonl_counter").add(1);
-    }
-    set_enabled(false);
-
-    let out = jsonl();
-    assert!(!out.is_empty());
-    let mut kinds = std::collections::HashSet::new();
-    for line in out.lines() {
-        let value = parse_json(line).expect("every JSONL line parses");
-        let kind = value
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .expect("kind discriminator")
-            .to_string();
-        kinds.insert(kind);
-    }
-    assert!(kinds.contains("span"));
-    assert!(kinds.contains("counter"));
 }
 
 #[test]

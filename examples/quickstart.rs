@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Set `PCOUNT_TRACE=<path>` to record a chrome://tracing profile of the
-//! run (`.jsonl` suffix selects the JSONL exporter instead); open the
-//! file at `chrome://tracing` or <https://ui.perfetto.dev>.
+//! run; open the file at `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use maupiti::dataset::{DatasetConfig, IrDataset};
 use maupiti::kernels::{Deployment, Target};
