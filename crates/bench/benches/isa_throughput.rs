@@ -35,14 +35,14 @@
 //! the fused-loop profile fails until the ledger is re-recorded.
 
 use pcount_bench::{
-    demo_int8_model, host_threads, interleaved_calls_per_s, smoke_mode, write_bench_json,
+    check_matches_ledger, demo_int8_model, host_threads, interleaved_calls_per_s, smoke_mode,
+    write_bench_json,
 };
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
-use pcount_telemetry::{parse_json, JsonValue};
+use pcount_telemetry::JsonValue;
 use pcount_tensor::Tensor;
 use std::hint::black_box;
-use std::path::Path;
 
 /// Worker threads used for the parallel-batch measurement.
 const PARALLEL_THREADS: usize = 4;
@@ -201,28 +201,6 @@ fn validate_bench_json(bench: &JsonValue) {
     );
 }
 
-/// Asserts that `bench`'s [`DETERMINISTIC_COLUMNS`] equal those of the
-/// committed full-mode `BENCH_isa.json` at the workspace root.
-fn check_columns_match_ledger(bench: &JsonValue) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_isa.json");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let ledger = parse_json(&text).unwrap_or_else(|e| panic!("BENCH_isa.json: {e}"));
-    for column in DETERMINISTIC_COLUMNS {
-        let committed = ledger
-            .get(column)
-            .unwrap_or_else(|| panic!("committed BENCH_isa.json lacks {column}"));
-        assert_eq!(
-            bench.get(column),
-            Some(committed),
-            "{column} differs from the committed BENCH_isa.json: a change that \
-             moves simulated cycles or the fused-loop profile must re-record \
-             the ledger"
-        );
-    }
-    println!("deterministic columns match the committed BENCH_isa.json");
-}
-
 fn main() {
     let smoke = smoke_mode();
     let (model, x) = demo_int8_model(7);
@@ -374,7 +352,10 @@ fn main() {
     validate_bench_json(&bench);
 
     if smoke {
-        check_columns_match_ledger(&bench);
+        for column in DETERMINISTIC_COLUMNS {
+            let built = bench.get(column).expect("the bench wrote every column");
+            check_matches_ledger("BENCH_isa.json", column, built);
+        }
         println!("BENCH_SMOKE=1: wall-clock assertions skipped");
         return;
     }

@@ -328,9 +328,16 @@ fn serve_block(deployment: &Deployment, data: &IrDataset, smoke: bool) -> JsonVa
         "crash storm took no checkpoints"
     );
     assert!(stranded > 0, "no crash found a backlog to dispose of");
+    // `totals.rerouted` counts every delivery served off its home shard,
+    // and the outages' `rerouted` only the queued frames moved live at a
+    // crash (none in the committed storm, whose survivor queues are full).
+    // The difference is failover routing of new arrivals;
+    // `reroute_moves_queued_frames_onto_the_survivor` in
+    // `crates/fleet/tests/failover.rs` covers the live re-route.
+    let live_rerouted: u64 = crash_report.crash_reports.iter().map(|c| c.rerouted).sum();
     assert!(
-        crash_report.totals.rerouted > 0,
-        "reroute policy moved no traffic to the survivors"
+        crash_report.totals.rerouted > live_rerouted,
+        "failover routing delivered no frame on a shard other than its home shard"
     );
     println!(
         "serve crash storm: {} crashes, {} frames lost vs {} rerouted, \

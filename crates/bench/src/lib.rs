@@ -257,10 +257,11 @@ pub fn write_bench_json(
     parse_json(&text).unwrap_or_else(|e| panic!("{file} does not parse: {e}"))
 }
 
-/// Checks a full-mode `key` block against the one in the committed
-/// ledger `file` at the workspace root, naming the members that differ.
-/// Every number in such a block is a pure function of the code and the
-/// seeds, so a change that moves one must re-record the ledger.
+/// Checks a full-mode `key` block (an object, or a single column of any
+/// JSON type) against the one in the committed ledger `file` at the
+/// workspace root; for an object the failure names the members that
+/// differ. Every number in such a block is a pure function of the code
+/// and the seeds, so a change that moves one must re-record the ledger.
 ///
 /// # Panics
 ///
@@ -278,20 +279,23 @@ pub fn check_matches_ledger(file: &str, key: &str, built: &JsonValue) {
         .unwrap_or_else(|| panic!("{file} lacks {key}"));
     // Compare parsed values, as the committed block was written and read.
     let built = parse_json(&built.to_string()).expect("the built block parses");
-    let JsonValue::Object(members) = &built else {
-        panic!("the {key} block is not an object");
+    let what = match &built {
+        JsonValue::Object(members) => {
+            let differing: Vec<&String> = members
+                .iter()
+                .filter(|(name, value)| committed.get(name) != Some(value))
+                .map(|(name, _)| name)
+                .collect();
+            format!("{key} members {differing:?} differ")
+        }
+        _ => format!("{key} differs"),
     };
-    let differing: Vec<&String> = members
-        .iter()
-        .filter(|(name, value)| committed.get(name) != Some(value))
-        .map(|(name, _)| name)
-        .collect();
     assert!(
         built == *committed,
-        "{key} members {differing:?} differ from the committed {file}: a change that \
-         moves one must re-record the ledger (a full-mode run)"
+        "{what} from the committed {file}: a change that moves one must re-record the \
+         ledger (a full-mode run)"
     );
-    println!("full-mode {key} block matches the committed {file}");
+    println!("{key} matches the committed full-mode {file}");
 }
 
 /// Formats a series of Pareto points as an aligned text table.

@@ -57,17 +57,6 @@ pub enum CrashPolicy {
     Hold,
 }
 
-impl CrashPolicy {
-    /// Stable lowercase name (JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            CrashPolicy::Reroute => "reroute",
-            CrashPolicy::Shed => "shed",
-            CrashPolicy::Hold => "hold",
-        }
-    }
-}
-
 /// A deterministic shard-crash fault class: every `shard_stride`-th
 /// shard crashes once, inside a window placed as fractions of the run
 /// span, with seeded per-shard jitter — the shard-level sibling of

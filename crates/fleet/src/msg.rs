@@ -63,19 +63,6 @@ impl DeliveryStatus {
             DeliveryStatus::Ok | DeliveryStatus::Recovered { .. } | DeliveryStatus::Fallback
         )
     }
-
-    /// Stable lowercase name (JSON keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            DeliveryStatus::Gap => "gap",
-            DeliveryStatus::Shed => "shed",
-            DeliveryStatus::Downsampled => "downsampled",
-            DeliveryStatus::Ok => "ok",
-            DeliveryStatus::Recovered { .. } => "recovered",
-            DeliveryStatus::Fallback => "fallback",
-            DeliveryStatus::CrashLost => "crash_lost",
-        }
-    }
 }
 
 /// The folded record of one message's journey through the service — the

@@ -393,14 +393,14 @@ impl Conv2d {
                     .chunks_mut(group_out)
                     .zip(self.train_cols.chunks_mut(geom.group_cols()))
                     .collect();
-                pool.par_chunks_mut(&mut groups, 1, 0, |t, one| {
+                pool.par_chunks_mut(&mut groups, 1, |t, one| {
                     let (dst, col) = &mut one[0];
                     run(t, dst, col);
                 });
                 Some([n, c, h, w])
             }
             Mode::Eval => {
-                pool.par_chunks_mut(out.data_mut(), group_out, 0, |t, dst| {
+                pool.par_chunks_mut(out.data_mut(), group_out, |t, dst| {
                     let mut col = take_buffer(dst.len() / geom.co * geom.ckk());
                     run(t, dst, &mut col);
                     give_buffer(col);
@@ -510,7 +510,7 @@ impl Conv2d {
         let gd = grad_out.data();
         let group = geom.group();
         let pool = pcount_runtime::current();
-        pool.par_chunks_mut(grad_in.data_mut(), group * geom.chw(), 0, |t, grad_imgs| {
+        pool.par_chunks_mut(grad_in.data_mut(), group * geom.chw(), |t, grad_imgs| {
             let gy = &gd[t * group * geom.out_len()..];
             input_grad_group(geom, gy, wd, grad_imgs);
         });
@@ -518,7 +518,7 @@ impl Conv2d {
         let (co, ckk) = (geom.co, geom.ckk());
         let mut strips = take_buffer(co * ckk);
         let (cols, wg) = (&self.train_cols, self.weight_grad.data());
-        pool.par_chunks_mut(&mut strips, co * STRIP_COLS, 0, |s, strip| {
+        pool.par_chunks_mut(&mut strips, co * STRIP_COLS, |s, strip| {
             let j0 = s * STRIP_COLS;
             let width = strip.len() / co;
             for (row, acc) in strip.chunks_exact_mut(width).enumerate() {

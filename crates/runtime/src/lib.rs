@@ -52,6 +52,8 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -69,7 +71,9 @@ struct Job(*const (dyn Fn(usize) + Sync));
 
 // SAFETY: the pointee is `Sync` (shared calls from any thread are fine)
 // and the submitter keeps it alive for the group's whole lifetime.
+#[allow(unsafe_code)]
 unsafe impl Send for Job {}
+#[allow(unsafe_code)]
 unsafe impl Sync for Job {}
 
 /// One submitted batch of index jobs, drained cooperatively by the
@@ -123,6 +127,7 @@ impl Group {
             // SAFETY: the submitter keeps the closure alive until
             // `state.done == n`, and `done` only counts claimed indices
             // after they ran.
+            #[allow(unsafe_code)]
             let job = unsafe { &*self.job.0 };
             let result = catch_unwind(AssertUnwindSafe(|| job(i)));
             let mut state = self.state.lock().expect("group state lock");
@@ -163,9 +168,10 @@ impl Group {
     }
 }
 
-/// Per-slot execution totals. 64-byte aligned so two slots never share a
-/// cache line when workers update their own entries concurrently.
-#[repr(align(64))]
+/// Per-slot execution totals. Written once per drained group and only
+/// while telemetry is recording (a few thousand groups in a traced
+/// default `table1`), too rarely for false sharing between neighbouring
+/// slots to cost anything.
 #[derive(Default)]
 struct SlotStats {
     /// Index jobs executed by this slot.
@@ -388,6 +394,7 @@ impl PoolRef {
         // by `Group::work`, and this function does not return before
         // `wait_done` observed every claimed index as completed, so the
         // `'static` pointee lifetime is never actually relied upon.
+        #[allow(unsafe_code)]
         let job = Job(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync + '_),
@@ -465,6 +472,10 @@ impl PoolRef {
 
     /// [`PoolRef::map`] with a concurrency `limit` (`0` = none). The
     /// output is identical for every limit and pool size.
+    ///
+    /// Each job takes the next `(index, slot)` pair from one
+    /// mutex-guarded iterator over the output, so every slot has exactly
+    /// one writer; the lock is released before `f` runs.
     pub fn map_limited<T: Send, F: Fn(usize) -> T + Sync>(
         &self,
         jobs: usize,
@@ -472,12 +483,10 @@ impl PoolRef {
         f: F,
     ) -> Vec<T> {
         let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-        let slots = SendPtr(out.as_mut_ptr());
-        self.run_limited(jobs, limit, |i| {
-            // SAFETY: every index is claimed exactly once, so each slot
-            // gets exactly one writer, and the Vec itself is not touched
-            // until the group completes.
-            unsafe { *slots.ptr().add(i) = Some(f(i)) };
+        let slots = Mutex::new(out.iter_mut().enumerate());
+        self.run_limited(jobs, limit, |_| {
+            let (i, slot) = next_item(&slots);
+            *slot = Some(f(i));
         });
         out.into_iter()
             .map(|slot| slot.expect("every claimed index ran"))
@@ -488,55 +497,35 @@ impl PoolRef {
     /// `f(chunk_index, chunk)` for each across the pool. The split is a
     /// function of `chunk_len` alone — never of the pool size — so
     /// callers stay deterministic for any worker count.
+    ///
+    /// Each job takes the next chunk from one mutex-guarded
+    /// `chunks_mut` iterator, so chunks stay disjoint borrows; the lock
+    /// is released before `f` runs.
     pub fn par_chunks_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(
         &self,
         data: &mut [T],
         chunk_len: usize,
-        limit: usize,
         f: F,
     ) {
         let chunk_len = chunk_len.max(1);
-        let len = data.len();
-        let jobs = len.div_ceil(chunk_len);
-        let base = SendPtr(data.as_mut_ptr());
-        self.run_limited(jobs, limit, |i| {
-            let start = i * chunk_len;
-            let end = (start + chunk_len).min(len);
-            // SAFETY: chunks are disjoint (one per index, claimed once),
-            // so at most one `&mut` to each region exists at a time.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), end - start) };
+        let jobs = data.len().div_ceil(chunk_len);
+        let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+        self.run_limited(jobs, 0, |_| {
+            let (i, chunk) = next_item(&chunks);
             f(i, chunk);
         });
     }
 }
 
-/// Raw-pointer wrapper that lets the disjoint-slot writers of
-/// [`PoolRef::map_limited`] and [`PoolRef::par_chunks_mut`] cross a job
-/// closure's `Sync` bound. Private to this crate: every caller elsewhere
-/// gets disjoint `&mut` access through those two safe functions.
-///
-/// The wrapper itself is just a pointer; whoever dereferences it must
-/// guarantee that concurrent jobs write disjoint regions and that the
-/// pointee outlives the submission (which [`PoolRef::run_limited`]
-/// guarantees by blocking until the group drains).
-struct SendPtr<T>(*mut T);
-// SAFETY: the one field is a pointer to `T` values that jobs on other
-// threads write (and whose old values they drop), hence `T: Send`; the
-// dereferencing code above keeps those writes disjoint.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as for `Send`: sharing the wrapper only shares the pointer, and
-// every write through it goes to a slot no other job touches.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The wrapped pointer. An accessor (rather than direct field use)
-    /// so closures capture the `Sync` wrapper, not a raw pointer field
-    /// (edition-2021 disjoint capture would otherwise unravel the
-    /// wrapper).
-    fn ptr(&self) -> *mut T {
-        self.0
-    }
+/// Hands one job the next item of a shared iterator. A group runs one job
+/// per item, so the iterator never runs dry; the guard is dropped before
+/// the item is returned.
+fn next_item<I: Iterator>(items: &Mutex<I>) -> I::Item {
+    items
+        .lock()
+        .expect("pool item lock")
+        .next()
+        .expect("one item per job")
 }
 
 /// The host's available parallelism (fallback 1).
@@ -681,7 +670,7 @@ mod tests {
     fn par_chunks_mut_covers_the_slice_with_ragged_tail() {
         let pool = Pool::new(3);
         let mut data = vec![0u32; 103];
-        pool.handle().par_chunks_mut(&mut data, 10, 0, |ci, chunk| {
+        pool.handle().par_chunks_mut(&mut data, 10, |ci, chunk| {
             assert!(chunk.len() == 10 || (ci == 10 && chunk.len() == 3));
             for (j, v) in chunk.iter_mut().enumerate() {
                 *v = (ci * 10 + j) as u32;

@@ -6,40 +6,7 @@ use std::io;
 
 use crate::json::{JsonValue, Quoted};
 use crate::metrics::{counters_snapshot, gauges_snapshot, histograms_snapshot, HistogramSummary};
-use crate::span::{collect_events, SpanEvent};
-
-/// A point-in-time copy of everything telemetry has recorded: every span
-/// from every thread's ring (sorted by start time), every registered
-/// counter, gauge and histogram summary, and per-thread overwrite counts
-/// for rings that wrapped.
-struct TraceSnapshot {
-    /// `(thread id, event)` pairs sorted by `(start_ns, tid)`.
-    spans: Vec<(usize, SpanEvent)>,
-    /// `(thread id, overwritten event count)` for rings that wrapped.
-    dropped: Vec<(usize, u64)>,
-    /// Registered counters and their totals, sorted by name.
-    counters: Vec<(&'static str, u64)>,
-    /// Registered gauges and their values, sorted by name.
-    gauges: Vec<(&'static str, i64)>,
-    /// Registered histograms and their summaries, sorted by name.
-    histograms: Vec<(&'static str, HistogramSummary)>,
-}
-
-impl TraceSnapshot {
-    /// Captures the current telemetry state. Cheap relative to a flow run
-    /// (copies the rings under their locks); safe to call while other
-    /// threads keep recording.
-    fn capture() -> Self {
-        let (spans, dropped) = collect_events();
-        Self {
-            spans,
-            dropped,
-            counters: counters_snapshot(),
-            gauges: gauges_snapshot(),
-            histograms: histograms_snapshot(),
-        }
-    }
-}
+use crate::span::collect_events;
 
 /// Serialises the current telemetry state as chrome://tracing JSON
 /// (load the file at `chrome://tracing` or <https://ui.perfetto.dev>).
@@ -51,11 +18,18 @@ impl TraceSnapshot {
 /// registry snapshot, and `"droppedSpans"` reports per-thread ring
 /// overwrites.
 pub fn chrome_trace_json() -> String {
-    let snapshot = TraceSnapshot::capture();
-    let mut out = String::with_capacity(snapshot.spans.len() * 96 + 1024);
+    // Spans arrive sorted by `(start_ns, tid)`, with per-thread overwrite
+    // counts for rings that wrapped; the registry sections are sorted by
+    // name. Copying the rings under their locks is cheap relative to a
+    // flow run and safe while other threads keep recording.
+    let (spans, dropped) = collect_events();
+    let counters = counters_snapshot();
+    let gauges = gauges_snapshot();
+    let histograms = histograms_snapshot();
+    let mut out = String::with_capacity(spans.len() * 96 + 1024);
     out.push_str("{\n\"traceEvents\": [");
     let mut first = true;
-    for &(tid, ev) in &snapshot.spans {
+    for &(tid, ev) in &spans {
         if !first {
             out.push(',');
         }
@@ -73,14 +47,13 @@ pub fn chrome_trace_json() -> String {
     }
     // One trailing counter sample per registered counter so the totals
     // show up on the trace timeline too.
-    let end_ts = snapshot
-        .spans
+    let end_ts = spans
         .iter()
         .map(|(_, ev)| ev.start_ns + ev.dur_ns)
         .max()
         .unwrap_or(0) as f64
         / 1_000.0;
-    for &(name, value) in &snapshot.counters {
+    for &(name, value) in &counters {
         if !first {
             out.push(',');
         }
@@ -92,28 +65,28 @@ pub fn chrome_trace_json() -> String {
         );
     }
     out.push_str("\n],\n\"counters\": {");
-    for (i, &(name, value)) in snapshot.counters.iter().enumerate() {
+    for (i, &(name, value)) in counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n  {}: {value}", Quoted(name));
     }
     out.push_str("\n},\n\"gauges\": {");
-    for (i, &(name, value)) in snapshot.gauges.iter().enumerate() {
+    for (i, &(name, value)) in gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n  {}: {value}", Quoted(name));
     }
     out.push_str("\n},\n\"histograms\": {");
-    for (i, (name, summary)) in snapshot.histograms.iter().enumerate() {
+    for (i, (name, summary)) in histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(out, "\n  {}: {}", Quoted(name), JsonValue::from(summary));
     }
     out.push_str("\n},\n\"droppedSpans\": {");
-    for (i, &(tid, n)) in snapshot.dropped.iter().enumerate() {
+    for (i, &(tid, n)) in dropped.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -6,10 +6,11 @@
 //! runtime, the deployment simulator and the NAS flow — records into the
 //! primitives of this crate:
 //!
-//! * a **global metrics registry** of atomic [`Counter`]s, [`Gauge`]s and
-//!   HDR-style log-bucketed latency [`Histogram`]s (p50/p90/p99 via
-//!   [`HistogramSummary`]), sharded per thread so hot-path increments
-//!   never contend on one cache line;
+//! * a **global metrics registry** of atomic [`Counter`]s and
+//!   [`Gauge`]s and HDR-style log-bucketed latency [`Histogram`]s
+//!   (p50/p90/p99 via [`HistogramSummary`]), each histogram one
+//!   [`HistogramCounts`] behind a mutex: the registry sees a few thousand
+//!   records per traced flow, too few for per-thread shards to pay;
 //! * **scoped span timers** ([`span`]) with a hierarchical phase model
 //!   (`flow/seed_eval`, `flow/lambda_sweep/fold_train`, `gemm`,
 //!   `conv_fwd`, `pool/task`, `deploy/run_batch`, …) recording into

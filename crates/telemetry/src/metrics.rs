@@ -1,50 +1,25 @@
-//! The global metrics registry: sharded atomic counters, gauges and
-//! HDR-style log-bucketed histograms.
+//! The global metrics registry: atomic counters and gauges, and
+//! HDR-style log-bucketed histograms behind one lock each.
+//!
+//! The registry's traffic is light: a traced default `table1` sends it
+//! a few thousand records (one pool drain and queue wait per group, one
+//! latency and frame count per deployed batch) against hundreds of
+//! thousands of span events. So a counter is one atomic cell and a
+//! histogram is one [`HistogramCounts`] behind a mutex, with no
+//! per-thread shards.
 
 use crate::json::JsonValue;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Number of per-thread shards of every counter and histogram. A power of
-/// two; threads are striped across shards by a monotonically assigned
-/// thread index, so two pool workers practically never bounce the same
-/// cache line on hot-path increments.
-const COUNTER_SHARDS: usize = 16;
-
-/// Histograms are bulkier than counters (hundreds of buckets per shard),
-/// and record at a far lower rate (per frame / per group, not per
-/// instruction), so they stripe across fewer shards.
-const HISTOGRAM_SHARDS: usize = 4;
-
-/// Monotonic thread index used to pick a shard.
-static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed);
-}
-
-/// This thread's shard stripe index.
-#[inline]
-fn thread_index() -> usize {
-    THREAD_INDEX.with(|i| *i)
-}
-
-/// One cache-line-isolated counter cell. 64-byte alignment keeps two
-/// shards from sharing a line, so relaxed increments from different
-/// threads never invalidate each other.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotonically increasing event counter, sharded per thread.
+/// A monotonically increasing event counter: one atomic cell.
 ///
 /// Obtain one with [`counter`]; increments are dropped while telemetry is
-/// disabled (one relaxed atomic load), and [`Counter::value`] folds the
-/// shards at read time.
+/// disabled (one relaxed atomic load).
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -54,29 +29,21 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.shards[thread_index() % COUNTER_SHARDS]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current total across all shards.
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
-/// A last-value instrument (pool width, queue depth, …). Unlike
-/// [`Counter`] a gauge is set, not accumulated, so it is a single atomic
-/// cell rather than a sharded array.
+/// A last-value instrument (pool width, queue depth, …): set, not
+/// accumulated.
 #[derive(Default)]
 pub struct Gauge {
     value: AtomicI64,
@@ -90,15 +57,6 @@ impl Gauge {
             return;
         }
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` to the gauge (no-op while telemetry is disabled).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// The current gauge value.
@@ -148,29 +106,9 @@ pub(crate) fn bucket_lower_bound(index: usize) -> u64 {
     }
 }
 
-/// One histogram shard: the log-bucket array plus exact sum/max/count for
-/// the summary statistics.
-struct HistogramShard {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for HistogramShard {
-    fn default() -> Self {
-        Self {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A fixed-bucket latency histogram with HDR-style logarithmic buckets
 /// (16 sub-buckets per power-of-two octave, ≤ 6.25% relative error over
-/// the full `u64` range), sharded per thread like [`Counter`].
+/// the full `u64` range): one [`HistogramCounts`] behind a mutex.
 ///
 /// Values are dimensionless `u64`s; the workspace records nanoseconds.
 /// Percentiles ([`Histogram::summary`]) report the lower bound of the
@@ -178,7 +116,7 @@ impl Default for HistogramShard {
 /// overestimate.
 #[derive(Default)]
 pub struct Histogram {
-    shards: [HistogramShard; HISTOGRAM_SHARDS],
+    counts: Mutex<HistogramCounts>,
 }
 
 impl Histogram {
@@ -188,45 +126,24 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        let shard = &self.shards[thread_index() % HISTOGRAM_SHARDS];
-        shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
-        shard.max.fetch_max(v, Ordering::Relaxed);
+        self.lock().record(v);
     }
 
     /// Total recorded values.
     pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+        self.lock().buckets.iter().sum()
     }
 
-    /// A merged snapshot of the per-shard bucket counts, usable as the
-    /// baseline of a windowed summary ([`Histogram::summary_since`]).
+    /// A copy of the bucket counts, usable as the baseline of a windowed
+    /// summary ([`Histogram::summary_since`]).
     pub fn counts(&self) -> HistogramCounts {
-        let mut merged = vec![0u64; NUM_BUCKETS];
-        let mut sum = 0u64;
-        let mut max = 0u64;
-        for shard in &self.shards {
-            for (m, b) in merged.iter_mut().zip(shard.buckets.iter()) {
-                *m += b.load(Ordering::Relaxed);
-            }
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
-            max = max.max(shard.max.load(Ordering::Relaxed));
-        }
-        HistogramCounts {
-            buckets: merged,
-            sum,
-            max,
-        }
+        self.lock().clone()
     }
 
     /// Summary statistics (count, mean, p50/p90/p99, max) over everything
     /// recorded so far.
     pub fn summary(&self) -> HistogramSummary {
-        self.counts().summarize()
+        self.lock().summarize()
     }
 
     /// Summary statistics over the window since `baseline` was snapshot
@@ -234,22 +151,19 @@ impl Histogram {
     /// counts subtract exactly; the max register does not), which is the
     /// conservative choice for latency reporting.
     pub fn summary_since(&self, baseline: &HistogramCounts) -> HistogramSummary {
-        self.counts().diff(baseline).summarize()
+        self.lock().diff(baseline).summarize()
     }
 
     fn reset(&self) {
-        for shard in &self.shards {
-            for b in &shard.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            shard.count.store(0, Ordering::Relaxed);
-            shard.sum.store(0, Ordering::Relaxed);
-            shard.max.store(0, Ordering::Relaxed);
-        }
+        *self.lock() = HistogramCounts::empty();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HistogramCounts> {
+        self.counts.lock().expect("histogram lock")
     }
 }
 
-/// A merged, point-in-time copy of a histogram's bucket counts. Obtained
+/// A point-in-time copy of a histogram's bucket counts. Obtained
 /// from [`Histogram::counts`] (or built up value-by-value with
 /// [`HistogramCounts::record`]); subtracting two snapshots yields the
 /// distribution of one measurement window, and adding two
@@ -278,10 +192,10 @@ impl HistogramCounts {
         }
     }
 
-    /// Records one value into this local (non-atomic) distribution. The
-    /// same bucketing as [`Histogram::record`], but without touching the
-    /// global registry — used by callers that keep per-entity (per-node,
-    /// per-shard) distributions and fold them later with
+    /// Records one value into this local distribution. [`Histogram::record`]
+    /// calls it under the histogram's lock; callers that keep per-entity
+    /// (per-node, per-shard) distributions call it directly, without
+    /// touching the global registry, and fold them later with
     /// [`HistogramCounts::merge`].
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
@@ -307,7 +221,7 @@ impl HistogramCounts {
     }
 
     /// The bucket-wise difference `self - baseline` (saturating, so a
-    /// racing increment during the snapshot can never underflow).
+    /// baseline taken before a registry reset can never underflow).
     pub fn diff(&self, baseline: &HistogramCounts) -> HistogramCounts {
         HistogramCounts {
             buckets: self

@@ -113,12 +113,6 @@ pub const FLEET_REROUTED: &str = "fleet/failover_rerouted";
 pub const FLEET_MIGRATIONS: &str = "fleet/failover_migrations";
 /// Counter: periodic shard checkpoints taken.
 pub const FLEET_CHECKPOINTS: &str = "fleet/failover_checkpoints";
-/// Counter: adaptive-admission tighten steps (watermarks down, stride
-/// up) across all shards.
-pub const FLEET_ADAPTIVE_TIGHTENS: &str = "fleet/adaptive_tightens";
-/// Counter: adaptive-admission relax steps back toward the configured
-/// knobs.
-pub const FLEET_ADAPTIVE_RELAXES: &str = "fleet/adaptive_relaxes";
 /// Histogram: shard recovery time (crash to first post-restart fused
 /// delivery) in simulated nanoseconds.
 pub const FLEET_RECOVERY_LATENCY: &str = "fleet/failover_recovery_ns";

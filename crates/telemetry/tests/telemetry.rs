@@ -1,12 +1,13 @@
 //! Integration tests of the telemetry crate's public contract: the
-//! disabled mode is a no-op with single-atomic-load cost, and the
-//! exporter emits well-formed, parseable traces.
+//! disabled mode is a no-op with single-atomic-load cost, concurrent
+//! recording loses no value, and the exporter emits well-formed,
+//! parseable traces.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pcount_telemetry::{
-    chrome_trace_json, counter, gauge, histogram, parse_json, set_enabled, span, JsonValue,
-    PoolUtilization,
+    chrome_trace_json, counter, gauge, histogram, parse_json, set_enabled, span, Counter,
+    Histogram, HistogramCounts, JsonValue, PoolUtilization,
 };
 
 /// Serialises tests that toggle the global enable flag.
@@ -26,7 +27,6 @@ fn disabled_mode_records_nothing() {
     for _ in 0..1000 {
         c.add(1);
         g.set(42);
-        g.add(1);
         h.record(123);
         assert!(span("test/disabled_span").is_none(), "span gated off");
     }
@@ -35,6 +35,30 @@ fn disabled_mode_records_nothing() {
         before,
         "disabled instruments must not move"
     );
+}
+
+#[test]
+fn concurrent_recording_loses_no_value() {
+    let _guard = guard();
+    let (c, h) = (Counter::default(), Histogram::default());
+    set_enabled(true);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for v in 1..=1000 {
+                    c.add(1);
+                    h.record(v);
+                }
+            });
+        }
+    });
+    set_enabled(false);
+    assert_eq!(c.value(), 4_000);
+    let mut serial = HistogramCounts::empty();
+    for v in (1..=1000).cycle().take(4_000) {
+        serial.record(v);
+    }
+    assert_eq!(h.counts(), serial, "every bucket, the sum and the max");
 }
 
 #[test]
